@@ -10,10 +10,11 @@ directory).  Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import click
@@ -28,6 +29,7 @@ from .data import (
     derive_guiding_labels,
     generate_synthetic,
     load_csv,
+    read_feature_csv,
     save_csv,
 )
 from .exceptions import CheckpointError, DataError, NumericError, VadeersError
@@ -41,6 +43,7 @@ from .training import (
     TrainingAborted,
     TrainSchedule,
     load_checkpoint,
+    partition_by_cells,
     save_checkpoint,
     train,
 )
@@ -70,6 +73,11 @@ def _merged(defaults: dict, config_section: dict | None, flags: dict) -> dict:
         if v is not None:
             out[k] = v
     return out
+
+
+def _field_defaults(cls, *exclude: str) -> dict:
+    """Default of each field of the dataclass ``cls``, except ``exclude``."""
+    return {f.name: f.default for f in fields(cls) if f.name not in exclude}
 
 
 def _pick(config: dict, key: str, flag, default):
@@ -125,47 +133,21 @@ def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observanc
 # train
 # ---------------------------------------------------------------------------
 
-def _model_config_for(dataset: Dataset, config: dict, variant: str,
-                      flags: dict) -> ModelConfig:
-    defaults = {
-        "smiles_dim": dataset.smiles_dim,
-        "ip_dim": dataset.ip_dim,
-        "bio_dim": dataset.bio_dim,
-        "latent_dim": 10,
-        "dvae_encoder_dims": (128, 64),
-        "decoder_dims": (64, 128),
-        "dspn_dims": (512, 256, 128),
-        "dspn_dropout": 0.5,
-        "n_components": 3,
-        "n_guiding_labels": 3,
-        "prior_variant": variant,
-        "dspn_input": "mean",
-    }
-    merged = _merged(defaults, config.get("model"), flags)
-    merged["prior_variant"] = variant
-    for key in ("dvae_encoder_dims", "decoder_dims", "dspn_dims"):
-        merged[key] = tuple(merged[key])
-    return ModelConfig(**merged)
-
-
 def _run_training(dataset: Dataset, config: dict, variant: str, seed: int,
                   model_flags: dict, schedule_flags: dict,
                   split_flags: dict) -> tuple[TrainResult, ModelConfig, SplitSpec]:
-    model_config = _model_config_for(dataset, config, variant, model_flags)
-    schedule_kwargs = _merged(
-        {f: getattr(TrainSchedule(), f) for f in
-         ("joint_epochs", "dspn_epochs", "lr_joint", "lr_dspn",
-          "dspn_lr_decay", "dspn_lr_decay_every", "batch_size",
-          "dvae_break_every_steps", "dvae_break_epochs", "dvae_break_batch")},
-        config.get("schedule"), schedule_flags)
-    schedule = TrainSchedule(seed=seed, **schedule_kwargs)
-    split_kwargs = _merged({"n_val_cells": 100, "n_test_cells": 100},
-                           config.get("split"), split_flags)
-    split_spec = SplitSpec(seed=seed, **split_kwargs)
+    model_config = ModelConfig.from_dict({**_merged(
+        {**_field_defaults(ModelConfig), "smiles_dim": dataset.smiles_dim,
+         "ip_dim": dataset.ip_dim, "bio_dim": dataset.bio_dim},
+        config.get("model"), model_flags), "prior_variant": variant})
+    # the run seed and the derived epoch total are not configurable
+    schedule = TrainSchedule(seed=seed, **_merged(
+        _field_defaults(TrainSchedule, "seed", "total_epochs"),
+        config.get("schedule"), schedule_flags))
+    split_spec = SplitSpec(seed=seed, **_merged(
+        _field_defaults(SplitSpec, "seed"), config.get("split"), split_flags))
     weights = LossWeights(**_merged(
-        {f: 1.0 for f in ("smiles_recon", "ip_recon", "prior", "entropy",
-                          "cae", "dspn")},
-        config.get("weights"), {}))
+        _field_defaults(LossWeights), config.get("weights"), {}))
     if model_config.uses_gmm:
         dataset = derive_guiding_labels(
             dataset, n_labels=model_config.n_guiding_labels, seed=seed)
@@ -174,10 +156,10 @@ def _run_training(dataset: Dataset, config: dict, variant: str, seed: int,
 
 
 def _write_run_dir(out_dir: Path, result: TrainResult, dataset: Dataset,
-                   seed: int) -> Path:
+                   seed: int) -> dict[str, int]:
+    """Write a run's artifacts; returns its guiding-label map."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = {d.id: d.guiding_label for d in result.dataset_std.drugs
-              if d.guiding_label is not None}
+    labels = result.dataset_std.guiding_labels()
     checkpoint = Checkpoint(
         model=result.model,
         scaler=result.scaler,
@@ -189,14 +171,13 @@ def _write_run_dir(out_dir: Path, result: TrainResult, dataset: Dataset,
         },
         seed=seed,
     )
-    ckpt_path = out_dir / "checkpoint.bin"
-    save_checkpoint(checkpoint, ckpt_path)
+    save_checkpoint(checkpoint, out_dir / "checkpoint.bin")
     result.runlog.export_jsonl(out_dir / "runlog.jsonl")
     report = evaluate(result.model, dataset, result.dataset_std, result.split,
                       result.scaler, labels=labels or None, seed=seed,
                       pairs="val")
     (out_dir / "report_val.json").write_text(report.to_json() + "\n")
-    return ckpt_path
+    return labels
 
 
 @cli.command()
@@ -222,7 +203,8 @@ def train_cmd(config_path, data_dir, out, seed, variant, latent_dim,
     """Train one prior variant end to end and write a run directory."""
     config = _load_config(config_path)
     seed = int(_pick(config, "seed", seed, 0))
-    variant = _pick(config, "variant", variant, "gmm_constrained")
+    variant = _pick(config, "variant", variant,
+                    _field_defaults(ModelConfig)["prior_variant"])
     dataset = load_csv(data_dir)
     out_dir = _out_dir(out, f"train-{variant}-seed{seed}")
     try:
@@ -319,35 +301,6 @@ def generate(checkpoint_path, component, n_samples, out, seed):
 # predict
 # ---------------------------------------------------------------------------
 
-def _read_feature_csv(path: str, width: int, what: str) -> tuple[list[str], np.ndarray]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"missing file {p}")
-    with open(p, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows) < 2:
-        raise DataError(f"{p.name}: no data rows")
-    got = len(rows[0]) - 1
-    if got != width:
-        raise DataError(
-            f"{p.name}: {what} width {got} does not match checkpoint width {width}"
-        )
-    ids, values = [], []
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != width + 1:
-            raise DataError(f"{p.name}: row {r} has {len(row)} fields, "
-                            f"expected {width + 1}")
-        ids.append(row[0])
-        try:
-            values.append([float(tok) for tok in row[1:]])
-        except ValueError:
-            raise DataError(f"{p.name}: row {r}: non-numeric value") from None
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise DataError(f"{p.name}: non-finite values")
-    return ids, arr
-
-
 @cli.command()
 @click.option("--checkpoint", "checkpoint_path", type=str, required=True)
 @click.option("--drugs", "drugs_path", type=str, required=True)
@@ -357,15 +310,15 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
     """Predict sensitivity for row-aligned (drug, cell) pairs."""
     ckpt = load_checkpoint(checkpoint_path)
     model = ckpt.model
-    drug_ids, emb = _read_feature_csv(drugs_path, model.config.smiles_dim,
-                                      "drug embedding")
-    cell_ids, feats = _read_feature_csv(cells_path, model.config.bio_dim,
-                                        "cell feature")
+    drug_ids, emb = read_feature_csv(drugs_path, model.config.smiles_dim)
+    cell_ids, feats = read_feature_csv(cells_path, model.config.bio_dim)
     if len(drug_ids) != len(cell_ids):
         raise DataError(
             f"{len(drug_ids)} drug rows vs {len(cell_ids)} cell rows; "
             f"the files pair row-by-row"
         )
+    if not drug_ids:
+        raise DataError(f"{drugs_path}: no data rows")
     if ckpt.scaler is not None:
         emb = ckpt.scaler.transform_embedding(emb)
         feats = ckpt.scaler.transform_cell(feats)
@@ -396,19 +349,8 @@ def _rebuild_split(dataset: Dataset, split_cells: dict) -> Split:
             "split reconstruction mismatch: the dataset's cell lines differ "
             "from those recorded at training time"
         )
-    val_set = set(split_cells["val"])
-    test_set = set(split_cells["test"])
-    train_pairs, val_pairs, test_pairs = [], [], []
-    for pair in dataset.sensitivities.pairs():
-        if pair[1] in val_set:
-            val_pairs.append(pair)
-        elif pair[1] in test_set:
-            test_pairs.append(pair)
-        else:
-            train_pairs.append(pair)
-    return Split(train_cells=split_cells["train"], val_cells=split_cells["val"],
-                 test_cells=split_cells["test"], train_pairs=train_pairs,
-                 val_pairs=val_pairs, test_pairs=test_pairs)
+    return partition_by_cells(dataset, split_cells["train"],
+                              split_cells["val"], split_cells["test"])
 
 
 @cli.command("evaluate")
@@ -416,7 +358,8 @@ def _rebuild_split(dataset: Dataset, split_cells: dict) -> Split:
 @click.option("--data", "data_dir", type=str, required=True)
 @click.option("--out", type=str, default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--n-gen", type=int, default=300)
+@click.option("--n-gen", type=int, default=inspect.signature(evaluate)
+              .parameters["n_gen_per_component"].default)
 def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
     """Full metric report plus 2-D projection CSVs for plotting."""
     ckpt = load_checkpoint(checkpoint_path)
@@ -505,9 +448,7 @@ def experiment(config_path, data_dir, out, seeds, variants, joint_epochs,
                                 "dspn_epochs": dspn_epochs},
                 split_flags={})
             run_dir = out_dir / f"{variant}-seed{seed}"
-            _write_run_dir(run_dir, result, dataset, seed)
-            labels = {d.id: d.guiding_label for d in result.dataset_std.drugs
-                      if d.guiding_label is not None}
+            labels = _write_run_dir(run_dir, result, dataset, seed)
             report = evaluate(result.model, dataset, result.dataset_std,
                               result.split, result.scaler,
                               labels=labels or None, seed=seed, pairs="test")

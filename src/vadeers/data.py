@@ -18,7 +18,9 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +69,7 @@ class SensitivityTable:
         if key in self.entries:
             raise DataError(f"duplicate sensitivity entry for {key}")
         value = float(value)
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DataError(f"non-finite sensitivity value for {key}")
         self.entries[key] = value
 
@@ -151,6 +153,21 @@ class Dataset:
 
     def cell_index(self) -> dict[str, int]:
         return {c.id: i for i, c in enumerate(self.cells)}
+
+    def pair_index(self, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For each (drug_id, cell_id) pair: the row of its drug in
+        ``drugs``, the row of its cell in ``cells``, and its sensitivity
+        value, NaN where the pair is unobserved."""
+        didx, cidx = self.drug_index(), self.cell_index()
+        values = self.sensitivities.entries
+        return (np.array([didx[d] for d, _ in pairs], dtype=np.intp),
+                np.array([cidx[c] for _, c in pairs], dtype=np.intp),
+                np.array([values.get(p, np.nan) for p in pairs]))
+
+    def guiding_labels(self) -> dict[str, int]:
+        """Drug id -> guiding label, for the labeled drugs."""
+        return {d.id: d.guiding_label for d in self.drugs
+                if d.guiding_label is not None}
 
     def profiled_drugs(self) -> list[DrugRecord]:
         return [d for d in self.drugs if d.has_profile]
@@ -356,8 +373,7 @@ def fit_scaler(dataset: Dataset, train_cell_ids: set[str]) -> Scaler:
     """Fit standardization statistics on the training portion only: all
     drugs (the split is over cell lines), train cells, train pairs."""
     emb_mean, emb_std = _column_stats(dataset.embedding_matrix())
-    ip_rows = dataset.profile_matrix()
-    ip_mean, ip_std = _column_stats(ip_rows)
+    ip_mean, ip_std = _column_stats(dataset.profile_matrix())
     train_cells = np.stack([c.features for c in dataset.cells
                             if c.id in train_cell_ids])
     binary = np.all((train_cells == 0.0) | (train_cells == 1.0), axis=0)
@@ -379,20 +395,17 @@ def fit_scaler(dataset: Dataset, train_cell_ids: set[str]) -> Scaler:
 
 def apply_scaler(dataset: Dataset, scaler: "Scaler") -> Dataset:
     """Standardized copy of the dataset using an already-fitted scaler."""
-    drugs = []
-    for d in dataset.drugs:
-        drugs.append(replace(
-            d,
-            smiles_embedding=scaler.transform_embedding(d.smiles_embedding),
-            inhibition_profile=(
-                scaler.transform_ip(d.inhibition_profile) if d.has_profile else None
-            ),
-        ))
-    cells = [replace(c, features=scaler.transform_cell(c.features))
-             for c in dataset.cells]
-    table = SensitivityTable()
-    for (drug_id, cell_id), v in dataset.sensitivities.entries.items():
-        table.add(drug_id, cell_id, float(scaler.transform_ic50(v)))
+    emb = scaler.transform_embedding(dataset.embedding_matrix())
+    profiled = [i for i, d in enumerate(dataset.drugs) if d.has_profile]
+    ip = (dict(zip(profiled, scaler.transform_ip(dataset.profile_matrix())))
+          if profiled else {})
+    drugs = [replace(d, smiles_embedding=emb[i], inhibition_profile=ip.get(i))
+             for i, d in enumerate(dataset.drugs)]
+    feats = scaler.transform_cell(dataset.feature_matrix())
+    cells = [replace(c, features=f) for c, f in zip(dataset.cells, feats)]
+    entries = dataset.sensitivities.entries
+    values = scaler.transform_ic50(list(entries.values()))
+    table = SensitivityTable(dict(zip(entries, values.tolist())))
     return Dataset(drugs=drugs, cells=cells, sensitivities=table,
                    provenance=dataset.provenance)
 
@@ -532,11 +545,8 @@ def generate_synthetic_with_truth(
     cells = [CellLineRecord(id=cell_ids[j], features=features[j])
              for j in range(spec.n_cells)]
     table = SensitivityTable()
-    for i in range(spec.n_drugs):
-        for j in range(spec.n_cells):
-            if observed[i, j]:
-                table.add(drug_ids[i], cell_ids[j],
-                          float(interaction[i, j] + noise[i, j]))
+    for i, j in zip(*np.nonzero(observed)):
+        table.add(drug_ids[i], cell_ids[j], float(interaction[i, j] + noise[i, j]))
 
     dataset = Dataset(drugs=drugs, cells=cells, sensitivities=table,
                       provenance="synthetic")
@@ -613,48 +623,75 @@ def save_csv(dataset: Dataset, directory, seed: int | None = None,
         fh.write("\n")
 
 
-def _read_rows(path: Path, expected_cols: int) -> list[list[str]]:
+def _read_rows(path: Path, n_cols: int) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV whose every row has ``n_cols`` fields."""
     if not path.exists():
         raise DataError(f"missing file {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
         raise DataError(f"{path.name}: empty file")
-    header = rows[0]
-    if len(header) != expected_cols:
+    header, body = rows[0], rows[1:]
+    if len(header) != n_cols:
         raise DataError(
-            f"{path.name}: expected {expected_cols} columns, header has {len(header)}"
+            f"{path.name}: expected {n_cols} columns, header has {len(header)}"
         )
-    return rows
+    for r, row in enumerate(body, start=1):
+        if len(row) != n_cols:
+            where = (f"column {header[len(row)]}" if len(row) < n_cols
+                     else f"after column {header[-1]}")
+            raise DataError(f"{path.name}: row {r}, {where}: row has "
+                            f"{len(row)} fields, expected {n_cols}")
+    return header, body
 
 
-def _parse_float(token: str, file: str, row: int, col: str) -> float:
+def _values(path: Path, header: list[str], body: list[list[str]],
+            first: int) -> np.ndarray:
+    """Columns ``first:`` of the data rows as a float64 matrix.  Tokens
+    are converted in one pass; the rows are only scanned cell by cell
+    after a failure, to name the row and column."""
+    width = len(header) - first
     try:
-        value = float(token)
-    except ValueError as exc:
-        raise DataError(f"{file}: row {row}, column {col}: "
-                        f"non-numeric value {token!r}") from exc
-    if not np.isfinite(value):
-        raise DataError(f"{file}: row {row}, column {col}: non-finite value")
-    return value
+        flat = np.fromiter(
+            map(float, chain.from_iterable(row[first:] for row in body)),
+            dtype=np.float64, count=len(body) * width)
+    except ValueError:
+        for r, row in enumerate(body, start=1):
+            for c, token in enumerate(row[first:], start=first):
+                try:
+                    float(token)
+                except ValueError:
+                    raise DataError(f"{path.name}: row {r}, column {header[c]}: "
+                                    f"non-numeric value {token!r}") from None
+        raise
+    values = flat.reshape(len(body), width)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"{path.name}: row {r + 1}, column "
+                        f"{header[first + c]}: non-finite value")
+    return values
 
 
-def _load_wide(path: Path, width: int) -> dict[str, np.ndarray]:
-    rows = _read_rows(path, width + 1)
-    header = rows[0]
+def read_feature_csv(path, width: int) -> tuple[list[str], np.ndarray]:
+    """Ids and the (n, width) float64 matrix of an ``id,v0..v{W-1}``
+    feature CSV.  Ids may repeat; errors name the file, row and column."""
+    path = Path(path)
+    header, body = _read_rows(path, width + 1)
+    return [row[0] for row in body], _values(path, header, body, 1)
+
+
+def _rows_by_id(path: Path, width: int, count: int) -> dict[str, np.ndarray]:
+    """The rows of a dataset feature CSV by id; ids are unique and their
+    number is ``count``, as the manifest says."""
+    ids, values = read_feature_csv(path, width)
     out: dict[str, np.ndarray] = {}
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != width + 1:
-            raise DataError(f"{path.name}: row {r} has {len(row)} fields, "
-                            f"expected {width + 1}")
-        rid = row[0]
+    for r, (rid, row) in enumerate(zip(ids, values), start=1):
         if rid in out:
             raise DataError(f"{path.name}: duplicate id {rid!r} at row {r}")
-        out[rid] = np.array(
-            [_parse_float(tok, path.name, r, header[i + 1])
-             for i, tok in enumerate(row[1:])]
-        )
+        out[rid] = row
+    if len(out) != count:
+        raise DataError(f"{path.name}: {len(out)} rows, manifest says {count}")
     return out
 
 
@@ -678,19 +715,12 @@ def load_csv(directory) -> Dataset:
     directory = Path(directory)
     manifest = load_manifest(directory)
 
-    emb = _load_wide(directory / "drugs.csv", manifest["smiles_dim"])
-    profiles = _load_wide(directory / "profiles.csv", manifest["ip_dim"])
-    feats = _load_wide(directory / "cells.csv", manifest["bio_dim"])
-
-    if len(emb) != manifest["n_drugs"]:
-        raise DataError(f"drugs.csv: {len(emb)} rows, manifest says "
-                        f"{manifest['n_drugs']}")
-    if len(profiles) != manifest["n_profiled"]:
-        raise DataError(f"profiles.csv: {len(profiles)} rows, manifest says "
-                        f"{manifest['n_profiled']}")
-    if len(feats) != manifest["n_cells"]:
-        raise DataError(f"cells.csv: {len(feats)} rows, manifest says "
-                        f"{manifest['n_cells']}")
+    emb = _rows_by_id(directory / "drugs.csv", manifest["smiles_dim"],
+                      manifest["n_drugs"])
+    profiles = _rows_by_id(directory / "profiles.csv", manifest["ip_dim"],
+                           manifest["n_profiled"])
+    feats = _rows_by_id(directory / "cells.csv", manifest["bio_dim"],
+                        manifest["n_cells"])
     unknown = set(profiles) - set(emb)
     if unknown:
         raise DataError(f"profiles.csv: ids not present in drugs.csv: "
@@ -703,17 +733,15 @@ def load_csv(directory) -> Dataset:
 
     table = SensitivityTable()
     ic50_path = directory / "ic50.csv"
-    rows = _read_rows(ic50_path, 3)
-    for r, row in enumerate(rows[1:], start=1):
-        if len(row) != 3:
-            raise DataError(f"ic50.csv: row {r} has {len(row)} fields, expected 3")
-        drug_id, cell_id, tok = row
+    header, body = _read_rows(ic50_path, 3)
+    values = _values(ic50_path, header, body, 2)[:, 0].tolist()
+    for r, ((drug_id, cell_id, _), value) in enumerate(zip(body, values), start=1):
         if drug_id not in emb:
             raise DataError(f"ic50.csv: row {r} references unknown drug {drug_id!r}")
         if cell_id not in feats:
             raise DataError(f"ic50.csv: row {r} references unknown cell {cell_id!r}")
         try:
-            table.add(drug_id, cell_id, _parse_float(tok, "ic50.csv", r, "ic50"))
+            table.add(drug_id, cell_id, value)
         except DataError as exc:
             raise DataError(f"ic50.csv: row {r}: {exc}") from None
     if len(table) != manifest["n_pairs"]:

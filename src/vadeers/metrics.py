@@ -271,13 +271,10 @@ def predict_pairs(model: VadeersModel, dataset_std: Dataset,
                   pairs: list[tuple[str, str]]) -> np.ndarray:
     """Eval-mode sensitivity predictions (standardized scale) for a list
     of (drug_id, cell_id) pairs."""
-    didx = dataset_std.drug_index()
-    cidx = dataset_std.cell_index()
+    drug_idx, cell_idx, _ = dataset_std.pair_index(pairs)
     mu = model.drug_latent_means(dataset_std.embedding_matrix())
     lat = model.cell_latents(dataset_std.feature_matrix())
-    dl = mu[[didx[p[0]] for p in pairs]]
-    cl = lat[[cidx[p[1]] for p in pairs]]
-    return model.predict_sensitivity(dl, cl)
+    return model.predict_sensitivity(mu[drug_idx], lat[cell_idx])
 
 
 def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
@@ -300,7 +297,7 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
 
     preds_std = predict_pairs(model, dataset_std, pair_list)
     preds = scaler.inverse_ic50(preds_std)
-    truth = np.array([dataset.sensitivities.value(*p) for p in pair_list])
+    truth = dataset.pair_index(pair_list)[2]
     ic50_rmse = rmse(truth, preds)
     ic50_pearson = pearson(truth, preds)
 
@@ -313,8 +310,7 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
     ip_rmse = rmse(ip_true, ip_pred.data)
 
     if labels is None:
-        labels = {d.id: d.guiding_label for d in dataset.drugs
-                  if d.guiding_label is not None}
+        labels = dataset.guiding_labels()
     sil_latent = None
     if labels and len(set(labels.values())) >= 2:
         ids = [d.id for d in profiled_std if d.id in labels]
@@ -339,10 +335,9 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
         sil_gen = silhouette(gen_rows, gen_comps)
 
         labeled_ids = sorted(labels)
-        true_rows_nat = np.stack([
-            dataset.drugs[dataset.drug_index()[i]].inhibition_profile
-            for i in labeled_ids
-        ])
+        didx = dataset.drug_index()
+        true_rows_nat = np.stack([dataset.drugs[didx[i]].inhibition_profile
+                                  for i in labeled_ids])
         true_labs = np.array([labels[i] for i in labeled_ids])
         fidelity = generation_fidelity(
             true_rows_nat, true_labs, scaler.inverse_ip(gen_rows), gen_comps)

@@ -84,6 +84,12 @@ class ModelConfig:
     def uses_gmm(self) -> bool:
         return self.prior_variant != "vanilla"
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "ModelConfig":
+        """Config from its JSON form, in which the hidden dims are lists."""
+        return cls(**{**d, **{key: tuple(d[key]) for key in
+                              ("dvae_encoder_dims", "decoder_dims", "dspn_dims")}})
+
 
 @dataclass(frozen=True)
 class LossWeights:
@@ -220,29 +226,33 @@ class VadeersModel:
         c = self.config
         return c.dvae_encoder_dims[-1] if c.dvae_encoder_dims else c.smiles_dim
 
+    def dense_layers(self) -> list[tuple[str, LayerSpec]]:
+        """Every dense layer, in initialization order."""
+        head = LayerSpec(self._enc_trunk_out(), self.config.latent_dim, "identity")
+        return [*self.dvae_encoder_chain(), *self.smiles_decoder_chain(),
+                *self.ip_decoder_chain(), *self.cae_encoder_chain(),
+                *self.cae_decoder_chain(), *self.dspn_chain(),
+                ("dvae.enc.mu", head), ("dvae.enc.logsig", head)]
+
+    def param_shapes(self) -> dict[str, tuple[int, ...]]:
+        """Name -> shape of every parameter the config implies."""
+        shapes: dict[str, tuple[int, ...]] = {}
+        for name, spec in self.dense_layers():
+            shapes[f"{name}.W"] = (spec.in_dim, spec.out_dim)
+            shapes[f"{name}.b"] = (spec.out_dim,)
+        if self.config.uses_gmm:
+            k, d = self.config.n_components, self.config.latent_dim
+            shapes["gmm.logits"] = (k,)
+            shapes["gmm.means"] = (k, d)
+            shapes["gmm.log_scales"] = (k, d)
+        return shapes
+
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "VadeersModel":
         model = cls(config, {})
-        chains = [
-            model.dvae_encoder_chain(),
-            model.smiles_decoder_chain(),
-            model.ip_decoder_chain(),
-            model.cae_encoder_chain(),
-            model.cae_decoder_chain(),
-            model.dspn_chain(),
-        ]
-        params: dict[str, np.ndarray] = {}
-        for chain in chains:
-            for name, spec in chain:
-                w, b = init_layer_params(rng, spec)
-                params[f"{name}.W"] = w
-                params[f"{name}.b"] = b
-        trunk_out = model._enc_trunk_out()
-        for head in ("mu", "logsig"):
-            spec = LayerSpec(trunk_out, config.latent_dim, "identity")
-            w, b = init_layer_params(rng, spec)
-            params[f"dvae.enc.{head}.W"] = w
-            params[f"dvae.enc.{head}.b"] = b
+        params = model.params
+        for name, spec in model.dense_layers():
+            params[f"{name}.W"], params[f"{name}.b"] = init_layer_params(rng, spec)
         if config.uses_gmm:
             g = gmm.init_gmm(
                 config.n_components, config.latent_dim, rng,
@@ -251,7 +261,6 @@ class VadeersModel:
             params["gmm.logits"] = g.mixture_logits
             params["gmm.means"] = g.means
             params["gmm.log_scales"] = g.log_scales
-        model.params = params
         return model
 
     def copy(self) -> "VadeersModel":

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
@@ -107,10 +107,16 @@ def split_by_cell_line(dataset: Dataset, spec: SplitSpec) -> Split:
         )
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     order = list(np.array(sorted(cell_ids))[rng.permutation(len(cell_ids))])
-    val = order[: spec.n_val_cells]
-    test = order[spec.n_val_cells: held_out]
-    train = order[held_out:]
-    val_set, test_set = set(val), set(test)
+    return partition_by_cells(dataset, train_cells=order[held_out:],
+                              val_cells=order[: spec.n_val_cells],
+                              test_cells=order[spec.n_val_cells: held_out])
+
+
+def partition_by_cells(dataset: Dataset, train_cells: list[str],
+                       val_cells: list[str], test_cells: list[str]) -> Split:
+    """The split with the given cell lists; each observed pair goes to
+    val or test when its cell line is held out there, else to train."""
+    val_set, test_set = set(val_cells), set(test_cells)
     train_pairs, val_pairs, test_pairs = [], [], []
     for pair in dataset.sensitivities.pairs():
         if pair[1] in val_set:
@@ -119,9 +125,9 @@ def split_by_cell_line(dataset: Dataset, spec: SplitSpec) -> Split:
             test_pairs.append(pair)
         else:
             train_pairs.append(pair)
-    return Split(train_cells=train, val_cells=val, test_cells=test,
-                 train_pairs=train_pairs, val_pairs=val_pairs,
-                 test_pairs=test_pairs)
+    return Split(train_cells=train_cells, val_cells=val_cells,
+                 test_cells=test_cells, train_pairs=train_pairs,
+                 val_pairs=val_pairs, test_pairs=test_pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -203,49 +209,40 @@ def check_schedule_conformance(runlog: RunLog, schedule: TrainSchedule) -> list[
 # batch assembly
 # ---------------------------------------------------------------------------
 
-def _label_of(drug) -> int:
-    return -1 if drug.guiding_label is None else int(drug.guiding_label)
+def _drug_rows(drugs, ip_dim: int):
+    """Embedding rows, profile rows (zero where unprofiled), the profile
+    mask and the guiding labels (-1 where unlabeled) of ``drugs``."""
+    ip = np.zeros((len(drugs), ip_dim))
+    mask = np.zeros(len(drugs))
+    for i, d in enumerate(drugs):
+        if d.has_profile:
+            ip[i] = d.inhibition_profile
+            mask[i] = 1.0
+    labels = np.array([-1 if d.guiding_label is None else d.guiding_label
+                       for d in drugs], dtype=np.int64)
+    return np.stack([d.smiles_embedding for d in drugs]), ip, mask, labels
 
 
 def build_pair_batch(dataset: Dataset, pairs: list[tuple[str, str]],
                      ip_dim: int) -> Batch:
-    """Batch over the unique drugs/cells touched by the given observed pairs."""
-    didx = dataset.drug_index()
-    cidx = dataset.cell_index()
-    drug_ids = sorted({p[0] for p in pairs}, key=lambda i: didx[i])
-    cell_ids = sorted({p[1] for p in pairs}, key=lambda i: cidx[i])
-    dmap = {d: i for i, d in enumerate(drug_ids)}
-    cmap = {c: i for i, c in enumerate(cell_ids)}
-    drugs = [dataset.drugs[didx[d]] for d in drug_ids]
-    cells = [dataset.cells[cidx[c]] for c in cell_ids]
-    ip = np.zeros((len(drugs), ip_dim))
-    mask = np.zeros(len(drugs))
-    for i, d in enumerate(drugs):
-        if d.has_profile:
-            ip[i] = d.inhibition_profile
-            mask[i] = 1.0
-    observed = [p for p in pairs if p in dataset.sensitivities]
+    """Batch over the unique drugs/cells touched by the given pairs, in
+    dataset order; only the observed pairs enter the pair arrays."""
+    drug_idx, cell_idx, y = dataset.pair_index(pairs)
+    drug_rows, pair_drug = np.unique(drug_idx, return_inverse=True)
+    cell_rows, pair_cell = np.unique(cell_idx, return_inverse=True)
+    x_smiles, ip, mask, labels = _drug_rows(
+        [dataset.drugs[i] for i in drug_rows], ip_dim)
+    observed = ~np.isnan(y)
     return Batch(
-        x_smiles=np.stack([d.smiles_embedding for d in drugs]),
+        x_smiles=x_smiles,
         ip=ip,
         ip_mask=mask,
-        labels=np.array([_label_of(d) for d in drugs], dtype=np.int64),
-        x_bio=np.stack([c.features for c in cells]),
-        pair_drug=np.array([dmap[p[0]] for p in observed], dtype=np.intp),
-        pair_cell=np.array([cmap[p[1]] for p in observed], dtype=np.intp),
-        y=np.array([dataset.sensitivities.value(*p) for p in observed]),
+        labels=labels,
+        x_bio=np.stack([dataset.cells[i].features for i in cell_rows]),
+        pair_drug=pair_drug[observed],
+        pair_cell=pair_cell[observed],
+        y=y[observed],
     )
-
-
-def _drug_minibatch(drugs, ip_dim: int):
-    ip = np.zeros((len(drugs), ip_dim))
-    mask = np.zeros(len(drugs))
-    for i, d in enumerate(drugs):
-        if d.has_profile:
-            ip[i] = d.inhibition_profile
-            mask[i] = 1.0
-    return (np.stack([d.smiles_embedding for d in drugs]), ip, mask,
-            np.array([_label_of(d) for d in drugs], dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +290,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     trained.  Standardization is fitted on the training split inside.
     """
     if config.uses_gmm:
-        labels = [d.guiding_label for d in dataset.drugs
-                  if d.guiding_label is not None]
+        labels = list(dataset.guiding_labels().values())
         if not labels:
             raise DataError("GMM variants need guiding labels; derive them first")
         if max(labels) >= config.n_guiding_labels:
@@ -319,7 +315,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     runlog.event("init", hash=_params_hash(model, frozen_groups))
     runlog.event("phase_start", phase=1, joint_step=0)
 
-    profiled = [d for d in data_std.drugs if d.has_profile]
+    break_rows = _drug_rows(data_std.profiled_drugs(), config.ip_dim)
     train_pairs = list(split.train_pairs)
     last_good = model.copy()
 
@@ -332,10 +328,9 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
         nonlocal break_adam
         runlog.event("break_start", at_joint_step=joint_step)
         for _ in range(schedule.dvae_break_epochs):
-            order = rng_break.permutation(len(profiled))
+            order = rng_break.permutation(len(break_rows[0]))
             for chunk in _batched(order, schedule.dvae_break_batch):
-                batch_drugs = [profiled[i] for i in chunk]
-                xs, ip, mask, labels = _drug_minibatch(batch_drugs, ip_dim)
+                xs, ip, mask, labels = (rows[chunk] for rows in break_rows)
                 tape = GradientTape()
                 binder = model.binder(tape)
                 try:
@@ -398,11 +393,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
 
     drug_mu = model.drug_latent_means(data_std.embedding_matrix())
     cell_lat = model.cell_latents(data_std.feature_matrix())
-    didx = data_std.drug_index()
-    cidx = data_std.cell_index()
-    pd_idx = np.array([didx[p[0]] for p in train_pairs], dtype=np.intp)
-    pc_idx = np.array([cidx[p[1]] for p in train_pairs], dtype=np.intp)
-    y = np.array([data_std.sensitivities.value(*p) for p in train_pairs])
+    pd_idx, pc_idx, y = data_std.pair_index(train_pairs)
 
     dspn_adam = AdamState()  # fresh moments: the lr regime changes
     current_lr = None
@@ -494,6 +485,43 @@ def save_checkpoint(checkpoint: Checkpoint, path):
                                           dtype="<f8").tobytes())
 
 
+def _header_config(path: Path, cfg) -> ModelConfig:
+    """The model config of a checkpoint header, with exactly the fields
+    of ``ModelConfig``."""
+    if not isinstance(cfg, dict):
+        raise CheckpointError(f"{path}: header has no config object")
+    odd = sorted(set(cfg) ^ {f.name for f in fields(ModelConfig)})
+    if odd:
+        what = "unknown" if odd[0] in cfg else "missing"
+        raise CheckpointError(f"{path}: header config has {what} key {odd[0]!r}")
+    try:
+        return ModelConfig.from_dict(cfg)
+    except (ContractViolation, TypeError) as exc:
+        raise CheckpointError(f"{path}: header config: {exc}") from None
+
+
+def _header_arrays(path: Path, entries,
+                   expected: dict[str, tuple[int, ...]]) -> list[tuple[str, tuple]]:
+    """(name, shape) of each array of a checkpoint header, in payload
+    order, checked against the names and shapes the config implies."""
+    try:
+        arrays = [(e["name"], tuple(e["shape"])) for e in entries]
+    except (KeyError, TypeError):
+        raise CheckpointError(f"{path}: malformed array list in header") from None
+    got = dict(arrays)
+    odd = sorted(set(got) ^ set(expected))
+    if odd:
+        what = "unexpected" if odd[0] in got else "missing"
+        raise CheckpointError(f"{path}: {what} array {odd[0]!r} in header")
+    for name, shape in arrays:
+        if shape != expected[name]:
+            raise CheckpointError(
+                f"{path}: array {name!r} has shape {list(shape)}, "
+                f"the config implies {list(expected[name])}"
+            )
+    return arrays
+
+
 def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
     path = Path(path)
     raw = path.read_bytes()
@@ -512,10 +540,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
             f"{path}: format_version {header.get('format_version')!r} "
             f"!= supported {CHECKPOINT_VERSION}"
         )
-    cfg_dict = dict(header["config"])
-    for key in ("dvae_encoder_dims", "decoder_dims", "dspn_dims"):
-        cfg_dict[key] = tuple(cfg_dict[key])
-    config = ModelConfig(**cfg_dict)
+    config = _header_config(path, header.get("config"))
     if expected_config is not None:
         for dim in ("smiles_dim", "ip_dim", "bio_dim", "latent_dim"):
             got, want = getattr(config, dim), getattr(expected_config, dim)
@@ -524,15 +549,15 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
                     f"{path}: checkpoint {dim}={got} does not match "
                     f"expected {dim}={want}"
                 )
+    expected = VadeersModel(config, {}).param_shapes()
+    arrays = _header_arrays(path, header.get("arrays"), expected)
     params: dict[str, np.ndarray] = {}
-    for entry in header["arrays"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in arrays:
+        nbytes = int(np.prod(shape)) * 8
         chunk = raw[offset: offset + nbytes]
         if len(chunk) != nbytes:
-            raise CheckpointError(f"{path}: truncated array {entry['name']!r}")
-        params[entry["name"]] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
+            raise CheckpointError(f"{path}: truncated array {name!r}")
+        params[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after arrays")

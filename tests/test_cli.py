@@ -4,6 +4,7 @@ code contract (0 ok, 1 usage, 2 data error)."""
 
 import json
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ import pytest
 from vadeers.cli import main
 from vadeers.data import load_csv, load_manifest
 from vadeers.metrics import MetricReport
-from vadeers.training import load_checkpoint
+from vadeers.model import ModelConfig
+from vadeers.training import (
+    CHECKPOINT_MAGIC,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 SMALL_MODEL = {
     "latent_dim": 4,
@@ -119,6 +125,28 @@ def test_train_rerun_same_seed_reproduces_metrics(tmp_path, data_dir,
         outs.append(json.loads((out / "report_val.json").read_text()))
     assert abs(outs[0]["ic50_rmse"] - outs[1]["ic50_rmse"]) < 1e-9
     assert outs[0] == outs[1]
+
+
+def test_readme_quickstart_split_fits_default_synth(tmp_path):
+    data = tmp_path / "data"
+    assert run("synth", "--out", data, "--seed", "0") == 0
+    assert run("train", "--data", data, "--out", tmp_path / "gmm-c",
+               "--seed", "0", "--variant", "gmm_constrained",
+               "--n-val-cells", "25", "--n-test-cells", "25",
+               "--joint-epochs", "1", "--dspn-epochs", "1") == 0
+
+
+def test_train_default_model_echo_matches_model_config(tmp_path, data_dir):
+    out = tmp_path / "defaults"
+    assert run("train", "--data", data_dir, "--out", out, "--variant",
+               "vanilla", "--joint-epochs", "1", "--dspn-epochs", "1",
+               "--n-val-cells", "4", "--n-test-cells", "4") == 0
+    dataset = load_csv(data_dir)
+    want = asdict(ModelConfig(smiles_dim=dataset.smiles_dim,
+                              ip_dim=dataset.ip_dim, bio_dim=dataset.bio_dim,
+                              prior_variant="vanilla"))
+    echo = json.loads((out / "config_echo.json").read_text())
+    assert echo["model"] == json.loads(json.dumps(want))
 
 
 def test_train_checkpoint_has_gmm_and_split(run_dir):
@@ -256,6 +284,28 @@ def test_predict_matches_library_and_row_contract(tmp_path, run_dir, data_dir):
     assert preds[0] == preds[3]
 
 
+@pytest.mark.parametrize("bad_row, column", [
+    (lambda f: f[:4] + ["oops"] + f[5:], "e3"),
+    (lambda f: f[:4] + ["nan"] + f[5:], "e3"),
+    (lambda f: f[:6], "e5"),
+], ids=["non_numeric", "nan", "short_row"])
+def test_predict_bad_value_names_file_row_column(tmp_path, run_dir, capsys,
+                                                 bad_row, column):
+    dpath = tmp_path / "drugs_in.csv"
+    _write_feature_csv(dpath, "e", ["X0", "X1"], np.zeros((2, 32)))
+    lines = dpath.read_text().splitlines()
+    lines[2] = ",".join(bad_row(lines[2].split(",")))
+    dpath.write_text("\n".join(lines) + "\n")
+    cpath = tmp_path / "cells_in.csv"
+    _write_feature_csv(cpath, "f", ["C0", "C1"], np.zeros((2, 20)))
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", run_dir / "checkpoint.bin",
+               "--drugs", dpath, "--cells", cpath,
+               "--out", tmp_path / "o.csv") == 2
+    err = capsys.readouterr().err
+    assert "drugs_in.csv" in err and "row 2" in err and f"column {column}" in err
+
+
 def test_predict_width_mismatch_names_dims(tmp_path, run_dir):
     dpath = tmp_path / "bad.csv"
     _write_feature_csv(dpath, "e", ["X0"], np.zeros((1, 5)))
@@ -265,6 +315,49 @@ def test_predict_width_mismatch_names_dims(tmp_path, run_dir):
                "--drugs", dpath, "--cells", cpath,
                "--out", tmp_path / "o.csv")
     assert code == 2
+
+
+# ---------------------------------------------------------------------------
+# checkpoint header defects
+# ---------------------------------------------------------------------------
+
+def _rewrite_header(src, dst, mutate):
+    """Copy a checkpoint with its JSON header changed by ``mutate``."""
+    raw = src.read_bytes()
+    start = len(CHECKPOINT_MAGIC) + 8
+    size = int.from_bytes(raw[len(CHECKPOINT_MAGIC): start], "little")
+    header = json.loads(raw[start: start + size])
+    mutate(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob
+                    + raw[start + size:])
+
+
+@pytest.mark.parametrize("mutate, key", [
+    (lambda h: h["config"].update(bogus_knob=1), "bogus_knob"),
+    (lambda h: h["config"].pop("latent_dim"), "latent_dim"),
+], ids=["unknown_key", "missing_key"])
+def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
+                                             mutate, key):
+    path = tmp_path / "bad.bin"
+    _rewrite_header(run_dir / "checkpoint.bin", path, mutate)
+    capsys.readouterr()
+    assert run("generate", "--checkpoint", path, "--n", "5",
+               "--out", tmp_path / "g.csv") == 2
+    err = capsys.readouterr().err
+    assert "bad.bin" in err and repr(key) in err
+
+
+def test_checkpoint_missing_array_exit_2(tmp_path, run_dir, capsys):
+    ckpt = load_checkpoint(run_dir / "checkpoint.bin")
+    del ckpt.model.params["gmm.means"]
+    path = tmp_path / "no_means.bin"
+    save_checkpoint(ckpt, path)
+    capsys.readouterr()
+    assert run("generate", "--checkpoint", path, "--component", "0",
+               "--n", "5", "--out", tmp_path / "g.csv") == 2
+    err = capsys.readouterr().err
+    assert "no_means.bin" in err and "'gmm.means'" in err
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +476,16 @@ def test_unknown_command_exit_1():
 def test_missing_data_dir_exit_2(tmp_path):
     assert run("train", "--data", tmp_path / "nope", "--out",
                tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("section, key", [
+    ("schedule", "seed"), ("schedule", "total_epochs"), ("split", "seed"),
+])
+def test_run_owned_config_keys_exit_2(tmp_path, data_dir, section, key):
+    cfg = tmp_path / "owned.json"
+    cfg.write_text(json.dumps({section: {key: 1}}))
+    assert run("train", "--data", data_dir, "--out", tmp_path / "o",
+               "--config", cfg) == 2
 
 
 def test_bad_config_key_exit_2(tmp_path, data_dir):
