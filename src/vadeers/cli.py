@@ -33,7 +33,7 @@ from .data import (
     save_csv,
 )
 from .exceptions import CheckpointError, DataError, NumericError, VadeersError
-from .metrics import evaluate, pca2
+from .metrics import evaluate, generate_profiles, pca2
 from .model import LossWeights, ModelConfig, PRIOR_VARIANTS
 from .training import (
     Checkpoint,
@@ -368,9 +368,10 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
     dataset = load_csv(data_dir)
     split = _rebuild_split(dataset, ckpt.split_cells)
     dataset_std = apply_scaler(dataset, ckpt.scaler)
+    gen_rows, comps = generate_profiles(ckpt.model, n_gen, seed)
     report = evaluate(ckpt.model, dataset, dataset_std, split, ckpt.scaler,
                       labels=ckpt.guiding_labels, n_gen_per_component=n_gen,
-                      seed=seed)
+                      seed=seed, generated=(gen_rows, comps))
     out_dir = _out_dir(out, f"eval-seed{seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
@@ -389,18 +390,7 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
                 w.writerow([d.id, labels[d.id], repr(float(row[0])),
                             repr(float(row[1]))])
 
-    rng = np.random.Generator(np.random.PCG64(seed))
-    gmm_params = ckpt.model.gmm_params()
-    if gmm_params is not None:
-        zs, comps = [], []
-        for k in range(gmm_params.n_components):
-            zs.append(gmm.sample_component(k, gmm_params, n_gen, rng))
-            comps.extend([k] * n_gen)
-    else:
-        zs = [rng.standard_normal((3 * n_gen, ckpt.model.config.latent_dim))]
-        comps = [-1] * (3 * n_gen)
-    _, ip_gen = ckpt.model.decode_drug(np.concatenate(zs))
-    proj, _ = pca2(ip_gen.data)
+    proj, _ = pca2(gen_rows)
     with open(out_dir / "generated_ip_pca.csv", "w", newline="",
               encoding="utf-8") as fh:
         w = csv.writer(fh)

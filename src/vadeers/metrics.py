@@ -51,32 +51,33 @@ def pearson(y_true, y_pred) -> float:
 
 def silhouette(points, labels) -> float:
     """Mean over points of (b - a) / max(a, b) with Euclidean distances;
-    members of singleton clusters score 0."""
+    members of singleton clusters score 0, and so does a point whose
+    max(a, b) is 0."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
     if points.ndim != 2 or labels.shape != (points.shape[0],):
         raise ContractViolation(
             f"need (n, d) points and n labels, got {points.shape} and {labels.shape}"
         )
-    uniq = np.unique(labels)
+    uniq, own = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ContractViolation("silhouette needs at least 2 distinct labels")
     sq = np.sum(points**2, axis=1)
     d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
     dist = np.sqrt(np.maximum(d2, 0.0))
 
-    masks = {int_or_str(lab): labels == lab for lab in uniq}
-    scores = np.zeros(points.shape[0])
-    for i in range(points.shape[0]):
-        own = masks[int_or_str(labels[i])]
-        n_own = own.sum()
-        if n_own <= 1:
-            scores[i] = 0.0
-            continue
-        a = (dist[i, own].sum()) / (n_own - 1)  # excludes the zero self-distance
-        b = min(dist[i, m].mean() for lab, m in masks.items()
-                if lab != int_or_str(labels[i]))
-        scores[i] = 0.0 if max(a, b) == 0.0 else (b - a) / max(a, b)
+    counts = np.bincount(own)
+    # summed distance from every point to every cluster, in one product
+    sums = dist @ (own[:, None] == np.arange(counts.size)).astype(np.float64)
+    rows = np.arange(points.shape[0])
+    n_own = counts[own]
+    a = sums[rows, own] / np.maximum(n_own - 1, 1)  # the self-distance is 0
+    mean_to = sums / counts
+    mean_to[rows, own] = np.inf
+    b = mean_to.min(axis=1)
+    top = np.maximum(a, b)
+    scores = np.divide(b - a, top, out=np.zeros_like(top), where=top != 0.0)
+    scores[n_own <= 1] = 0.0
     return float(scores.mean())
 
 
@@ -277,10 +278,33 @@ def predict_pairs(model: VadeersModel, dataset_std: Dataset,
     return model.predict_sensitivity(mu[drug_idx], lat[cell_idx])
 
 
+def generate_profiles(model: VadeersModel, n_per_component: int,
+                      seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Decoded inhibition profiles (standardized scale) of
+    ``n_per_component`` draws from each mixture component, and the
+    component of each row; under the vanilla prior, ``3 * n_per_component``
+    standard-normal draws, each labeled -1.  All draws are decoded in one
+    pass."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    gmm_params = model.gmm_params()
+    if gmm_params is not None:
+        k = gmm_params.n_components
+        zs = [gmm.sample_component(c, gmm_params, n_per_component, rng)
+              for c in range(k)]
+        comps = np.repeat(np.arange(k), n_per_component)
+    else:
+        zs = [rng.standard_normal((3 * n_per_component, model.config.latent_dim))]
+        comps = np.full(3 * n_per_component, -1)
+    _, ip_gen = model.decode_drug(np.concatenate(zs))
+    return ip_gen.data, comps
+
+
 def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
              split: Split, scaler, *, labels: dict[str, int] | None = None,
              n_gen_per_component: int = 300, seed: int = 0,
-             pairs: str = "test") -> MetricReport:
+             pairs: str = "test",
+             generated: tuple[np.ndarray, np.ndarray] | None = None
+             ) -> MetricReport:
     """Compute the full metric battery.
 
     ``dataset`` holds natural-scale values, ``dataset_std`` the
@@ -289,7 +313,9 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
     profile reconstruction RMSE is a training-data metric on the
     standardized scale; the latent Silhouette uses encoder means of the
     labeled drugs; generated metrics sample each mixture component and
-    decode (GMM variants only)."""
+    decode (GMM variants only), or use ``generated``, the result of
+    :func:`generate_profiles` for the same model, ``n_gen_per_component``
+    and ``seed``."""
     pair_list = {"test": split.test_pairs, "val": split.val_pairs,
                  "train": split.train_pairs}[pairs]
     if not pair_list:
@@ -323,15 +349,8 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
     per_cluster: dict = {}
     gmm_params = model.gmm_params()
     if gmm_params is not None:
-        rng = np.random.Generator(np.random.PCG64(seed))
-        gen_rows, gen_comps = [], []
-        for k in range(gmm_params.n_components):
-            z = gmm.sample_component(k, gmm_params, n_gen_per_component, rng)
-            _, ip_gen = model.decode_drug(z)
-            gen_rows.append(ip_gen.data)
-            gen_comps.append(np.full(n_gen_per_component, k))
-        gen_rows = np.concatenate(gen_rows)
-        gen_comps = np.concatenate(gen_comps)
+        gen_rows, gen_comps = (generated if generated is not None else
+                               generate_profiles(model, n_gen_per_component, seed))
         sil_gen = silhouette(gen_rows, gen_comps)
 
         labeled_ids = sorted(labels)

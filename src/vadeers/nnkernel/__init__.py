@@ -6,15 +6,14 @@ from .autodiff import (
     Tensor,
     add,
     concat,
+    dense,
     div,
     exp,
     grad,
     log,
     logsumexp,
-    matmul,
     mul,
     neg,
-    relu,
     reshape,
     square,
     sub,
@@ -27,7 +26,6 @@ from .layers import (
     LayerSpec,
     affine,
     as_matrix,
-    dropout,
     glorot_uniform,
     init_layer_params,
     mlp_forward,
@@ -45,19 +43,17 @@ __all__ = [
     "affine",
     "as_matrix",
     "concat",
+    "dense",
     "div",
-    "dropout",
     "exp",
     "glorot_uniform",
     "grad",
     "init_layer_params",
     "log",
     "logsumexp",
-    "matmul",
     "mse",
     "mul",
     "neg",
-    "relu",
     "reshape",
     "square",
     "sub",

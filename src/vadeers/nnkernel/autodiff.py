@@ -4,7 +4,10 @@ The graph is built dynamically: every operation returns a new immutable
 :class:`Tensor` that remembers its parents, a forward closure able to
 recompute its value from the parents' values, and a backward closure
 propagating an upstream gradient to the parents.  Gradients of a scalar
-loss are obtained by walking the graph once in reverse topological order.
+loss are obtained by walking the graph once in reverse topological order;
+parents that lead to no registered parameter get no gradient, and an op
+computes none for them.  A dense layer (affine map, activation and
+dropout mask) is one node, :func:`dense`.
 
 Everything is 64-bit; the gradient-check tolerances used by the test
 suite are not attainable in single precision.
@@ -20,6 +23,8 @@ from ..exceptions import ContractViolation
 
 Array = np.ndarray
 
+ACTIVATIONS = ("relu", "identity")
+
 
 def _as_f64(x) -> Array:
     arr = np.asarray(x, dtype=np.float64)
@@ -29,9 +34,17 @@ def _as_f64(x) -> Array:
 class Tensor:
     """A node in the computation graph.
 
-    ``data`` is a float64 ndarray and must not be mutated after
-    construction; forward evaluation is therefore safe from multiple
-    threads, while a graph/backward pass is single-threaded.
+    ``data`` is a float64 ndarray and must not be mutated while a graph
+    that holds it is in use; forward evaluation is therefore safe from
+    multiple threads, while a graph/backward pass is single-threaded.
+    A parameter leaf shares its array with the parameter store, and
+    :func:`~vadeers.nnkernel.optim.adam_step` updates those arrays in
+    place, between graphs: build a new graph after each step.
+
+    ``backward(g, needs)`` gets the upstream gradient and one flag per
+    parent, true where that parent leads to a registered parameter, and
+    returns one gradient per parent; it may return None where the flag
+    is false.  It must not write to ``g``.
     """
 
     __slots__ = ("data", "parents", "name", "_forward", "_backward")
@@ -41,7 +54,8 @@ class Tensor:
         data,
         parents: tuple["Tensor", ...] = (),
         forward: Callable[..., Array] | None = None,
-        backward: Callable[[Array], tuple[Array, ...]] | None = None,
+        backward: Callable[[Array, tuple[bool, ...]],
+                           tuple[Array | None, ...]] | None = None,
         name: str | None = None,
     ):
         self.data = _as_f64(data)
@@ -93,9 +107,6 @@ class Tensor:
     def __neg__(self):
         return neg(self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def wrap(x) -> Tensor:
     """Return ``x`` itself if it is a Tensor, else a constant leaf."""
@@ -130,7 +141,8 @@ def add(a, b) -> Tensor:
     return _make(
         lambda x, y: x + y,
         (a, b),
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
+        lambda g, needs: (_unbroadcast(g, sa) if needs[0] else None,
+                          _unbroadcast(g, sb) if needs[1] else None),
     )
 
 
@@ -140,7 +152,8 @@ def sub(a, b) -> Tensor:
     return _make(
         lambda x, y: x - y,
         (a, b),
-        lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
+        lambda g, needs: (_unbroadcast(g, sa) if needs[0] else None,
+                          _unbroadcast(-g, sb) if needs[1] else None),
     )
 
 
@@ -150,7 +163,8 @@ def mul(a, b) -> Tensor:
     return _make(
         lambda x, y: x * y,
         (a, b),
-        lambda g: (_unbroadcast(g * b.data, sa), _unbroadcast(g * a.data, sb)),
+        lambda g, needs: (_unbroadcast(g * b.data, sa) if needs[0] else None,
+                          _unbroadcast(g * a.data, sb) if needs[1] else None),
     )
 
 
@@ -160,67 +174,40 @@ def div(a, b) -> Tensor:
     return _make(
         lambda x, y: x / y,
         (a, b),
-        lambda g: (
-            _unbroadcast(g / b.data, sa),
-            _unbroadcast(-g * a.data / (b.data * b.data), sb),
+        lambda g, needs: (
+            _unbroadcast(g / b.data, sa) if needs[0] else None,
+            _unbroadcast(-g * a.data / (b.data * b.data), sb) if needs[1] else None,
         ),
     )
 
 
 def neg(a) -> Tensor:
     a = wrap(a)
-    return _make(lambda x: -x, (a,), lambda g: (-g,))
-
-
-def matmul(a, b) -> Tensor:
-    a, b = wrap(a), wrap(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ContractViolation(
-            f"matmul expects 2-D operands, got {a.shape} @ {b.shape}"
-        )
-    if a.shape[1] != b.shape[0]:
-        raise ContractViolation(
-            f"matmul shape mismatch: {a.shape} @ {b.shape}"
-        )
-    return _make(
-        lambda x, y: x @ y,
-        (a, b),
-        lambda g: (g @ b.data.T, a.data.T @ g),
-    )
-
-
-def relu(a) -> Tensor:
-    a = wrap(a)
-    # subgradient at 0 is taken as 0
-    return _make(
-        lambda x: np.maximum(x, 0.0),
-        (a,),
-        lambda g: (g * (a.data > 0.0),),
-    )
+    return _make(lambda x: -x, (a,), lambda g, needs: (-g,))
 
 
 def exp(a) -> Tensor:
     a = wrap(a)
-    out = _make(lambda x: np.exp(x), (a,), None)
-    out._backward = lambda g: (g * out.data,)
-    return out
+    out = np.exp(a.data)
+    return Tensor(out, parents=(a,), forward=np.exp,
+                  backward=lambda g, needs: (g * out,))
 
 
 def log(a) -> Tensor:
     a = wrap(a)
-    return _make(lambda x: np.log(x), (a,), lambda g: (g / a.data,))
+    return _make(lambda x: np.log(x), (a,), lambda g, needs: (g / a.data,))
 
 
 def square(a) -> Tensor:
     a = wrap(a)
-    return _make(lambda x: x * x, (a,), lambda g: (2.0 * a.data * g,))
+    return _make(lambda x: x * x, (a,), lambda g, needs: (2.0 * a.data * g,))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = wrap(a)
     shape = a.shape
 
-    def backward(g):
+    def backward(g, needs):
         if axis is None:
             return (np.broadcast_to(g, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -237,7 +224,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         count = shape[axis]
 
-    def backward(g):
+    def backward(g, needs):
         if axis is None:
             return (np.broadcast_to(g / count, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -255,7 +242,7 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
         out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
         return out if keepdims else np.squeeze(out, axis=axis)
 
-    def backward(g):
+    def backward(g, needs):
         m = np.max(a.data, axis=axis, keepdims=True)
         e = np.exp(a.data - m)
         soft = e / e.sum(axis=axis, keepdims=True)
@@ -271,7 +258,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _make(
         lambda x: x.reshape(shape),
         (a,),
-        lambda g: (g.reshape(orig),),
+        lambda g, needs: (g.reshape(orig),),
     )
 
 
@@ -282,7 +269,7 @@ def concat(tensors: Sequence, axis: int = 1) -> Tensor:
     return _make(
         lambda *xs: np.concatenate(xs, axis=axis),
         ts,
-        lambda g: tuple(np.split(g, splits, axis=axis)),
+        lambda g, needs: tuple(np.split(g, splits, axis=axis)),
     )
 
 
@@ -297,12 +284,74 @@ def take_rows(a, indices) -> Tensor:
             f"take_rows index out of range for {a.shape[0]} rows"
         )
 
-    def backward(g):
+    def backward(g, needs):
         out = np.zeros_like(a.data)
         np.add.at(out, idx, g)
         return (out,)
 
     return _make(lambda x: x[idx], (a,), backward)
+
+
+def dense(x, weights, bias, activation: str = "identity",
+          mask: Array | None = None) -> Tensor:
+    """One dense layer as one node: ``act(x @ W + b) * mask``.
+
+    ``activation`` is "relu" or "identity"; ``mask`` is an optional
+    constant (n, out) array multiplied in after the activation (inverted
+    dropout).  The bias, activation and mask are applied in place on the
+    node's own output, so the layer keeps a single activation array.  The
+    backward pass recovers the relu gate (subgradient 0 at 0) from that
+    output: where the mask is nonzero the output is positive exactly
+    where the pre-activation is, and where it is zero the gradient is
+    zero either way."""
+    x, weights, bias = wrap(x), wrap(weights), wrap(bias)
+    if x.ndim != 2 or weights.ndim != 2:
+        raise ContractViolation(
+            f"affine expects 2-D input and weights, got {x.shape} and {weights.shape}"
+        )
+    if x.shape[1] != weights.shape[0]:
+        raise ContractViolation(
+            f"affine shape mismatch: input {x.shape} vs weights {weights.shape}"
+        )
+    if bias.data.shape != (weights.shape[1],):
+        raise ContractViolation(
+            f"affine bias shape {bias.shape} does not match weights {weights.shape}"
+        )
+    if activation not in ACTIVATIONS:
+        raise ContractViolation(f"unknown activation {activation!r}")
+    if mask is not None and mask.shape != (x.shape[0], weights.shape[1]):
+        raise ContractViolation(
+            f"dense mask shape {mask.shape} does not match output "
+            f"{(x.shape[0], weights.shape[1])}"
+        )
+    relu = activation == "relu"
+
+    def fwd(xv, wv, bv):
+        h = xv @ wv
+        h += bv
+        if relu:
+            np.maximum(h, 0.0, out=h)
+        if mask is not None:
+            h *= mask
+        return h
+
+    out = fwd(x.data, weights.data, bias.data)
+
+    # the closure holds the output array, not the node: a node reachable
+    # from its own backward would be a reference cycle, and the whole
+    # graph below it would wait for the cycle collector
+    def backward(g, needs):
+        if mask is not None:
+            g = g * mask
+            if relu:
+                g *= out > 0.0
+        elif relu:
+            g = g * (out > 0.0)
+        return (g @ weights.data.T if needs[0] else None,
+                x.data.T @ g if needs[1] else None,
+                g.sum(axis=0) if needs[2] else None)
+
+    return Tensor(out, parents=(x, weights, bias), forward=fwd, backward=backward)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +417,8 @@ class GradientTape:
 
         Parameters not reachable from ``loss`` receive zero gradients;
         if none are reachable the loss is not connected to this tape and
-        a :class:`ContractViolation` is raised.
+        a :class:`ContractViolation` is raised.  The returned arrays may
+        share memory with one another: read them, do not write to them.
         """
         if loss.data.shape != ():
             raise ContractViolation(
@@ -377,23 +427,31 @@ class GradientTape:
         if not np.isfinite(loss.data):
             raise ContractViolation("loss is not finite")
         order = _topo_order(loss)
-        reachable = {id(n) for n in order}
-        if self._params and not any(id(p) in reachable for p in self._params.values()):
+        # nodes on a path to a registered parameter; no other node gets a
+        # gradient, and ops skip the work for parents outside this set
+        needed = {id(p) for p in self._params.values()}
+        for node in order:
+            if any(id(p) in needed for p in node.parents):
+                needed.add(id(node))
+        if self._params and id(loss) not in needed:
             raise ContractViolation(
                 "loss is not connected to any parameter registered on this tape"
             )
 
+        # gradients are never written in place: a node's first gradient is
+        # stored as it came, which may be another node's array or a view
         grads: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
         for node in reversed(order):
             g = grads.get(id(node))
-            if g is None or node._backward is None:
+            if g is None or node._backward is None or id(node) not in needed:
                 continue
-            for parent, pg in zip(node.parents, node._backward(g)):
+            needs = tuple(id(p) in needed for p in node.parents)
+            for parent, need, pg in zip(node.parents, needs,
+                                        node._backward(g, needs)):
+                if not need:
+                    continue
                 acc = grads.get(id(parent))
-                if acc is None:
-                    grads[id(parent)] = np.array(pg, dtype=np.float64, copy=True)
-                else:
-                    acc += pg
+                grads[id(parent)] = pg if acc is None else acc + pg
 
         out: dict[str, Array] = {}
         for name, p in self._params.items():

@@ -1,4 +1,5 @@
-"""Dense layers: affine maps, relu/identity activations, inverted dropout.
+"""Dense layers: affine maps, relu/identity activations, inverted dropout,
+each layer one :func:`~vadeers.nnkernel.autodiff.dense` graph node.
 
 Matrices are plain 2-D float64 numpy arrays (rows = samples); vectors are
 1-D arrays.  Anything fancier (convolutions, other activations) is out of
@@ -12,9 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..exceptions import ContractViolation, NumericError
-from .autodiff import Tensor, add, matmul, mul, relu, wrap
-
-ACTIVATIONS = ("relu", "identity")
+from .autodiff import ACTIVATIONS, Tensor, dense, wrap
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
@@ -61,37 +60,7 @@ def init_layer_params(rng: np.random.Generator, spec: LayerSpec):
 
 def affine(x, weights, bias) -> Tensor:
     """x @ W + b with shape validation; inputs may be arrays or tensors."""
-    x, weights, bias = wrap(x), wrap(weights), wrap(bias)
-    if x.ndim != 2 or weights.ndim != 2:
-        raise ContractViolation(
-            f"affine expects 2-D input and weights, got {x.shape} and {weights.shape}"
-        )
-    if x.shape[1] != weights.shape[0]:
-        raise ContractViolation(
-            f"affine shape mismatch: input {x.shape} vs weights {weights.shape}"
-        )
-    if bias.data.shape != (weights.shape[1],):
-        raise ContractViolation(
-            f"affine bias shape {bias.shape} does not match weights {weights.shape}"
-        )
-    return add(matmul(x, weights), bias)
-
-
-def dropout(x, rate: float, rng: np.random.Generator | None, mode: str) -> Tensor:
-    """Inverted dropout: units zeroed with probability ``rate`` at train
-    time and survivors scaled by 1/(1-rate); eval is the identity."""
-    x = wrap(x)
-    if mode == "eval" or rate == 0.0:
-        return x
-    if rng is None:
-        raise ContractViolation("train-mode dropout requires an rng")
-    keep = rng.random(x.shape) >= rate
-    mask = keep.astype(np.float64) / (1.0 - rate)
-    return mul(x, Tensor(mask))
-
-
-def _apply_activation(h: Tensor, kind: str) -> Tensor:
-    return relu(h) if kind == "relu" else h
+    return dense(x, weights, bias)
 
 
 def mlp_forward(
@@ -130,9 +99,13 @@ def mlp_forward(
         raise ContractViolation("train mode with dropout requires an rng")
 
     for i, (spec, (w, b)) in enumerate(zip(layers, params)):
-        h = affine(h, w, b)
-        h = _apply_activation(h, spec.activation)
-        h = dropout(h, spec.dropout_rate, rng, mode)
+        mask = None
+        if mode == "train" and spec.dropout_rate > 0.0:
+            # inverted dropout: units kept with probability 1 - rate and
+            # scaled by 1/(1 - rate), so eval mode is the identity
+            keep = rng.random((h.shape[0], spec.out_dim)) >= spec.dropout_rate
+            mask = keep.astype(np.float64) / (1.0 - spec.dropout_rate)
+        h = dense(h, w, b, spec.activation, mask)
         if not np.all(np.isfinite(h.data)):
             raise NumericError(f"non-finite activations after layer {i}")
     return h

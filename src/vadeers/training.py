@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
+import uuid
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
@@ -460,7 +462,9 @@ class Checkpoint:
 def save_checkpoint(checkpoint: Checkpoint, path):
     """Deterministic container: magic, JSON header (sorted keys), raw
     little-endian float64 arrays in sorted-name order.  Saving the same
-    checkpoint twice produces byte-identical files."""
+    checkpoint twice produces byte-identical files.  The file is replaced
+    atomically: a write that fails leaves the previous file, if any, and
+    no temporary file."""
     model = checkpoint.model
     names = sorted(model.params)
     header = {
@@ -476,13 +480,22 @@ def save_checkpoint(checkpoint: Checkpoint, path):
         ],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(len(blob).to_bytes(8, "little"))
-        fh.write(blob)
-        for n in names:
-            fh.write(np.ascontiguousarray(model.params[n],
-                                          dtype="<f8").tobytes())
+    path = Path(path)
+    # write beside the target, then rename over it: a reader sees the old
+    # file or the new one, never a partial write
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(len(blob).to_bytes(8, "little"))
+            fh.write(blob)
+            for n in names:
+                fh.write(np.ascontiguousarray(model.params[n],
+                                              dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _header_config(path: Path, cfg) -> ModelConfig:

@@ -111,8 +111,53 @@ def gradcheck(f, params, grads, rng, n_coords=100, h=1e-5,
 
 
 # ---------------------------------------------------------------------------
+# optimizer oracle
+# ---------------------------------------------------------------------------
+
+def adam_out_of_place(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
+                      eps=1e-8):
+    """One Adam step as fresh arrays, in the library's expression order;
+    returns (params, m, v) as new dicts, inputs untouched."""
+    params, m, v = dict(params), dict(m), dict(v)
+    for name, g in grads.items():
+        p = params[name]
+        mm = m.get(name, np.zeros_like(p))
+        vv = v.get(name, np.zeros_like(p))
+        mm = beta1 * mm + (1.0 - beta1) * g
+        vv = beta2 * vv + (1.0 - beta2) * (g * g)
+        m_hat = mm / (1.0 - beta1**t)
+        v_hat = vv / (1.0 - beta2**t)
+        stepped = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        params[name] = np.where(g == 0.0, p, stepped)
+        m[name], v[name] = mm, vv
+    return params, m, v
+
+
+# ---------------------------------------------------------------------------
 # clustering / stats oracles
 # ---------------------------------------------------------------------------
+
+def silhouette_loops(points, labels):
+    """Mean silhouette with one Python pass per point; singleton members
+    score 0, and so does a point with max(a, b) == 0.  Distances use the
+    library's Gram-matrix formula, so only the per-cluster sums differ."""
+    points = np.asarray(points, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = points.shape[0]
+    sq = np.sum(points**2, axis=1)
+    dist = np.sqrt(np.maximum(sq[:, None] + sq[None, :] - 2.0 * (points @ points.T),
+                              0.0))
+    scores = []
+    for i in range(n):
+        own = labels == labels[i]
+        if own.sum() <= 1:
+            scores.append(0.0)
+            continue
+        a = dist[i, own].sum() / (own.sum() - 1)
+        b = min(dist[i, labels == lab].mean() for lab in set(labels.tolist())
+                if lab != labels[i])
+        scores.append(0.0 if max(a, b) == 0.0 else (b - a) / max(a, b))
+    return math.fsum(scores) / n
 
 def exhaustive_kmeans_inertia(points, k):
     """Optimal k-means inertia by enumerating every assignment (n small)."""

@@ -18,7 +18,7 @@ from vadeers.metrics import (
     silhouette,
 )
 
-from oracles import cluster_stats_two_pass, covariance_eigvals
+from oracles import cluster_stats_two_pass, covariance_eigvals, silhouette_loops
 
 
 # ---------------------------------------------------------------------------
@@ -94,6 +94,19 @@ def test_silhouette_singleton_scores_zero():
     s0 = (np.hypot(5, 5) - 0.1) / np.hypot(5, 5)
     s1 = (np.hypot(4.9, 5) - 0.1) / np.hypot(4.9, 5)
     assert abs(got - (s0 + s1 + 0.0) / 3.0) < 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_silhouette_matches_loop_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, k = 40 + 7 * seed, 2 + seed % 3
+    labels = np.append(rng.integers(0, k, size=n - 1), k)  # k is a singleton
+    pts = rng.standard_normal((n, 3)) + labels[:, None]
+    pts[1] = pts[0]  # a zero distance inside the data
+    assert abs(silhouette(pts, labels) - silhouette_loops(pts, labels)) < 1e-12
+    coincident = np.ones((5, 2))  # a = b = 0 everywhere
+    assert silhouette(coincident, labels[:5]) == silhouette_loops(
+        coincident, labels[:5]) == 0.0
 
 
 def test_silhouette_single_label_errors():

@@ -2,6 +2,8 @@
 expectation, gradient finite-difference checks, Adam behavior,
 determinism, and the tape replay invariant."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from vadeers.nnkernel import (
     LayerSpec,
     adam_step,
     affine,
+    exp,
     grad,
     init_layer_params,
     mlp_forward,
@@ -21,7 +24,7 @@ from vadeers.nnkernel import (
     wrap,
 )
 
-from oracles import gradcheck, matmul_loops, mse_loops
+from oracles import adam_out_of_place, gradcheck, matmul_loops, mse_loops
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +196,75 @@ def test_mlp_gradient_matches_finite_differences():
     assert ok, detail
 
 
+def test_train_mode_dropout_gradient_matches_finite_differences():
+    # the same rng seed in every evaluation fixes the dropout masks
+    rng = np.random.default_rng(10)
+    layers = [LayerSpec(4, 7, "relu", 0.4), LayerSpec(7, 5, "relu", 0.3),
+              LayerSpec(5, 3, "identity")]
+    arrays = {}
+    for i, s in enumerate(layers):
+        arrays[f"w{i}"], _ = init_layer_params(rng, s)
+        arrays[f"b{i}"] = rng.standard_normal(s.out_dim) * 0.1
+    x = rng.standard_normal((6, 4))
+    y = rng.standard_normal((6, 3))
+
+    def loss_and_tape(p):
+        tape = GradientTape()
+        params = [(tape.parameter(f"w{i}", p[f"w{i}"]),
+                   tape.parameter(f"b{i}", p[f"b{i}"]))
+                  for i in range(len(layers))]
+        out = mlp_forward(x, layers, params, mode="train",
+                          rng=np.random.default_rng(11))
+        return mse(out, y), tape
+
+    loss, tape = loss_and_tape(arrays)
+    grads = grad(loss, tape)
+    assert all(np.any(g != 0.0) for g in grads.values())
+    ok, detail = gradcheck(lambda p: float(loss_and_tape(p)[0].data), arrays,
+                           grads, rng, n_coords=200)
+    assert ok, detail
+
+
+def test_eval_graph_holds_one_activation_per_layer():
+    rng = np.random.default_rng(12)
+    layers = [LayerSpec(5, 16, "relu", 0.5), LayerSpec(16, 8, "relu"),
+              LayerSpec(8, 2, "identity")]
+    params = [init_layer_params(rng, s) for s in layers]
+    x = rng.standard_normal((300, 5))
+    out = mlp_forward(x, layers, params)
+    seen, stack, held = {id(out)}, [out], 0
+    while stack:
+        node = stack.pop()
+        held += node.data.nbytes
+        for p in node.parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    activations = sum(300 * s.out_dim * 8 for s in layers)
+    weights = sum(w.nbytes + b.nbytes for w, b in params)
+    assert held == x.nbytes + weights + activations
+
+
+def test_graph_is_freed_without_the_cycle_collector():
+    rng = np.random.default_rng(14)
+    layers = [LayerSpec(3, 6, "relu", 0.5), LayerSpec(6, 2, "identity")]
+    arrays = [init_layer_params(rng, s) for s in layers]
+    x = rng.standard_normal((5, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        tape = GradientTape()
+        params = [(tape.parameter(f"w{i}", w), tape.parameter(f"b{i}", b))
+                  for i, (w, b) in enumerate(arrays)]
+        out = mlp_forward(x, layers, params, mode="train",
+                          rng=np.random.default_rng(15))
+        grads = grad(tsum(exp(out)), tape)
+        del tape, params, out, grads
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_tape_replay_is_bit_identical():
     rng = np.random.default_rng(8)
     layers = [LayerSpec(3, 5, "relu", 0.3), LayerSpec(5, 1, "identity")]
@@ -261,6 +333,31 @@ def test_adam_converges_on_quadratic():
         g = 2.0 * (params["p"] - 3.0)
         params, state = adam_step(params, {"p": g}, state, lr=0.1)
     assert abs(params["p"][0] - 3.0) < 0.05
+
+
+def test_adam_in_place_matches_out_of_place_oracle():
+    rng = np.random.default_rng(13)
+    params = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5),
+              "idle": rng.standard_normal(2)}
+    ref, m, v = dict(params), {}, {}
+    arrays = dict(params)
+    state = AdamState()
+    for t in range(1, 6):
+        grads = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)}
+        grads["a"][0] = 0.0
+        grads["b"][t % 5] = 0.0
+        if t == 3:
+            grads["b"][:] = 0.0
+        ref, m, v = adam_out_of_place(ref, grads, m, v, t, lr=0.01)
+        out, state = adam_step(params, grads, state, lr=0.01)
+        assert out is params and state.step_index == t
+        for name in params:
+            assert params[name] is arrays[name]  # updated in place
+            assert params[name].tobytes() == ref[name].tobytes()
+        for name in grads:
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+    assert "idle" not in state.m
 
 
 def test_adam_shape_mismatch():

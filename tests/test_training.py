@@ -285,6 +285,31 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    result = tiny_train()
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(_checkpoint_for(result), path)
+    before = path.read_bytes()
+
+    real = np.ascontiguousarray
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:  # the header and two arrays are written
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "ascontiguousarray", failing)
+    result.model.params["dspn.0.b"] += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(_checkpoint_for(result), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
+    load_checkpoint(path)
+
+
 def test_checkpoint_wrong_dim_names_both(tmp_path):
     result = tiny_train()
     path = tmp_path / "model.bin"
