@@ -73,6 +73,18 @@ class SensitivityTable:
             raise DataError(f"non-finite sensitivity value for {key}")
         self.entries[key] = value
 
+    @classmethod
+    def from_unique(cls, keys, values: np.ndarray) -> "SensitivityTable":
+        """Table of ``keys``, already unique, with the aligned ``values``,
+        built in one pass with one finiteness check."""
+        finite = np.isfinite(values)
+        if not finite.all():
+            key = list(keys)[int(np.argmin(finite))]
+            raise DataError(f"non-finite sensitivity value for {key}")
+        table = cls()
+        table.entries = dict(zip(keys, values.tolist()))
+        return table
+
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -404,8 +416,9 @@ def apply_scaler(dataset: Dataset, scaler: "Scaler") -> Dataset:
     feats = scaler.transform_cell(dataset.feature_matrix())
     cells = [replace(c, features=f) for c, f in zip(dataset.cells, feats)]
     entries = dataset.sensitivities.entries
-    values = scaler.transform_ic50(list(entries.values()))
-    table = SensitivityTable(dict(zip(entries, values.tolist())))
+    values = scaler.transform_ic50(
+        np.fromiter(entries.values(), dtype=np.float64, count=len(entries)))
+    table = SensitivityTable.from_unique(entries.keys(), values)
     return Dataset(drugs=drugs, cells=cells, sensitivities=table,
                    provenance=dataset.provenance)
 

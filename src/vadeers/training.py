@@ -461,12 +461,15 @@ class Checkpoint:
 
 def save_checkpoint(checkpoint: Checkpoint, path):
     """Deterministic container: magic, JSON header (sorted keys), raw
-    little-endian float64 arrays in sorted-name order.  Saving the same
-    checkpoint twice produces byte-identical files.  The file is replaced
-    atomically: a write that fails leaves the previous file, if any, and
-    no temporary file."""
+    little-endian float64 arrays in sorted-name order, the payload.  The
+    header's ``payload_sha256`` is the SHA-256 of the payload.  Saving the
+    same checkpoint twice produces byte-identical files.  The file is
+    replaced atomically: a write that fails leaves the previous file, if
+    any, and no temporary file."""
     model = checkpoint.model
     names = sorted(model.params)
+    payload = b"".join(np.ascontiguousarray(model.params[n], dtype="<f8").tobytes()
+                       for n in names)
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
@@ -478,6 +481,7 @@ def save_checkpoint(checkpoint: Checkpoint, path):
         "arrays": [
             {"name": n, "shape": list(model.params[n].shape)} for n in names
         ],
+        "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     path = Path(path)
@@ -489,9 +493,7 @@ def save_checkpoint(checkpoint: Checkpoint, path):
             fh.write(CHECKPOINT_MAGIC)
             fh.write(len(blob).to_bytes(8, "little"))
             fh.write(blob)
-            for n in names:
-                fh.write(np.ascontiguousarray(model.params[n],
-                                              dtype="<f8").tobytes())
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -564,6 +566,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
                 )
     expected = VadeersModel(config, {}).param_shapes()
     arrays = _header_arrays(path, header.get("arrays"), expected)
+    payload_start = offset
     params: dict[str, np.ndarray] = {}
     for name, shape in arrays:
         nbytes = int(np.prod(shape)) * 8
@@ -574,6 +577,11 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         offset += nbytes
     if offset != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after arrays")
+    # files written before the field existed carry no hash and still load
+    want = header.get("payload_sha256")
+    if (want is not None
+            and hashlib.sha256(memoryview(raw)[payload_start:]).hexdigest() != want):
+        raise CheckpointError(f"{path}: payload does not match its payload_sha256")
     model = VadeersModel(config, params)
     labels = header.get("guiding_labels")
     return Checkpoint(

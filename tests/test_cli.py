@@ -360,6 +360,35 @@ def test_checkpoint_missing_array_exit_2(tmp_path, run_dir, capsys):
     assert "no_means.bin" in err and "'gmm.means'" in err
 
 
+def test_checkpoint_flipped_payload_byte_exit_2(tmp_path, run_dir, capsys):
+    raw = bytearray((run_dir / "checkpoint.bin").read_bytes())
+    raw[-100] ^= 0x01
+    path = tmp_path / "flipped.bin"
+    path.write_bytes(bytes(raw))
+    dpath = tmp_path / "drugs_in.csv"
+    _write_feature_csv(dpath, "e", ["X0"], np.zeros((1, 32)))
+    cpath = tmp_path / "cells_in.csv"
+    _write_feature_csv(cpath, "f", ["C0"], np.zeros((1, 20)))
+    out = tmp_path / "o.csv"
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", path, "--drugs", dpath,
+               "--cells", cpath, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "flipped.bin" in err and "payload_sha256" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_checkpoint_without_payload_hash_loads(tmp_path, run_dir):
+    path = tmp_path / "unhashed.bin"
+    _rewrite_header(run_dir / "checkpoint.bin", path,
+                    lambda h: h.pop("payload_sha256"))
+    loaded = load_checkpoint(path).model.params
+    saved = load_checkpoint(run_dir / "checkpoint.bin").model.params
+    assert loaded.keys() == saved.keys()
+    assert all(np.array_equal(loaded[k], saved[k]) for k in saved)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ labels, CSV round-trips with precise error reporting, standardization
 (including the train-only leakage check), and the planted structure of
 the synthetic generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from vadeers.data import (
     DrugRecord,
     SensitivityTable,
     SynthSpec,
+    apply_scaler,
     derive_guiding_labels,
     generate_synthetic,
     generate_synthetic_with_truth,
@@ -300,6 +303,17 @@ def test_standardize_no_leakage_into_held_out_cells():
     held = np.stack([c.features for c in std.cells if c.id not in train_cells])
     cont = ~scaler.cell_binary
     assert np.max(np.abs(held[:, cont].mean(axis=0))) > 1e-3
+
+
+def test_apply_scaler_non_finite_value_names_pair():
+    dataset = generate_synthetic(DESK, seed=13)
+    _, scaler = standardize(dataset, {c.id for c in dataset.cells[:20]})
+    key = list(dataset.sensitivities.entries)[len(dataset.sensitivities) // 2]
+    dataset.sensitivities.entries[key] = 1e308
+    with np.errstate(over="ignore"), \
+            pytest.raises(DataError, match="non-finite sensitivity") as err:
+        apply_scaler(dataset, replace(scaler, ic50_std=0.5))
+    assert repr(key) in str(err.value)
 
 
 def test_zero_variance_column_warns(caplog):

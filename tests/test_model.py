@@ -2,12 +2,15 @@
 network, the entropy term, prior-variant equivalences, and
 finite-difference checks of the full objective for all three variants."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from vadeers import gmm
 from vadeers.exceptions import ContractViolation
 from vadeers.model import (
+    PREDICT_BLOCK_ROWS,
     Batch,
     EncoderOutput,
     LossWeights,
@@ -313,6 +316,62 @@ def test_dspn_inputs_are_positional():
     c = rng.standard_normal((3, 3))
     assert not np.allclose(model.dspn_predict(d, c).data,
                            model.dspn_predict(c, d).data)
+
+
+B = PREDICT_BLOCK_ROWS
+BLOCK_EDGE_ROWS = [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1]
+
+
+@pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
+def test_predict_sensitivity_matches_one_shot(n):
+    model = toy_model(seed=30)
+    rng = np.random.default_rng(n)
+    d = rng.standard_normal((n, 3))
+    c = rng.standard_normal((n, 3))
+    np.testing.assert_allclose(model.predict_sensitivity(d, c),
+                               model.dspn_predict(d, c).data, rtol=1e-12)
+
+
+def test_predict_sensitivity_blocks_are_never_short(monkeypatch):
+    model = toy_model(seed=31)
+    rows = []
+    real = VadeersModel.dspn_predict
+
+    def counting(self, drug_latent, cell_latent, *args, **kwargs):
+        rows.append(len(drug_latent))
+        return real(self, drug_latent, cell_latent, *args, **kwargs)
+
+    monkeypatch.setattr(VadeersModel, "dspn_predict", counting)
+    for n in BLOCK_EDGE_ROWS:
+        rows.clear()
+        model.predict_sensitivity(np.zeros((n, 3)), np.ones((n, 3)))
+        assert sum(rows) == n
+        if n < 2 * B:
+            assert rows == [n]
+        else:
+            assert min(rows) >= B
+
+
+def test_predict_sensitivity_memory_does_not_grow_with_rows():
+    model = VadeersModel.initialize(ModelConfig(), np.random.default_rng(32))
+    rng = np.random.default_rng(33)
+    d = rng.standard_normal((20_000, model.config.latent_dim))
+    c = rng.standard_normal((20_000, model.config.latent_dim))
+    tracemalloc.start()
+    try:
+        model.predict_sensitivity(d, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one graph over all rows holds 20,000 x (20 + 512 + 256 + 128 + 1)
+    # float64 activations, about 140 MiB
+    assert peak < 32 * 2**20
+
+
+def test_predict_sensitivity_rejects_unequal_row_counts():
+    model = toy_model(seed=34)
+    with pytest.raises(ContractViolation, match="latent shapes differ"):
+        model.predict_sensitivity(np.zeros((2 * B, 3)), np.zeros((2 * B + 1, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -296,7 +296,7 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
 
     def failing(*args, **kwargs):
         calls.append(1)
-        if len(calls) == 3:  # the header and two arrays are written
+        if len(calls) == 3:  # while the third array is serialized
             raise OSError("disk full")
         return real(*args, **kwargs)
 
