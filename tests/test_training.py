@@ -5,6 +5,8 @@ checkpoint round-trips."""
 import numpy as np
 import pytest
 
+import vadeers.training
+
 from vadeers.data import (
     CellLineRecord,
     Dataset,
@@ -290,21 +292,42 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     path = tmp_path / "checkpoint.bin"
     save_checkpoint(_checkpoint_for(result), path)
     before = path.read_bytes()
+    payload_bytes = 8 * sum(a.size for a in result.model.params.values())
 
-    real = np.ascontiguousarray
-    calls = []
+    real_open = open
+    partial = []
 
-    def failing(*args, **kwargs):
-        calls.append(1)
-        if len(calls) == 3:  # while the third array is serialized
+    class DiskFull:
+        """A file whose payload write stops halfway with ENOSPC."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return self.fh.__exit__(*exc)
+
+        def write(self, data):
+            if len(data) != payload_bytes:
+                return self.fh.write(data)
+            self.fh.write(data[: len(data) // 2])
+            self.fh.flush()
+            partial.extend(p.name for p in tmp_path.iterdir()
+                           if p.name != "checkpoint.bin")
             raise OSError("disk full")
-        return real(*args, **kwargs)
 
-    monkeypatch.setattr(np, "ascontiguousarray", failing)
+    monkeypatch.setattr(vadeers.training, "open",
+                        lambda *a, **k: DiskFull(real_open(*a, **k)),
+                        raising=False)
     result.model.params["dspn.0.b"] += 1.0
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(_checkpoint_for(result), path)
     monkeypatch.undo()
+    # the failure came after a partial temporary file was on disk ...
+    assert len(partial) == 1 and partial[0].endswith(".tmp")
+    # ... and neither it nor a change to the previous file is left behind
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
     load_checkpoint(path)
