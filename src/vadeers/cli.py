@@ -26,6 +26,7 @@ from .data import (
     Dataset,
     SynthSpec,
     apply_scaler,
+    atomic_open,
     derive_guiding_labels,
     generate_synthetic,
     load_csv,
@@ -126,7 +127,7 @@ def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observanc
     dataset = generate_synthetic(spec, seed=seed)
     save_csv(dataset, out_dir, seed=seed, generator_spec=spec)
     click.echo(f"wrote {len(dataset.drugs)} drugs, {len(dataset.cells)} cells, "
-               f"{len(dataset.sensitivities)} pairs to {out_dir}")
+               f"{len(dataset.pair_y)} pairs to {out_dir}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +177,8 @@ def _write_run_dir(out_dir: Path, result: TrainResult, dataset: Dataset,
     report = evaluate(result.model, dataset, result.dataset_std, result.split,
                       result.scaler, labels=labels or None, seed=seed,
                       pairs="val")
-    (out_dir / "report_val.json").write_text(report.to_json() + "\n")
+    with atomic_open(out_dir / "report_val.json") as fh:
+        fh.write(report.to_json() + "\n")
     return labels
 
 
@@ -228,10 +230,10 @@ def train_cmd(config_path, data_dir, out, seed, variant, latent_dim,
         exc.runlog.export_jsonl(out_dir / "runlog.ABORTED.jsonl")
         raise
     _write_run_dir(out_dir, result, dataset, seed)
-    (out_dir / "config_echo.json").write_text(
-        json.dumps({"variant": variant, "seed": seed,
-                    "model": asdict(model_config)}, sort_keys=True, indent=2)
-        + "\n")
+    with atomic_open(out_dir / "config_echo.json") as fh:
+        fh.write(json.dumps({"variant": variant, "seed": seed,
+                             "model": asdict(model_config)},
+                            sort_keys=True, indent=2) + "\n")
     click.echo(f"run directory: {out_dir}")
 
 
@@ -286,7 +288,7 @@ def generate(checkpoint_path, component, n_samples, out, seed):
         ip = ckpt.scaler.inverse_ip(ip)
     out_path = Path(out) if out else _out_dir(None, "generated.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(out_path) as fh:
         w = csv.writer(fh)
         w.writerow(["component"]
                    + [f"e{i}" for i in range(config.smiles_dim)]
@@ -329,11 +331,10 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
         preds = ckpt.scaler.inverse_ic50(preds)
     out_path = Path(out) if out else _out_dir(None, "predictions.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(out_path) as fh:
         w = csv.writer(fh)
         w.writerow(["drug_id", "cell_id", "prediction"])
-        for d, c, y in zip(drug_ids, cell_ids, preds):
-            w.writerow([d, c, repr(float(y))])
+        w.writerows(zip(drug_ids, cell_ids, map(repr, preds.tolist())))
     click.echo(f"wrote {len(preds)} predictions to {out_path}")
 
 
@@ -342,7 +343,7 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
 # ---------------------------------------------------------------------------
 
 def _rebuild_split(dataset: Dataset, split_cells: dict) -> Split:
-    known = {c.id for c in dataset.cells}
+    known = set(dataset.cell_ids)
     stored = set().union(*(set(v) for v in split_cells.values()))
     if stored != known:
         raise DataError(
@@ -369,30 +370,29 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
     split = _rebuild_split(dataset, ckpt.split_cells)
     dataset_std = apply_scaler(dataset, ckpt.scaler)
     gen_rows, comps = generate_profiles(ckpt.model, n_gen, seed)
+    mu = ckpt.model.drug_latent_means(dataset_std.embeddings)
     report = evaluate(ckpt.model, dataset, dataset_std, split, ckpt.scaler,
                       labels=ckpt.guiding_labels, n_gen_per_component=n_gen,
-                      seed=seed, generated=(gen_rows, comps))
+                      seed=seed, generated=(gen_rows, comps), drug_mu=mu)
     out_dir = _out_dir(out, f"eval-seed{seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(report.to_json() + "\n")
+    with atomic_open(out_dir / "report.json") as fh:
+        fh.write(report.to_json() + "\n")
 
     labels = ckpt.guiding_labels or {}
-    profiled = [d for d in dataset_std.drugs if d.id in labels]
-    if len(profiled) >= 3:
-        mu = ckpt.model.drug_latent_means(
-            np.stack([d.smiles_embedding for d in profiled]))
-        proj, _ = pca2(mu)
-        with open(out_dir / "latent_pca.csv", "w", newline="",
-                  encoding="utf-8") as fh:
+    ids = dataset_std.drug_ids
+    labeled = [i for i, d in enumerate(ids) if d in labels]
+    if len(labeled) >= 3:
+        proj, _ = pca2(mu[labeled])
+        with atomic_open(out_dir / "latent_pca.csv") as fh:
             w = csv.writer(fh)
             w.writerow(["drug_id", "label", "pc1", "pc2"])
-            for d, row in zip(profiled, proj):
-                w.writerow([d.id, labels[d.id], repr(float(row[0])),
+            for i, row in zip(labeled, proj):
+                w.writerow([ids[i], labels[ids[i]], repr(float(row[0])),
                             repr(float(row[1]))])
 
     proj, _ = pca2(gen_rows)
-    with open(out_dir / "generated_ip_pca.csv", "w", newline="",
-              encoding="utf-8") as fh:
+    with atomic_open(out_dir / "generated_ip_pca.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["component", "pc1", "pc2"])
         for c, row in zip(comps, proj):
@@ -442,7 +442,8 @@ def experiment(config_path, data_dir, out, seeds, variants, joint_epochs,
             report = evaluate(result.model, dataset, result.dataset_std,
                               result.split, result.scaler,
                               labels=labels or None, seed=seed, pairs="test")
-            (run_dir / "report_test.json").write_text(report.to_json() + "\n")
+            with atomic_open(run_dir / "report_test.json") as fh:
+                fh.write(report.to_json() + "\n")
             for m in metric_names:
                 v = getattr(report, m)
                 if v is not None:
@@ -458,9 +459,9 @@ def experiment(config_path, data_dir, out, seeds, variants, joint_epochs,
                     "std": float(np.std(vals)),
                     "n": len(vals),
                 }
-    (out_dir / "summary.json").write_text(
-        json.dumps(summary, sort_keys=True, indent=2) + "\n")
-    with open(out_dir / "summary.csv", "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(out_dir / "summary.json") as fh:
+        fh.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    with atomic_open(out_dir / "summary.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["variant", "metric", "mean", "std", "n"])
         for variant in variant_list:

@@ -18,9 +18,13 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
+import os
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +42,9 @@ MANIFEST_VERSION = 1
 
 @dataclass
 class DrugRecord:
+    """One drug: a row view of a :class:`Dataset`, or an input to
+    :meth:`Dataset.build`."""
+
     id: str
     smiles_embedding: np.ndarray
     inhibition_profile: np.ndarray | None = None
@@ -54,144 +61,162 @@ class CellLineRecord:
     features: np.ndarray
 
 
-class SensitivityTable:
-    """Sparse (drug_id, cell_id) -> sensitivity map; missing keys are the
-    missing-entry mask."""
-
-    def __init__(self, entries: dict[tuple[str, str], float] | None = None):
-        self.entries: dict[tuple[str, str], float] = {}
-        if entries:
-            for key, value in entries.items():
-                self.add(key[0], key[1], value)
-
-    def add(self, drug_id: str, cell_id: str, value: float):
-        key = (drug_id, cell_id)
-        if key in self.entries:
-            raise DataError(f"duplicate sensitivity entry for {key}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise DataError(f"non-finite sensitivity value for {key}")
-        self.entries[key] = value
-
-    @classmethod
-    def from_unique(cls, keys, values: np.ndarray) -> "SensitivityTable":
-        """Table of ``keys``, already unique, with the aligned ``values``,
-        built in one pass with one finiteness check."""
-        finite = np.isfinite(values)
-        if not finite.all():
-            key = list(keys)[int(np.argmin(finite))]
-            raise DataError(f"non-finite sensitivity value for {key}")
-        table = cls()
-        table.entries = dict(zip(keys, values.tolist()))
-        return table
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, key) -> bool:
-        return key in self.entries
-
-    def pairs(self) -> list[tuple[str, str]]:
-        return list(self.entries.keys())
-
-    def value(self, drug_id: str, cell_id: str) -> float:
-        return self.entries[(drug_id, cell_id)]
+def _matrix(rows: list[np.ndarray], ids: list[str], width_name: str,
+            value_name: str) -> np.ndarray:
+    """``rows`` as one float64 matrix, checked to share a width and to be
+    finite; errors name the first offending id."""
+    widths = {r.shape for r in rows}
+    if len(widths) > 1:
+        raise DataError(f"inconsistent {width_name} widths: {sorted(widths)}")
+    matrix = np.array(rows, dtype=np.float64)
+    bad = ~np.isfinite(matrix).all(axis=1)
+    if bad.any():
+        raise DataError(f"non-finite {value_name} {ids[int(np.argmax(bad))]}")
+    return matrix
 
 
-@dataclass
+def _rows_of(ids: list[str], wanted: np.ndarray) -> np.ndarray:
+    """The row of each ``wanted`` id in the unique ``ids``; -1 where it is
+    not there."""
+    keys = np.asarray(ids, dtype=str)
+    order = np.argsort(keys)
+    at = order[np.searchsorted(keys[order], wanted).clip(max=len(keys) - 1)]
+    return np.where(keys[at] == wanted, at, -1)
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    drugs: list[DrugRecord]
-    cells: list[CellLineRecord]
-    sensitivities: SensitivityTable
+    """Drugs, cell lines and the observed sensitivity pairs, as arrays.
+
+    Drug rows: ``embeddings``, ``profiles`` (zero rows where a drug has no
+    inhibition profile), ``profile_mask`` and ``labels`` (the guiding
+    label, -1 where unlabeled).  Cell rows: ``features``.  Pair ``k`` is
+    drug row ``pair_drug[k]`` on cell row ``pair_cell[k]``, with value
+    ``pair_y[k]``.  :meth:`build` checks every rule once; the copies that
+    ``derive_guiding_labels`` and ``apply_scaler`` make with ``replace``
+    keep the rules and are not checked again.
+    """
+
+    drug_ids: list[str]
+    embeddings: np.ndarray
+    profiles: np.ndarray
+    profile_mask: np.ndarray
+    labels: np.ndarray
+    cell_ids: list[str]
+    features: np.ndarray
+    pair_drug: np.ndarray
+    pair_cell: np.ndarray
+    pair_y: np.ndarray
     provenance: str = "synthetic"
 
-    def __post_init__(self):
-        self.validate()
+    @classmethod
+    def build(cls, drugs: list[DrugRecord], cells: list[CellLineRecord],
+              pairs, provenance: str = "synthetic",
+              source: str = "pairs") -> "Dataset":
+        """The dataset of ``drugs``, ``cells`` and the observed pairs
+        ``pairs = (drug_ids, cell_ids, values)``, in that order.
 
-    def validate(self):
-        drug_ids = [d.id for d in self.drugs]
-        cell_ids = [c.id for c in self.cells]
+        Ids are unique, each kind of row has one width, values are
+        finite, only profiled drugs carry a guiding label, and every pair
+        names a known drug and cell and appears once.  A pair error names
+        ``source`` and the pair's 1-based row."""
+        drug_ids = [d.id for d in drugs]
+        cell_ids = [c.id for c in cells]
         if len(set(drug_ids)) != len(drug_ids):
             raise DataError("duplicate drug ids")
         if len(set(cell_ids)) != len(cell_ids):
             raise DataError("duplicate cell ids")
-        widths = {d.smiles_embedding.shape for d in self.drugs}
-        if len(widths) > 1:
-            raise DataError(f"inconsistent embedding widths: {sorted(widths)}")
-        ip_widths = {d.inhibition_profile.shape for d in self.drugs if d.has_profile}
-        if len(ip_widths) > 1:
-            raise DataError(f"inconsistent profile widths: {sorted(ip_widths)}")
-        cell_widths = {c.features.shape for c in self.cells}
-        if len(cell_widths) > 1:
-            raise DataError(f"inconsistent cell feature widths: {sorted(cell_widths)}")
-        for d in self.drugs:
-            if not np.all(np.isfinite(d.smiles_embedding)):
-                raise DataError(f"non-finite embedding for drug {d.id}")
-            if d.has_profile and not np.all(np.isfinite(d.inhibition_profile)):
-                raise DataError(f"non-finite profile for drug {d.id}")
-            if d.guiding_label is not None and not d.has_profile:
-                raise DataError(
-                    f"drug {d.id} has a guiding label but no inhibition profile"
-                )
-        for c in self.cells:
-            if not np.all(np.isfinite(c.features)):
-                raise DataError(f"non-finite features for cell {c.id}")
-        known_drugs, known_cells = set(drug_ids), set(cell_ids)
-        for drug_id, cell_id in self.sensitivities.entries:
-            if drug_id not in known_drugs:
-                raise DataError(f"sensitivity entry references unknown drug {drug_id}")
-            if cell_id not in known_cells:
-                raise DataError(f"sensitivity entry references unknown cell {cell_id}")
+        if not drugs or not cells:
+            raise DataError("a dataset needs at least one drug and one cell line")
+        embeddings = _matrix([d.smiles_embedding for d in drugs], drug_ids,
+                             "embedding", "embedding for drug")
+        features = _matrix([c.features for c in cells], cell_ids,
+                           "cell feature", "features for cell")
+        mask = np.array([d.has_profile for d in drugs])
+        width = next((d.inhibition_profile.shape for d in drugs if d.has_profile),
+                     (0,))
+        profiles = _matrix([d.inhibition_profile if d.has_profile
+                            else np.zeros(width) for d in drugs], drug_ids,
+                           "profile", "profile for drug")
+        labels = np.array([-1 if d.guiding_label is None else d.guiding_label
+                           for d in drugs], dtype=np.int64)
+        stray = (labels >= 0) & ~mask
+        if stray.any():
+            raise DataError(f"drug {drug_ids[int(np.argmax(stray))]} has a "
+                            f"guiding label but no inhibition profile")
 
-    # ---- convenience views ----
+        drug_col, cell_col = (np.asarray(col, dtype=str) for col in pairs[:2])
+        y = np.asarray(pairs[2], dtype=np.float64)
+        if not len(drug_col) == len(cell_col) == len(y):
+            raise ContractViolation("pair columns differ in length")
+        pair_drug = _rows_of(drug_ids, drug_col)
+        pair_cell = _rows_of(cell_ids, cell_col)
+        # a key built from an unknown id may mark a later row as a repeat;
+        # the unknown id is then the earlier error
+        _, first = np.unique(pair_drug * len(cell_ids) + pair_cell,
+                             return_index=True)
+        repeat = np.ones(len(y), dtype=bool)
+        repeat[first] = False
+        bad = (pair_drug < 0) | (pair_cell < 0) | repeat | ~np.isfinite(y)
+        if bad.any():
+            r = int(np.argmax(bad))
+            key = (str(drug_col[r]), str(cell_col[r]))
+            where = f"{source}: row {r + 1}"
+            if pair_drug[r] < 0:
+                raise DataError(f"{where} references unknown drug {key[0]!r}")
+            if pair_cell[r] < 0:
+                raise DataError(f"{where} references unknown cell {key[1]!r}")
+            what = ("duplicate sensitivity entry" if repeat[r]
+                    else "non-finite sensitivity value")
+            raise DataError(f"{where}: {what} for {key}")
+
+        return cls(
+            drug_ids=drug_ids, embeddings=embeddings, profiles=profiles,
+            profile_mask=mask, labels=labels, cell_ids=cell_ids,
+            features=features, pair_drug=pair_drug, pair_cell=pair_cell, pair_y=y,
+            provenance=provenance,
+        )
+
+    # ---- row views ----
+
+    @cached_property
+    def drugs(self) -> list[DrugRecord]:
+        return [DrugRecord(i, e, p if m else None, int(lab) if lab >= 0 else None)
+                for i, e, p, m, lab in zip(self.drug_ids, self.embeddings,
+                                           self.profiles, self.profile_mask,
+                                           self.labels)]
+
+    @cached_property
+    def cells(self) -> list[CellLineRecord]:
+        return [CellLineRecord(i, f) for i, f in zip(self.cell_ids, self.features)]
 
     @property
     def smiles_dim(self) -> int:
-        return self.drugs[0].smiles_embedding.shape[0]
+        return self.embeddings.shape[1]
 
     @property
     def ip_dim(self) -> int:
-        for d in self.drugs:
-            if d.has_profile:
-                return d.inhibition_profile.shape[0]
-        raise DataError("dataset has no inhibition profiles")
+        if not self.profile_mask.any():
+            raise DataError("dataset has no inhibition profiles")
+        return self.profiles.shape[1]
 
     @property
     def bio_dim(self) -> int:
-        return self.cells[0].features.shape[0]
+        return self.features.shape[1]
 
     def drug_index(self) -> dict[str, int]:
-        return {d.id: i for i, d in enumerate(self.drugs)}
-
-    def cell_index(self) -> dict[str, int]:
-        return {c.id: i for i, c in enumerate(self.cells)}
-
-    def pair_index(self, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """For each (drug_id, cell_id) pair: the row of its drug in
-        ``drugs``, the row of its cell in ``cells``, and its sensitivity
-        value, NaN where the pair is unobserved."""
-        didx, cidx = self.drug_index(), self.cell_index()
-        values = self.sensitivities.entries
-        return (np.array([didx[d] for d, _ in pairs], dtype=np.intp),
-                np.array([cidx[c] for _, c in pairs], dtype=np.intp),
-                np.array([values.get(p, np.nan) for p in pairs]))
+        return {d: i for i, d in enumerate(self.drug_ids)}
 
     def guiding_labels(self) -> dict[str, int]:
         """Drug id -> guiding label, for the labeled drugs."""
-        return {d.id: d.guiding_label for d in self.drugs
-                if d.guiding_label is not None}
-
-    def profiled_drugs(self) -> list[DrugRecord]:
-        return [d for d in self.drugs if d.has_profile]
+        return {self.drug_ids[i]: int(self.labels[i])
+                for i in np.flatnonzero(self.labels >= 0)}
 
     def embedding_matrix(self) -> np.ndarray:
-        return np.stack([d.smiles_embedding for d in self.drugs])
-
-    def profile_matrix(self) -> np.ndarray:
-        return np.stack([d.inhibition_profile for d in self.profiled_drugs()])
+        return self.embeddings
 
     def feature_matrix(self) -> np.ndarray:
-        return np.stack([c.features for c in self.cells])
+        return self.features
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +299,11 @@ def derive_guiding_labels(dataset: Dataset, n_labels: int = 3,
     """Cluster the standardized inhibition profiles of the profiled drugs
     and write the assignments back as guiding labels; unprofiled drugs
     stay unlabeled."""
-    profiled = dataset.profiled_drugs()
-    if len(profiled) < n_labels:
+    rows = dataset.profiles[dataset.profile_mask]
+    if len(rows) < n_labels:
         raise DataError(
-            f"need at least {n_labels} profiled drugs, have {len(profiled)}"
+            f"need at least {n_labels} profiled drugs, have {len(rows)}"
         )
-    rows = np.stack([d.inhibition_profile for d in profiled])
     mean = rows.mean(axis=0)
     std = rows.std(axis=0)
     std = np.where(std > 0, std, 1.0)
@@ -290,11 +314,9 @@ def derive_guiding_labels(dataset: Dataset, n_labels: int = 3,
             "guiding-label clustering degenerate: only %d of %d clusters occupied",
             occupied, n_labels,
         )
-    by_id = dict(zip((d.id for d in profiled), labels.tolist()))
-    drugs = [replace(d, guiding_label=by_id.get(d.id)) for d in dataset.drugs]
-    return Dataset(drugs=drugs, cells=dataset.cells,
-                   sensitivities=dataset.sensitivities,
-                   provenance=dataset.provenance)
+    all_labels = np.full(len(dataset.drug_ids), -1, dtype=np.int64)
+    all_labels[dataset.profile_mask] = labels
+    return replace(dataset, labels=all_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -384,16 +406,13 @@ class Scaler:
 def fit_scaler(dataset: Dataset, train_cell_ids: set[str]) -> Scaler:
     """Fit standardization statistics on the training portion only: all
     drugs (the split is over cell lines), train cells, train pairs."""
-    emb_mean, emb_std = _column_stats(dataset.embedding_matrix())
-    ip_mean, ip_std = _column_stats(dataset.profile_matrix())
-    train_cells = np.stack([c.features for c in dataset.cells
-                            if c.id in train_cell_ids])
+    emb_mean, emb_std = _column_stats(dataset.embeddings)
+    ip_mean, ip_std = _column_stats(dataset.profiles[dataset.profile_mask])
+    is_train = np.array([c in train_cell_ids for c in dataset.cell_ids])
+    train_cells = dataset.features[is_train]
     binary = np.all((train_cells == 0.0) | (train_cells == 1.0), axis=0)
     cell_mean, cell_std = _column_stats(train_cells)
-    train_vals = np.array([
-        v for (d, c), v in dataset.sensitivities.entries.items()
-        if c in train_cell_ids
-    ])
+    train_vals = dataset.pair_y[is_train[dataset.pair_cell]]
     if train_vals.size == 0:
         raise DataError("no training sensitivity pairs to fit the scaler on")
     ic50_mean = float(train_vals.mean())
@@ -406,21 +425,23 @@ def fit_scaler(dataset: Dataset, train_cell_ids: set[str]) -> Scaler:
 
 
 def apply_scaler(dataset: Dataset, scaler: "Scaler") -> Dataset:
-    """Standardized copy of the dataset using an already-fitted scaler."""
-    emb = scaler.transform_embedding(dataset.embedding_matrix())
-    profiled = [i for i, d in enumerate(dataset.drugs) if d.has_profile]
-    ip = (dict(zip(profiled, scaler.transform_ip(dataset.profile_matrix())))
-          if profiled else {})
-    drugs = [replace(d, smiles_embedding=emb[i], inhibition_profile=ip.get(i))
-             for i, d in enumerate(dataset.drugs)]
-    feats = scaler.transform_cell(dataset.feature_matrix())
-    cells = [replace(c, features=f) for c, f in zip(dataset.cells, feats)]
-    entries = dataset.sensitivities.entries
-    values = scaler.transform_ic50(
-        np.fromiter(entries.values(), dtype=np.float64, count=len(entries)))
-    table = SensitivityTable.from_unique(entries.keys(), values)
-    return Dataset(drugs=drugs, cells=cells, sensitivities=table,
-                   provenance=dataset.provenance)
+    """Standardized copy of the dataset using an already-fitted scaler;
+    the transformed sensitivity values must stay finite."""
+    values = scaler.transform_ic50(dataset.pair_y)
+    bad = ~np.isfinite(values)
+    if bad.any():
+        k = int(np.argmax(bad))
+        key = (dataset.drug_ids[dataset.pair_drug[k]],
+               dataset.cell_ids[dataset.pair_cell[k]])
+        raise DataError(f"non-finite sensitivity value for {key}")
+    mask = dataset.profile_mask
+    profiles = np.zeros_like(dataset.profiles)
+    profiles[mask] = scaler.transform_ip(dataset.profiles[mask])
+    return replace(dataset,
+                   embeddings=scaler.transform_embedding(dataset.embeddings),
+                   profiles=profiles,
+                   features=scaler.transform_cell(dataset.features),
+                   pair_y=values)
 
 
 def standardize(dataset: Dataset, train_cell_ids: set[str]) -> tuple[Dataset, Scaler]:
@@ -557,12 +578,11 @@ def generate_synthetic_with_truth(
     ]
     cells = [CellLineRecord(id=cell_ids[j], features=features[j])
              for j in range(spec.n_cells)]
-    table = SensitivityTable()
-    for i, j in zip(*np.nonzero(observed)):
-        table.add(drug_ids[i], cell_ids[j], float(interaction[i, j] + noise[i, j]))
-
-    dataset = Dataset(drugs=drugs, cells=cells, sensitivities=table,
-                      provenance="synthetic")
+    rows, cols = np.nonzero(observed)
+    dataset = Dataset.build(
+        drugs, cells, (np.asarray(drug_ids)[rows], np.asarray(cell_ids)[cols],
+                       interaction[rows, cols] + noise[rows, cols]),
+        provenance="synthetic")
     truth = SyntheticTruth(
         drug_factors=u, cell_factors=v, planted_labels=planted,
         ip_centers=ip_centers, cluster_effects=effects,
@@ -577,11 +597,35 @@ def generate_synthetic(spec: SynthSpec, seed: int = 0) -> Dataset:
 
 
 # ---------------------------------------------------------------------------
-# CSV persistence
+# persistence
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+@contextmanager
+def atomic_open(path, binary: bool = False):
+    """Open a temporary file beside ``path`` for writing and rename it over
+    ``path`` when the block ends, so that a reader sees the old file or the
+    new one, never a partial write.  If the block fails, the temporary file
+    is removed and ``path`` is left as it was.  Text is UTF-8, written
+    without newline translation."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with (open(tmp, "xb") if binary
+              else open(tmp, "x", newline="", encoding="utf-8")) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_feature_csv(path: Path, prefix: str, ids: list[str],
+                       rows: np.ndarray):
+    with atomic_open(path) as fh:
+        w = csv.writer(fh)
+        w.writerow(["id"] + [f"{prefix}{i}" for i in range(rows.shape[1])])
+        w.writerows([i] + list(map(repr, row))
+                    for i, row in zip(ids, rows.tolist()))
 
 
 def save_csv(dataset: Dataset, directory, seed: int | None = None,
@@ -589,49 +633,35 @@ def save_csv(dataset: Dataset, directory, seed: int | None = None,
     """Write the four CSV files plus a manifest into ``directory``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    smiles_dim = dataset.smiles_dim
-    profiled = dataset.profiled_drugs()
-    ip_dim = profiled[0].inhibition_profile.shape[0] if profiled else 0
-    bio_dim = dataset.bio_dim
-
-    with open(directory / "drugs.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + [f"e{i}" for i in range(smiles_dim)])
-        for d in dataset.drugs:
-            w.writerow([d.id] + [_fmt(x) for x in d.smiles_embedding])
-
-    with open(directory / "profiles.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + [f"k{i}" for i in range(ip_dim)])
-        for d in profiled:
-            w.writerow([d.id] + [_fmt(x) for x in d.inhibition_profile])
-
-    with open(directory / "cells.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + [f"f{i}" for i in range(bio_dim)])
-        for c in dataset.cells:
-            w.writerow([c.id] + [_fmt(x) for x in c.features])
-
-    with open(directory / "ic50.csv", "w", newline="", encoding="utf-8") as fh:
+    mask = dataset.profile_mask
+    _write_feature_csv(directory / "drugs.csv", "e", dataset.drug_ids,
+                       dataset.embeddings)
+    _write_feature_csv(directory / "profiles.csv", "k",
+                       np.asarray(dataset.drug_ids)[mask].tolist(),
+                       dataset.profiles[mask])
+    _write_feature_csv(directory / "cells.csv", "f", dataset.cell_ids,
+                       dataset.features)
+    with atomic_open(directory / "ic50.csv") as fh:
         w = csv.writer(fh)
         w.writerow(["drug_id", "cell_id", "ic50"])
-        for (drug_id, cell_id), v in dataset.sensitivities.entries.items():
-            w.writerow([drug_id, cell_id, _fmt(v)])
+        w.writerows(zip(np.asarray(dataset.drug_ids)[dataset.pair_drug].tolist(),
+                        np.asarray(dataset.cell_ids)[dataset.pair_cell].tolist(),
+                        map(repr, dataset.pair_y.tolist())))
 
     manifest = {
         "format_version": MANIFEST_VERSION,
         "provenance": dataset.provenance,
-        "n_drugs": len(dataset.drugs),
-        "n_profiled": len(profiled),
-        "n_cells": len(dataset.cells),
-        "n_pairs": len(dataset.sensitivities),
-        "smiles_dim": smiles_dim,
-        "ip_dim": ip_dim,
-        "bio_dim": bio_dim,
+        "n_drugs": len(dataset.drug_ids),
+        "n_profiled": int(mask.sum()),
+        "n_cells": len(dataset.cell_ids),
+        "n_pairs": len(dataset.pair_y),
+        "smiles_dim": dataset.smiles_dim,
+        "ip_dim": dataset.profiles.shape[1],
+        "bio_dim": dataset.bio_dim,
         "seed": seed,
         "generator_spec": generator_spec.to_dict() if generator_spec else None,
     }
-    with open(directory / "manifest.json", "w", encoding="utf-8") as fh:
+    with atomic_open(directory / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -649,12 +679,14 @@ def _read_rows(path: Path, n_cols: int) -> tuple[list[str], list[list[str]]]:
         raise DataError(
             f"{path.name}: expected {n_cols} columns, header has {len(header)}"
         )
-    for r, row in enumerate(body, start=1):
-        if len(row) != n_cols:
-            where = (f"column {header[len(row)]}" if len(row) < n_cols
-                     else f"after column {header[-1]}")
-            raise DataError(f"{path.name}: row {r}, {where}: row has "
-                            f"{len(row)} fields, expected {n_cols}")
+    widths = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
+    odd = np.flatnonzero(widths != n_cols)
+    if odd.size:
+        r, n = int(odd[0]), int(widths[odd[0]])
+        where = (f"column {header[n]}" if n < n_cols
+                 else f"after column {header[-1]}")
+        raise DataError(f"{path.name}: row {r + 1}, {where}: row has "
+                        f"{n} fields, expected {n_cols}")
     return header, body
 
 
@@ -666,7 +698,8 @@ def _values(path: Path, header: list[str], body: list[list[str]],
     width = len(header) - first
     try:
         flat = np.fromiter(
-            map(float, chain.from_iterable(row[first:] for row in body)),
+            map(float, chain.from_iterable(map(itemgetter(slice(first, None)),
+                                               body))),
             dtype=np.float64, count=len(body) * width)
     except ValueError:
         for r, row in enumerate(body, start=1):
@@ -691,7 +724,7 @@ def read_feature_csv(path, width: int) -> tuple[list[str], np.ndarray]:
     feature CSV.  Ids may repeat; errors name the file, row and column."""
     path = Path(path)
     header, body = _read_rows(path, width + 1)
-    return [row[0] for row in body], _values(path, header, body, 1)
+    return list(map(itemgetter(0), body)), _values(path, header, body, 1)
 
 
 def _rows_by_id(path: Path, width: int, count: int) -> dict[str, np.ndarray]:
@@ -744,22 +777,14 @@ def load_csv(directory) -> Dataset:
              for i, v in emb.items()]
     cells = [CellLineRecord(id=i, features=v) for i, v in feats.items()]
 
-    table = SensitivityTable()
     ic50_path = directory / "ic50.csv"
     header, body = _read_rows(ic50_path, 3)
-    values = _values(ic50_path, header, body, 2)[:, 0].tolist()
-    for r, ((drug_id, cell_id, _), value) in enumerate(zip(body, values), start=1):
-        if drug_id not in emb:
-            raise DataError(f"ic50.csv: row {r} references unknown drug {drug_id!r}")
-        if cell_id not in feats:
-            raise DataError(f"ic50.csv: row {r} references unknown cell {cell_id!r}")
-        try:
-            table.add(drug_id, cell_id, value)
-        except DataError as exc:
-            raise DataError(f"ic50.csv: row {r}: {exc}") from None
-    if len(table) != manifest["n_pairs"]:
-        raise DataError(f"ic50.csv: {len(table)} rows, manifest says "
+    dataset = Dataset.build(
+        drugs, cells, (list(map(itemgetter(0), body)),
+                       list(map(itemgetter(1), body)),
+                       _values(ic50_path, header, body, 2)[:, 0]),
+        provenance=manifest.get("provenance", "csv"), source=ic50_path.name)
+    if len(dataset.pair_y) != manifest["n_pairs"]:
+        raise DataError(f"ic50.csv: {len(dataset.pair_y)} rows, manifest says "
                         f"{manifest['n_pairs']}")
-
-    return Dataset(drugs=drugs, cells=cells, sensitivities=table,
-                   provenance=manifest.get("provenance", "csv"))
+    return dataset

@@ -268,14 +268,14 @@ class MetricReport:
         return cls(**d)
 
 
-def predict_pairs(model: VadeersModel, dataset_std: Dataset,
-                  pairs: list[tuple[str, str]]) -> np.ndarray:
-    """Eval-mode sensitivity predictions (standardized scale) for a list
-    of (drug_id, cell_id) pairs."""
-    drug_idx, cell_idx, _ = dataset_std.pair_index(pairs)
-    mu = model.drug_latent_means(dataset_std.embedding_matrix())
-    lat = model.cell_latents(dataset_std.feature_matrix())
-    return model.predict_sensitivity(mu[drug_idx], lat[cell_idx])
+def predict_pairs(model: VadeersModel, dataset_std: Dataset, rows: np.ndarray,
+                  drug_mu: np.ndarray) -> np.ndarray:
+    """Eval-mode sensitivity predictions (standardized scale) for the pairs
+    at ``rows`` of the dataset's pair arrays; ``drug_mu`` holds the encoder
+    means of all of the dataset's drugs."""
+    lat = model.cell_latents(dataset_std.features)
+    return model.predict_sensitivity(drug_mu[dataset_std.pair_drug[rows]],
+                                     lat[dataset_std.pair_cell[rows]])
 
 
 def generate_profiles(model: VadeersModel, n_per_component: int,
@@ -303,8 +303,8 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
              split: Split, scaler, *, labels: dict[str, int] | None = None,
              n_gen_per_component: int = 300, seed: int = 0,
              pairs: str = "test",
-             generated: tuple[np.ndarray, np.ndarray] | None = None
-             ) -> MetricReport:
+             generated: tuple[np.ndarray, np.ndarray] | None = None,
+             drug_mu: np.ndarray | None = None) -> MetricReport:
     """Compute the full metric battery.
 
     ``dataset`` holds natural-scale values, ``dataset_std`` the
@@ -315,33 +315,33 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
     labeled drugs; generated metrics sample each mixture component and
     decode (GMM variants only), or use ``generated``, the result of
     :func:`generate_profiles` for the same model, ``n_gen_per_component``
-    and ``seed``."""
-    pair_list = {"test": split.test_pairs, "val": split.val_pairs,
-                 "train": split.train_pairs}[pairs]
-    if not pair_list:
+    and ``seed``.  ``drug_mu``, when given, is
+    ``model.drug_latent_means`` of all of ``dataset_std``'s drugs."""
+    rows = {"test": split.test_rows, "val": split.val_rows,
+            "train": split.train_rows}[pairs]
+    if not len(rows):
         raise ContractViolation(f"no {pairs} pairs to evaluate on")
 
-    preds_std = predict_pairs(model, dataset_std, pair_list)
-    preds = scaler.inverse_ic50(preds_std)
-    truth = dataset.pair_index(pair_list)[2]
+    if drug_mu is None:
+        drug_mu = model.drug_latent_means(dataset_std.embeddings)
+    preds = scaler.inverse_ic50(predict_pairs(model, dataset_std, rows, drug_mu))
+    truth = dataset.pair_y[rows]
     ic50_rmse = rmse(truth, preds)
     ic50_pearson = pearson(truth, preds)
 
     # profile reconstruction on the training data (all profiled drugs)
-    profiled_std = dataset_std.profiled_drugs()
-    xs = np.stack([d.smiles_embedding for d in profiled_std])
-    mu = model.drug_latent_means(xs)
-    _, ip_pred = model.decode_drug(mu)
-    ip_true = np.stack([d.inhibition_profile for d in profiled_std])
-    ip_rmse = rmse(ip_true, ip_pred.data)
+    profiled = dataset_std.profile_mask
+    _, ip_pred = model.decode_drug(drug_mu[profiled])
+    ip_rmse = rmse(dataset_std.profiles[profiled], ip_pred.data)
 
     if labels is None:
         labels = dataset.guiding_labels()
     sil_latent = None
     if labels and len(set(labels.values())) >= 2:
-        ids = [d.id for d in profiled_std if d.id in labels]
-        rows = mu[[i for i, d in enumerate(profiled_std) if d.id in labels]]
-        sil_latent = silhouette(rows, np.array([labels[i] for i in ids]))
+        ids = dataset_std.drug_ids
+        labeled = [i for i in np.flatnonzero(profiled) if ids[i] in labels]
+        sil_latent = silhouette(drug_mu[labeled],
+                                np.array([labels[ids[i]] for i in labeled]))
 
     sil_gen = None
     fidelity = None
@@ -355,8 +355,7 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
 
         labeled_ids = sorted(labels)
         didx = dataset.drug_index()
-        true_rows_nat = np.stack([dataset.drugs[didx[i]].inhibition_profile
-                                  for i in labeled_ids])
+        true_rows_nat = dataset.profiles[[didx[i] for i in labeled_ids]]
         true_labs = np.array([labels[i] for i in labeled_ids])
         fidelity = generation_fidelity(
             true_rows_nat, true_labs, scaler.inverse_ip(gen_rows), gen_comps)
@@ -378,5 +377,5 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
         gen_std_mean=gen_std_mean,
         per_cluster=per_cluster,
         run_seed=seed,
-        n_test_pairs=len(pair_list),
+        n_test_pairs=len(rows),
     )

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-import uuid
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Scaler, standardize
+from .data import Dataset, Scaler, atomic_open, standardize
 from .exceptions import CheckpointError, ContractViolation, DataError, NumericError
 from .model import Batch, LossWeights, ModelConfig, VadeersModel
 from .nnkernel import (
@@ -85,14 +83,17 @@ class SplitSpec:
     seed: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class Split:
+    """The cell lines of each partition, and the positions of each
+    partition's pairs in the dataset's pair arrays, in table order."""
+
     train_cells: list[str]
     val_cells: list[str]
     test_cells: list[str]
-    train_pairs: list[tuple[str, str]]
-    val_pairs: list[tuple[str, str]]
-    test_pairs: list[tuple[str, str]]
+    train_rows: np.ndarray
+    val_rows: np.ndarray
+    test_rows: np.ndarray
 
     def cell_sets(self) -> tuple[set[str], set[str], set[str]]:
         return set(self.train_cells), set(self.val_cells), set(self.test_cells)
@@ -101,7 +102,7 @@ class Split:
 def split_by_cell_line(dataset: Dataset, spec: SplitSpec) -> Split:
     """Partition by cell line: every observed pair lands in the partition
     owning its cell line, and no cell line appears in two partitions."""
-    cell_ids = [c.id for c in dataset.cells]
+    cell_ids = dataset.cell_ids
     held_out = spec.n_val_cells + spec.n_test_cells
     if len(cell_ids) <= held_out:
         raise DataError(
@@ -118,18 +119,11 @@ def partition_by_cells(dataset: Dataset, train_cells: list[str],
                        val_cells: list[str], test_cells: list[str]) -> Split:
     """The split with the given cell lists; each observed pair goes to
     val or test when its cell line is held out there, else to train."""
-    val_set, test_set = set(val_cells), set(test_cells)
-    train_pairs, val_pairs, test_pairs = [], [], []
-    for pair in dataset.sensitivities.pairs():
-        if pair[1] in val_set:
-            val_pairs.append(pair)
-        elif pair[1] in test_set:
-            test_pairs.append(pair)
-        else:
-            train_pairs.append(pair)
-    return Split(train_cells=train_cells, val_cells=val_cells,
-                 test_cells=test_cells, train_pairs=train_pairs,
-                 val_pairs=val_pairs, test_pairs=test_pairs)
+    part = np.zeros(len(dataset.cell_ids), dtype=np.int8)  # 0: train
+    part[np.isin(dataset.cell_ids, test_cells)] = 2
+    part[np.isin(dataset.cell_ids, val_cells)] = 1
+    rows = [np.flatnonzero(part[dataset.pair_cell] == k) for k in range(3)]
+    return Split(train_cells, val_cells, test_cells, *rows)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +154,7 @@ class RunLog:
         }
 
     def export_jsonl(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path) as fh:
             fh.write(json.dumps({"record": "meta", "seed": self.seed,
                                  "wall_clock_seconds": self.wall_clock_seconds})
                      + "\n")
@@ -211,39 +205,20 @@ def check_schedule_conformance(runlog: RunLog, schedule: TrainSchedule) -> list[
 # batch assembly
 # ---------------------------------------------------------------------------
 
-def _drug_rows(drugs, ip_dim: int):
-    """Embedding rows, profile rows (zero where unprofiled), the profile
-    mask and the guiding labels (-1 where unlabeled) of ``drugs``."""
-    ip = np.zeros((len(drugs), ip_dim))
-    mask = np.zeros(len(drugs))
-    for i, d in enumerate(drugs):
-        if d.has_profile:
-            ip[i] = d.inhibition_profile
-            mask[i] = 1.0
-    labels = np.array([-1 if d.guiding_label is None else d.guiding_label
-                       for d in drugs], dtype=np.int64)
-    return np.stack([d.smiles_embedding for d in drugs]), ip, mask, labels
-
-
-def build_pair_batch(dataset: Dataset, pairs: list[tuple[str, str]],
-                     ip_dim: int) -> Batch:
-    """Batch over the unique drugs/cells touched by the given pairs, in
-    dataset order; only the observed pairs enter the pair arrays."""
-    drug_idx, cell_idx, y = dataset.pair_index(pairs)
-    drug_rows, pair_drug = np.unique(drug_idx, return_inverse=True)
-    cell_rows, pair_cell = np.unique(cell_idx, return_inverse=True)
-    x_smiles, ip, mask, labels = _drug_rows(
-        [dataset.drugs[i] for i in drug_rows], ip_dim)
-    observed = ~np.isnan(y)
+def build_pair_batch(dataset: Dataset, rows: np.ndarray) -> Batch:
+    """Batch of the pairs at ``rows`` of the dataset's pair arrays, over
+    the unique drugs and cells they touch, in dataset order."""
+    drug_rows, pair_drug = np.unique(dataset.pair_drug[rows], return_inverse=True)
+    cell_rows, pair_cell = np.unique(dataset.pair_cell[rows], return_inverse=True)
     return Batch(
-        x_smiles=x_smiles,
-        ip=ip,
-        ip_mask=mask,
-        labels=labels,
-        x_bio=np.stack([dataset.cells[i].features for i in cell_rows]),
-        pair_drug=pair_drug[observed],
-        pair_cell=pair_cell[observed],
-        y=y[observed],
+        x_smiles=dataset.embeddings[drug_rows],
+        ip=dataset.profiles[drug_rows],
+        ip_mask=dataset.profile_mask[drug_rows].astype(np.float64),
+        labels=dataset.labels[drug_rows],
+        x_bio=dataset.features[cell_rows],
+        pair_drug=pair_drug,
+        pair_cell=pair_cell,
+        y=dataset.pair_y[rows],
     )
 
 
@@ -292,12 +267,12 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     trained.  Standardization is fitted on the training split inside.
     """
     if config.uses_gmm:
-        labels = list(dataset.guiding_labels().values())
-        if not labels:
+        labels = dataset.labels[dataset.labels >= 0]
+        if not labels.size:
             raise DataError("GMM variants need guiding labels; derive them first")
-        if max(labels) >= config.n_guiding_labels:
+        if labels.max() >= config.n_guiding_labels:
             raise DataError(
-                f"guiding label {max(labels)} out of range for "
+                f"guiding label {labels.max()} out of range for "
                 f"n_guiding_labels={config.n_guiding_labels}"
             )
     started = time.monotonic()
@@ -317,14 +292,19 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     runlog.event("init", hash=_params_hash(model, frozen_groups))
     runlog.event("phase_start", phase=1, joint_step=0)
 
-    break_rows = _drug_rows(data_std.profiled_drugs(), config.ip_dim)
-    train_pairs = list(split.train_pairs)
+    profiled = np.flatnonzero(data_std.profile_mask)
+    break_rows = (data_std.embeddings[profiled], data_std.profiles[profiled],
+                  np.ones(len(profiled)), data_std.labels[profiled])
+    train_rows = split.train_rows
+    cell_ids = np.asarray(data_std.cell_ids)
     last_good = model.copy()
 
     adam = AdamState()
     break_adam = AdamState()
     joint_step = 0
-    ip_dim = config.ip_dim
+
+    def touch(cell_rows: np.ndarray):
+        runlog.cells_touched.update(cell_ids[np.unique(cell_rows)].tolist())
 
     def run_break():
         nonlocal break_adam
@@ -354,13 +334,13 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
 
     # phase 1: joint training over observed train pairs
     for epoch in range(schedule.joint_epochs):
-        order = rng_order.permutation(len(train_pairs))
+        order = rng_order.permutation(len(train_rows))
         sums: dict[str, float] = {}
         n_batches = 0
         for chunk in _batched(order, schedule.batch_size):
-            pairs = [train_pairs[i] for i in chunk]
-            batch = build_pair_batch(data_std, pairs, ip_dim)
-            runlog.cells_touched.update(p[1] for p in pairs)
+            rows = train_rows[chunk]
+            batch = build_pair_batch(data_std, rows)
+            touch(data_std.pair_cell[rows])
             tape = GradientTape()
             binder = model.binder(tape)
             try:
@@ -393,9 +373,10 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     runlog.event("phase_start", phase=2, joint_step=joint_step,
                  frozen_hash=freeze_hash)
 
-    drug_mu = model.drug_latent_means(data_std.embedding_matrix())
-    cell_lat = model.cell_latents(data_std.feature_matrix())
-    pd_idx, pc_idx, y = data_std.pair_index(train_pairs)
+    drug_mu = model.drug_latent_means(data_std.embeddings)
+    cell_lat = model.cell_latents(data_std.features)
+    pd_idx, pc_idx, y = (a[train_rows] for a in (
+        data_std.pair_drug, data_std.pair_cell, data_std.pair_y))
 
     dspn_adam = AdamState()  # fresh moments: the lr regime changes
     current_lr = None
@@ -404,11 +385,11 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
         if lr != current_lr:
             runlog.event("lr_change", phase=2, phase_epoch=epoch, lr=lr)
             current_lr = lr
-        order = rng_order.permutation(len(train_pairs))
+        order = rng_order.permutation(len(train_rows))
         sums = {}
         n_batches = 0
         for chunk in _batched(order, schedule.batch_size):
-            runlog.cells_touched.update(train_pairs[i][1] for i in chunk)
+            touch(pc_idx[chunk])
             dl = drug_mu[pd_idx[chunk]]
             cl = cell_lat[pc_idx[chunk]]
             tape = GradientTape()
@@ -484,20 +465,11 @@ def save_checkpoint(checkpoint: Checkpoint, path):
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    path = Path(path)
-    # write beside the target, then rename over it: a reader sees the old
-    # file or the new one, never a partial write
-    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(len(blob).to_bytes(8, "little"))
-            fh.write(blob)
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_open(path, binary=True) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(len(blob).to_bytes(8, "little"))
+        fh.write(blob)
+        fh.write(payload)
 
 
 def _header_config(path: Path, cfg) -> ModelConfig:

@@ -12,7 +12,7 @@ import pytest
 from vadeers.cli import main
 from vadeers.data import load_csv, load_manifest
 from vadeers.metrics import MetricReport
-from vadeers.model import ModelConfig
+from vadeers.model import ModelConfig, VadeersModel
 from vadeers.training import (
     CHECKPOINT_MAGIC,
     load_checkpoint,
@@ -77,9 +77,9 @@ def test_synth_manifest_counts_match_load(data_dir):
     manifest = load_manifest(data_dir)
     dataset = load_csv(data_dir)
     assert manifest["n_drugs"] == len(dataset.drugs) == 24
-    assert manifest["n_profiled"] == len(dataset.profiled_drugs()) == 12
+    assert manifest["n_profiled"] == int(dataset.profile_mask.sum()) == 12
     assert manifest["n_cells"] == len(dataset.cells) == 20
-    assert manifest["n_pairs"] == len(dataset.sensitivities)
+    assert manifest["n_pairs"] == len(dataset.pair_y)
 
 
 def test_synth_same_seed_byte_identical(tmp_path, data_dir):
@@ -407,6 +407,23 @@ def test_evaluate_twice_identical_and_complete(tmp_path, run_dir, data_dir):
     report = MetricReport.from_json(outs[0])
     assert report.n_test_pairs > 0
     assert report.silhouette_generated is not None
+
+
+def test_evaluate_encodes_drugs_once(tmp_path, run_dir, data_dir,
+                                     monkeypatch):
+    calls = []
+    encode = VadeersModel.drug_latent_means
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(VadeersModel, "drug_latent_means", counted)
+    out = tmp_path / "eval"
+    assert run("evaluate", "--checkpoint", run_dir / "checkpoint.bin",
+               "--data", data_dir, "--out", out, "--n-gen", "20") == 0
+    assert (out / "latent_pca.csv").exists()
+    assert len(calls) == 1
 
 
 def test_evaluate_rejects_changed_dataset(tmp_path, run_dir, data_dir,

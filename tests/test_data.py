@@ -3,16 +3,17 @@ labels, CSV round-trips with precise error reporting, standardization
 (including the train-only leakage check), and the planted structure of
 the synthetic generator."""
 
+import tempfile
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vadeers.data import (
     CellLineRecord,
     Dataset,
     DrugRecord,
-    SensitivityTable,
     SynthSpec,
     apply_scaler,
     derive_guiding_labels,
@@ -94,8 +95,7 @@ def test_identical_profiles_log_warning(caplog):
     drugs = [DrugRecord(id=f"D{i}", smiles_embedding=np.zeros(4),
                         inhibition_profile=np.ones(5)) for i in range(6)]
     cells = [CellLineRecord(id="C0", features=np.zeros(3))]
-    dataset = Dataset(drugs=drugs, cells=cells,
-                      sensitivities=SensitivityTable())
+    dataset = Dataset.build(drugs, cells, ([], [], []))
     with caplog.at_level("WARNING"):
         labeled = derive_guiding_labels(dataset, n_labels=3, seed=0)
     assert "degenerate" in caplog.text
@@ -106,9 +106,8 @@ def test_identical_profiles_log_warning(caplog):
 def test_too_few_profiled_drugs():
     drugs = [DrugRecord(id="D0", smiles_embedding=np.zeros(4),
                         inhibition_profile=np.ones(5))]
-    dataset = Dataset(drugs=drugs,
-                      cells=[CellLineRecord(id="C0", features=np.zeros(3))],
-                      sensitivities=SensitivityTable())
+    dataset = Dataset.build(drugs, [CellLineRecord(id="C0", features=np.zeros(3))],
+                            ([], [], []))
     with pytest.raises(DataError):
         derive_guiding_labels(dataset, n_labels=3, seed=0)
 
@@ -148,12 +147,15 @@ def _tiny_dataset():
         CellLineRecord("C0", np.array([0.0, 1.0, 0.5, 1.0])),
         CellLineRecord("C1", np.array([1.0, 0.0, -0.25, 1.0])),
     ]
-    table = SensitivityTable()
-    table.add("D0", "C0", 1.25)
-    table.add("D0", "C1", -0.5)
-    table.add("D1", "C0", 0.75)
-    table.add("D2", "C1", 2.0)
-    return Dataset(drugs=drugs, cells=cells, sensitivities=table)
+    return Dataset.build(drugs, cells, (["D0", "D0", "D1", "D2"],
+                                        ["C0", "C1", "C0", "C1"],
+                                        [1.25, -0.5, 0.75, 2.0]))
+
+
+def _same_pairs(a, b):
+    return (np.array_equal(a.pair_drug, b.pair_drug)
+            and np.array_equal(a.pair_cell, b.pair_cell)
+            and np.array_equal(a.pair_y, b.pair_y))
 
 
 def test_minimal_fixture_round_trips(tmp_path):
@@ -164,7 +166,7 @@ def test_minimal_fixture_round_trips(tmp_path):
     assert loaded.drugs[1].inhibition_profile is None
     assert np.array_equal(loaded.drugs[0].smiles_embedding,
                           dataset.drugs[0].smiles_embedding)
-    assert loaded.sensitivities.entries == dataset.sensitivities.entries
+    assert _same_pairs(loaded, dataset)
 
 
 def test_synthetic_export_import_exact(tmp_path):
@@ -180,7 +182,7 @@ def test_synthetic_export_import_exact(tmp_path):
             assert b.inhibition_profile is None
     for a, b in zip(dataset.cells, loaded.cells):
         assert a.id == b.id and np.array_equal(a.features, b.features)
-    assert dataset.sensitivities.entries == loaded.sensitivities.entries
+    assert _same_pairs(dataset, loaded)
 
 
 def test_save_is_byte_deterministic(tmp_path):
@@ -204,6 +206,71 @@ def test_unknown_drug_in_ic50_names_row(tmp_path):
     with pytest.raises(DataError) as err:
         load_csv(tmp_path)
     assert "row 2" in str(err.value) and "DX" in str(err.value)
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("D0,C0,3.0", "duplicate sensitivity entry for ('D0', 'C0')"),
+    ("D0,CX,1.0", "references unknown cell 'CX'"),
+    ("D1,C1,nan", "non-finite value"),
+])
+def test_bad_ic50_row_names_file_and_row(tmp_path, row, problem):
+    save_csv(_tiny_dataset(), tmp_path)
+    path = tmp_path / "ic50.csv"
+    lines = path.read_text().splitlines()
+    lines.insert(3, row)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError) as err:
+        load_csv(tmp_path)
+    msg = str(err.value)
+    assert msg.startswith("ic50.csv: row 3") and problem in msg
+
+
+_IDS = st.text(alphabet="abXY09_-. ,\"", min_size=1, max_size=5)
+
+
+@st.composite
+def _datasets(draw):
+    """Small datasets with random ids, widths, profiled drugs and observed
+    pairs; values span the finite float64 range."""
+    n_drugs, n_cells = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    drug_ids = draw(st.lists(_IDS, min_size=n_drugs, max_size=n_drugs,
+                             unique=True))
+    cell_ids = draw(st.lists(_IDS, min_size=n_cells, max_size=n_cells,
+                             unique=True))
+    values = st.floats(allow_nan=False, allow_infinity=False)
+
+    def matrix(n, width):
+        return np.array(draw(st.lists(values, min_size=n * width,
+                                      max_size=n * width))).reshape(n, width)
+
+    emb = matrix(n_drugs, draw(st.integers(1, 3)))
+    profiles = matrix(n_drugs, draw(st.integers(1, 3)))
+    profiled = draw(st.lists(st.booleans(), min_size=n_drugs, max_size=n_drugs))
+    feats = matrix(n_cells, draw(st.integers(1, 3)))
+    observed = np.array(draw(st.lists(st.booleans(), min_size=n_drugs * n_cells,
+                                      max_size=n_drugs * n_cells)),
+                        dtype=bool).reshape(n_drugs, n_cells)
+    rows, cols = np.nonzero(observed)
+    drugs = [DrugRecord(i, e, p if keep else None)
+             for i, e, p, keep in zip(drug_ids, emb, profiles, profiled)]
+    cells = [CellLineRecord(i, f) for i, f in zip(cell_ids, feats)]
+    return Dataset.build(drugs, cells, (np.asarray(drug_ids)[rows],
+                                        np.asarray(cell_ids)[cols],
+                                        matrix(len(rows), 1)[:, 0]))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_datasets())
+def test_csv_round_trip_is_exact(dataset):
+    with tempfile.TemporaryDirectory() as directory:
+        save_csv(dataset, directory)
+        loaded = load_csv(directory)
+    assert loaded.drug_ids == dataset.drug_ids
+    assert loaded.cell_ids == dataset.cell_ids
+    for name in ("embeddings", "profiles", "profile_mask", "labels",
+                 "features", "pair_drug", "pair_cell", "pair_y"):
+        a, b = getattr(loaded, name), getattr(dataset, name)
+        assert a.shape == b.shape and np.array_equal(a, b), name
 
 
 def test_non_numeric_cell_names_file_row_col(tmp_path):
@@ -273,8 +340,8 @@ def test_standardize_train_columns_centered():
     # binary columns untouched
     assert set(np.unique(feats[:, scaler.cell_binary])) <= {0.0, 1.0}
     train_vals = np.array([
-        v for (d, c), v in std.sensitivities.entries.items()
-        if c in train_cells
+        v for c, v in zip(std.pair_cell, std.pair_y)
+        if std.cell_ids[c] in train_cells
     ])
     assert abs(train_vals.mean()) < 1e-10
     assert abs(train_vals.std() - 1.0) < 1e-10
@@ -308,8 +375,13 @@ def test_standardize_no_leakage_into_held_out_cells():
 def test_apply_scaler_non_finite_value_names_pair():
     dataset = generate_synthetic(DESK, seed=13)
     _, scaler = standardize(dataset, {c.id for c in dataset.cells[:20]})
-    key = list(dataset.sensitivities.entries)[len(dataset.sensitivities) // 2]
-    dataset.sensitivities.entries[key] = 1e308
+    k = len(dataset.pair_y) // 2
+    drug_col = np.asarray(dataset.drug_ids)[dataset.pair_drug]
+    cell_col = np.asarray(dataset.cell_ids)[dataset.pair_cell]
+    y = dataset.pair_y.copy()
+    y[k] = 1e308
+    dataset = Dataset.build(dataset.drugs, dataset.cells, (drug_col, cell_col, y))
+    key = (str(drug_col[k]), str(cell_col[k]))
     with np.errstate(over="ignore"), \
             pytest.raises(DataError, match="non-finite sensitivity") as err:
         apply_scaler(dataset, replace(scaler, ic50_std=0.5))
@@ -322,10 +394,9 @@ def test_zero_variance_column_warns(caplog):
              for i in range(4)]
     cells = [CellLineRecord(f"C{j}", np.array([0.5, float(j)]))
              for j in range(4)]
-    table = SensitivityTable()
-    for i in range(4):
-        table.add(f"D{i}", f"C{i}", float(i))
-    dataset = Dataset(drugs=drugs, cells=cells, sensitivities=table)
+    dataset = Dataset.build(drugs, cells, ([f"D{i}" for i in range(4)],
+                                           [f"C{i}" for i in range(4)],
+                                           [float(i) for i in range(4)]))
     with caplog.at_level("WARNING"):
         std, scaler = standardize(dataset, {"C0", "C1", "C2", "C3"})
     assert "zero-variance" in caplog.text
@@ -368,7 +439,7 @@ def test_full_observance_fills_table():
     spec = SynthSpec(smiles_dim=8, ip_dim=6, bio_dim=6, n_drugs=10,
                      n_profiled=5, n_cells=7, observance=1.0)
     dataset = generate_synthetic(spec, seed=15)
-    assert len(dataset.sensitivities) == 10 * 7
+    assert len(dataset.pair_y) == 10 * 7
 
 
 def test_sensitivity_depends_on_both_factors():

@@ -2,19 +2,21 @@
 break/freeze/lr-decay accounting, determinism, divergence handling, and
 checkpoint round-trips."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-import vadeers.training
+import vadeers.data
 
 from vadeers.data import (
     CellLineRecord,
     Dataset,
     DrugRecord,
-    SensitivityTable,
     SynthSpec,
     derive_guiding_labels,
     generate_synthetic,
+    save_csv,
 )
 from vadeers.exceptions import CheckpointError, DataError
 from vadeers.model import LossWeights, ModelConfig, VadeersModel
@@ -62,11 +64,10 @@ def tiny_train(seed=0, **schedule_kw):
 def _cells_only_dataset(n_cells):
     drugs = [DrugRecord("D0", np.zeros(2), np.ones(3))]
     cells = [CellLineRecord(f"C{j:04d}", np.zeros(2)) for j in range(n_cells)]
-    table = SensitivityTable()
     rng = np.random.default_rng(0)
-    for j in range(0, n_cells, 2):
-        table.add("D0", f"C{j:04d}", float(rng.standard_normal()))
-    return Dataset(drugs=drugs, cells=cells, sensitivities=table)
+    observed = [f"C{j:04d}" for j in range(0, n_cells, 2)]
+    return Dataset.build(drugs, cells, (["D0"] * len(observed), observed,
+                                        rng.standard_normal(len(observed))))
 
 
 def test_split_reference_cell_counts():
@@ -80,15 +81,15 @@ def test_split_partitions_pairs_completely():
     dataset = _cells_only_dataset(50)
     split = split_by_cell_line(dataset, SplitSpec(n_val_cells=10,
                                                   n_test_cells=10, seed=1))
-    total = (len(split.train_pairs) + len(split.val_pairs)
-             + len(split.test_pairs))
-    assert total == len(dataset.sensitivities)
+    total = (len(split.train_rows) + len(split.val_rows)
+             + len(split.test_rows))
+    assert total == len(dataset.pair_y)
     train_set, val_set, test_set = split.cell_sets()
     assert not train_set & val_set
     assert not train_set & test_set
     assert not val_set & test_set
-    for p in split.val_pairs:
-        assert p[1] in val_set
+    for k in split.val_rows:
+        assert dataset.cell_ids[dataset.pair_cell[k]] in val_set
 
 
 def test_split_deterministic_and_seed_sensitive():
@@ -113,25 +114,13 @@ def test_split_too_few_cells():
 # batch assembly
 # ---------------------------------------------------------------------------
 
-def test_build_pair_batch_filters_unobserved_pairs():
-    dataset = tiny_dataset()
-    observed = dataset.sensitivities.pairs()[:6]
-    drug_ids = [d.id for d in dataset.drugs]
-    cell_ids = [c.id for c in dataset.cells]
-    fake = [(drug_ids[0], cell_ids[1]), (drug_ids[2], cell_ids[3])]
-    fake = [p for p in fake if p not in dataset.sensitivities]
-    batch_a = build_pair_batch(dataset, observed, TINY_SPEC.ip_dim)
-    batch_b = build_pair_batch(dataset, observed + fake, TINY_SPEC.ip_dim)
-    assert batch_a.n_pairs == batch_b.n_pairs == 6
-    assert np.array_equal(batch_a.y, batch_b.y)
-
-
 def test_build_pair_batch_masks_and_labels():
     dataset = tiny_dataset()
-    pairs = dataset.sensitivities.pairs()[:10]
-    batch = build_pair_batch(dataset, pairs, TINY_SPEC.ip_dim)
+    rows = np.arange(10)
+    batch = build_pair_batch(dataset, rows)
     idx = dataset.drug_index()
-    drugs = sorted({p[0] for p in pairs}, key=lambda i: idx[i])
+    drugs = sorted({dataset.drug_ids[i] for i in dataset.pair_drug[rows]},
+                   key=lambda i: idx[i])
     for row, drug_id in enumerate(drugs):
         d = dataset.drugs[idx[drug_id]]
         assert batch.ip_mask[row] == (1.0 if d.has_profile else 0.0)
@@ -287,19 +276,14 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(a, b)
 
 
-def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
-    result = tiny_train()
-    path = tmp_path / "checkpoint.bin"
-    save_checkpoint(_checkpoint_for(result), path)
-    before = path.read_bytes()
-    payload_bytes = 8 * sum(a.size for a in result.model.params.values())
-
+def _disk_full(monkeypatch, target, fails):
+    """Make the first write to ``target``'s temporary file for which
+    ``fails(data)`` holds stop halfway with ENOSPC; returns the list that
+    then receives the names of ``target``'s temporary files on disk."""
     real_open = open
     partial = []
 
     class DiskFull:
-        """A file whose payload write stops halfway with ENOSPC."""
-
         def __init__(self, fh):
             self.fh = fh
 
@@ -310,17 +294,31 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
             return self.fh.__exit__(*exc)
 
         def write(self, data):
-            if len(data) != payload_bytes:
+            if not fails(data):
                 return self.fh.write(data)
             self.fh.write(data[: len(data) // 2])
             self.fh.flush()
-            partial.extend(p.name for p in tmp_path.iterdir()
-                           if p.name != "checkpoint.bin")
+            partial.extend(p.name for p in target.parent.iterdir()
+                           if p.name.startswith(f".{target.name}."))
             raise OSError("disk full")
 
-    monkeypatch.setattr(vadeers.training, "open",
-                        lambda *a, **k: DiskFull(real_open(*a, **k)),
-                        raising=False)
+    def fake_open(file, *args, **kwargs):
+        fh = real_open(file, *args, **kwargs)
+        return (DiskFull(fh) if Path(file).name.startswith(f".{target.name}.")
+                else fh)
+
+    monkeypatch.setattr(vadeers.data, "open", fake_open, raising=False)
+    return partial
+
+
+def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
+    result = tiny_train()
+    path = tmp_path / "checkpoint.bin"
+    save_checkpoint(_checkpoint_for(result), path)
+    before = path.read_bytes()
+    payload_bytes = 8 * sum(a.size for a in result.model.params.values())
+    partial = _disk_full(monkeypatch, path,
+                         lambda data: len(data) == payload_bytes)
     result.model.params["dspn.0.b"] += 1.0
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(_checkpoint_for(result), path)
@@ -331,6 +329,29 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.bin"]
     load_checkpoint(path)
+
+
+@pytest.mark.parametrize("name", ["runlog.jsonl", "ic50.csv"])
+def test_artifact_write_failure_keeps_previous_file(tmp_path, monkeypatch,
+                                                    name):
+    path = tmp_path / name
+    if name == "runlog.jsonl":
+        old, new = tiny_train(seed=0).runlog, tiny_train(seed=1).runlog
+        write = lambda runlog: runlog.export_jsonl(path)  # noqa: E731
+    else:
+        old, new = tiny_dataset(seed=0), tiny_dataset(seed=1)
+        write = lambda dataset: save_csv(dataset, tmp_path)  # noqa: E731
+    write(old)
+    before = path.read_bytes()
+    # fail on the first line after the run log's meta line or the header
+    partial = _disk_full(monkeypatch, path, lambda data: not data.startswith(
+        ('{"record": "meta"', "drug_id,")))
+    with pytest.raises(OSError, match="disk full"):
+        write(new)
+    monkeypatch.undo()
+    assert len(partial) == 1 and partial[0].endswith(".tmp")
+    assert path.read_bytes() == before
+    assert not list(tmp_path.glob(".*.tmp"))
 
 
 def test_checkpoint_wrong_dim_names_both(tmp_path):
