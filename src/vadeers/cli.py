@@ -14,6 +14,7 @@ import inspect
 import json
 import os
 import sys
+import typing
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -43,6 +44,7 @@ from .training import (
     TrainResult,
     TrainingAborted,
     TrainSchedule,
+    check_compatible,
     load_checkpoint,
     partition_by_cells,
     save_checkpoint,
@@ -58,17 +60,47 @@ def _load_config(path: str | None) -> dict:
         raise DataError(f"config file {p} does not exist")
     with open(p, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise DataError(f"config file {p}: invalid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise DataError(f"config file {p}: the top level must be an object")
+    return config
 
 
-def _merged(defaults: dict, config_section: dict | None, flags: dict) -> dict:
-    """flag > config file > default, skipping unset (None) flags."""
+def _fits(value, hint) -> bool:
+    """Whether the JSON ``value`` has the field type ``hint``: a bool is
+    no number, an int is a float, and a list is a tuple."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, list)
+                and all(_fits(v, typing.get_args(hint)[0]) for v in value))
+    return isinstance(value, hint)
+
+
+def _type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint)
+
+
+def _merged(cls, defaults: dict, config: dict, section: str,
+            flags: dict) -> dict:
+    """flag > config file > default, skipping unset (None) flags.  The
+    values of the config file's ``section`` must have the types of the
+    fields of the dataclass ``cls``."""
+    values = config.get(section) or {}
+    if not isinstance(values, dict):
+        raise DataError(f"config section {section!r} must be an object")
+    hints = typing.get_type_hints(cls)
     out = dict(defaults)
-    for k, v in (config_section or {}).items():
+    for k, v in values.items():
         if k not in out:
             raise DataError(f"unknown config key {k!r}")
+        if not _fits(v, hints[k]):
+            raise DataError(f"config section {section!r}, key {k!r}: "
+                            f"{v!r} is not of type {_type_name(hints[k])}")
         out[k] = v
     for k, v in flags.items():
         if v is not None:
@@ -82,9 +114,14 @@ def _field_defaults(cls, *exclude: str) -> dict:
 
 
 def _pick(config: dict, key: str, flag, default):
+    """flag > config file > default for a top-level config key, whose
+    value must have the default's type."""
     if flag is not None:
         return flag
     if key in config:
+        if not _fits(config[key], type(default)):
+            raise DataError(f"config key {key!r}: {config[key]!r} is not of "
+                            f"type {type(default).__name__}")
         return config[key]
     return default
 
@@ -116,10 +153,10 @@ def cli():
 def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observance):
     """Generate a synthetic dataset directory (CSV files + manifest)."""
     config = _load_config(config_path)
-    seed = int(_pick(config, "seed", seed, 0))
+    seed = _pick(config, "seed", seed, 0)
     scale = _pick(config, "scale", scale, "desk")
     base = asdict(DESK_SPEC if scale == "desk" else SynthSpec())
-    spec = SynthSpec(**_merged(base, config.get("synth"), {
+    spec = SynthSpec(**_merged(SynthSpec, base, config, "synth", {
         "n_drugs": n_drugs, "n_profiled": n_profiled,
         "n_cells": n_cells, "observance": observance,
     }))
@@ -138,17 +175,19 @@ def _run_training(dataset: Dataset, config: dict, variant: str, seed: int,
                   model_flags: dict, schedule_flags: dict,
                   split_flags: dict) -> tuple[TrainResult, ModelConfig, SplitSpec]:
     model_config = ModelConfig.from_dict({**_merged(
+        ModelConfig,
         {**_field_defaults(ModelConfig), "smiles_dim": dataset.smiles_dim,
          "ip_dim": dataset.ip_dim, "bio_dim": dataset.bio_dim},
-        config.get("model"), model_flags), "prior_variant": variant})
+        config, "model", model_flags), "prior_variant": variant})
     # the run seed and the derived epoch total are not configurable
     schedule = TrainSchedule(seed=seed, **_merged(
-        _field_defaults(TrainSchedule, "seed", "total_epochs"),
-        config.get("schedule"), schedule_flags))
+        TrainSchedule, _field_defaults(TrainSchedule, "seed", "total_epochs"),
+        config, "schedule", schedule_flags))
     split_spec = SplitSpec(seed=seed, **_merged(
-        _field_defaults(SplitSpec, "seed"), config.get("split"), split_flags))
+        SplitSpec, _field_defaults(SplitSpec, "seed"), config, "split",
+        split_flags))
     weights = LossWeights(**_merged(
-        _field_defaults(LossWeights), config.get("weights"), {}))
+        LossWeights, _field_defaults(LossWeights), config, "weights", {}))
     if model_config.uses_gmm:
         dataset = derive_guiding_labels(
             dataset, n_labels=model_config.n_guiding_labels, seed=seed)
@@ -204,7 +243,7 @@ def train_cmd(config_path, data_dir, out, seed, variant, latent_dim,
               n_val_cells, n_test_cells):
     """Train one prior variant end to end and write a run directory."""
     config = _load_config(config_path)
-    seed = int(_pick(config, "seed", seed, 0))
+    seed = _pick(config, "seed", seed, 0)
     variant = _pick(config, "variant", variant,
                     _field_defaults(ModelConfig)["prior_variant"])
     dataset = load_csv(data_dir)
@@ -367,6 +406,7 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
     if ckpt.scaler is None or ckpt.split_cells is None:
         raise CheckpointError("checkpoint lacks scaler/split records")
     dataset = load_csv(data_dir)
+    check_compatible(ckpt, dataset, checkpoint_path)
     split = _rebuild_split(dataset, ckpt.split_cells)
     dataset_std = apply_scaler(dataset, ckpt.scaler)
     gen_rows, comps = generate_profiles(ckpt.model, n_gen, seed)
@@ -416,7 +456,11 @@ def experiment(config_path, data_dir, out, seeds, variants, joint_epochs,
                dspn_epochs):
     """Run the variant x seed grid and aggregate mean +- std per metric."""
     config = _load_config(config_path)
-    seed_list = [int(s) for s in seeds.split(",") if s != ""]
+    try:
+        seed_list = [int(s) for s in seeds.split(",") if s != ""]
+    except ValueError:
+        raise click.BadParameter(f"{seeds!r} is not a comma-separated list "
+                                 f"of integers", param_hint="--seeds") from None
     variant_list = [v.strip() for v in variants.split(",") if v.strip()]
     for v in variant_list:
         if v not in PRIOR_VARIANTS:

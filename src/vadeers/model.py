@@ -16,6 +16,7 @@ import numpy as np
 from . import gmm
 from .exceptions import ContractViolation, NumericError
 from .nnkernel import (
+    FlatStore,
     GradientTape,
     LayerSpec,
     Tensor,
@@ -162,7 +163,7 @@ class _Binder:
     """Maps parameter names to tensors for one forward pass: trainable
     parameters register on the tape, frozen ones become constants."""
 
-    def __init__(self, arrays: dict[str, np.ndarray],
+    def __init__(self, arrays: FlatStore,
                  tape: GradientTape | None, frozen: frozenset[str]):
         self._arrays = arrays
         self._tape = tape
@@ -193,11 +194,30 @@ def entropy_rows(log_sigma) -> Tensor:
 
 
 class VadeersModel:
-    """Parameter store plus forward passes and losses for one variant."""
+    """Parameter store plus forward passes and losses for one variant.
 
-    def __init__(self, config: ModelConfig, params: dict[str, np.ndarray]):
+    ``params`` is a :class:`FlatStore`: every parameter is a view of the
+    one float64 vector ``flat``, in the order of the checkpoint payload,
+    which is sorted-name order for every model built here or saved by
+    :func:`~vadeers.training.save_checkpoint`.  Assigning a plain mapping
+    to ``params`` copies it into a new store, in sorted-name order."""
+
+    def __init__(self, config: ModelConfig, params):
         self.config = config
         self.params = params
+
+    @property
+    def params(self) -> FlatStore:
+        return self._params
+
+    @params.setter
+    def params(self, arrays) -> None:
+        self._params = (arrays if isinstance(arrays, FlatStore)
+                        else FlatStore.from_arrays(arrays))
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self._params.flat
 
     # ---- architecture ----------------------------------------------------
 
@@ -255,9 +275,8 @@ class VadeersModel:
 
     @classmethod
     def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "VadeersModel":
-        model = cls(config, {})
-        params = model.params
-        for name, spec in model.dense_layers():
+        params: dict[str, np.ndarray] = {}
+        for name, spec in cls(config, {}).dense_layers():
             params[f"{name}.W"], params[f"{name}.b"] = init_layer_params(rng, spec)
         if config.uses_gmm:
             g = gmm.init_gmm(
@@ -267,10 +286,10 @@ class VadeersModel:
             params["gmm.logits"] = g.mixture_logits
             params["gmm.means"] = g.means
             params["gmm.log_scales"] = g.log_scales
-        return model
+        return cls(config, params)
 
     def copy(self) -> "VadeersModel":
-        return VadeersModel(self.config, {k: v.copy() for k, v in self.params.items()})
+        return VadeersModel(self.config, self.params.copy())
 
     def frozen_names(self) -> frozenset[str]:
         if self.config.prior_variant == "gmm_constrained":

@@ -1,5 +1,6 @@
 """Minimal dense neural-network kernel: tensors with reverse-mode
-gradients, dense layers with inverted dropout, loss primitives, Adam."""
+gradients, dense layers with inverted dropout, loss primitives, Adam
+over flat parameter stores."""
 
 from .autodiff import (
     GradientTape,
@@ -10,7 +11,6 @@ from .autodiff import (
     div,
     exp,
     grad,
-    log,
     logsumexp,
     mul,
     neg,
@@ -32,9 +32,11 @@ from .layers import (
 )
 from .losses import mse
 from .optim import AdamState, adam_step
+from .store import FlatStore
 
 __all__ = [
     "AdamState",
+    "FlatStore",
     "GradientTape",
     "LayerSpec",
     "Tensor",
@@ -49,7 +51,6 @@ __all__ = [
     "glorot_uniform",
     "grad",
     "init_layer_params",
-    "log",
     "logsumexp",
     "mse",
     "mul",

@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..exceptions import ContractViolation
+from .store import FlatStore, pack
 
 Array = np.ndarray
 
@@ -41,10 +42,12 @@ class Tensor:
     :func:`~vadeers.nnkernel.optim.adam_step` updates those arrays in
     place, between graphs: build a new graph after each step.
 
-    ``backward(g, needs)`` gets the upstream gradient and one flag per
+    ``backward(g, needs, outs)`` gets the upstream gradient, one flag per
     parent, true where that parent leads to a registered parameter, and
-    returns one gradient per parent; it may return None where the flag
-    is false.  It must not write to ``g``.
+    one array or None per parent, and returns one gradient per parent;
+    it may return None where the flag is false.  An array in ``outs`` is
+    the parent's own gradient slot, which the op may fill and return in
+    place of a new array.  It must not write to ``g``.
     """
 
     __slots__ = ("data", "parents", "name", "_forward", "_backward")
@@ -141,8 +144,8 @@ def add(a, b) -> Tensor:
     return _make(
         lambda x, y: x + y,
         (a, b),
-        lambda g, needs: (_unbroadcast(g, sa) if needs[0] else None,
-                          _unbroadcast(g, sb) if needs[1] else None),
+        lambda g, needs, outs: (_unbroadcast(g, sa) if needs[0] else None,
+                                _unbroadcast(g, sb) if needs[1] else None),
     )
 
 
@@ -152,8 +155,8 @@ def sub(a, b) -> Tensor:
     return _make(
         lambda x, y: x - y,
         (a, b),
-        lambda g, needs: (_unbroadcast(g, sa) if needs[0] else None,
-                          _unbroadcast(-g, sb) if needs[1] else None),
+        lambda g, needs, outs: (_unbroadcast(g, sa) if needs[0] else None,
+                                _unbroadcast(-g, sb) if needs[1] else None),
     )
 
 
@@ -163,8 +166,10 @@ def mul(a, b) -> Tensor:
     return _make(
         lambda x, y: x * y,
         (a, b),
-        lambda g, needs: (_unbroadcast(g * b.data, sa) if needs[0] else None,
-                          _unbroadcast(g * a.data, sb) if needs[1] else None),
+        lambda g, needs, outs: (
+            _unbroadcast(g * b.data, sa) if needs[0] else None,
+            _unbroadcast(g * a.data, sb) if needs[1] else None,
+        ),
     )
 
 
@@ -174,7 +179,7 @@ def div(a, b) -> Tensor:
     return _make(
         lambda x, y: x / y,
         (a, b),
-        lambda g, needs: (
+        lambda g, needs, outs: (
             _unbroadcast(g / b.data, sa) if needs[0] else None,
             _unbroadcast(-g * a.data / (b.data * b.data), sb) if needs[1] else None,
         ),
@@ -183,31 +188,26 @@ def div(a, b) -> Tensor:
 
 def neg(a) -> Tensor:
     a = wrap(a)
-    return _make(lambda x: -x, (a,), lambda g, needs: (-g,))
+    return _make(lambda x: -x, (a,), lambda g, needs, outs: (-g,))
 
 
 def exp(a) -> Tensor:
     a = wrap(a)
     out = np.exp(a.data)
     return Tensor(out, parents=(a,), forward=np.exp,
-                  backward=lambda g, needs: (g * out,))
-
-
-def log(a) -> Tensor:
-    a = wrap(a)
-    return _make(lambda x: np.log(x), (a,), lambda g, needs: (g / a.data,))
+                  backward=lambda g, needs, outs: (g * out,))
 
 
 def square(a) -> Tensor:
     a = wrap(a)
-    return _make(lambda x: x * x, (a,), lambda g, needs: (2.0 * a.data * g,))
+    return _make(lambda x: x * x, (a,), lambda g, needs, outs: (2.0 * a.data * g,))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     a = wrap(a)
     shape = a.shape
 
-    def backward(g, needs):
+    def backward(g, needs, outs):
         if axis is None:
             return (np.broadcast_to(g, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -224,7 +224,7 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     else:
         count = shape[axis]
 
-    def backward(g, needs):
+    def backward(g, needs, outs):
         if axis is None:
             return (np.broadcast_to(g / count, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
@@ -242,7 +242,7 @@ def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
         out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
         return out if keepdims else np.squeeze(out, axis=axis)
 
-    def backward(g, needs):
+    def backward(g, needs, outs):
         m = np.max(a.data, axis=axis, keepdims=True)
         e = np.exp(a.data - m)
         soft = e / e.sum(axis=axis, keepdims=True)
@@ -258,7 +258,7 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
     return _make(
         lambda x: x.reshape(shape),
         (a,),
-        lambda g, needs: (g.reshape(orig),),
+        lambda g, needs, outs: (g.reshape(orig),),
     )
 
 
@@ -269,7 +269,7 @@ def concat(tensors: Sequence, axis: int = 1) -> Tensor:
     return _make(
         lambda *xs: np.concatenate(xs, axis=axis),
         ts,
-        lambda g, needs: tuple(np.split(g, splits, axis=axis)),
+        lambda g, needs, outs: tuple(np.split(g, splits, axis=axis)),
     )
 
 
@@ -284,7 +284,7 @@ def take_rows(a, indices) -> Tensor:
             f"take_rows index out of range for {a.shape[0]} rows"
         )
 
-    def backward(g, needs):
+    def backward(g, needs, outs):
         out = np.zeros_like(a.data)
         np.add.at(out, idx, g)
         return (out,)
@@ -340,7 +340,7 @@ def dense(x, weights, bias, activation: str = "identity",
     # the closure holds the output array, not the node: a node reachable
     # from its own backward would be a reference cycle, and the whole
     # graph below it would wait for the cycle collector
-    def backward(g, needs):
+    def backward(g, needs, outs):
         if mask is not None:
             g = g * mask
             if relu:
@@ -348,8 +348,8 @@ def dense(x, weights, bias, activation: str = "identity",
         elif relu:
             g = g * (out > 0.0)
         return (g @ weights.data.T if needs[0] else None,
-                x.data.T @ g if needs[1] else None,
-                g.sum(axis=0) if needs[2] else None)
+                np.matmul(x.data.T, g, out=outs[1]) if needs[1] else None,
+                g.sum(axis=0, out=outs[2]) if needs[2] else None)
 
     return Tensor(out, parents=(x, weights, bias), forward=fwd, backward=backward)
 
@@ -386,39 +386,43 @@ class GradientTape:
     parameters to differentiate with respect to, and :meth:`replay`,
     which re-executes the recorded graph and must reproduce the forward
     value bit-for-bit.  Not thread-safe; use one tape per thread.
+
+    A tape bound to a :class:`FlatStore` registers only that store's own
+    arrays, and :meth:`gradient` lays the gradients out in its layout.
     """
 
-    def __init__(self):
+    def __init__(self, store: FlatStore | None = None):
+        self._store = store
         self._params: dict[str, Tensor] = {}
 
     def parameter(self, name: str, value) -> Tensor:
         """Create and register a trainable leaf tensor."""
         if name in self._params:
             raise ContractViolation(f"parameter {name!r} registered twice")
+        if self._store is not None and self._store.get(name) is not value:
+            raise ContractViolation(
+                f"parameter {name!r} is not an array of the tape's store"
+            )
         t = Tensor(value, name=name)
         self._params[name] = t
         return t
-
-    def watch(self, name: str, tensor: Tensor) -> Tensor:
-        """Register an existing leaf tensor as a parameter."""
-        if tensor.parents:
-            raise ContractViolation("only leaf tensors can be watched")
-        if name in self._params:
-            raise ContractViolation(f"parameter {name!r} registered twice")
-        self._params[name] = tensor
-        return tensor
 
     @property
     def parameters(self) -> dict[str, Tensor]:
         return dict(self._params)
 
-    def gradient(self, loss: Tensor) -> dict[str, Array]:
+    def gradient(self, loss: Tensor) -> FlatStore:
         """Gradient of the scalar ``loss`` w.r.t. every registered parameter.
 
-        Parameters not reachable from ``loss`` receive zero gradients;
-        if none are reachable the loss is not connected to this tape and
-        a :class:`ContractViolation` is raised.  The returned arrays may
-        share memory with one another: read them, do not write to them.
+        Returns a store showing each registered name.  With a bound store
+        it is that store's :meth:`~FlatStore.gradient_store`, valid until
+        the next gradient taken against the same store; without one, the
+        names are packed in registration order into a new vector.  A
+        parameter's first gradient is written into its slice, later ones
+        are added to it in place, and a parameter not reachable from
+        ``loss`` gets zeros.  If none is reachable the loss is not
+        connected to this tape and a :class:`ContractViolation` is
+        raised.
         """
         if loss.data.shape != ():
             raise ContractViolation(
@@ -438,25 +442,39 @@ class GradientTape:
                 "loss is not connected to any parameter registered on this tape"
             )
 
-        # gradients are never written in place: a node's first gradient is
-        # stored as it came, which may be another node's array or a view
+        if self._store is not None:
+            out = self._store.gradient_store(self._params)
+        else:
+            out = FlatStore(pack((n, p.shape) for n, p in self._params.items()))
+        slots = {id(p): out[name] for name, p in self._params.items()}
+        fresh = dict(slots)  # slots no gradient has reached yet
+        if id(loss) in fresh:
+            fresh.pop(id(loss))[...] = 1.0
+        # other gradients are never written in place: a node's first
+        # gradient is stored as it came, which may be another node's
+        # array or a view
         grads: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
         for node in reversed(order):
             g = grads.get(id(node))
             if g is None or node._backward is None or id(node) not in needed:
                 continue
-            needs = tuple(id(p) in needed for p in node.parents)
-            for parent, need, pg in zip(node.parents, needs,
-                                        node._backward(g, needs)):
+            parents = node.parents
+            needs = tuple(id(p) in needed for p in parents)
+            outs = tuple(fresh.pop(id(p), None) for p in parents)
+            for parent, need, slot, pg in zip(parents, needs, outs,
+                                              node._backward(g, needs, outs)):
                 if not need:
                     continue
-                acc = grads.get(id(parent))
-                grads[id(parent)] = pg if acc is None else acc + pg
-
-        out: dict[str, Array] = {}
-        for name, p in self._params.items():
-            g = grads.get(id(p))
-            out[name] = np.zeros_like(p.data) if g is None else g.reshape(p.shape)
+                dest = slots.get(id(parent))
+                if dest is None:
+                    acc = grads.get(id(parent))
+                    grads[id(parent)] = pg if acc is None else acc + pg
+                elif slot is None:
+                    dest += pg.reshape(dest.shape)
+                elif pg is not slot:
+                    dest[...] = pg.reshape(dest.shape)
+        for dest in fresh.values():
+            dest.fill(0.0)
         return out
 
     def replay(self, root: Tensor) -> Array:
@@ -475,6 +493,6 @@ class GradientTape:
         return values[id(root)]
 
 
-def grad(loss: Tensor, tape: GradientTape) -> dict[str, Array]:
+def grad(loss: Tensor, tape: GradientTape) -> FlatStore:
     """Module-level alias for :meth:`GradientTape.gradient`."""
     return tape.gradient(loss)

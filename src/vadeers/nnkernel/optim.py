@@ -1,35 +1,98 @@
-"""Adam optimizer acting on flat name -> array parameter stores."""
+"""Adam optimizer acting on name -> array parameter stores."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..exceptions import ContractViolation
+from .store import FlatStore
 
-Params = dict[str, np.ndarray]
+Params = Mapping[str, np.ndarray]
+
+# Elements per pass of the update sequence, so that a block's parameter,
+# gradient, moment and work slices stay in cache between its 15 ufuncs.
+# A joint-step update at desk dims (a run of 237,355 elements, 2-core
+# Xeon VM) took 1.26 ms in blocks of 32,768, 1.37 ms in blocks of 8,192,
+# 1.54 ms in blocks of 131,072 and 1.64 ms in one pass.
+ADAM_BLOCK = 32_768
 
 
 @dataclass
 class AdamState:
-    """First/second moment estimates plus the completed step count, and
-    the work buffers :func:`adam_step` reuses from call to call."""
+    """First/second moment estimates plus the completed step count.
 
-    m: Params = field(default_factory=dict)
-    v: Params = field(default_factory=dict)
+    The moments of each run of names that :func:`adam_step` updates
+    together live in one vector per moment; ``m`` and ``v`` map every
+    name updated so far to its view of those vectors, and hold no entry
+    for a name never updated."""
+
+    m: dict[str, np.ndarray] = field(default_factory=dict)
+    v: dict[str, np.ndarray] = field(default_factory=dict)
     step_index: int = 0
-    _scratch: list[np.ndarray] = field(default_factory=list, init=False,
-                                       repr=False, compare=False)
+    _runs: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
-    def _buffers(self, shape: tuple[int, ...]):
-        """Two float64 buffers and one bool buffer of ``shape``, as views
-        of flat arrays grown to the largest size asked for so far."""
-        size = int(np.prod(shape))
-        if not self._scratch or self._scratch[0].size < size:
-            self._scratch = [np.empty(size), np.empty(size),
-                             np.empty(size, dtype=bool)]
-        return tuple(buf[:size].reshape(shape) for buf in self._scratch)
+    def _moments(self, names: tuple[str, ...], params: Params):
+        """The (m, v) vectors of the run ``names``.  A run seen for the
+        first time gets new vectors, zero but for the names updated
+        before, whose moments are moved in; a run that shared a name
+        with it is forgotten, so its vectors get rebuilt the same way."""
+        got = self._runs.get(names)
+        if got is None:
+            for key in [k for k in self._runs if not set(k).isdisjoint(names)]:
+                del self._runs[key]
+            got = self._runs[names] = (_gather(self.m, names, params),
+                                       _gather(self.v, names, params))
+        return got
+
+
+def _gather(moments: dict[str, np.ndarray], names: tuple[str, ...],
+            params: Params) -> np.ndarray:
+    buf = np.zeros(sum(params[n].size for n in names))
+    start = 0
+    for name in names:
+        shape = params[name].shape
+        view = buf[start: start + params[name].size].reshape(shape)
+        old = moments.get(name)
+        if old is not None:
+            if old.shape != shape:
+                raise ContractViolation(
+                    f"moment shape {old.shape} does not match parameter "
+                    f"{name!r} shape {shape}"
+                )
+            view[...] = old
+        moments[name] = view
+        start += view.size
+    return buf
+
+
+def _vector(p: np.ndarray, name: str) -> np.ndarray:
+    if not p.flags.c_contiguous:
+        raise ContractViolation(f"parameter {name!r} is not C-contiguous")
+    return p.reshape(-1)
+
+
+def _runs_of(params: Params, grads: Params):
+    """(names, parameter vector, gradient vector) of each run updated as
+    one: the maximal stretches of adjacent names when ``grads`` shares the
+    layout of a flat ``params``, else each name alone."""
+    for name, g in grads.items():
+        if name not in params:
+            raise ContractViolation(f"gradient for unknown parameter {name!r}")
+        if g.shape != params[name].shape:
+            raise ContractViolation(
+                f"gradient shape {g.shape} does not match parameter "
+                f"{name!r} shape {params[name].shape}"
+            )
+    if (isinstance(params, FlatStore) and isinstance(grads, FlatStore)
+            and grads.layout is params.layout):
+        return [(tuple(names), params.flat[start:stop], grads.flat[start:stop])
+                for start, stop, names in grads.runs()]
+    return [((name,), _vector(params[name], name), g.reshape(-1))
+            for name, g in grads.items()]
 
 
 def adam_step(
@@ -51,46 +114,39 @@ def adam_step(
     objects are returned: a graph whose tensors share those parameter
     arrays must not be used after the step.  Each operation of the
     out-of-place form ``p - lr * m_hat / (sqrt(v_hat) + eps)`` runs in
-    its order on reused buffers, so the results are bit-identical to it.
+    its order on work buffers, once per run of adjacent names and block
+    of ``ADAM_BLOCK`` elements; every operation is elementwise, so the
+    results are bit-identical to the out-of-place form.
     """
     t = state.step_index + 1 if step_index is None else step_index
     if t < 1:
         raise ContractViolation(f"step_index must be >= 1, got {t}")
 
-    for name, g in grads.items():
-        if name not in params:
-            raise ContractViolation(f"gradient for unknown parameter {name!r}")
-        p = params[name]
-        if g.shape != p.shape:
-            raise ContractViolation(
-                f"gradient shape {g.shape} does not match parameter "
-                f"{name!r} shape {p.shape}"
-            )
-
-    for name, g in grads.items():
-        p = params[name]
-        m = state.m.get(name)
-        v = state.v.get(name)
-        if m is None:
-            m = state.m[name] = np.zeros_like(p)
-            v = state.v[name] = np.zeros_like(p)
-        step, root, moved = state._buffers(p.shape)
-        m *= beta1
-        np.multiply(g, 1.0 - beta1, out=step)
-        m += step
-        v *= beta2
-        np.multiply(g, g, out=step)
-        step *= 1.0 - beta2
-        v += step
-        np.divide(m, 1.0 - beta1**t, out=step)
-        np.divide(v, 1.0 - beta2**t, out=root)
-        np.sqrt(root, out=root)
-        root += eps
-        step *= lr
-        step /= root
-        # a zero gradient decays the moments but leaves the value alone
-        np.not_equal(g, 0.0, out=moved)
-        np.subtract(p, step, out=p, where=moved)
+    runs = _runs_of(params, grads)
+    size = min(ADAM_BLOCK, max((p.size for _, p, _ in runs), default=0))
+    work = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    for names, p_run, g_run in runs:
+        m_run, v_run = state._moments(names, params)
+        for start in range(0, p_run.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            p, g, m, v = p_run[block], g_run[block], m_run[block], v_run[block]
+            step, root, moved = (buf[:p.size] for buf in work)
+            m *= beta1
+            np.multiply(g, 1.0 - beta1, out=step)
+            m += step
+            v *= beta2
+            np.multiply(g, g, out=step)
+            step *= 1.0 - beta2
+            v += step
+            np.divide(m, 1.0 - beta1**t, out=step)
+            np.divide(v, 1.0 - beta2**t, out=root)
+            np.sqrt(root, out=root)
+            root += eps
+            step *= lr
+            step /= root
+            # a zero gradient decays the moments but leaves the value alone
+            np.not_equal(g, 0.0, out=moved)
+            np.subtract(p, step, out=p, where=moved)
 
     state.step_index = t
     return params, state

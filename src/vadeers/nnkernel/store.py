@@ -1,0 +1,129 @@
+"""Named float64 arrays kept as views of one contiguous vector.
+
+A :class:`FlatStore` lays its arrays end to end in ``flat``; every name
+owns one slice, reshaped to its shape.  The model's parameters, the
+gradients of a tape bound to them and the Adam moments share one layout,
+so a stretch of adjacent names is one slice of each vector and a
+whole-model copy, checkpoint or update pass is one array operation.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterable, Mapping, MutableMapping
+
+import numpy as np
+
+from ..exceptions import ContractViolation
+
+# name -> (start, stop, shape) of its slice of the flat vector
+Layout = dict[str, tuple[int, int, tuple[int, ...]]]
+
+
+def pack(shapes: Iterable[tuple[str, tuple[int, ...]]]) -> Layout:
+    """The layout placing the named shapes end to end, in the given order."""
+    layout: Layout = {}
+    start = 0
+    for name, shape in shapes:
+        shape = tuple(int(s) for s in shape)
+        stop = start + int(np.prod(shape, dtype=np.int64))
+        layout[name] = (start, stop, shape)
+        start = stop
+    return layout
+
+
+class FlatStore(MutableMapping):
+    """Name -> array mapping whose values are views of ``flat``.
+
+    Assigning to a name copies the value into its view, so every holder
+    of a view, and of ``flat``, sees the change; an unknown name or a
+    value of another shape raises :class:`ContractViolation`.  Stores
+    made by :meth:`gradient_store` share their layout object with the store
+    they came from, which is how :func:`~vadeers.nnkernel.optim.adam_step`
+    knows two stores line up.  A store may show only some of its
+    layout's names: the rest of ``flat`` is then unused.
+    """
+
+    __slots__ = ("layout", "flat", "_views", "_grad")
+
+    def __init__(self, layout: Layout, flat: np.ndarray | None = None,
+                 names: Iterable[str] | None = None):
+        size = max((stop for _, stop, _ in layout.values()), default=0)
+        if flat is None:
+            flat = np.zeros(size)
+        if flat.dtype != np.float64 or flat.shape != (size,):
+            raise ContractViolation(
+                f"flat store needs a float64 vector of {size}, got "
+                f"{flat.dtype} {flat.shape}"
+            )
+        self.layout = layout
+        self.flat = flat
+        self._grad: np.ndarray | None = None
+        self._views = {}
+        for name in layout if names is None else names:
+            start, stop, shape = layout[name]
+            self._views[name] = flat[start:stop].reshape(shape)
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "FlatStore":
+        """A new store holding copies of ``arrays``, in sorted-name order."""
+        store = cls(pack((n, np.shape(arrays[n])) for n in sorted(arrays)))
+        for name, value in arrays.items():
+            store[name] = value
+        return store
+
+    def gradient_store(self, names: Iterable[str]) -> "FlatStore":
+        """A store of this layout showing ``names``, over the one work
+        vector this store lends to each call in turn: what an earlier
+        result holds is overwritten.  A vector allocated anew at every
+        optimizer step cost page faults that reuse avoids."""
+        if self._grad is None:
+            self._grad = np.empty(self.flat.size)
+        return FlatStore(self.layout, self._grad, names)
+
+    def copy(self) -> "FlatStore":
+        return FlatStore(self.layout, self.flat.copy(), self._views)
+
+    def runs(self) -> list[tuple[int, int, list[str]]]:
+        """(start, stop, names) of each maximal stretch of ``flat``
+        covered by adjacent shown names, in vector order."""
+        out: list[tuple[int, int, list[str]]] = []
+        for start, stop, name in sorted((self.layout[n][0], self.layout[n][1], n)
+                                        for n in self._views):
+            if out and out[-1][1] == start:
+                out[-1] = (out[-1][0], stop, [*out[-1][2], name])
+            else:
+                out.append((start, stop, [name]))
+        return out
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self._views[name]
+
+    def __setitem__(self, name: str, value) -> None:
+        view = self._views.get(name)
+        if view is None:
+            raise ContractViolation(f"unknown parameter {name!r}")
+        value = np.asarray(value, dtype=np.float64)
+        if value.shape != view.shape:
+            raise ContractViolation(
+                f"parameter {name!r} has shape {view.shape}, got {value.shape}"
+            )
+        view[...] = value
+
+    def __delitem__(self, name: str) -> None:
+        """Drop ``name`` and repack the others into a new vector; views
+        taken before no longer belong to the store."""
+        rest = {n: v for n, v in self._views.items() if n != name}
+        if len(rest) == len(self._views):
+            raise KeyError(name)
+        packed = FlatStore.from_arrays(rest)
+        self.layout, self.flat, self._views = packed.layout, packed.flat, packed._views
+        self._grad = None
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+    def __contains__(self, name) -> bool:
+        return name in self._views

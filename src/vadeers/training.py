@@ -21,6 +21,7 @@ from .exceptions import CheckpointError, ContractViolation, DataError, NumericEr
 from .model import Batch, LossWeights, ModelConfig, VadeersModel
 from .nnkernel import (
     AdamState,
+    FlatStore,
     GradientTape,
     Tensor,
     adam_step,
@@ -30,6 +31,7 @@ from .nnkernel import (
     tmean,
     wrap,
 )
+from .nnkernel.store import pack
 
 CHECKPOINT_MAGIC = b"VADEERS\x01"
 CHECKPOINT_VERSION = 1
@@ -231,7 +233,7 @@ def _params_hash(model: VadeersModel, groups: tuple[str, ...]) -> str:
     for group in groups:
         for name in model.group_names(group):
             h.update(name.encode())
-            h.update(model.params[name].tobytes())
+            h.update(model.params[name])
     return h.hexdigest()
 
 
@@ -313,7 +315,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             order = rng_break.permutation(len(break_rows[0]))
             for chunk in _batched(order, schedule.dvae_break_batch):
                 xs, ip, mask, labels = (rows[chunk] for rows in break_rows)
-                tape = GradientTape()
+                tape = GradientTape(model.params)
                 binder = model.binder(tape)
                 try:
                     loss, _, _ = model.dvae_loss_batch(
@@ -341,7 +343,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             rows = train_rows[chunk]
             batch = build_pair_batch(data_std, rows)
             touch(data_std.pair_cell[rows])
-            tape = GradientTape()
+            tape = GradientTape(model.params)
             binder = model.binder(tape)
             try:
                 loss, parts, _ = model.total_loss(binder, batch, weights,
@@ -392,7 +394,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             touch(pc_idx[chunk])
             dl = drug_mu[pd_idx[chunk]]
             cl = cell_lat[pc_idx[chunk]]
-            tape = GradientTape()
+            tape = GradientTape(model.params)
             binder = model.binder(tape)
             try:
                 preds = model.dspn_predict(dl, cl, binder, mode="train",
@@ -448,9 +450,7 @@ def save_checkpoint(checkpoint: Checkpoint, path):
     replaced atomically: a write that fails leaves the previous file, if
     any, and no temporary file."""
     model = checkpoint.model
-    names = sorted(model.params)
-    payload = b"".join(np.ascontiguousarray(model.params[n], dtype="<f8").tobytes()
-                       for n in names)
+    payload = model.flat.astype("<f8", copy=False).tobytes()
     header = {
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
@@ -460,7 +460,7 @@ def save_checkpoint(checkpoint: Checkpoint, path):
         "split_cells": checkpoint.split_cells,
         "seed": checkpoint.seed,
         "arrays": [
-            {"name": n, "shape": list(model.params[n].shape)} for n in names
+            {"name": n, "shape": list(a.shape)} for n, a in model.params.items()
         ],
         "payload_sha256": hashlib.sha256(payload).hexdigest(),
     }
@@ -509,6 +509,32 @@ def _header_arrays(path: Path, entries,
     return arrays
 
 
+def _check_widths(path, config: ModelConfig, source: str,
+                  widths: dict[str, int]) -> None:
+    for dim, want in widths.items():
+        got = getattr(config, dim)
+        if got != want:
+            raise CheckpointError(
+                f"{path}: checkpoint {dim}={got} does not match "
+                f"{source} {dim}={want}"
+            )
+
+
+def check_compatible(checkpoint: Checkpoint, dataset: Dataset, path) -> None:
+    """Raise :class:`CheckpointError`, naming the checkpoint file
+    ``path``, unless ``dataset`` has the checkpoint's input widths and
+    every drug the checkpoint's guiding labels name."""
+    _check_widths(path, checkpoint.model.config, "the dataset's", {
+        "smiles_dim": dataset.smiles_dim, "ip_dim": dataset.ip_dim,
+        "bio_dim": dataset.bio_dim})
+    missing = sorted(set(checkpoint.guiding_labels or ()) - set(dataset.drug_ids))
+    if missing:
+        raise CheckpointError(
+            f"{path}: {len(missing)} guiding-label drug(s) of the checkpoint "
+            f"are not in the dataset, first {missing[0]!r}"
+        )
+
+
 def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
     path = Path(path)
     raw = path.read_bytes()
@@ -529,32 +555,25 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         )
     config = _header_config(path, header.get("config"))
     if expected_config is not None:
-        for dim in ("smiles_dim", "ip_dim", "bio_dim", "latent_dim"):
-            got, want = getattr(config, dim), getattr(expected_config, dim)
-            if got != want:
-                raise CheckpointError(
-                    f"{path}: checkpoint {dim}={got} does not match "
-                    f"expected {dim}={want}"
-                )
+        _check_widths(path, config, "expected", {
+            dim: getattr(expected_config, dim)
+            for dim in ("smiles_dim", "ip_dim", "bio_dim", "latent_dim")})
     expected = VadeersModel(config, {}).param_shapes()
-    arrays = _header_arrays(path, header.get("arrays"), expected)
-    payload_start = offset
-    params: dict[str, np.ndarray] = {}
-    for name, shape in arrays:
-        nbytes = int(np.prod(shape)) * 8
-        chunk = raw[offset: offset + nbytes]
-        if len(chunk) != nbytes:
+    layout = pack(_header_arrays(path, header.get("arrays"), expected))
+    have = (len(raw) - offset) // 8
+    for name, (_, stop, _) in layout.items():
+        if stop > have:
             raise CheckpointError(f"{path}: truncated array {name!r}")
-        params[name] = np.frombuffer(chunk, dtype="<f8").reshape(shape).copy()
-        offset += nbytes
-    if offset != len(raw):
+    size = max((stop for _, stop, _ in layout.values()), default=0)
+    if offset + 8 * size != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after arrays")
     # files written before the field existed carry no hash and still load
     want = header.get("payload_sha256")
     if (want is not None
-            and hashlib.sha256(memoryview(raw)[payload_start:]).hexdigest() != want):
+            and hashlib.sha256(memoryview(raw)[offset:]).hexdigest() != want):
         raise CheckpointError(f"{path}: payload does not match its payload_sha256")
-    model = VadeersModel(config, params)
+    flat = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
+    model = VadeersModel(config, FlatStore(layout, flat.astype(np.float64)))
     labels = header.get("guiding_labels")
     return Checkpoint(
         model=model,

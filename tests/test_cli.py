@@ -437,6 +437,37 @@ def test_evaluate_rejects_changed_dataset(tmp_path, run_dir, data_dir,
     assert code == 2
 
 
+def test_evaluate_other_widths_exit_2(tmp_path, run_dir, capsys):
+    cfg = tmp_path / "narrow.json"
+    cfg.write_text(json.dumps({"synth": {"smiles_dim": 16}}))
+    other = tmp_path / "narrow_data"
+    assert run("synth", "--out", other, "--seed", "0", "--n-drugs", "24",
+               "--n-profiled", "12", "--n-cells", "20", "--observance", "0.8",
+               "--config", cfg) == 0
+    capsys.readouterr()
+    assert run("evaluate", "--checkpoint", run_dir / "checkpoint.bin",
+               "--data", other, "--out", tmp_path / "e") == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.bin" in err and "smiles_dim=16" in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_missing_labeled_drug_exit_2(tmp_path, run_dir, capsys):
+    other = tmp_path / "fewer_drugs"
+    assert run("synth", "--out", other, "--seed", "0", "--n-drugs", "12",
+               "--n-profiled", "6", "--n-cells", "20",
+               "--observance", "0.8") == 0
+    labels = load_checkpoint(run_dir / "checkpoint.bin").guiding_labels
+    missing = sorted(set(labels) - set(load_csv(other).drug_ids))
+    assert missing
+    capsys.readouterr()
+    assert run("evaluate", "--checkpoint", run_dir / "checkpoint.bin",
+               "--data", other, "--out", tmp_path / "e") == 2
+    err = capsys.readouterr().err
+    assert "checkpoint.bin" in err and repr(missing[0]) in err
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # experiment grid
 # ---------------------------------------------------------------------------
@@ -539,3 +570,28 @@ def test_bad_config_key_exit_2(tmp_path, data_dir):
     cfg.write_text(json.dumps({"schedule": {"bogus_knob": 1}}))
     assert run("train", "--data", data_dir, "--out", tmp_path / "o",
                "--config", cfg) == 2
+
+
+@pytest.mark.parametrize("config, argv, code, names", [
+    ([1, 2], (), 2, ["bad.json"]),
+    ({"model": {"latent_dim": "3"}}, (), 2, ["'model'", "'latent_dim'"]),
+    ({"weights": {"prior": "x"}}, (), 2, ["'weights'", "'prior'"]),
+    ({"model": {"dspn_dims": 5}}, (), 2, ["'model'", "'dspn_dims'"]),
+    ({"split": {"n_val_cells": 2.5}}, (), 2, ["'split'", "'n_val_cells'"]),
+    ({"schedule": 3}, (), 2, ["'schedule'"]),
+    ({"seed": "x"}, (), 2, ["'seed'"]),
+    (None, ("experiment", "--seeds", "a"), 1, ["--seeds"]),
+])
+def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
+                                                config, argv, code, names):
+    cfg = tmp_path / "bad.json"
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+        argv = ("train", "--config", cfg)
+    capsys.readouterr()
+    assert run(*argv, "--data", data_dir, "--out", tmp_path / "o") == code
+    captured = capsys.readouterr()
+    out = captured.out + captured.err
+    assert "Traceback" not in out
+    assert all(name in out for name in names), out
+    assert not (tmp_path / "o").exists()

@@ -495,3 +495,77 @@ def test_constrained_log_scales_never_registered():
     grads = grad(loss, tape)
     assert "gmm.log_scales" not in grads
     assert "gmm.means" in grads
+
+
+# ---------------------------------------------------------------------------
+# flat parameter store
+# ---------------------------------------------------------------------------
+
+def test_params_are_views_of_flat_in_sorted_order():
+    model = toy_model(variant="gmm_constrained")
+    offset = 0
+    for name in sorted(model.params):
+        view = model.params[name]
+        assert view.base is model.flat or view.base.base is model.flat
+        assert np.shares_memory(view, model.flat)
+        assert np.array_equal(view.reshape(-1),
+                              model.flat[offset: offset + view.size])
+        offset += view.size
+    assert offset == model.flat.size
+    assert list(model.params) == sorted(model.params)
+
+
+def test_flat_bytes_are_the_checkpoint_payload(tmp_path):
+    from vadeers.training import Checkpoint, load_checkpoint, save_checkpoint
+
+    model = toy_model(variant="gmm_constrained")
+    path = tmp_path / "m.bin"
+    save_checkpoint(Checkpoint(model=model), path)
+    payload = model.flat.tobytes()
+    assert path.read_bytes()[-len(payload):] == payload
+    assert load_checkpoint(path).model.flat.tobytes() == payload
+
+
+def test_param_assignment_copies_into_the_view():
+    model = toy_model()
+    view = model.params["dspn.out.b"]
+    model.params["dspn.out.b"] = np.array([2.5])
+    assert model.params["dspn.out.b"] is view
+    assert view[0] == 2.5 and 2.5 in model.flat
+    with pytest.raises(ContractViolation):
+        model.params["dspn.out.b"] = np.zeros(2)
+    with pytest.raises(ContractViolation):
+        model.params["dspn.nope"] = np.zeros(1)
+
+
+def test_model_copy_shares_no_memory():
+    model = toy_model()
+    clone = model.copy()
+    assert not np.shares_memory(clone.flat, model.flat)
+    for name in model.params:
+        assert not np.shares_memory(clone.params[name], model.flat)
+        assert np.array_equal(clone.params[name], model.params[name])
+    clone.params["dspn.out.b"] = np.array([7.0])
+    assert model.params["dspn.out.b"][0] != 7.0
+
+
+def test_store_bound_tape_gradients_match_unbound_bit_for_bit():
+    batch = toy_batch(seed=60)
+    for variant in ("vanilla", "gmm_constrained"):
+        model = toy_model(variant=variant, seed=61)
+        grads = []
+        for tape in (GradientTape(), GradientTape(model.params)):
+            binder = model.binder(tape)
+            binder("cae.dec.out.b")  # registered, but no path reaches it
+            loss, _, _ = model.dvae_loss_batch(
+                binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
+                LossWeights(), np.random.default_rng(62))
+            # what the reused vector held must not leak into a slice
+            model.params.gradient_store(model.params).flat[:] = np.nan
+            grads.append(tape.gradient(loss))
+        unbound, bound = grads
+        assert list(bound) == list(unbound)
+        assert bound.layout is model.params.layout
+        for name in unbound:
+            assert bound[name].tobytes() == unbound[name].tobytes()
+        assert not bound["cae.dec.out.b"].any()

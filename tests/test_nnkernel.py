@@ -360,6 +360,66 @@ def test_adam_in_place_matches_out_of_place_oracle():
     assert "idle" not in state.m
 
 
+def test_adam_runs_of_a_flat_store_match_out_of_place_oracle(monkeypatch):
+    from vadeers.nnkernel import FlatStore, optim
+
+    # blocks of 4 split every run; "b" is frozen between two active runs
+    monkeypatch.setattr(optim, "ADAM_BLOCK", 4)
+    rng = np.random.default_rng(14)
+    params = FlatStore.from_arrays({
+        "a1": rng.standard_normal((3, 3)), "a2": rng.standard_normal(2),
+        "b": rng.standard_normal(4), "c": rng.standard_normal((2, 5)),
+        "d": rng.standard_normal(3)})
+    frozen = params["b"].copy()
+    active = ["a1", "a2", "c", "d"]
+    ref = {n: params[n].copy() for n in params}
+    m, v = {}, {}
+    state = AdamState()
+    for t in range(1, 6):
+        grads = params.gradient_store(active)
+        assert [(stop - start, names) for start, stop, names in grads.runs()] \
+            == [(11, ["a1", "a2"]), (13, ["c", "d"])]
+        for name in active:
+            grads[name] = rng.standard_normal(params[name].shape)
+        grads["a1"][1] = 0.0
+        grads["c"][t % 2, t - 1] = 0.0
+        if t == 3:
+            grads["d"] = np.zeros(3)
+        ref, m, v = adam_out_of_place(ref, dict(grads), m, v, t, lr=0.01)
+        out, state = adam_step(params, grads, state, lr=0.01)
+        assert out is params
+        for name in params:
+            assert params[name].tobytes() == ref[name].tobytes()
+        for name in active:
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+    assert params["b"].tobytes() == frozen.tobytes()
+    assert "b" not in state.m and "b" not in state.v
+    assert sorted(state._runs) == [("a1", "a2"), ("c", "d")]
+    assert sum(mv[0].size for mv in state._runs.values()) == 24
+
+
+def test_adam_moments_follow_a_name_into_a_new_run():
+    from vadeers.nnkernel import FlatStore
+
+    rng = np.random.default_rng(15)
+    params = FlatStore.from_arrays({n: rng.standard_normal(3) for n in "abc"})
+    ref = {n: params[n].copy() for n in params}
+    m, v = {}, {}
+    state = AdamState()
+    for t, names in enumerate((["a", "b"], ["b", "c"], ["a", "b", "c"]), 1):
+        grads = params.gradient_store(names)
+        for name in names:
+            grads[name] = rng.standard_normal(3)
+        ref, m, v = adam_out_of_place(ref, dict(grads), m, v, t, lr=0.1)
+        adam_step(params, grads, state, lr=0.1)
+        for name in params:
+            assert params[name].tobytes() == ref[name].tobytes()
+        for name in m:
+            assert state.m[name].tobytes() == m[name].tobytes()
+            assert state.v[name].tobytes() == v[name].tobytes()
+
+
 def test_adam_shape_mismatch():
     with pytest.raises(ContractViolation):
         adam_step({"p": np.zeros(2)}, {"p": np.zeros(3)}, AdamState(), lr=0.1)
