@@ -34,7 +34,13 @@ from .data import (
     read_feature_csv,
     save_csv,
 )
-from .exceptions import CheckpointError, DataError, NumericError, VadeersError
+from .exceptions import (
+    CheckpointError,
+    ContractViolation,
+    DataError,
+    NumericError,
+    VadeersError,
+)
 from .metrics import evaluate, generate_profiles, pca2
 from .model import LossWeights, ModelConfig, PRIOR_VARIANTS
 from .training import (
@@ -85,11 +91,14 @@ def _type_name(hint) -> str:
     return hint.__name__ if isinstance(hint, type) else str(hint)
 
 
-def _merged(cls, defaults: dict, config: dict, section: str,
-            flags: dict) -> dict:
-    """flag > config file > default, skipping unset (None) flags.  The
-    values of the config file's ``section`` must have the types of the
-    fields of the dataclass ``cls``."""
+def _configured(cls, defaults: dict, config: dict, section: str,
+                flags: dict, **fixed):
+    """``cls`` built from flag > config file > default, skipping unset
+    (None) flags, and the ``fixed`` values.  The values of the config
+    file's ``section`` must have the types of the fields of the
+    dataclass ``cls``.  When ``cls`` rejects the values and would accept
+    them with one config-file value set back to its default, that value
+    is at fault and the error names its section and key."""
     values = config.get(section) or {}
     if not isinstance(values, dict):
         raise DataError(f"config section {section!r} must be an object")
@@ -101,11 +110,27 @@ def _merged(cls, defaults: dict, config: dict, section: str,
         if not _fits(v, hints[k]):
             raise DataError(f"config section {section!r}, key {k!r}: "
                             f"{v!r} is not of type {_type_name(hints[k])}")
-        out[k] = v
+        out[k] = tuple(v) if isinstance(v, list) else v
     for k, v in flags.items():
         if v is not None:
             out[k] = v
-    return out
+    try:
+        return cls(**{**out, **fixed})
+    except ContractViolation as exc:
+        for k in values:
+            if flags.get(k) is None and _accepts(cls, {**out, k: defaults[k],
+                                                        **fixed}):
+                raise DataError(f"config section {section!r}, key {k!r}: "
+                                f"{exc}") from None
+        raise
+
+
+def _accepts(cls, values: dict) -> bool:
+    try:
+        cls(**values)
+    except ContractViolation:
+        return False
+    return True
 
 
 def _field_defaults(cls, *exclude: str) -> dict:
@@ -156,10 +181,10 @@ def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observanc
     seed = _pick(config, "seed", seed, 0)
     scale = _pick(config, "scale", scale, "desk")
     base = asdict(DESK_SPEC if scale == "desk" else SynthSpec())
-    spec = SynthSpec(**_merged(SynthSpec, base, config, "synth", {
+    spec = _configured(SynthSpec, base, config, "synth", {
         "n_drugs": n_drugs, "n_profiled": n_profiled,
         "n_cells": n_cells, "observance": observance,
-    }))
+    })
     out_dir = _out_dir(out, f"synth-seed{seed}")
     dataset = generate_synthetic(spec, seed=seed)
     save_csv(dataset, out_dir, seed=seed, generator_spec=spec)
@@ -174,20 +199,19 @@ def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observanc
 def _run_training(dataset: Dataset, config: dict, variant: str, seed: int,
                   model_flags: dict, schedule_flags: dict,
                   split_flags: dict) -> tuple[TrainResult, ModelConfig, SplitSpec]:
-    model_config = ModelConfig.from_dict({**_merged(
+    model_config = _configured(
         ModelConfig,
         {**_field_defaults(ModelConfig), "smiles_dim": dataset.smiles_dim,
          "ip_dim": dataset.ip_dim, "bio_dim": dataset.bio_dim},
-        config, "model", model_flags), "prior_variant": variant})
+        config, "model", model_flags, prior_variant=variant)
     # the run seed and the derived epoch total are not configurable
-    schedule = TrainSchedule(seed=seed, **_merged(
+    schedule = _configured(
         TrainSchedule, _field_defaults(TrainSchedule, "seed", "total_epochs"),
-        config, "schedule", schedule_flags))
-    split_spec = SplitSpec(seed=seed, **_merged(
-        SplitSpec, _field_defaults(SplitSpec, "seed"), config, "split",
-        split_flags))
-    weights = LossWeights(**_merged(
-        LossWeights, _field_defaults(LossWeights), config, "weights", {}))
+        config, "schedule", schedule_flags, seed=seed)
+    split_spec = _configured(SplitSpec, _field_defaults(SplitSpec, "seed"),
+                             config, "split", split_flags, seed=seed)
+    weights = _configured(LossWeights, _field_defaults(LossWeights), config,
+                          "weights", {})
     if model_config.uses_gmm:
         dataset = derive_guiding_labels(
             dataset, n_labels=model_config.n_guiding_labels, seed=seed)

@@ -21,17 +21,15 @@ from .nnkernel import (
     LayerSpec,
     Tensor,
     add,
-    affine,
     as_matrix,
     concat,
+    dense,
     exp,
     init_layer_params,
     mlp_forward,
     mul,
     neg,
     reshape,
-    square,
-    sub,
     take_rows,
     tmean,
     tsum,
@@ -330,8 +328,8 @@ class VadeersModel:
             )
         chain = self.dvae_encoder_chain()
         h = mlp_forward(x, [s for _, s in chain], binder.pairs(chain))
-        mu = affine(h, binder("dvae.enc.mu.W"), binder("dvae.enc.mu.b"))
-        log_sigma = affine(h, binder("dvae.enc.logsig.W"), binder("dvae.enc.logsig.b"))
+        mu = dense(h, binder("dvae.enc.mu.W"), binder("dvae.enc.mu.b"))
+        log_sigma = dense(h, binder("dvae.enc.logsig.W"), binder("dvae.enc.logsig.b"))
         if not (np.all(np.isfinite(mu.data)) and np.all(np.isfinite(log_sigma.data))):
             raise NumericError("non-finite encoder head output")
         if sample:
@@ -395,9 +393,12 @@ class VadeersModel:
             binder("gmm.logits"), binder("gmm.means"), binder("gmm.log_scales"),
         )
 
-    def _dvae_terms(self, enc: EncoderOutput, recon: Tensor, ip_pred: Tensor,
-                    ip, ip_mask, labels, x_smiles,
-                    weights: LossWeights, binder: _Binder):
+    def dvae_terms(self, enc: EncoderOutput, recon: Tensor, ip_pred: Tensor,
+                   ip, ip_mask, labels, x_smiles,
+                   weights: LossWeights, binder: _Binder):
+        """Weighted DVAE loss terms averaged over the batch rows; a row
+        whose ``ip_mask`` is 0 has no profile term.  Returns the total
+        and the breakdown."""
         mask = np.asarray(ip_mask, dtype=np.float64)
         smiles_term = tmean(mse_rows(recon, x_smiles))
         ip_term = tmean(mul(mse_rows(ip_pred, ip), Tensor(mask)))
@@ -418,8 +419,8 @@ class VadeersModel:
         """Mean single-compound DVAE loss over a batch of drugs."""
         enc = self.encode_drug(x_smiles, binder, rng=rng, sample=True)
         recon, ip_pred = self.decode_drug(enc.z, binder)
-        total, parts = self._dvae_terms(enc, recon, ip_pred, ip, ip_mask,
-                                        labels, x_smiles, weights, binder)
+        total, parts = self.dvae_terms(enc, recon, ip_pred, ip, ip_mask,
+                                       labels, x_smiles, weights, binder)
         return total, parts, enc
 
     def cae_loss_batch(self, binder: _Binder, x_bio) -> tuple[Tensor, Tensor]:
@@ -450,7 +451,7 @@ class VadeersModel:
             dl = take_rows(drug_latent, batch.pair_drug)
             cl = take_rows(cell_latent, batch.pair_cell)
             preds = self.dspn_predict(dl, cl, binder, mode=mode, rng=rng)
-            dspn_term = tmean(square(sub(preds, Tensor(batch.y))))
+            dspn_term = mse(preds, batch.y)
         else:
             dspn_term = wrap(0.0)
             flags["dspn_empty"] = True
@@ -501,40 +502,3 @@ def _check_latent_shapes(drug_shape, cell_shape):
         raise ContractViolation(
             f"latent shapes differ: {drug_shape} vs {cell_shape}"
         )
-
-
-def dvae_loss(x_smiles, x_smiles_recon, x_ip, x_ip_pred, enc: EncoderOutput,
-              label: int | None, gmm_params: gmm.GmmParams | None,
-              weights: LossWeights) -> tuple[float, dict[str, float]]:
-    """Single-compound loss combined from its pieces.
-
-    ``x_ip`` may be None (drug without a measured profile); the profile
-    term is then skipped entirely.  With a GMM prior a present ``label``
-    selects the labeled branch; ``gmm_params=None`` means the standard
-    normal prior, under which a label is rejected."""
-    x_smiles = np.atleast_2d(np.asarray(x_smiles, dtype=np.float64))
-    x_smiles_recon = np.atleast_2d(np.asarray(x_smiles_recon, dtype=np.float64))
-    smiles_term = float(mse(x_smiles_recon, x_smiles).data)
-    if x_ip is not None:
-        ip_term = float(mse(
-            np.atleast_2d(np.asarray(x_ip_pred, dtype=np.float64)),
-            np.atleast_2d(np.asarray(x_ip, dtype=np.float64)),
-        ).data)
-    else:
-        ip_term = 0.0
-    z = np.asarray(enc.z.data, dtype=np.float64).reshape(-1)
-    if gmm_params is not None:
-        log_p = gmm.log_prior(z, label, gmm_params)
-    else:
-        if label is not None:
-            raise ContractViolation("guiding label given but the prior has no components")
-        log_p = float(gmm.standard_normal_log_density_rows(z[None, :]).data[0])
-    log_sigma = np.asarray(enc.log_sigma.data, dtype=np.float64).reshape(1, -1)
-    h = float(entropy_rows(log_sigma).data[0])
-    parts = {
-        "smiles_recon": weights.smiles_recon * smiles_term,
-        "ip_recon": weights.ip_recon * ip_term,
-        "prior": -weights.prior * log_p,
-        "entropy": -weights.entropy * h,
-    }
-    return sum(parts.values()), parts

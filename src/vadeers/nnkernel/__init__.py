@@ -8,7 +8,6 @@ from .autodiff import (
     add,
     concat,
     dense,
-    div,
     exp,
     grad,
     logsumexp,
@@ -24,7 +23,6 @@ from .autodiff import (
 )
 from .layers import (
     LayerSpec,
-    affine,
     as_matrix,
     glorot_uniform,
     init_layer_params,
@@ -42,11 +40,9 @@ __all__ = [
     "Tensor",
     "adam_step",
     "add",
-    "affine",
     "as_matrix",
     "concat",
     "dense",
-    "div",
     "exp",
     "glorot_uniform",
     "grad",

@@ -1,13 +1,13 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-The graph is built dynamically: every operation returns a new immutable
-:class:`Tensor` that remembers its parents, a forward closure able to
-recompute its value from the parents' values, and a backward closure
-propagating an upstream gradient to the parents.  Gradients of a scalar
-loss are obtained by walking the graph once in reverse topological order;
-parents that lead to no registered parameter get no gradient, and an op
-computes none for them.  A dense layer (affine map, activation and
-dropout mask) is one node, :func:`dense`.
+The graph is built dynamically: every operation computes its value
+eagerly and returns a new immutable :class:`Tensor` that remembers its
+parents and a backward closure propagating an upstream gradient to the
+parents.  Gradients of a scalar loss are obtained by walking the graph
+once in reverse topological order; parents that lead to no registered
+parameter get no gradient, and an op computes none for them.  A dense
+layer (affine map, activation and dropout mask) is one node,
+:func:`dense`.
 
 Everything is 64-bit; the gradient-check tolerances used by the test
 suite are not attainable in single precision.
@@ -25,11 +25,6 @@ from .store import FlatStore, pack
 Array = np.ndarray
 
 ACTIVATIONS = ("relu", "identity")
-
-
-def _as_f64(x) -> Array:
-    arr = np.asarray(x, dtype=np.float64)
-    return arr
 
 
 class Tensor:
@@ -50,21 +45,19 @@ class Tensor:
     place of a new array.  It must not write to ``g``.
     """
 
-    __slots__ = ("data", "parents", "name", "_forward", "_backward")
+    __slots__ = ("data", "parents", "name", "_backward")
 
     def __init__(
         self,
         data,
         parents: tuple["Tensor", ...] = (),
-        forward: Callable[..., Array] | None = None,
         backward: Callable[[Array, tuple[bool, ...]],
                            tuple[Array | None, ...]] | None = None,
         name: str | None = None,
     ):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.parents = parents
         self.name = name
-        self._forward = forward
         self._backward = backward
 
     @property
@@ -101,12 +94,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
     def __neg__(self):
         return neg(self)
 
@@ -129,11 +116,6 @@ def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
     return grad.reshape(shape)
 
 
-def _make(fwd: Callable[..., Array], parents: tuple[Tensor, ...], backward) -> Tensor:
-    data = fwd(*(p.data for p in parents))
-    return Tensor(data, parents=parents, forward=fwd, backward=backward)
-
-
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
@@ -141,9 +123,8 @@ def _make(fwd: Callable[..., Array], parents: tuple[Tensor, ...], backward) -> T
 def add(a, b) -> Tensor:
     a, b = wrap(a), wrap(b)
     sa, sb = a.shape, b.shape
-    return _make(
-        lambda x, y: x + y,
-        (a, b),
+    return Tensor(
+        a.data + b.data, (a, b),
         lambda g, needs, outs: (_unbroadcast(g, sa) if needs[0] else None,
                                 _unbroadcast(g, sb) if needs[1] else None),
     )
@@ -152,9 +133,8 @@ def add(a, b) -> Tensor:
 def sub(a, b) -> Tensor:
     a, b = wrap(a), wrap(b)
     sa, sb = a.shape, b.shape
-    return _make(
-        lambda x, y: x - y,
-        (a, b),
+    return Tensor(
+        a.data - b.data, (a, b),
         lambda g, needs, outs: (_unbroadcast(g, sa) if needs[0] else None,
                                 _unbroadcast(-g, sb) if needs[1] else None),
     )
@@ -163,9 +143,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a, b = wrap(a), wrap(b)
     sa, sb = a.shape, b.shape
-    return _make(
-        lambda x, y: x * y,
-        (a, b),
+    return Tensor(
+        a.data * b.data, (a, b),
         lambda g, needs, outs: (
             _unbroadcast(g * b.data, sa) if needs[0] else None,
             _unbroadcast(g * a.data, sb) if needs[1] else None,
@@ -173,34 +152,21 @@ def mul(a, b) -> Tensor:
     )
 
 
-def div(a, b) -> Tensor:
-    a, b = wrap(a), wrap(b)
-    sa, sb = a.shape, b.shape
-    return _make(
-        lambda x, y: x / y,
-        (a, b),
-        lambda g, needs, outs: (
-            _unbroadcast(g / b.data, sa) if needs[0] else None,
-            _unbroadcast(-g * a.data / (b.data * b.data), sb) if needs[1] else None,
-        ),
-    )
-
-
 def neg(a) -> Tensor:
     a = wrap(a)
-    return _make(lambda x: -x, (a,), lambda g, needs, outs: (-g,))
+    return Tensor(-a.data, (a,), lambda g, needs, outs: (-g,))
 
 
 def exp(a) -> Tensor:
     a = wrap(a)
     out = np.exp(a.data)
-    return Tensor(out, parents=(a,), forward=np.exp,
-                  backward=lambda g, needs, outs: (g * out,))
+    return Tensor(out, (a,), lambda g, needs, outs: (g * out,))
 
 
 def square(a) -> Tensor:
     a = wrap(a)
-    return _make(lambda x: x * x, (a,), lambda g, needs, outs: (2.0 * a.data * g,))
+    return Tensor(a.data * a.data, (a,),
+                  lambda g, needs, outs: (2.0 * a.data * g,))
 
 
 def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -208,69 +174,52 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
     shape = a.shape
 
     def backward(g, needs, outs):
-        if axis is None:
-            return (np.broadcast_to(g, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, shape).copy(),)
 
-    return _make(lambda x: x.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = wrap(a)
     shape = a.shape
-    if axis is None:
-        count = a.data.size
-    else:
-        count = shape[axis]
+    count = a.data.size if axis is None else shape[axis]
 
     def backward(g, needs, outs):
-        if axis is None:
-            return (np.broadcast_to(g / count, shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
         return (np.broadcast_to(gg / count, shape).copy(),)
 
-    return _make(lambda x: x.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
     """Stable log-sum-exp along ``axis`` (max-subtraction)."""
     a = wrap(a)
-
-    def fwd(x):
-        m = np.max(x, axis=axis, keepdims=True)
-        out = m + np.log(np.sum(np.exp(x - m), axis=axis, keepdims=True))
-        return out if keepdims else np.squeeze(out, axis=axis)
+    m = np.max(a.data, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
 
     def backward(g, needs, outs):
-        m = np.max(a.data, axis=axis, keepdims=True)
         e = np.exp(a.data - m)
         soft = e / e.sum(axis=axis, keepdims=True)
         gg = g if keepdims else np.expand_dims(g, axis)
         return (soft * gg,)
 
-    return _make(fwd, (a,), backward)
+    return Tensor(out if keepdims else np.squeeze(out, axis=axis), (a,),
+                  backward)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
     a = wrap(a)
     orig = a.shape
-    return _make(
-        lambda x: x.reshape(shape),
-        (a,),
-        lambda g, needs, outs: (g.reshape(orig),),
-    )
+    return Tensor(a.data.reshape(shape), (a,),
+                  lambda g, needs, outs: (g.reshape(orig),))
 
 
 def concat(tensors: Sequence, axis: int = 1) -> Tensor:
     ts = tuple(wrap(t) for t in tensors)
-    sizes = [t.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
-    return _make(
-        lambda *xs: np.concatenate(xs, axis=axis),
-        ts,
-        lambda g, needs, outs: tuple(np.split(g, splits, axis=axis)),
-    )
+    splits = np.cumsum([t.shape[axis] for t in ts])[:-1]
+    return Tensor(np.concatenate([t.data for t in ts], axis=axis), ts,
+                  lambda g, needs, outs: tuple(np.split(g, splits, axis=axis)))
 
 
 def take_rows(a, indices) -> Tensor:
@@ -289,7 +238,7 @@ def take_rows(a, indices) -> Tensor:
         np.add.at(out, idx, g)
         return (out,)
 
-    return _make(lambda x: x[idx], (a,), backward)
+    return Tensor(a.data[idx], (a,), backward)
 
 
 def dense(x, weights, bias, activation: str = "identity",
@@ -325,17 +274,12 @@ def dense(x, weights, bias, activation: str = "identity",
             f"{(x.shape[0], weights.shape[1])}"
         )
     relu = activation == "relu"
-
-    def fwd(xv, wv, bv):
-        h = xv @ wv
-        h += bv
-        if relu:
-            np.maximum(h, 0.0, out=h)
-        if mask is not None:
-            h *= mask
-        return h
-
-    out = fwd(x.data, weights.data, bias.data)
+    out = x.data @ weights.data
+    out += bias.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    if mask is not None:
+        out *= mask
 
     # the closure holds the output array, not the node: a node reachable
     # from its own backward would be a reference cycle, and the whole
@@ -351,7 +295,7 @@ def dense(x, weights, bias, activation: str = "identity",
                 np.matmul(x.data.T, g, out=outs[1]) if needs[1] else None,
                 g.sum(axis=0, out=outs[2]) if needs[2] else None)
 
-    return Tensor(out, parents=(x, weights, bias), forward=fwd, backward=backward)
+    return Tensor(out, (x, weights, bias), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +326,9 @@ class GradientTape:
     """Registry of trainable parameters for one differentiable computation.
 
     Operations need no explicit recording: the op graph lives in the
-    tensors themselves.  The tape contributes two things: the set of
-    parameters to differentiate with respect to, and :meth:`replay`,
-    which re-executes the recorded graph and must reproduce the forward
-    value bit-for-bit.  Not thread-safe; use one tape per thread.
+    tensors themselves, and the tape contributes the set of parameters to
+    differentiate with respect to.  Not thread-safe; use one tape per
+    thread.
 
     A tape bound to a :class:`FlatStore` registers only that store's own
     arrays, and :meth:`gradient` lays the gradients out in its layout.
@@ -406,10 +349,6 @@ class GradientTape:
         t = Tensor(value, name=name)
         self._params[name] = t
         return t
-
-    @property
-    def parameters(self) -> dict[str, Tensor]:
-        return dict(self._params)
 
     def gradient(self, loss: Tensor) -> FlatStore:
         """Gradient of the scalar ``loss`` w.r.t. every registered parameter.
@@ -476,21 +415,6 @@ class GradientTape:
         for dest in fresh.values():
             dest.fill(0.0)
         return out
-
-    def replay(self, root: Tensor) -> Array:
-        """Re-evaluate the graph below ``root`` from its leaves.
-
-        Returns the recomputed value; bit-identity with ``root.data`` is
-        an invariant (the primitive ops are deterministic)."""
-        values: dict[int, Array] = {}
-        for node in _topo_order(root):
-            if node._forward is None:
-                values[id(node)] = node.data
-            else:
-                values[id(node)] = node._forward(
-                    *(values[id(p)] for p in node.parents)
-                )
-        return values[id(root)]
 
 
 def grad(loss: Tensor, tape: GradientTape) -> FlatStore:

@@ -58,11 +58,6 @@ def init_layer_params(rng: np.random.Generator, spec: LayerSpec):
     return glorot_uniform(rng, spec.in_dim, spec.out_dim), np.zeros(spec.out_dim)
 
 
-def affine(x, weights, bias) -> Tensor:
-    """x @ W + b with shape validation; inputs may be arrays or tensors."""
-    return dense(x, weights, bias)
-
-
 def mlp_forward(
     x,
     layers: list[LayerSpec],

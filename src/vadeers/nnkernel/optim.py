@@ -19,6 +19,11 @@ Params = Mapping[str, np.ndarray]
 # 1.54 ms in blocks of 131,072 and 1.64 ms in one pass.
 ADAM_BLOCK = 32_768
 
+# moment decay rates and the denominator's stabilizer
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
@@ -95,16 +100,8 @@ def _runs_of(params: Params, grads: Params):
             for name, g in grads.items()]
 
 
-def adam_step(
-    params: Params,
-    grads: Params,
-    state: AdamState,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    step_index: int | None = None,
-) -> tuple[Params, AdamState]:
+def adam_step(params: Params, grads: Params, state: AdamState,
+              lr: float) -> tuple[Params, AdamState]:
     """One Adam update with bias correction.
 
     Only parameters present in ``grads`` are touched; where a present
@@ -118,10 +115,7 @@ def adam_step(
     of ``ADAM_BLOCK`` elements; every operation is elementwise, so the
     results are bit-identical to the out-of-place form.
     """
-    t = state.step_index + 1 if step_index is None else step_index
-    if t < 1:
-        raise ContractViolation(f"step_index must be >= 1, got {t}")
-
+    t = state.step_index + 1
     runs = _runs_of(params, grads)
     size = min(ADAM_BLOCK, max((p.size for _, p, _ in runs), default=0))
     work = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
@@ -131,17 +125,17 @@ def adam_step(
             block = slice(start, start + ADAM_BLOCK)
             p, g, m, v = p_run[block], g_run[block], m_run[block], v_run[block]
             step, root, moved = (buf[:p.size] for buf in work)
-            m *= beta1
-            np.multiply(g, 1.0 - beta1, out=step)
+            m *= BETA1
+            np.multiply(g, 1.0 - BETA1, out=step)
             m += step
-            v *= beta2
+            v *= BETA2
             np.multiply(g, g, out=step)
-            step *= 1.0 - beta2
+            step *= 1.0 - BETA2
             v += step
-            np.divide(m, 1.0 - beta1**t, out=step)
-            np.divide(v, 1.0 - beta2**t, out=root)
+            np.divide(m, 1.0 - BETA1**t, out=step)
+            np.divide(v, 1.0 - BETA2**t, out=root)
             np.sqrt(root, out=root)
-            root += eps
+            root += EPS
             step *= lr
             step /= root
             # a zero gradient decays the moments but leaves the value alone

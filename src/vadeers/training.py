@@ -25,10 +25,8 @@ from .nnkernel import (
     GradientTape,
     Tensor,
     adam_step,
+    mse,
     mul,
-    square,
-    sub,
-    tmean,
     wrap,
 )
 from .nnkernel.store import pack
@@ -83,6 +81,11 @@ class SplitSpec:
     n_val_cells: int = 100
     n_test_cells: int = 100
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("n_val_cells", "n_test_cells"):
+            if getattr(self, name) < 0:
+                raise ContractViolation(f"{name} must be >= 0")
 
 
 @dataclass(eq=False)
@@ -299,7 +302,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
                   np.ones(len(profiled)), data_std.labels[profiled])
     train_rows = split.train_rows
     cell_ids = np.asarray(data_std.cell_ids)
-    last_good = model.copy()
+    last_good = model.flat.copy()
 
     adam = AdamState()
     break_adam = AdamState()
@@ -308,67 +311,76 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     def touch(cell_rows: np.ndarray):
         runlog.cells_touched.update(cell_ids[np.unique(cell_rows)].tolist())
 
-    def run_break():
-        nonlocal break_adam
-        runlog.event("break_start", at_joint_step=joint_step)
-        for _ in range(schedule.dvae_break_epochs):
-            order = rng_break.permutation(len(break_rows[0]))
-            for chunk in _batched(order, schedule.dvae_break_batch):
-                xs, ip, mask, labels = (rows[chunk] for rows in break_rows)
-                tape = GradientTape(model.params)
-                binder = model.binder(tape)
-                try:
-                    loss, _, _ = model.dvae_loss_batch(
-                        binder, xs, ip, mask, labels, weights, rng_break)
-                except NumericError as exc:
-                    raise _abort(f"break diverged: {exc}") from None
-                if not np.isfinite(loss.data):
-                    raise _abort("break loss non-finite")
-                grads = tape.gradient(loss)
-                model.params, break_adam = adam_step(
-                    model.params, grads, break_adam, schedule.lr_joint)
-        runlog.event("break_end", at_joint_step=joint_step)
-
     def _abort(message: str) -> TrainingAborted:
         runlog.event("aborted", reason=message)
         runlog.wall_clock_seconds = time.monotonic() - started
-        return TrainingAborted(message, last_good, runlog)
+        restored = VadeersModel(model.config,
+                                FlatStore(model.params.layout, last_good))
+        return TrainingAborted(message, restored, runlog)
+
+    def step(where: str, state: AdamState, lr: float, loss_terms,
+             *args) -> dict[str, float]:
+        """One optimizer step.  ``loss_terms(binder, *args)`` returns the
+        named loss terms, the first of them the loss to minimize; a
+        divergence or a non-finite loss aborts the run, naming
+        ``where``.  Returns the terms as floats."""
+        tape = GradientTape(model.params)
+        try:
+            terms = loss_terms(model.binder(tape), *args)
+        except NumericError as exc:
+            raise _abort(f"{where} diverged: {exc}") from None
+        loss = next(iter(terms.values()))
+        if not np.isfinite(loss.data):
+            raise _abort(f"{where} loss non-finite")
+        adam_step(model.params, tape.gradient(loss), state, lr)
+        return {k: float(v.data) for k, v in terms.items()}
+
+    def record(phase: int, epoch: int, lr: float, steps: list[dict]):
+        """Append an epoch record holding the mean of each loss term."""
+        sums: dict[str, float] = {}
+        for terms in steps:
+            for k, v in terms.items():
+                sums[k] = sums.get(k, 0.0) + v
+        runlog.epochs.append({
+            "phase": phase, "phase_epoch": epoch, "joint_step": joint_step,
+            "lr": lr,
+            **{f"loss_{k}": v / max(len(steps), 1) for k, v in sums.items()},
+        })
+
+    def joint_terms(binder, batch: Batch) -> dict[str, Tensor]:
+        loss, parts, _ = model.total_loss(binder, batch, weights, rng_step,
+                                          mode="train")
+        return {"total": loss, **parts}
+
+    def break_terms(binder, chunk: np.ndarray) -> dict[str, Tensor]:
+        loss, _, _ = model.dvae_loss_batch(
+            binder, *(rows[chunk] for rows in break_rows), weights, rng_break)
+        return {"total": loss}
+
+    def run_break():
+        runlog.event("break_start", at_joint_step=joint_step)
+        for _ in range(schedule.dvae_break_epochs):
+            order = rng_break.permutation(len(profiled))
+            for chunk in _batched(order, schedule.dvae_break_batch):
+                step("break", break_adam, schedule.lr_joint, break_terms,
+                     chunk)
+        runlog.event("break_end", at_joint_step=joint_step)
 
     # phase 1: joint training over observed train pairs
     for epoch in range(schedule.joint_epochs):
         order = rng_order.permutation(len(train_rows))
-        sums: dict[str, float] = {}
-        n_batches = 0
+        steps = []
         for chunk in _batched(order, schedule.batch_size):
             rows = train_rows[chunk]
             batch = build_pair_batch(data_std, rows)
             touch(data_std.pair_cell[rows])
-            tape = GradientTape(model.params)
-            binder = model.binder(tape)
-            try:
-                loss, parts, _ = model.total_loss(binder, batch, weights,
-                                                  rng_step, mode="train")
-            except NumericError as exc:
-                raise _abort(f"joint step {joint_step + 1} diverged: {exc}") \
-                    from None
-            if not np.isfinite(loss.data):
-                raise _abort(f"joint loss non-finite at step {joint_step + 1}")
-            grads = tape.gradient(loss)
-            model.params, adam = adam_step(model.params, grads, adam,
-                                           schedule.lr_joint)
+            steps.append(step(f"joint step {joint_step + 1}", adam,
+                              schedule.lr_joint, joint_terms, batch))
             joint_step += 1
-            sums["total"] = sums.get("total", 0.0) + float(loss.data)
-            for k, v in parts.items():
-                sums[k] = sums.get(k, 0.0) + float(v.data)
-            n_batches += 1
             if joint_step % schedule.dvae_break_every_steps == 0:
                 run_break()
-        runlog.epochs.append({
-            "phase": 1, "phase_epoch": epoch, "joint_step": joint_step,
-            "lr": schedule.lr_joint,
-            **{f"loss_{k}": v / max(n_batches, 1) for k, v in sums.items()},
-        })
-        last_good = model.copy()
+        record(1, epoch, schedule.lr_joint, steps)
+        last_good = model.flat.copy()
 
     # phase 2: freeze everything but the predictor
     freeze_hash = _params_hash(model, frozen_groups)
@@ -380,6 +392,12 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     pd_idx, pc_idx, y = (a[train_rows] for a in (
         data_std.pair_drug, data_std.pair_cell, data_std.pair_y))
 
+    def dspn_terms(binder, chunk: np.ndarray) -> dict[str, Tensor]:
+        preds = model.dspn_predict(drug_mu[pd_idx[chunk]],
+                                   cell_lat[pc_idx[chunk]], binder,
+                                   mode="train", rng=rng_step)
+        return {"dspn": mul(wrap(weights.dspn), mse(preds, y[chunk]))}
+
     dspn_adam = AdamState()  # fresh moments: the lr regime changes
     current_lr = None
     for epoch in range(schedule.dspn_epochs):
@@ -388,38 +406,17 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             runlog.event("lr_change", phase=2, phase_epoch=epoch, lr=lr)
             current_lr = lr
         order = rng_order.permutation(len(train_rows))
-        sums = {}
-        n_batches = 0
+        steps = []
         for chunk in _batched(order, schedule.batch_size):
             touch(pc_idx[chunk])
-            dl = drug_mu[pd_idx[chunk]]
-            cl = cell_lat[pc_idx[chunk]]
-            tape = GradientTape(model.params)
-            binder = model.binder(tape)
-            try:
-                preds = model.dspn_predict(dl, cl, binder, mode="train",
-                                           rng=rng_step)
-            except NumericError as exc:
-                raise _abort(f"phase-2 epoch {epoch} diverged: {exc}") from None
-            loss = mul(wrap(weights.dspn),
-                       tmean(square(sub(preds, Tensor(y[chunk])))))
-            if not np.isfinite(loss.data):
-                raise _abort(f"dspn loss non-finite in phase-2 epoch {epoch}")
-            grads = tape.gradient(loss)
-            model.params, dspn_adam = adam_step(model.params, grads, dspn_adam,
-                                                lr)
-            sums["dspn"] = sums.get("dspn", 0.0) + float(loss.data)
-            n_batches += 1
-        runlog.epochs.append({
-            "phase": 2, "phase_epoch": epoch, "joint_step": joint_step,
-            "lr": lr,
-            **{f"loss_{k}": v / max(n_batches, 1) for k, v in sums.items()},
-        })
+            steps.append(step(f"dspn epoch {epoch}", dspn_adam, lr,
+                              dspn_terms, chunk))
+        record(2, epoch, lr, steps)
         check = _params_hash(model, frozen_groups)
         runlog.event("freeze_check", phase_epoch=epoch, hash=check)
         if check != freeze_hash:
             raise _abort("frozen parameters changed during phase 2")
-        last_good = model.copy()
+        last_good = model.flat.copy()
 
     runlog.wall_clock_seconds = time.monotonic() - started
     return TrainResult(model=model, runlog=runlog, scaler=scaler, split=split,

@@ -581,15 +581,26 @@ def test_bad_config_key_exit_2(tmp_path, data_dir):
     ({"schedule": 3}, (), 2, ["'schedule'"]),
     ({"seed": "x"}, (), 2, ["'seed'"]),
     (None, ("experiment", "--seeds", "a"), 1, ["--seeds"]),
+    # in range for their type but not for their field: exit 2 from a
+    # config file, 1 from a flag
+    ({"model": {"latent_dim": 0}}, (), 2, ["'model'", "'latent_dim'"]),
+    ({"schedule": {"batch_size": 0}}, (), 2, ["'schedule'", "'batch_size'"]),
+    ({"weights": {"prior": -1.0}}, (), 2, ["'weights'", "'prior'"]),
+    ({"split": {"n_val_cells": -1}}, (), 2, ["'split'", "'n_val_cells'"]),
+    ({"synth": {"n_profiled": 0}}, ("synth",), 2, ["'synth'", "'n_profiled'"]),
+    (None, ("train", "--n-val-cells", "-1"), 1, ["n_val_cells"]),
+    (None, ("train", "--latent-dim", "0"), 1, ["latent_dim"]),
 ])
 def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
                                                 config, argv, code, names):
     cfg = tmp_path / "bad.json"
     if config is not None:
         cfg.write_text(json.dumps(config))
-        argv = ("train", "--config", cfg)
+        argv = (*(argv or ("train",)), "--config", cfg)
+    if argv[0] != "synth":
+        argv = (*argv, "--data", data_dir)
     capsys.readouterr()
-    assert run(*argv, "--data", data_dir, "--out", tmp_path / "o") == code
+    assert run(*argv, "--out", tmp_path / "o") == code
     captured = capsys.readouterr()
     out = captured.out + captured.err
     assert "Traceback" not in out

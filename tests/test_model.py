@@ -16,7 +16,6 @@ from vadeers.model import (
     LossWeights,
     ModelConfig,
     VadeersModel,
-    dvae_loss,
     entropy_rows,
 )
 from vadeers.nnkernel import AdamState, GradientTape, Tensor, adam_step, grad
@@ -147,12 +146,37 @@ def test_entropy_matches_monte_carlo():
 
 
 # ---------------------------------------------------------------------------
-# single-compound loss combiner
+# DVAE loss terms of one compound
 # ---------------------------------------------------------------------------
 
 def _enc_out(mu, log_sigma, z):
+    mu, log_sigma, z = (np.atleast_2d(a) for a in (mu, log_sigma, z))
     return EncoderOutput(mu=Tensor(mu), log_sigma=Tensor(log_sigma),
-                         z=Tensor(z), eps=np.zeros_like(np.asarray(mu)))
+                         z=Tensor(z), eps=np.zeros_like(mu))
+
+
+def dvae_row_terms(x, recon, ip, ip_pred, enc, label, params, weights):
+    """``VadeersModel.dvae_terms`` on a one-row batch, as floats.  ``ip``
+    None is a drug without a profile; ``params`` None is the standard
+    normal prior."""
+    if params is None:
+        model = VadeersModel(ModelConfig(latent_dim=enc.z.shape[1],
+                                         prior_variant="vanilla"), {})
+    else:
+        k, d = params.means.shape
+        model = VadeersModel(
+            ModelConfig(latent_dim=d, n_components=k, n_guiding_labels=k,
+                        prior_variant="gmm_unconstrained"),
+            {"gmm.logits": params.mixture_logits, "gmm.means": params.means,
+             "gmm.log_scales": params.log_scales})
+    mask = [0.0 if ip is None else 1.0]
+    if ip is None:
+        ip = ip_pred = np.zeros(1)
+    total, parts = model.dvae_terms(
+        enc, Tensor(np.atleast_2d(recon)), Tensor(np.atleast_2d(ip_pred)),
+        np.atleast_2d(ip), mask, [-1 if label is None else label],
+        np.atleast_2d(x), weights, model.binder())
+    return total.item(), {k: v.item() for k, v in parts.items()}
 
 
 def test_dvae_loss_perfect_reconstruction_leaves_prior_entropy():
@@ -165,7 +189,7 @@ def test_dvae_loss_perfect_reconstruction_leaves_prior_entropy():
     log_sigma = rng.normal(scale=0.2, size=3)
     enc = _enc_out(np.zeros(3), log_sigma, z)
     w = LossWeights()
-    total, parts = dvae_loss(x, x, ip, ip, enc, None, params, w)
+    total, parts = dvae_row_terms(x, x, ip, ip, enc, None, params, w)
     expected = (-gmm.log_mixture_density(z, params)
                 - float(entropy_rows(log_sigma[None, :]).data[0]))
     assert abs(total - expected) < 1e-12
@@ -179,8 +203,8 @@ def test_dvae_loss_skips_missing_profile():
     x = rng.normal(size=6)
     recon = rng.normal(size=6)
     enc = _enc_out(np.zeros(3), np.zeros(3), rng.normal(size=3))
-    total, parts = dvae_loss(x, recon, None, None, enc, 1, params,
-                             LossWeights())
+    total, parts = dvae_row_terms(x, recon, None, None, enc, 1, params,
+                                  LossWeights())
     assert parts["ip_recon"] == 0.0
     assert parts["smiles_recon"] > 0.0
 
@@ -196,9 +220,9 @@ def test_dvae_loss_matches_component_oracles():
     log_sigma = rng.normal(scale=0.3, size=4)
     w = LossWeights(smiles_recon=0.7, ip_recon=1.3, prior=0.9, entropy=1.1)
     label = 2
-    total, parts = dvae_loss(x, recon, ip, ip_pred,
-                             _enc_out(np.zeros(4), log_sigma, z),
-                             label, params, w)
+    total, parts = dvae_row_terms(x, recon, ip, ip_pred,
+                                  _enc_out(np.zeros(4), log_sigma, z),
+                                  label, params, w)
     expected = (
         0.7 * mse_loops(x, recon)
         + 1.3 * mse_loops(ip, ip_pred)
@@ -217,20 +241,12 @@ def test_vanilla_latent_terms_equal_directly_coded_elbo():
     x = rng.normal(size=6)
     z = rng.normal(size=3)
     log_sigma = rng.normal(scale=0.2, size=3)
-    total, parts = dvae_loss(x, x, None, None,
-                             _enc_out(np.zeros(3), log_sigma, z),
-                             None, None, LossWeights())
+    total, parts = dvae_row_terms(x, x, None, None,
+                                  _enc_out(np.zeros(3), log_sigma, z),
+                                  None, None, LossWeights())
     direct = (-gaussian_logpdf_fsum(z, np.zeros(3), np.ones(3))
               - (1.5 * (1 + np.log(2 * np.pi)) + log_sigma.sum()))
     assert abs(total - direct) < 1e-10
-
-
-def test_dvae_loss_label_requires_components():
-    rng = np.random.default_rng(17)
-    enc = _enc_out(np.zeros(2), np.zeros(2), rng.normal(size=2))
-    with pytest.raises(ContractViolation):
-        dvae_loss(np.zeros(3), np.zeros(3), None, None, enc, 0, None,
-                  LossWeights())
 
 
 def test_dvae_loss_monotone_in_mse_terms():
@@ -240,9 +256,10 @@ def test_dvae_loss_monotone_in_mse_terms():
     x = rng.normal(size=6)
     z = rng.normal(size=3)
     enc = _enc_out(np.zeros(3), np.zeros(3), z)
-    base, _ = dvae_loss(x, x, None, None, enc, None, params, LossWeights())
-    worse, _ = dvae_loss(x, x + 0.5, None, None, enc, None, params,
-                         LossWeights())
+    base, _ = dvae_row_terms(x, x, None, None, enc, None, params,
+                             LossWeights())
+    worse, _ = dvae_row_terms(x, x + 0.5, None, None, enc, None, params,
+                              LossWeights())
     assert worse > base
 
 

@@ -1,6 +1,6 @@
-"""Kernel tests: affine/mse against scalar-loop oracles, dropout
-expectation, gradient finite-difference checks, Adam behavior,
-determinism, and the tape replay invariant."""
+"""Kernel tests: dense/mse against scalar-loop oracles, dropout
+expectation, gradient finite-difference checks, Adam behavior and
+determinism."""
 
 import gc
 
@@ -13,7 +13,7 @@ from vadeers.nnkernel import (
     GradientTape,
     LayerSpec,
     adam_step,
-    affine,
+    dense,
     exp,
     grad,
     init_layer_params,
@@ -32,12 +32,12 @@ from oracles import adam_out_of_place, gradcheck, matmul_loops, mse_loops
 # ---------------------------------------------------------------------------
 
 def test_affine_identity_map():
-    out = affine([[1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
+    out = dense([[1.0, 2.0]], [[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0])
     assert np.array_equal(out.data, [[1.0, 2.0]])
 
 
 def test_affine_hand_sum():
-    out = affine([[1.0, 1.0]], [[2.0], [3.0]], [1.0])
+    out = dense([[1.0, 1.0]], [[2.0], [3.0]], [1.0])
     assert np.array_equal(out.data, [[6.0]])
 
 
@@ -46,14 +46,14 @@ def test_affine_matches_triple_loop_oracle():
     x = rng.standard_normal((3, 4))
     w = rng.standard_normal((4, 2))
     b = rng.standard_normal(2)
-    out = affine(x, w, b)
+    out = dense(x, w, b)
     expected = matmul_loops(x, w) + b
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
 
 def test_affine_dimension_mismatch_names_shapes():
     with pytest.raises(ContractViolation) as err:
-        affine(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
+        dense(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
     assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
 
 
@@ -263,21 +263,6 @@ def test_graph_is_freed_without_the_cycle_collector():
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_tape_replay_is_bit_identical():
-    rng = np.random.default_rng(8)
-    layers = [LayerSpec(3, 5, "relu", 0.3), LayerSpec(5, 1, "identity")]
-    tape = GradientTape()
-    params = []
-    for i, s in enumerate(layers):
-        w, b = init_layer_params(rng, s)
-        params.append((tape.parameter(f"w{i}", w), tape.parameter(f"b{i}", b)))
-    out = mlp_forward(rng.standard_normal((4, 3)), layers, params,
-                      mode="train", rng=np.random.default_rng(9))
-    loss = mse(out, np.zeros(out.shape))
-    replayed = tape.replay(loss)
-    assert replayed == loss.data  # bit-for-bit
 
 
 def test_determinism_same_seed_same_values_and_grads():

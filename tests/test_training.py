@@ -18,7 +18,7 @@ from vadeers.data import (
     generate_synthetic,
     save_csv,
 )
-from vadeers.exceptions import CheckpointError, DataError
+from vadeers.exceptions import CheckpointError, ContractViolation, DataError
 from vadeers.model import LossWeights, ModelConfig, VadeersModel
 from vadeers.training import (
     Checkpoint,
@@ -110,6 +110,13 @@ def test_split_too_few_cells():
                                               seed=0))
 
 
+@pytest.mark.parametrize("field", ["n_val_cells", "n_test_cells"])
+def test_split_negative_count_rejected(field):
+    # a negative count would slice held-out cells into the train split
+    with pytest.raises(ContractViolation, match=field):
+        SplitSpec(**{field: -1})
+
+
 # ---------------------------------------------------------------------------
 # batch assembly
 # ---------------------------------------------------------------------------
@@ -197,12 +204,19 @@ def test_no_heldout_cells_touch_gradients():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergent_lr_aborts_with_last_good_model():
+@pytest.mark.parametrize("phase, schedule_kw", [
+    ("joint", dict(joint_epochs=4, lr_joint=1e12)),
+    ("break", dict(joint_epochs=4, lr_joint=1e12, dvae_break_every_steps=1)),
+    ("dspn", dict(lr_dspn=1e100)),
+], ids=["joint", "break", "dspn"])
+def test_divergent_lr_aborts_with_last_good_model(phase, schedule_kw):
     with pytest.raises(TrainingAborted) as err:
-        tiny_train(joint_epochs=4, lr_joint=1e12)
+        tiny_train(**schedule_kw)
     aborted = err.value
     assert isinstance(aborted.model, VadeersModel)
-    assert any(e["event"] == "aborted" for e in aborted.runlog.events)
+    reasons = [e["reason"] for e in aborted.runlog.events
+               if e["event"] == "aborted"]
+    assert len(reasons) == 1 and reasons[0].startswith(phase), reasons
     for arr in aborted.model.params.values():
         assert np.all(np.isfinite(arr))
 
