@@ -7,9 +7,10 @@ label is scored only under its labeled component; an unlabeled point is
 scored under the full mixture, so with no labels anywhere the prior is
 exactly the classical mixture density.
 
-Density functions are written over the autodiff tensors so the same code
-path serves evaluation and gradient-based training; the convenience
-wrappers at the bottom return plain floats/arrays.
+Every density goes through one graph node, the semi-supervised prior of
+a batch of rows with a hand-written backward, so the same code path
+serves evaluation and gradient-based training; the convenience wrappers
+at the bottom return plain floats/arrays.
 """
 
 from __future__ import annotations
@@ -19,20 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exceptions import ContractViolation
-from .nnkernel import (
-    Tensor,
-    add,
-    exp,
-    logsumexp,
-    mul,
-    neg,
-    reshape,
-    square,
-    sub,
-    take_rows,
-    tsum,
-    wrap,
-)
+from .nnkernel import Tensor, wrap
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -121,78 +109,114 @@ def init_gmm(
 # differentiable densities (tensor in, tensor out)
 # ---------------------------------------------------------------------------
 
-def component_log_densities(z, means, log_scales) -> Tensor:
-    """Log density of every component at every row of ``z``.
-
-    z: (n, D); means, log_scales: (K, D).  Returns (n, K).
-    """
-    z, means, log_scales = wrap(z), wrap(means), wrap(log_scales)
-    n, d = z.shape
-    k = means.shape[0]
-    z3 = reshape(z, (n, 1, d))
-    mu3 = reshape(means, (1, k, d))
-    inv_scale3 = reshape(exp(neg(log_scales)), (1, k, d))
-    scaled = mul(sub(z3, mu3), inv_scale3)
-    quad = tsum(square(scaled), axis=2)               # (n, K)
-    log_norm = add(
-        mul(wrap(0.5 * d * LOG_2PI), wrap(np.ones((1, k)))),
-        reshape(tsum(log_scales, axis=1), (1, k)),
-    )
-    return sub(mul(wrap(-0.5), quad), log_norm)
+def _mixture_scores(z, mixture_logits, means, log_scales):
+    """The numpy terms of the mixture at every row of ``z`` (n, D):
+    the scaled residuals s_ikd = (z_id - mu_kd) / sigma_kd (n, K, D),
+    the inverse scales (K, D), log N(z_i | mu_k, Sigma_k) (n, K), the log
+    weights log pi (K,), and the log mixture density of each row (n,),
+    both by log-sum-exp."""
+    inv_scales = np.exp(-log_scales)
+    scaled = (z[:, None, :] - means) * inv_scales
+    comp = -0.5 * np.sum(scaled * scaled, axis=2)
+    comp -= 0.5 * z.shape[1] * LOG_2PI + np.sum(log_scales, axis=1)
+    top = np.max(mixture_logits)
+    log_pi = mixture_logits - (top + np.log(np.sum(np.exp(mixture_logits - top))))
+    scores = comp + log_pi
+    top = np.max(scores, axis=1, keepdims=True)
+    log_mix = top + np.log(np.sum(np.exp(scores - top), axis=1, keepdims=True))
+    return scaled, inv_scales, comp, log_pi, log_mix[:, 0]
 
 
-def log_weights(mixture_logits) -> Tensor:
-    """Log softmax of the mixture logits."""
-    logits = wrap(mixture_logits)
-    return sub(logits, logsumexp(logits, axis=0, keepdims=True))
-
-
-def mixture_log_density_rows(z, mixture_logits, means, log_scales) -> Tensor:
-    """log sum_k pi_k N(z | mu_k, Sigma_k) per row, via log-sum-exp."""
-    comp = component_log_densities(z, means, log_scales)
-    lw = reshape(log_weights(mixture_logits), (1, comp.shape[1]))
-    return logsumexp(add(comp, lw), axis=1)
-
-
-def labeled_log_density_rows(z, labels, means, log_scales) -> Tensor:
-    """Log density of each row under its labeled component only."""
-    z = wrap(z)
-    idx = np.asarray(labels, dtype=np.intp)
-    mu = take_rows(means, idx)
-    ls = take_rows(log_scales, idx)
-    scaled = mul(sub(z, mu), exp(neg(ls)))
-    quad = tsum(square(scaled), axis=1)
-    log_norm = add(wrap(0.5 * z.shape[1] * LOG_2PI), tsum(ls, axis=1))
-    return sub(mul(wrap(-0.5), quad), log_norm)
+def _responsibilities(comp, log_pi, log_mix):
+    """Posterior over components of each row, r_ik = pi_k N(z_i | mu_k,
+    Sigma_k) / p(z_i), from the terms of :func:`_mixture_scores`."""
+    return np.exp(comp + log_pi - log_mix[:, None])
 
 
 def semi_supervised_log_prior_rows(
     z, labels, mixture_logits, means, log_scales
 ) -> Tensor:
-    """Row-wise log prior: labeled rows use their component, the rest the
-    full mixture.  ``labels`` uses -1 for unlabeled."""
+    """Row-wise log prior as one node: a labeled row is scored under its
+    component only, an unlabeled row (label -1) under the full mixture.
+
+    The backward is the closed form of the VaDE prior term (Jiang et al.
+    2017, arXiv:1611.05148, section 3).  With the upstream gradient g and
+    W = g R, where R holds the responsibilities of each unlabeled row and
+    a one-hot row for each labeled one:
+
+    - dz_i = -sum_k W_ik (z_i - mu_k) / sigma_k^2
+    - dmu_k = sum_i W_ik (z_i - mu_k) / sigma_k^2
+    - dlog sigma_kd = sum_i W_ik (s_ikd^2 - 1)
+    - dlogits = sum over unlabeled i of (W_i - g_i pi)
+    """
+    z, logits, means, log_scales = (
+        wrap(t) for t in (z, mixture_logits, means, log_scales))
     labels = np.asarray(labels, dtype=np.int64)
-    means_arr = wrap(means).data
-    k = means_arr.shape[0]
-    if labels.size and labels.max() >= k:
-        raise IndexError(
-            f"guiding label {labels.max()} out of range for {k} components"
+    n, k = z.shape[0], means.shape[0]
+    if labels.shape != (n,):
+        raise ContractViolation(
+            f"{labels.shape} labels for {n} latent rows"
         )
-    mix = mixture_log_density_rows(z, mixture_logits, means, log_scales)
-    if np.all(labels == UNLABELED):
-        return mix
-    safe = np.where(labels == UNLABELED, 0, labels)
-    lab = labeled_log_density_rows(z, safe, means, log_scales)
-    mask = wrap((labels != UNLABELED).astype(np.float64))
-    one = wrap(np.ones_like(mask.data))
-    return add(mul(mask, lab), mul(sub(one, mask), mix))
+    bad = labels[(labels < UNLABELED) | (labels >= k)]
+    if bad.size:
+        raise IndexError(
+            f"guiding label {bad[0]} out of range for {k} components"
+        )
+    scaled, inv_scales, comp, log_pi, log_mix = _mixture_scores(
+        z.data, logits.data, means.data, log_scales.data)
+    unlabeled = labels == UNLABELED
+    rows = np.flatnonzero(~unlabeled)
+    out = log_mix
+    if rows.size:
+        out = log_mix.copy()
+        out[rows] = comp[rows, labels[rows]]
+
+    def backward(g, needs, outs):
+        w = _responsibilities(comp, log_pi, log_mix)
+        if rows.size:
+            w[rows] = 0.0
+            w[rows, labels[rows]] = 1.0
+        w *= g[:, None]
+        dz = dmu = dlogits = dls = None
+        if needs[0] or needs[2]:
+            t = scaled * inv_scales
+            t *= w[:, :, None]
+            if needs[0]:
+                dz = -np.sum(t, axis=1)
+            if needs[2]:
+                dmu = np.sum(t, axis=0, out=outs[2])
+        if needs[1]:
+            dlogits = np.subtract(np.sum(w[unlabeled], axis=0),
+                                  np.sum(g[unlabeled]) * np.exp(log_pi),
+                                  out=outs[1])
+        if needs[3]:
+            sq = scaled * scaled
+            sq -= 1.0
+            dls = np.einsum("nk,nkd->kd", w, sq, out=outs[3])
+        return dz, dlogits, dmu, dls
+
+    return Tensor(out, (z, logits, means, log_scales), backward)
+
+
+def mixture_log_density_rows(z, mixture_logits, means, log_scales) -> Tensor:
+    """log sum_k pi_k N(z | mu_k, Sigma_k) per row: the prior of rows
+    that all lack a label."""
+    z = wrap(z)
+    return semi_supervised_log_prior_rows(
+        z, np.full(z.shape[0], UNLABELED), mixture_logits, means, log_scales)
+
+
+def labeled_log_density_rows(z, labels, means, log_scales) -> Tensor:
+    """Log density of each row under its labeled component only."""
+    return semi_supervised_log_prior_rows(
+        z, labels, np.zeros(wrap(means).shape[0]), means, log_scales)
 
 
 def standard_normal_log_density_rows(z) -> Tensor:
-    """Row-wise log N(z | 0, I), the vanilla-VAE prior."""
+    """Row-wise log N(z | 0, I), the vanilla-VAE prior, as one node."""
     z = wrap(z)
-    quad = tsum(square(z), axis=1)
-    return sub(mul(wrap(-0.5), quad), wrap(0.5 * z.shape[1] * LOG_2PI))
+    out = -0.5 * np.sum(z.data * z.data, axis=1) - 0.5 * z.shape[1] * LOG_2PI
+    return Tensor(out, (z,), lambda g, needs, outs: (-g[:, None] * z.data,))
 
 
 # ---------------------------------------------------------------------------
@@ -247,13 +271,9 @@ def log_prior(z, label: int | None, params: GmmParams) -> float:
 def responsibilities(z, params: GmmParams) -> np.ndarray:
     """Posterior over components at ``z``: r_k ∝ pi_k N(z | mu_k, Sigma_k)."""
     z = _check_vector(z, params)
-    comp = component_log_densities(
-        z[None, :], params.means, params.log_scales
-    ).data[0]
-    scores = comp + np.log(params.weights())
-    scores -= scores.max()
-    e = np.exp(scores)
-    return e / e.sum()
+    _, _, comp, log_pi, log_mix = _mixture_scores(
+        z[None, :], params.mixture_logits, params.means, params.log_scales)
+    return _responsibilities(comp, log_pi, log_mix)[0]
 
 
 def sample_component(

@@ -20,22 +20,19 @@ from .nnkernel import (
     GradientTape,
     LayerSpec,
     Tensor,
-    add,
     as_matrix,
     concat,
     dense,
-    exp,
     init_layer_params,
     mlp_forward,
-    mul,
-    neg,
+    reparameterize,
     reshape,
     take_rows,
     tmean,
-    tsum,
+    weighted_sum,
     wrap,
 )
-from .nnkernel.losses import mse, mse_rows
+from .nnkernel.losses import row_mse
 
 PRIOR_VARIANTS = ("vanilla", "gmm_constrained", "gmm_unconstrained")
 
@@ -183,12 +180,14 @@ class _Binder:
         return [(self(f"{n}.W"), self(f"{n}.b")) for n, _ in chain]
 
 
-def entropy_rows(log_sigma) -> Tensor:
-    """Analytical entropy of a diagonal Gaussian per row:
-    D/2 (1 + ln 2 pi) + sum_d log sigma_d."""
+def entropy_mean(log_sigma) -> Tensor:
+    """Batch mean of the analytical entropy of a diagonal Gaussian per
+    row, D/2 (1 + ln 2 pi) + sum_d log sigma_d, as one node."""
     log_sigma = wrap(log_sigma)
-    d = log_sigma.shape[1]
-    return add(tsum(log_sigma, axis=1), wrap(d * ENTROPY_CONST))
+    n, d = log_sigma.shape
+    rows = np.sum(log_sigma.data, axis=1) + d * ENTROPY_CONST
+    return Tensor(rows.mean(), (log_sigma,),
+                  lambda g, needs, outs: (np.full((n, d), g / n),))
 
 
 class VadeersModel:
@@ -336,7 +335,7 @@ class VadeersModel:
             if rng is None:
                 raise ContractViolation("sampling encoder requires an rng")
             eps = rng.standard_normal(mu.shape)
-            z = add(mu, mul(exp(log_sigma), Tensor(eps)))
+            z = reparameterize(mu, log_sigma, eps)
         else:
             eps = np.zeros(mu.shape)
             z = mu
@@ -399,20 +398,17 @@ class VadeersModel:
         """Weighted DVAE loss terms averaged over the batch rows; a row
         whose ``ip_mask`` is 0 has no profile term.  Returns the total
         and the breakdown."""
-        mask = np.asarray(ip_mask, dtype=np.float64)
-        smiles_term = tmean(mse_rows(recon, x_smiles))
-        ip_term = tmean(mul(mse_rows(ip_pred, ip), Tensor(mask)))
-        prior_term = tmean(self.prior_log_density_rows(enc.z, labels, binder))
-        ent_term = tmean(entropy_rows(enc.log_sigma))
-        parts = {
-            "smiles_recon": mul(wrap(weights.smiles_recon), smiles_term),
-            "ip_recon": mul(wrap(weights.ip_recon), ip_term),
-            "prior": neg(mul(wrap(weights.prior), prior_term)),
-            "entropy": neg(mul(wrap(weights.entropy), ent_term)),
+        prior = tmean(self.prior_log_density_rows(enc.z, labels, binder))
+        terms = {
+            "smiles_recon": (weights.smiles_recon, row_mse(recon, x_smiles)),
+            "ip_recon": (weights.ip_recon, row_mse(ip_pred, ip, ip_mask)),
+            "prior": (-weights.prior, prior),
+            "entropy": (-weights.entropy, entropy_mean(enc.log_sigma)),
         }
-        total = add(add(parts["smiles_recon"], parts["ip_recon"]),
-                    add(parts["prior"], parts["entropy"]))
-        return total, parts
+        total = weighted_sum([t for _, t in terms.values()],
+                             [w for w, _ in terms.values()])
+        return total, {name: weighted_sum([t], [w])
+                       for name, (w, t) in terms.items()}
 
     def dvae_loss_batch(self, binder: _Binder, x_smiles, ip, ip_mask, labels,
                         weights: LossWeights, rng: np.random.Generator):
@@ -428,7 +424,7 @@ class VadeersModel:
         the latent codes."""
         latent = self.cae_encode(x_bio, binder)
         recon = self.cae_decode(latent, binder)
-        return latent, mse(x_bio, recon)
+        return latent, row_mse(recon, x_bio)
 
     def total_loss(self, binder: _Binder, batch: Batch, weights: LossWeights,
                    rng: np.random.Generator, mode: str = "train"):
@@ -451,15 +447,16 @@ class VadeersModel:
             dl = take_rows(drug_latent, batch.pair_drug)
             cl = take_rows(cell_latent, batch.pair_cell)
             preds = self.dspn_predict(dl, cl, binder, mode=mode, rng=rng)
-            dspn_term = mse(preds, batch.y)
+            dspn_term = row_mse(preds, batch.y)
         else:
             dspn_term = wrap(0.0)
             flags["dspn_empty"] = True
 
-        parts = dict(parts)
-        parts["cae"] = mul(wrap(weights.cae), cae_term)
-        parts["dspn"] = mul(wrap(weights.dspn), dspn_term)
-        total = add(dvae_total, add(parts["cae"], parts["dspn"]))
+        parts = {**parts,
+                 "cae": weighted_sum([cae_term], [weights.cae]),
+                 "dspn": weighted_sum([dspn_term], [weights.dspn])}
+        total = weighted_sum([dvae_total, cae_term, dspn_term],
+                             [1.0, weights.cae, weights.dspn])
         return total, parts, flags
 
     # ---- eval helpers -------------------------------------------------------

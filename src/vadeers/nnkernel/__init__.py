@@ -13,12 +13,14 @@ from .autodiff import (
     logsumexp,
     mul,
     neg,
+    reparameterize,
     reshape,
     square,
     sub,
     take_rows,
     tmean,
     tsum,
+    weighted_sum,
     wrap,
 )
 from .layers import (
@@ -51,11 +53,13 @@ __all__ = [
     "mse",
     "mul",
     "neg",
+    "reparameterize",
     "reshape",
     "square",
     "sub",
     "take_rows",
     "tmean",
     "tsum",
+    "weighted_sum",
     "wrap",
 ]

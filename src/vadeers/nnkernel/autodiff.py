@@ -7,7 +7,9 @@ parents.  Gradients of a scalar loss are obtained by walking the graph
 once in reverse topological order; parents that lead to no registered
 parameter get no gradient, and an op computes none for them.  A dense
 layer (affine map, activation and dropout mask) is one node,
-:func:`dense`.
+:func:`dense`; so are the Gaussian reparameterization,
+:func:`reparameterize`, and a weighted sum of scalar loss terms,
+:func:`weighted_sum`.
 
 Everything is 64-bit; the gradient-check tolerances used by the test
 suite are not attainable in single precision.
@@ -296,6 +298,40 @@ def dense(x, weights, bias, activation: str = "identity",
                 g.sum(axis=0, out=outs[2]) if needs[2] else None)
 
     return Tensor(out, (x, weights, bias), backward)
+
+
+def reparameterize(mu, log_sigma, eps: Array) -> Tensor:
+    """``mu + exp(log_sigma) * eps`` as one node; ``eps`` is constant
+    noise of the same shape."""
+    mu, log_sigma = wrap(mu), wrap(log_sigma)
+    sigma = np.exp(log_sigma.data)
+    out = mu.data + sigma * eps
+
+    def backward(g, needs, outs):
+        d_log_sigma = None
+        if needs[1]:
+            d_log_sigma = g * eps
+            d_log_sigma *= sigma
+        return (g, d_log_sigma)
+
+    return Tensor(out, (mu, log_sigma), backward)
+
+
+def weighted_sum(terms: Sequence, weights: Sequence[float]) -> Tensor:
+    """``sum_i weights[i] * terms[i]`` of scalar tensors as one node; the
+    weights are constants."""
+    ts = tuple(wrap(t) for t in terms)
+    ws = tuple(float(w) for w in weights)
+    if len(ts) != len(ws) or any(t.shape != () for t in ts):
+        raise ContractViolation(
+            f"weighted_sum needs one weight per scalar term, got "
+            f"{[t.shape for t in ts]} and {len(ws)} weights"
+        )
+    return Tensor(
+        sum(w * t.data for w, t in zip(ws, ts)), ts,
+        lambda g, needs, outs: tuple(g * w if need else None
+                                     for w, need in zip(ws, needs)),
+    )
 
 
 # ---------------------------------------------------------------------------

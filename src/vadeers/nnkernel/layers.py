@@ -58,6 +58,17 @@ def init_layer_params(rng: np.random.Generator, spec: LayerSpec):
     return glorot_uniform(rng, spec.in_dim, spec.out_dim), np.zeros(spec.out_dim)
 
 
+def dropout_mask(rng: np.random.Generator, shape: tuple[int, int],
+                 rate: float) -> np.ndarray:
+    """Inverted-dropout mask: each unit is kept with probability
+    1 - rate and scaled by 1/(1 - rate), so eval mode is the identity.
+    The mask is built in the array of its uniform draws."""
+    mask = rng.random(shape)
+    np.greater_equal(mask, rate, out=mask)
+    mask /= 1.0 - rate
+    return mask
+
+
 def mlp_forward(
     x,
     layers: list[LayerSpec],
@@ -96,10 +107,8 @@ def mlp_forward(
     for i, (spec, (w, b)) in enumerate(zip(layers, params)):
         mask = None
         if mode == "train" and spec.dropout_rate > 0.0:
-            # inverted dropout: units kept with probability 1 - rate and
-            # scaled by 1/(1 - rate), so eval mode is the identity
-            keep = rng.random((h.shape[0], spec.out_dim)) >= spec.dropout_rate
-            mask = keep.astype(np.float64) / (1.0 - spec.dropout_rate)
+            mask = dropout_mask(rng, (h.shape[0], spec.out_dim),
+                                spec.dropout_rate)
         h = dense(h, w, b, spec.activation, mask)
         if not np.all(np.isfinite(h.data)):
             raise NumericError(f"non-finite activations after layer {i}")

@@ -323,16 +323,20 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
         """One optimizer step.  ``loss_terms(binder, *args)`` returns the
         named loss terms, the first of them the loss to minimize; a
         divergence or a non-finite loss aborts the run, naming
-        ``where``.  Returns the terms as floats."""
+        ``where``; the forward and gradient run with numpy's overflow
+        and invalid-value warnings off, since these checks report a
+        divergence.  Returns the terms as floats."""
         tape = GradientTape(model.params)
-        try:
-            terms = loss_terms(model.binder(tape), *args)
-        except NumericError as exc:
-            raise _abort(f"{where} diverged: {exc}") from None
-        loss = next(iter(terms.values()))
-        if not np.isfinite(loss.data):
-            raise _abort(f"{where} loss non-finite")
-        adam_step(model.params, tape.gradient(loss), state, lr)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            try:
+                terms = loss_terms(model.binder(tape), *args)
+            except NumericError as exc:
+                raise _abort(f"{where} diverged: {exc}") from None
+            loss = next(iter(terms.values()))
+            if not np.isfinite(loss.data):
+                raise _abort(f"{where} loss non-finite")
+            grads = tape.gradient(loss)
+        adam_step(model.params, grads, state, lr)
         return {k: float(v.data) for k, v in terms.items()}
 
     def record(phase: int, epoch: int, lr: float, steps: list[dict]):

@@ -2,13 +2,33 @@
 
 Everything here is deliberately naive (scalar loops, brute-force sums,
 finite differences, exhaustive enumeration) and shares no code with the
-implementations under test.
+implementations under test.  The one exception is the section of
+tensor-composed loss terms: they are built from the kernel's primitive
+autodiff ops, one op per step of the formula, and serve as value and
+gradient oracles for the library's single-node loss terms.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from vadeers.nnkernel import (
+    add,
+    exp,
+    logsumexp,
+    mul,
+    neg,
+    reshape,
+    square,
+    sub,
+    take_rows,
+    tmean,
+    tsum,
+    wrap,
+)
+
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 
 def matmul_loops(a, b):
@@ -74,6 +94,78 @@ def entropy_mc(log_sigma, n_draws, rng):
 
 
 # ---------------------------------------------------------------------------
+# tensor-composed loss terms
+# ---------------------------------------------------------------------------
+
+def component_log_densities(z, means, log_scales):
+    """Log density of every component at every row of ``z``: (n, K)."""
+    z, means, log_scales = wrap(z), wrap(means), wrap(log_scales)
+    n, d = z.shape
+    k = means.shape[0]
+    z3 = reshape(z, (n, 1, d))
+    mu3 = reshape(means, (1, k, d))
+    inv_scale3 = reshape(exp(neg(log_scales)), (1, k, d))
+    scaled = mul(sub(z3, mu3), inv_scale3)
+    quad = tsum(square(scaled), axis=2)
+    log_norm = add(
+        mul(wrap(0.5 * d * LOG_2PI), wrap(np.ones((1, k)))),
+        reshape(tsum(log_scales, axis=1), (1, k)),
+    )
+    return sub(mul(wrap(-0.5), quad), log_norm)
+
+
+def log_weights(mixture_logits):
+    """Log softmax of the mixture logits."""
+    logits = wrap(mixture_logits)
+    return sub(logits, logsumexp(logits, axis=0, keepdims=True))
+
+
+def semi_supervised_log_prior_rows(z, labels, mixture_logits, means,
+                                   log_scales):
+    """Labeled rows under their component, the rest (label -1) under the
+    mixture, blended by a 0/1 mask."""
+    z = wrap(z)
+    labels = np.asarray(labels, dtype=np.int64)
+    comp = component_log_densities(z, means, log_scales)
+    k = comp.shape[1]
+    lw = reshape(log_weights(mixture_logits), (1, k))
+    mix = logsumexp(add(comp, lw), axis=1)
+    if np.all(labels == -1):
+        return mix
+    idx = np.where(labels == -1, 0, labels)
+    mu = take_rows(means, idx)
+    ls = take_rows(log_scales, idx)
+    quad = tsum(square(mul(sub(z, mu), exp(neg(ls)))), axis=1)
+    log_norm = add(wrap(0.5 * z.shape[1] * LOG_2PI), tsum(ls, axis=1))
+    lab = sub(mul(wrap(-0.5), quad), log_norm)
+    mask = wrap((labels != -1).astype(np.float64))
+    return add(mul(mask, lab), mul(sub(wrap(np.ones_like(mask.data)), mask),
+                                   mix))
+
+
+def standard_normal_log_density_rows(z):
+    z = wrap(z)
+    quad = tsum(square(z), axis=1)
+    return sub(mul(wrap(-0.5), quad), wrap(0.5 * z.shape[1] * LOG_2PI))
+
+
+def reparameterize(mu, log_sigma, eps):
+    return add(mu, mul(exp(log_sigma), wrap(eps)))
+
+
+def entropy_rows(log_sigma):
+    """D/2 (1 + ln 2 pi) + sum_d log sigma_d per row."""
+    log_sigma = wrap(log_sigma)
+    d = log_sigma.shape[1]
+    return add(tsum(log_sigma, axis=1), wrap(d * 0.5 * (1.0 + LOG_2PI)))
+
+
+def mse_rows(a, b):
+    """Per-row mean squared error of 2-D inputs."""
+    return tmean(square(sub(wrap(a), wrap(b))), axis=1)
+
+
+# ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
 
@@ -108,6 +200,16 @@ def gradcheck(f, params, grads, rng, n_coords=100, h=1e-5,
             worst_err = err
             worst = (False, f"{name}[{i}]: fd={fd:.8g} ad={ad:.8g} err={err:.3g}")
     return worst
+
+
+def assert_close(got, want, rel):
+    """Largest entry error within ``rel`` of the larger of 1 and the
+    largest entry of ``want``."""
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    err = float(np.max(np.abs(got - want), initial=0.0))
+    assert err <= rel * scale, f"error {err:.3g} at scale {scale:.3g}"
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ code contract (0 ok, 1 usage, 2 data error)."""
 
 import json
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -606,3 +607,22 @@ def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
     assert "Traceback" not in out
     assert all(name in out for name in names), out
     assert not (tmp_path / "o").exists()
+
+
+def test_divergent_train_exit_3_without_numpy_warnings(tmp_path, data_dir,
+                                                       config_file, capsys):
+    config = json.loads(config_file.read_text())
+    config["schedule"]["lr_joint"] = 1e12
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps(config))
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("train", "--data", data_dir, "--out", tmp_path / "run",
+                   "--config", cfg, "--seed", "1",
+                   "--variant", "gmm_constrained")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numeric failure: joint step 2 diverged" in err, err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -4,11 +4,14 @@ checks through the prior."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vadeers import gmm
-from vadeers.nnkernel import GradientTape, grad, tmean
+from vadeers.nnkernel import GradientTape, grad, mul, tmean, tsum
 
+import oracles
 from oracles import (
+    assert_close,
     gaussian_logpdf_fsum,
     gradcheck,
     mixture_logpdf_bruteforce,
@@ -328,3 +331,64 @@ def test_labeled_branch_gives_logits_no_gradient():
     grads = grad(loss, tape)
     assert np.array_equal(grads["logits"], np.zeros(3))
     assert np.any(grads["means"] != 0)
+
+
+# ---------------------------------------------------------------------------
+# the one-node prior against its tensor-composed oracle
+# ---------------------------------------------------------------------------
+
+def _prior_and_grads(prior_rows, arrays, labels, upstream, frozen):
+    """Rows of ``prior_rows`` and the gradients of sum(upstream * rows)
+    w.r.t. z, the logits, the means and, unless ``frozen``, the
+    log-scales."""
+    tape = GradientTape()
+    z = tape.parameter("z", arrays["z"])
+    logits = tape.parameter("logits", arrays["logits"])
+    means = tape.parameter("means", arrays["means"])
+    log_scales = (arrays["log_scales"] if frozen
+                  else tape.parameter("log_scales", arrays["log_scales"]))
+    rows = prior_rows(z, labels, logits, means, log_scales)
+    return rows.data, dict(grad(tsum(mul(rows, upstream)), tape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 16), k=st.integers(1, 5), d=st.integers(1, 6),
+       labeling=st.sampled_from(["mixed", "labeled", "unlabeled"]),
+       frozen=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_fused_prior_matches_composed_oracle(n, k, d, labeling, frozen, seed):
+    rng = np.random.default_rng(seed)
+    arrays = {
+        "z": rng.normal(0.0, 2.0, size=(n, d)),
+        "logits": rng.normal(0.0, 1.0, size=k),
+        "means": rng.normal(0.0, 2.0, size=(k, d)),
+        "log_scales": rng.normal(0.0, 0.5, size=(k, d)),
+    }
+    labels = {"mixed": rng.integers(-1, k, size=n),
+              "labeled": rng.integers(0, k, size=n),
+              "unlabeled": np.full(n, -1)}[labeling]
+    upstream = rng.normal(size=n)
+    got, got_grads = _prior_and_grads(gmm.semi_supervised_log_prior_rows,
+                                      arrays, labels, upstream, frozen)
+    want, want_grads = _prior_and_grads(oracles.semi_supervised_log_prior_rows,
+                                        arrays, labels, upstream, frozen)
+    assert_close(got, want, 1e-12)
+    assert sorted(got_grads) == sorted(want_grads)
+    for name in want_grads:
+        assert_close(got_grads[name], want_grads[name], 1e-10)
+    if labeling == "labeled":
+        assert not got_grads["logits"].any()
+
+
+@settings(max_examples=50, deadline=None)
+@given(n=st.integers(1, 16), k=st.integers(1, 5), d=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_responsibilities_match_composed_oracle(n, k, d, seed):
+    rng = np.random.default_rng(seed)
+    params = gmm.GmmParams(rng.normal(size=k), rng.normal(0.0, 2.0, (k, d)),
+                           rng.normal(0.0, 0.5, (k, d)))
+    z = rng.normal(0.0, 2.0, size=d)
+    comp = oracles.component_log_densities(z[None, :], params.means,
+                                           params.log_scales).data[0]
+    scores = comp + oracles.log_weights(params.mixture_logits).data
+    want = np.exp(scores - scores.max()) / np.exp(scores - scores.max()).sum()
+    assert_close(gmm.responsibilities(z, params), want, 1e-12)

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vadeers import gmm
 from vadeers.exceptions import ContractViolation
@@ -16,11 +17,29 @@ from vadeers.model import (
     LossWeights,
     ModelConfig,
     VadeersModel,
-    entropy_rows,
+    entropy_mean,
 )
-from vadeers.nnkernel import AdamState, GradientTape, Tensor, adam_step, grad
+from vadeers.nnkernel import (
+    AdamState,
+    GradientTape,
+    Tensor,
+    adam_step,
+    grad,
+    mul,
+    tmean,
+    tsum,
+    wrap,
+)
 
-from oracles import entropy_mc, gaussian_logpdf_fsum, gradcheck, mse_loops
+import oracles
+from oracles import (
+    assert_close,
+    entropy_mc,
+    entropy_rows,
+    gaussian_logpdf_fsum,
+    gradcheck,
+    mse_loops,
+)
 
 TOY = ModelConfig(
     smiles_dim=6, ip_dim=5, bio_dim=4, latent_dim=3,
@@ -124,7 +143,7 @@ def test_default_decoder_widths_match_reference_shapes():
 # ---------------------------------------------------------------------------
 
 def test_entropy_one_dim_unit_sigma():
-    h = entropy_rows(np.zeros((1, 1))).data[0]
+    h = entropy_mean(np.zeros((1, 1))).item()
     assert abs(h - 0.5 * (1 + np.log(2 * np.pi))) < 1e-12
     assert abs(h - 1.418939) < 1e-6
 
@@ -132,17 +151,40 @@ def test_entropy_one_dim_unit_sigma():
 def test_entropy_doubling_sigma_adds_d_log2():
     rng = np.random.default_rng(10)
     log_sigma = rng.normal(size=(1, 5))
-    h1 = entropy_rows(log_sigma).data[0]
-    h2 = entropy_rows(log_sigma + np.log(2.0)).data[0]
+    h1 = entropy_mean(log_sigma).item()
+    h2 = entropy_mean(log_sigma + np.log(2.0)).item()
     assert abs((h2 - h1) - 5 * np.log(2.0)) < 1e-12
 
 
 def test_entropy_matches_monte_carlo():
     rng = np.random.default_rng(11)
     log_sigma = rng.normal(0.0, 0.4, size=4)
-    analytic = entropy_rows(log_sigma[None, :]).data[0]
+    analytic = entropy_mean(log_sigma[None, :]).item()
     mc = entropy_mc(log_sigma, 100_000, np.random.default_rng(12))
     assert abs(mc - analytic) / abs(analytic) < 0.01
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), d=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_entropy_and_vanilla_prior_nodes_match_composed_oracles(n, d, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(0.0, 1.5, size=(n, d))
+    upstream = wrap(rng.normal(size=n))
+    for fused, composed in (
+            (entropy_mean, lambda t: tmean(oracles.entropy_rows(t))),
+            (lambda t: tsum(mul(gmm.standard_normal_log_density_rows(t),
+                                upstream)),
+             lambda t: tsum(mul(oracles.standard_normal_log_density_rows(t),
+                                upstream)))):
+        values, grads = [], []
+        for build in (fused, composed):
+            tape = GradientTape()
+            out = build(tape.parameter("x", x))
+            values.append(out.data)
+            grads.append(grad(out, tape)["x"])
+        assert_close(values[0], values[1], 1e-12)
+        assert_close(grads[0], grads[1], 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +554,36 @@ def test_constrained_log_scales_never_registered():
     grads = grad(loss, tape)
     assert "gmm.log_scales" not in grads
     assert "gmm.means" in grads
+
+
+def _graph_nodes(root) -> int:
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return len(seen)
+
+
+def test_loss_graphs_stay_small():
+    # each DVAE loss term is one node: a break step's graph is its ten
+    # dense layers, their twenty weight leaves, the input, the three GMM
+    # leaves and the loss nodes, whatever the widths
+    config = ModelConfig(smiles_dim=32, ip_dim=24, bio_dim=20,
+                         prior_variant="gmm_unconstrained")
+    model = VadeersModel.initialize(config, np.random.default_rng(70))
+    batch = toy_batch(seed=71, n_drugs=8, n_cells=5, config=config)
+    binder = model.binder(GradientTape())
+    loss, _, _ = model.dvae_loss_batch(
+        binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
+        LossWeights(), np.random.default_rng(72))
+    assert _graph_nodes(loss) <= 45
+    binder = model.binder(GradientTape())
+    loss, _, flags = model.total_loss(binder, batch, LossWeights(),
+                                      np.random.default_rng(73), mode="train")
+    assert not flags["dspn_empty"]
+    assert _graph_nodes(loss) <= 95
 
 
 # ---------------------------------------------------------------------------

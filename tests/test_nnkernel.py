@@ -6,6 +6,7 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vadeers.exceptions import ContractViolation
 from vadeers.nnkernel import (
@@ -19,12 +20,25 @@ from vadeers.nnkernel import (
     init_layer_params,
     mlp_forward,
     mse,
+    mul,
+    reparameterize,
     square,
+    tmean,
     tsum,
+    weighted_sum,
     wrap,
 )
+from vadeers.nnkernel.layers import dropout_mask
+from vadeers.nnkernel.losses import row_mse
 
-from oracles import adam_out_of_place, gradcheck, matmul_loops, mse_loops
+import oracles
+from oracles import (
+    adam_out_of_place,
+    assert_close,
+    gradcheck,
+    matmul_loops,
+    mse_loops,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -97,6 +111,15 @@ def test_dropout_expectation_matches_eval():
     assert rel.max() < 0.02
 
 
+@pytest.mark.parametrize("rate", [0.25, 0.5])
+def test_dropout_mask_bytes_match_the_out_of_place_expression(rate):
+    shape = (64, 33)
+    mask = dropout_mask(np.random.default_rng(16), shape, rate)
+    rng = np.random.default_rng(16)
+    keep = rng.random(shape) >= rate
+    assert mask.tobytes() == (keep.astype(np.float64) / (1.0 - rate)).tobytes()
+
+
 def test_dropout_requires_rng_in_train_mode():
     layers = [LayerSpec(2, 2, "relu", 0.5)]
     params = [(np.eye(2), np.zeros(2))]
@@ -134,6 +157,88 @@ def test_mse_matches_scalar_oracle():
 def test_mse_shape_mismatch():
     with pytest.raises(ContractViolation):
         mse(np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(ContractViolation):
+        row_mse(np.zeros((2, 2)), np.zeros((2, 3)))
+    with pytest.raises(ContractViolation):
+        row_mse(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# one-node loss terms against their tensor-composed oracles
+# ---------------------------------------------------------------------------
+
+def _value_and_grads(build, arrays):
+    """Value of the scalar ``build(params)`` and its gradients, with
+    every array registered as a parameter."""
+    tape = GradientTape()
+    out = build({k: tape.parameter(k, v) for k, v in arrays.items()})
+    return out.data, dict(grad(out, tape))
+
+
+def _assert_same_node(fused, composed, arrays):
+    got, got_grads = _value_and_grads(fused, arrays)
+    want, want_grads = _value_and_grads(composed, arrays)
+    assert_close(got, want, 1e-12)
+    for name in arrays:
+        assert_close(got_grads[name], want_grads[name], 1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), d=st.integers(1, 6),
+       weighting=st.sampled_from(["none", "mask", "real"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_mse_matches_composed_oracle(n, d, weighting, seed):
+    rng = np.random.default_rng(seed)
+    target = rng.normal(size=(n, d))
+    weights = {"none": None, "mask": rng.integers(0, 2, size=n) * 1.0,
+               "real": rng.uniform(0.0, 2.0, size=n)}[weighting]
+
+    def composed(p):
+        rows = oracles.mse_rows(p["pred"], target)
+        return tmean(rows if weights is None else mul(rows, wrap(weights)))
+
+    _assert_same_node(lambda p: row_mse(p["pred"], target, weights), composed,
+                      {"pred": rng.normal(size=(n, d))})
+    vector = target[:, 0]
+    _assert_same_node(lambda p: row_mse(p["pred"], vector),
+                      lambda p: mse(p["pred"], vector),
+                      {"pred": rng.normal(size=n)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 16), d=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_reparameterize_matches_composed_oracle(n, d, seed):
+    rng = np.random.default_rng(seed)
+    eps = rng.standard_normal((n, d))
+    upstream = wrap(rng.normal(size=(n, d)))
+    arrays = {"mu": rng.normal(size=(n, d)),
+              "log_sigma": rng.normal(0.0, 0.5, size=(n, d))}
+    _assert_same_node(
+        lambda p: tsum(mul(reparameterize(p["mu"], p["log_sigma"], eps),
+                           upstream)),
+        lambda p: tsum(mul(oracles.reparameterize(p["mu"], p["log_sigma"], eps),
+                           upstream)),
+        arrays)
+
+
+@settings(max_examples=30, deadline=None)
+@given(weights=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_weighted_sum_matches_composed_oracle(weights, seed):
+    rng = np.random.default_rng(seed)
+    arrays = {f"t{i}": rng.normal(size=()) for i in range(len(weights))}
+
+    def composed(p):
+        total = wrap(0.0)
+        for i, w in enumerate(weights):
+            total = total + mul(wrap(w), p[f"t{i}"])
+        return total
+
+    _assert_same_node(
+        lambda p: weighted_sum([p[f"t{i}"] for i in range(len(weights))],
+                               weights),
+        composed, arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,6 @@ def test_no_heldout_cells_touch_gradients():
     assert not result.runlog.cells_touched & test_set
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("phase, schedule_kw", [
     ("joint", dict(joint_epochs=4, lr_joint=1e12)),
     ("break", dict(joint_epochs=4, lr_joint=1e12, dvae_break_every_steps=1)),
