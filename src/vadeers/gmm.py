@@ -208,6 +208,9 @@ def mixture_log_density_rows(z, mixture_logits, means, log_scales) -> Tensor:
 
 def labeled_log_density_rows(z, labels, means, log_scales) -> Tensor:
     """Log density of each row under its labeled component only."""
+    labels = np.asarray(labels, dtype=np.int64)
+    if np.any(labels == UNLABELED):
+        raise IndexError(f"component {UNLABELED} out of range")
     return semi_supervised_log_prior_rows(
         z, labels, np.zeros(wrap(means).shape[0]), means, log_scales)
 

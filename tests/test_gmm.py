@@ -158,6 +158,13 @@ def test_label_out_of_range_raises():
         gmm.semi_supervised_log_prior_rows(
             np.zeros((2, 3)), np.array([0, 7]),
             params.mixture_logits, params.means, params.log_scales)
+    with pytest.raises(IndexError):
+        gmm.semi_supervised_log_prior_rows(
+            np.zeros((2, 3)), np.array([-2, 0]),
+            params.mixture_logits, params.means, params.log_scales)
+    with pytest.raises(IndexError):
+        gmm.labeled_log_density_rows(np.zeros((2, 3)), np.array([0, -1]),
+                                     params.means, params.log_scales)
 
 
 # ---------------------------------------------------------------------------
