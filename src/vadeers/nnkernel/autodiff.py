@@ -339,21 +339,22 @@ def weighted_sum(terms: Sequence, weights: Sequence[float]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _topo_order(root: Tensor) -> list[Tensor]:
-    """Iterative post-order DFS; parents before children in the result."""
+    """Iterative post-order DFS; parents before children in the result.
+    Tensors hash by identity, so they key the visited set directly."""
     order: list[Tensor] = []
-    seen: set[int] = set()
+    seen: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node.parents:
-            if id(p) not in seen:
+            if p not in seen:
                 stack.append((p, False))
     return order
 
@@ -408,11 +409,11 @@ class GradientTape:
         order = _topo_order(loss)
         # nodes on a path to a registered parameter; no other node gets a
         # gradient, and ops skip the work for parents outside this set
-        needed = {id(p) for p in self._params.values()}
+        needed = set(self._params.values())
         for node in order:
-            if any(id(p) in needed for p in node.parents):
-                needed.add(id(node))
-        if self._params and id(loss) not in needed:
+            if not needed.isdisjoint(node.parents):
+                needed.add(node)
+        if self._params and loss not in needed:
             raise ContractViolation(
                 "loss is not connected to any parameter registered on this tape"
             )
@@ -421,29 +422,31 @@ class GradientTape:
             out = self._store.gradient_store(self._params)
         else:
             out = FlatStore(pack((n, p.shape) for n, p in self._params.items()))
-        slots = {id(p): out[name] for name, p in self._params.items()}
+        slots = {p: out[name] for name, p in self._params.items()}
         fresh = dict(slots)  # slots no gradient has reached yet
-        if id(loss) in fresh:
-            fresh.pop(id(loss))[...] = 1.0
+        if loss in fresh:
+            fresh.pop(loss)[...] = 1.0
         # other gradients are never written in place: a node's first
         # gradient is stored as it came, which may be another node's
-        # array or a view
-        grads: dict[int, Array] = {id(loss): np.ones((), dtype=np.float64)}
+        # array or a view.  A node's gradient is complete once every node
+        # after it in ``order`` has run, and is dropped when it has been
+        # propagated.
+        grads: dict[Tensor, Array] = {loss: np.ones((), dtype=np.float64)}
         for node in reversed(order):
-            g = grads.get(id(node))
-            if g is None or node._backward is None or id(node) not in needed:
+            g = grads.pop(node, None)
+            if g is None or node._backward is None or node not in needed:
                 continue
             parents = node.parents
-            needs = tuple(id(p) in needed for p in parents)
-            outs = tuple(fresh.pop(id(p), None) for p in parents)
+            needs = tuple(map(needed.__contains__, parents))
+            outs = tuple([fresh.pop(p, None) for p in parents])
             for parent, need, slot, pg in zip(parents, needs, outs,
                                               node._backward(g, needs, outs)):
                 if not need:
                     continue
-                dest = slots.get(id(parent))
+                dest = slots.get(parent)
                 if dest is None:
-                    acc = grads.get(id(parent))
-                    grads[id(parent)] = pg if acc is None else acc + pg
+                    acc = grads.get(parent)
+                    grads[parent] = pg if acc is None else acc + pg
                 elif slot is None:
                     dest += pg.reshape(dest.shape)
                 elif pg is not slot:
