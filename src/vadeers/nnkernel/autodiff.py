@@ -45,6 +45,9 @@ class Tensor:
     it may return None where the flag is false.  An array in ``outs`` is
     the parent's own gradient slot, which the op may fill and return in
     place of a new array.  It must not write to ``g``.
+
+    Tensors compare and hash by identity: the gradient engine keys its
+    sets and dicts on them.
     """
 
     __slots__ = ("data", "parents", "name", "_backward")
