@@ -33,6 +33,7 @@ from .data import (
     load_csv,
     read_feature_csv,
     save_csv,
+    write_table,
 )
 from .exceptions import (
     CheckpointError,
@@ -336,13 +337,10 @@ def generate(checkpoint_path, component, n_samples, out, seed):
                 f"[0, {gmm_params.n_components})"
             )
         z = gmm.sample_component(component, gmm_params, n_samples, rng)
-        comp_col = [component] * n_samples
     elif gmm_params is not None:
         z = gmm.sample_mixture(gmm_params, n_samples, rng)
-        comp_col = [-1] * n_samples
     else:
         z = rng.standard_normal((n_samples, config.latent_dim))
-        comp_col = [-1] * n_samples
     recon, ip_pred = model.decode_drug(z)
     emb = recon.data
     ip = ip_pred.data
@@ -351,14 +349,11 @@ def generate(checkpoint_path, component, n_samples, out, seed):
         ip = ckpt.scaler.inverse_ip(ip)
     out_path = Path(out) if out else _out_dir(None, "generated.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["component"]
-                   + [f"e{i}" for i in range(config.smiles_dim)]
-                   + [f"k{i}" for i in range(config.ip_dim)])
-        for c, e_row, k_row in zip(comp_col, emb, ip):
-            w.writerow([c] + [repr(float(x)) for x in e_row]
-                       + [repr(float(x)) for x in k_row])
+    write_table(out_path, ["component"]
+                + [f"e{i}" for i in range(config.smiles_dim)]
+                + [f"k{i}" for i in range(config.ip_dim)],
+                [[-1 if component is None else component] * n_samples],
+                np.hstack([emb, ip]))
     click.echo(f"wrote {n_samples} generated rows to {out_path}")
 
 
@@ -394,10 +389,8 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
         preds = ckpt.scaler.inverse_ic50(preds)
     out_path = Path(out) if out else _out_dir(None, "predictions.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with atomic_open(out_path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["drug_id", "cell_id", "prediction"])
-        w.writerows(zip(drug_ids, cell_ids, map(repr, preds.tolist())))
+    write_table(out_path, ["drug_id", "cell_id", "prediction"],
+                [drug_ids, cell_ids], preds[:, None])
     click.echo(f"wrote {len(preds)} predictions to {out_path}")
 
 
@@ -448,19 +441,14 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
     labeled = [i for i, d in enumerate(ids) if d in labels]
     if len(labeled) >= 3:
         proj, _ = pca2(mu[labeled])
-        with atomic_open(out_dir / "latent_pca.csv") as fh:
-            w = csv.writer(fh)
-            w.writerow(["drug_id", "label", "pc1", "pc2"])
-            for i, row in zip(labeled, proj):
-                w.writerow([ids[i], labels[ids[i]], repr(float(row[0])),
-                            repr(float(row[1]))])
+        write_table(out_dir / "latent_pca.csv",
+                    ["drug_id", "label", "pc1", "pc2"],
+                    [[ids[i] for i in labeled],
+                     [labels[ids[i]] for i in labeled]], proj)
 
     proj, _ = pca2(gen_rows)
-    with atomic_open(out_dir / "generated_ip_pca.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["component", "pc1", "pc2"])
-        for c, row in zip(comps, proj):
-            w.writerow([c, repr(float(row[0])), repr(float(row[1]))])
+    write_table(out_dir / "generated_ip_pca.csv", ["component", "pc1", "pc2"],
+                [comps], proj)
     click.echo(f"report: {out_dir / 'report.json'}")
 
 

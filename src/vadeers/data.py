@@ -10,12 +10,15 @@ CSV schema (UTF-8, '.' decimal, headers required):
 * ``ic50.csv``:      ``drug_id,cell_id,ic50`` observed sensitivity pairs
 * ``manifest.json``: counts, dims, seed, generator spec, format version
 
-Floats are written with ``repr`` so an export/import round-trip is exact.
+Rows end in ``\r\n`` and floats are written in shortest round-trip
+``repr`` form, so an export/import round-trip is exact (:func:`write_table`,
+:func:`read_table`).
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import os
@@ -23,8 +26,6 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -619,13 +620,160 @@ def atomic_open(path, binary: bool = False):
         raise
 
 
+# ---------------------------------------------------------------------------
+# CSV codec: a header, then id fields and a row of float64 values per line
+# ---------------------------------------------------------------------------
+
+# Values formatted per chunk of written rows; a chunk's text is all the
+# per-row memory a write holds, whatever the row count.
+WRITE_CHUNK_VALUES = 1 << 13
+
+
+def _csv_field(value) -> str:
+    """``value`` as ``csv.writer`` writes it in a row of two or more
+    fields: quoted where the csv rules need it."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([value, ""])
+    return buf.getvalue()[:-3]
+
+
+def write_table(path, header: list[str], id_columns, values) -> None:
+    """Write ``header``, then per row the fields of ``id_columns`` and the
+    floats of the (n, W) matrix ``values``, atomically to ``path``.
+
+    The bytes are those of ``csv.writer`` given the ids and ``repr`` of
+    each float: ``\\r\\n`` row ends, ids quoted where needed, floats in
+    shortest round-trip form.  Each chunk of rows is formatted with one
+    ``repr`` of its value lists."""
+    values = np.asarray(values, dtype=np.float64)
+    columns = []
+    for column in id_columns:
+        text = {v: _csv_field(v) for v in dict.fromkeys(column)}
+        columns.append(list(map(text.__getitem__, column)))
+    step = max(1, WRITE_CHUNK_VALUES // max(1, values.shape[1]))
+    with atomic_open(path) as fh:
+        csv.writer(fh).writerow(header)
+        for start in range(0, len(values), step):
+            fields = [column[start:start + step] for column in columns]
+            if values.shape[1]:
+                chunk = values[start:start + step].tolist()
+                fields.append(repr(chunk)[2:-2].replace(", ", ",").split("],["))
+            fh.write("".join(line + "\r\n"
+                             for line in map(",".join, zip(*fields))))
+
+
+def _parse_plain(text: str, n_ids: int, n_cols: int):
+    """Header, id columns and values of CSV text without quotes, bare
+    ``\\r`` or NUL, or None when the text is not such text or breaks a rule.
+
+    Lines are split with str methods and the floats parsed by
+    ``np.loadtxt``, which accepts a subset of the spellings ``float``
+    accepts and gives the same double for each.  The table is taken only
+    when ``loadtxt`` gives one row per line, no line is blank, and the
+    comma count leaves every line ``n_cols`` fields."""
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        if text.count("\r") != text.count("\r\n"):
+            return None
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    if not lines:
+        return None
+    header, body = lines[0].split(","), lines[1:]
+    if (len(header) != n_cols or "" in body
+            or text.count(",") != len(lines) * (n_cols - 1)):
+        return None
+    if not body or n_cols == n_ids:
+        values = np.empty((len(body), n_cols - n_ids))
+    else:
+        try:
+            values = np.loadtxt(body, dtype=np.float64, delimiter=",",
+                                comments=None, ndmin=2,
+                                usecols=tuple(range(n_ids, n_cols)))
+        except ValueError:
+            return None
+        if len(values) != len(body):
+            return None
+    if n_ids == 1:
+        return header, [[line.partition(",")[0] for line in body]], values
+    flat = ",".join(body).split(",") if body else []
+    return header, [flat[k::n_cols] for k in range(n_ids)], values
+
+
+def _parse_csv_module(name: str, text: str, n_ids: int, n_cols: int):
+    """Header, id columns and values of any CSV text, read with the csv
+    module and ``float``; errors name the first bad row and column."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        raise DataError(f"{name}: empty file")
+    header, body = rows[0], rows[1:]
+    if len(header) != n_cols:
+        raise DataError(
+            f"{name}: expected {n_cols} columns, header has {len(header)}")
+    for r, row in enumerate(body, start=1):
+        if len(row) != n_cols:
+            n = len(row)
+            where = (f"column {header[n]}" if n < n_cols
+                     else f"after column {header[-1]}")
+            raise DataError(f"{name}: row {r}, {where}: row has "
+                            f"{n} fields, expected {n_cols}")
+    tokens = [token for row in body for token in row[n_ids:]]
+    try:
+        flat = np.fromiter(map(float, tokens), dtype=np.float64,
+                           count=len(tokens))
+    except ValueError:
+        width = n_cols - n_ids
+        for k, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                raise DataError(f"{name}: row {k // width + 1}, column "
+                                f"{header[n_ids + k % width]}: non-numeric "
+                                f"value {token!r}") from None
+        raise
+    return (header, [[row[k] for row in body] for k in range(n_ids)],
+            flat.reshape(len(body), n_cols - n_ids))
+
+
+def read_table(path, n_ids: int, width: int) -> tuple[list[list[str]],
+                                                      np.ndarray]:
+    """The ``n_ids`` id columns and the (n, width) float64 matrix of a CSV
+    with a header and ``n_ids + width`` fields in every row.  Values are
+    finite; errors name the file, row and column.
+
+    Text without quotes takes :func:`_parse_plain`; quoted text, and text
+    it declines, is read with the csv module, which gives the same table
+    or names the first error."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"missing file {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        text = fh.read()
+    n_cols = n_ids + width
+    header, ids, values = (_parse_plain(text, n_ids, n_cols)
+                           or _parse_csv_module(path.name, text, n_ids, n_cols))
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"{path.name}: row {r + 1}, column "
+                        f"{header[n_ids + c]}: non-finite value")
+    return ids, values
+
+
+def read_feature_csv(path, width: int) -> tuple[list[str], np.ndarray]:
+    """Ids and the (n, width) float64 matrix of an ``id,v0..v{W-1}``
+    feature CSV.  Ids may repeat; errors name the file, row and column."""
+    (ids,), values = read_table(path, 1, width)
+    return ids, values
+
+
 def _write_feature_csv(path: Path, prefix: str, ids: list[str],
                        rows: np.ndarray):
-    with atomic_open(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(["id"] + [f"{prefix}{i}" for i in range(rows.shape[1])])
-        w.writerows([i] + list(map(repr, row))
-                    for i, row in zip(ids, rows.tolist()))
+    write_table(path, ["id"] + [f"{prefix}{i}" for i in range(rows.shape[1])],
+                [ids], rows)
 
 
 def save_csv(dataset: Dataset, directory, seed: int | None = None,
@@ -641,12 +789,10 @@ def save_csv(dataset: Dataset, directory, seed: int | None = None,
                        dataset.profiles[mask])
     _write_feature_csv(directory / "cells.csv", "f", dataset.cell_ids,
                        dataset.features)
-    with atomic_open(directory / "ic50.csv") as fh:
-        w = csv.writer(fh)
-        w.writerow(["drug_id", "cell_id", "ic50"])
-        w.writerows(zip(np.asarray(dataset.drug_ids)[dataset.pair_drug].tolist(),
-                        np.asarray(dataset.cell_ids)[dataset.pair_cell].tolist(),
-                        map(repr, dataset.pair_y.tolist())))
+    write_table(directory / "ic50.csv", ["drug_id", "cell_id", "ic50"],
+                [np.asarray(dataset.drug_ids, dtype=object)[dataset.pair_drug],
+                 np.asarray(dataset.cell_ids, dtype=object)[dataset.pair_cell]],
+                dataset.pair_y[:, None])
 
     manifest = {
         "format_version": MANIFEST_VERSION,
@@ -664,67 +810,6 @@ def save_csv(dataset: Dataset, directory, seed: int | None = None,
     with atomic_open(directory / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _read_rows(path: Path, n_cols: int) -> tuple[list[str], list[list[str]]]:
-    """Header and data rows of a CSV whose every row has ``n_cols`` fields."""
-    if not path.exists():
-        raise DataError(f"missing file {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise DataError(f"{path.name}: empty file")
-    header, body = rows[0], rows[1:]
-    if len(header) != n_cols:
-        raise DataError(
-            f"{path.name}: expected {n_cols} columns, header has {len(header)}"
-        )
-    widths = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
-    odd = np.flatnonzero(widths != n_cols)
-    if odd.size:
-        r, n = int(odd[0]), int(widths[odd[0]])
-        where = (f"column {header[n]}" if n < n_cols
-                 else f"after column {header[-1]}")
-        raise DataError(f"{path.name}: row {r + 1}, {where}: row has "
-                        f"{n} fields, expected {n_cols}")
-    return header, body
-
-
-def _values(path: Path, header: list[str], body: list[list[str]],
-            first: int) -> np.ndarray:
-    """Columns ``first:`` of the data rows as a float64 matrix.  Tokens
-    are converted in one pass; the rows are only scanned cell by cell
-    after a failure, to name the row and column."""
-    width = len(header) - first
-    try:
-        flat = np.fromiter(
-            map(float, chain.from_iterable(map(itemgetter(slice(first, None)),
-                                               body))),
-            dtype=np.float64, count=len(body) * width)
-    except ValueError:
-        for r, row in enumerate(body, start=1):
-            for c, token in enumerate(row[first:], start=first):
-                try:
-                    float(token)
-                except ValueError:
-                    raise DataError(f"{path.name}: row {r}, column {header[c]}: "
-                                    f"non-numeric value {token!r}") from None
-        raise
-    values = flat.reshape(len(body), width)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, c = bad[0]
-        raise DataError(f"{path.name}: row {r + 1}, column "
-                        f"{header[first + c]}: non-finite value")
-    return values
-
-
-def read_feature_csv(path, width: int) -> tuple[list[str], np.ndarray]:
-    """Ids and the (n, width) float64 matrix of an ``id,v0..v{W-1}``
-    feature CSV.  Ids may repeat; errors name the file, row and column."""
-    path = Path(path)
-    header, body = _read_rows(path, width + 1)
-    return list(map(itemgetter(0), body)), _values(path, header, body, 1)
 
 
 def _rows_by_id(path: Path, width: int, count: int) -> dict[str, np.ndarray]:
@@ -778,11 +863,9 @@ def load_csv(directory) -> Dataset:
     cells = [CellLineRecord(id=i, features=v) for i, v in feats.items()]
 
     ic50_path = directory / "ic50.csv"
-    header, body = _read_rows(ic50_path, 3)
+    (drug_col, cell_col), values = read_table(ic50_path, 2, 1)
     dataset = Dataset.build(
-        drugs, cells, (list(map(itemgetter(0), body)),
-                       list(map(itemgetter(1), body)),
-                       _values(ic50_path, header, body, 2)[:, 0]),
+        drugs, cells, (drug_col, cell_col, values[:, 0]),
         provenance=manifest.get("provenance", "csv"), source=ic50_path.name)
     if len(dataset.pair_y) != manifest["n_pairs"]:
         raise DataError(f"ic50.csv: {len(dataset.pair_y)} rows, manifest says "

@@ -10,6 +10,8 @@ is differentiable end to end, including through the mixture prior.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,18 +142,30 @@ class Batch:
         return int(self.pair_drug.shape[0])
 
 
-def _chain(prefix: str, in_dim: int, hidden: tuple[int, ...], out_dim: int,
-           out_activation: str = "identity",
-           dropout_rate: float = 0.0,
-           dropout_layers: tuple[int, ...] = ()) -> list[tuple[str, LayerSpec]]:
-    """Named layer chain: relu hidden layers then one output layer."""
+class LayerChain(NamedTuple):
+    """A named chain of dense layers: the layer names, their specs, and
+    the (weights, bias) parameter names of each layer."""
+
+    names: tuple[str, ...]
+    specs: tuple[LayerSpec, ...]
+    params: tuple[tuple[str, str], ...]
+
+
+def _chain(prefix: str, in_dim: int, hidden: tuple[int, ...],
+           out_dim: int | None = None, dropout_rate: float = 0.0,
+           dropout_layers: tuple[int, ...] = ()) -> LayerChain:
+    """Relu hidden layers, then a linear output layer unless ``out_dim``
+    is None."""
     dims = (in_dim, *hidden)
-    out = []
-    for i in range(len(hidden)):
-        rate = dropout_rate if i in dropout_layers else 0.0
-        out.append((f"{prefix}.{i}", LayerSpec(dims[i], dims[i + 1], "relu", rate)))
-    out.append((f"{prefix}.out", LayerSpec(dims[-1], out_dim, out_activation)))
-    return out
+    layers = [(f"{prefix}.{i}",
+               LayerSpec(dims[i], dims[i + 1], "relu",
+                         dropout_rate if i in dropout_layers else 0.0))
+              for i in range(len(hidden))]
+    if out_dim is not None:
+        layers.append((f"{prefix}.out", LayerSpec(dims[-1], out_dim, "identity")))
+    names = tuple(n for n, _ in layers)
+    return LayerChain(names, tuple(s for _, s in layers),
+                      tuple((f"{n}.W", f"{n}.b") for n in names))
 
 
 class _Binder:
@@ -176,8 +190,8 @@ class _Binder:
             self._cache[name] = t
         return t
 
-    def pairs(self, chain: list[tuple[str, LayerSpec]]):
-        return [(self(f"{n}.W"), self(f"{n}.b")) for n, _ in chain]
+    def pairs(self, chain: LayerChain):
+        return [(self(w), self(b)) for w, b in chain.params]
 
 
 def entropy_mean(log_sigma) -> Tensor:
@@ -218,32 +232,29 @@ class VadeersModel:
 
     # ---- architecture ----------------------------------------------------
 
-    def dvae_encoder_chain(self):
+    @cached_property
+    def chains(self) -> dict[str, LayerChain]:
+        """Every layer chain by name, in initialization order; built and
+        checked once, since the config is frozen."""
         c = self.config
-        dims = (c.smiles_dim, *c.dvae_encoder_dims)
-        return [(f"dvae.enc.{i}", LayerSpec(dims[i], dims[i + 1], "relu"))
-                for i in range(len(c.dvae_encoder_dims))]
+        return {
+            "dvae.enc": _chain("dvae.enc", c.smiles_dim, c.dvae_encoder_dims),
+            "dvae.dec_s": _chain("dvae.dec_s", c.latent_dim, c.decoder_dims,
+                                 c.smiles_dim),
+            "dvae.dec_i": _chain("dvae.dec_i", c.latent_dim, c.decoder_dims,
+                                 c.ip_dim),
+            "cae.enc": _chain("cae.enc", c.bio_dim, c.dvae_encoder_dims,
+                              c.latent_dim),
+            "cae.dec": _chain("cae.dec", c.latent_dim, c.decoder_dims, c.bio_dim),
+            "dspn": _chain("dspn", 2 * c.latent_dim, c.dspn_dims, 1,
+                           dropout_rate=c.dspn_dropout, dropout_layers=(0, 1)),
+        }
 
-    def cae_encoder_chain(self):
-        c = self.config
-        return _chain("cae.enc", c.bio_dim, c.dvae_encoder_dims, c.latent_dim)
-
-    def smiles_decoder_chain(self):
-        c = self.config
-        return _chain("dvae.dec_s", c.latent_dim, c.decoder_dims, c.smiles_dim)
-
-    def ip_decoder_chain(self):
-        c = self.config
-        return _chain("dvae.dec_i", c.latent_dim, c.decoder_dims, c.ip_dim)
-
-    def cae_decoder_chain(self):
-        c = self.config
-        return _chain("cae.dec", c.latent_dim, c.decoder_dims, c.bio_dim)
-
-    def dspn_chain(self):
-        c = self.config
-        return _chain("dspn", 2 * c.latent_dim, c.dspn_dims, 1,
-                      dropout_rate=c.dspn_dropout, dropout_layers=(0, 1))
+    def _forward(self, chain: str, x, binder: _Binder, mode: str = "eval",
+                 rng: np.random.Generator | None = None) -> Tensor:
+        layers = self.chains[chain]
+        return mlp_forward(x, layers.specs, binder.pairs(layers), mode=mode,
+                           rng=rng)
 
     def _enc_trunk_out(self) -> int:
         c = self.config
@@ -252,9 +263,8 @@ class VadeersModel:
     def dense_layers(self) -> list[tuple[str, LayerSpec]]:
         """Every dense layer, in initialization order."""
         head = LayerSpec(self._enc_trunk_out(), self.config.latent_dim, "identity")
-        return [*self.dvae_encoder_chain(), *self.smiles_decoder_chain(),
-                *self.ip_decoder_chain(), *self.cae_encoder_chain(),
-                *self.cae_decoder_chain(), *self.dspn_chain(),
+        return [*(layer for chain in self.chains.values()
+                  for layer in zip(chain.names, chain.specs)),
                 ("dvae.enc.mu", head), ("dvae.enc.logsig", head)]
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
@@ -325,8 +335,7 @@ class VadeersModel:
                 f"drug input width {x.shape[1]} != smiles_dim "
                 f"{self.config.smiles_dim}"
             )
-        chain = self.dvae_encoder_chain()
-        h = mlp_forward(x, [s for _, s in chain], binder.pairs(chain))
+        h = self._forward("dvae.enc", x, binder)
         mu = dense(h, binder("dvae.enc.mu.W"), binder("dvae.enc.mu.b"))
         log_sigma = dense(h, binder("dvae.enc.logsig.W"), binder("dvae.enc.logsig.b"))
         if not (np.all(np.isfinite(mu.data)) and np.all(np.isfinite(log_sigma.data))):
@@ -347,11 +356,8 @@ class VadeersModel:
         layers are linear."""
         binder = binder or self.binder()
         z = wrap(z)
-        chain_s = self.smiles_decoder_chain()
-        chain_i = self.ip_decoder_chain()
-        recon = mlp_forward(z, [s for _, s in chain_s], binder.pairs(chain_s))
-        ip_pred = mlp_forward(z, [s for _, s in chain_i], binder.pairs(chain_i))
-        return recon, ip_pred
+        return (self._forward("dvae.dec_s", z, binder),
+                self._forward("dvae.dec_i", z, binder))
 
     def cae_encode(self, x, binder: _Binder | None = None) -> Tensor:
         binder = binder or self.binder()
@@ -361,13 +367,11 @@ class VadeersModel:
             raise ContractViolation(
                 f"cell input width {x.shape[1]} != bio_dim {self.config.bio_dim}"
             )
-        chain = self.cae_encoder_chain()
-        return mlp_forward(x, [s for _, s in chain], binder.pairs(chain))
+        return self._forward("cae.enc", x, binder)
 
     def cae_decode(self, latent, binder: _Binder | None = None) -> Tensor:
         binder = binder or self.binder()
-        chain = self.cae_decoder_chain()
-        return mlp_forward(latent, [s for _, s in chain], binder.pairs(chain))
+        return self._forward("cae.dec", latent, binder)
 
     def dspn_predict(self, drug_latent, cell_latent,
                      binder: _Binder | None = None, mode: str = "eval",
@@ -377,9 +381,7 @@ class VadeersModel:
         drug_latent, cell_latent = wrap(drug_latent), wrap(cell_latent)
         _check_latent_shapes(drug_latent.shape, cell_latent.shape)
         x = concat([drug_latent, cell_latent], axis=1)
-        chain = self.dspn_chain()
-        out = mlp_forward(x, [s for _, s in chain], binder.pairs(chain),
-                          mode=mode, rng=rng)
+        out = self._forward("dspn", x, binder, mode=mode, rng=rng)
         return reshape(out, (out.shape[0],))
 
     # ---- losses ------------------------------------------------------------

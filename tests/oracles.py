@@ -5,14 +5,21 @@ finite differences, exhaustive enumeration) and shares no code with the
 implementations under test.  The one exception is the section of
 tensor-composed loss terms: they are built from the kernel's primitive
 autodiff ops, one op per step of the formula, and serve as value and
-gradient oracles for the library's single-node loss terms.
+gradient oracles for the library's single-node loss terms.  The CSV
+section is the ``csv``-module reader and writer that the library's array
+codec replaced, kept as its parity oracle.
 """
 
+import csv
 import itertools
 import math
+from itertools import chain
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
+from vadeers.exceptions import DataError
 from vadeers.nnkernel import (
     add,
     exp,
@@ -314,3 +321,78 @@ def hungarian_agreement(pred, truth, k):
         mapped = np.array([perm[p] for p in pred])
         best = max(best, float(np.mean(mapped == truth)))
     return best
+
+
+# ---------------------------------------------------------------------------
+# CSV codec: the csv-module reader and writer the array codec replaced
+# ---------------------------------------------------------------------------
+
+def _read_rows(path: Path, n_cols: int) -> tuple[list[str], list[list[str]]]:
+    """Header and data rows of a CSV whose every row has ``n_cols`` fields."""
+    if not path.exists():
+        raise DataError(f"missing file {path}")
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise DataError(f"{path.name}: empty file")
+    header, body = rows[0], rows[1:]
+    if len(header) != n_cols:
+        raise DataError(
+            f"{path.name}: expected {n_cols} columns, header has {len(header)}"
+        )
+    widths = np.fromiter(map(len, body), dtype=np.intp, count=len(body))
+    odd = np.flatnonzero(widths != n_cols)
+    if odd.size:
+        r, n = int(odd[0]), int(widths[odd[0]])
+        where = (f"column {header[n]}" if n < n_cols
+                 else f"after column {header[-1]}")
+        raise DataError(f"{path.name}: row {r + 1}, {where}: row has "
+                        f"{n} fields, expected {n_cols}")
+    return header, body
+
+
+def _values(path: Path, header: list[str], body: list[list[str]],
+            first: int) -> np.ndarray:
+    """Columns ``first:`` of the data rows as a float64 matrix; a failure
+    is named by scanning the rows cell by cell."""
+    width = len(header) - first
+    try:
+        flat = np.fromiter(
+            map(float, chain.from_iterable(map(itemgetter(slice(first, None)),
+                                               body))),
+            dtype=np.float64, count=len(body) * width)
+    except ValueError:
+        for r, row in enumerate(body, start=1):
+            for c, token in enumerate(row[first:], start=first):
+                try:
+                    float(token)
+                except ValueError:
+                    raise DataError(f"{path.name}: row {r}, column {header[c]}: "
+                                    f"non-numeric value {token!r}") from None
+        raise
+    values = flat.reshape(len(body), width)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        r, c = bad[0]
+        raise DataError(f"{path.name}: row {r + 1}, column "
+                        f"{header[first + c]}: non-finite value")
+    return values
+
+
+def csv_read_table(path, n_ids, width):
+    """The id columns and float matrix of a table CSV, read with
+    ``csv.reader`` and ``float``."""
+    path = Path(path)
+    header, body = _read_rows(path, n_ids + width)
+    return ([[row[k] for row in body] for k in range(n_ids)],
+            _values(path, header, body, n_ids))
+
+
+def csv_write_table(path, header, id_columns, values):
+    """A table CSV written field by field with ``csv.writer``, floats as
+    ``repr``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for ids, row in zip(zip(*id_columns), np.asarray(values).tolist()):
+            w.writerow(list(ids) + [repr(float(x)) for x in row])

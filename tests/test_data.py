@@ -4,12 +4,16 @@ labels, CSV round-trips with precise error reporting, standardization
 the synthetic generator."""
 
 import tempfile
+import warnings
 from dataclasses import replace
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import vadeers.data
 from vadeers.data import (
     CellLineRecord,
     Dataset,
@@ -21,13 +25,21 @@ from vadeers.data import (
     generate_synthetic_with_truth,
     kmeans,
     load_csv,
+    read_feature_csv,
+    read_table,
     save_csv,
     standardize,
+    write_table,
 )
 from vadeers.exceptions import ContractViolation, DataError
 from vadeers.metrics import silhouette
 
-from oracles import exhaustive_kmeans_inertia, hungarian_agreement
+from oracles import (
+    csv_read_table,
+    csv_write_table,
+    exhaustive_kmeans_inertia,
+    hungarian_agreement,
+)
 
 DESK = SynthSpec(smiles_dim=16, ip_dim=12, bio_dim=10, n_drugs=40,
                  n_profiled=24, n_cells=30)
@@ -320,6 +332,161 @@ def test_width_mismatch_rejected(tmp_path):
     with pytest.raises(DataError) as err:
         load_csv(tmp_path)
     assert "3" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# CSV codec parity with the csv-module oracle
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e+16, 1.7976931348623157e308,
+                -1.7976931348623157e308]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_write_table_bytes_match_csv_writer(data):
+    n_ids = data.draw(st.integers(1, 2))
+    width = data.draw(st.integers(0, 4))
+    n = data.draw(st.integers(0, 12))
+    ids = st.one_of(_IDS, st.integers(-2, 3))
+    columns = [data.draw(st.lists(ids, min_size=n, max_size=n))
+               for _ in range(n_ids)]
+    floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+    values = np.array(data.draw(st.lists(floats, min_size=n * width,
+                                         max_size=n * width)),
+                      dtype=np.float64).reshape(n, width)
+    header = [f"id{k}" for k in range(n_ids)] + [f"v{i}" for i in range(width)]
+    with tempfile.TemporaryDirectory() as directory:
+        got, want = Path(directory, "got.csv"), Path(directory, "want.csv")
+        with patch.object(vadeers.data, "WRITE_CHUNK_VALUES",
+                          data.draw(st.integers(1, 8))):
+            write_table(got, header, columns, values)
+        csv_write_table(want, header, columns, values)
+        assert got.read_bytes() == want.read_bytes()
+
+
+_TOKENS = st.one_of(
+    st.floats(allow_nan=False).map(repr),
+    st.sampled_from([repr(x) for x in _EDGE_FLOATS]),
+    st.sampled_from(["1", " 1.5 ", "+1e3", "1E-2", ".5", "5.", "1_5", "nan",
+                     "-inf", "Infinity", "1e500", "\uff11.\uff15",
+                     "\xa01.5", "1.5\v", "", " ", "oops", "1d5", "0x10",
+                     '"1.5"', '"1,5"', "1 5", "#2", " 2"]),
+)
+_PLAIN_IDS = st.text(alphabet="abXY09_-. #", min_size=1, max_size=5)
+
+
+@st.composite
+def _table_texts(draw):
+    """CSV text for a table of ``n_ids`` id columns and ``width`` floats:
+    mostly well-formed, with drawn blank lines, short and long rows,
+    quoted fields, odd spellings and mixed row ends."""
+    n_ids, width = draw(st.integers(1, 2)), draw(st.integers(0, 3))
+    header = [f"id{k}" for k in range(n_ids)] + [f"v{i}" for i in range(width)]
+    row_end = draw(st.sampled_from(["\n", "\r\n"]))
+    defects = draw(st.booleans())
+
+    def rare():
+        return defects and draw(st.integers(0, 4)) == 0
+
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        ids = _IDS if rare() else _PLAIN_IDS
+        fields = draw(st.lists(ids, min_size=n_ids, max_size=n_ids))
+        if rare():
+            fields = [f'"{f}"' if '"' not in f else f for f in fields]
+        fields += [draw(_TOKENS) if rare() else repr(draw(st.floats()))
+                   for _ in range(width)]
+        if rare():
+            kind = draw(st.sampled_from(["blank", "short", "long"]))
+            if kind == "blank":
+                fields = []
+            elif kind == "short":
+                fields = fields[:draw(st.integers(1, max(1, len(fields) - 1)))]
+            else:
+                fields.append(draw(_TOKENS))
+        lines.append(",".join(fields))
+    text = "".join(line + (draw(st.sampled_from(["\n", "\r\n", "\r"]))
+                           if rare() else row_end) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    if rare():
+        text = "\ufeff" + text
+    return n_ids, width, text
+
+
+def _read_outcome(read, path, n_ids, width):
+    """``read``'s ids and value bits, or its error's type and text."""
+    try:
+        ids, values = read(path, n_ids, width)
+    except Exception as exc:  # any outcome is compared, errors included
+        return type(exc).__name__, str(exc)
+    return ids, values.shape, values.view(np.int64).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_texts())
+def test_read_table_matches_csv_reader(case):
+    n_ids, width, text = case
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory, "t.csv")
+        path.write_text(text, encoding="utf-8", newline="")
+        assert (_read_outcome(read_table, path, n_ids, width)
+                == _read_outcome(csv_read_table, path, n_ids, width))
+
+
+def _read_text(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    want = _read_outcome(csv_read_table, path, 1, 2)
+    assert _read_outcome(read_table, path, 1, 2) == want
+    return read_feature_csv(path, 2)
+
+
+@pytest.mark.parametrize("text", [
+    "id,e0,e1\nD0,1,2\n\nD1,3,4\n",
+    "id,e0,e1\nD0,1,2\n\n",
+    "id,e0,e1\r\nD0,1,2\r\n\r\n",
+], ids=["middle", "end", "end_crlf"])
+def test_blank_line_rejected(tmp_path, text):
+    with pytest.raises(DataError, match="^t.csv: row 2, column id: row has "
+                                        "0 fields, expected 3$"):
+        _read_text(tmp_path, text)
+
+
+def test_header_only_gives_empty_table_without_warning(tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ids, values = _read_text(tmp_path, "id,e0,e1\r\n")
+    assert ids == [] and values.shape == (0, 2)
+
+
+def test_bare_cr_ends_a_row(tmp_path):
+    # a table of ids only: no float parse can reject a misread row
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"id\rD1\rD2\r\n")
+    ids, values = read_table(path, 1, 0)
+    assert ids == csv_read_table(path, 1, 0)[0] == [["D1", "D2"]]
+    assert values.shape == (2, 0)
+
+
+@pytest.mark.parametrize("text, ids, values", [
+    ("id,e0,e1\n#D1,1,2\n", ["#D1"], [1.0, 2.0]),
+    ("id,e0,e1\n D1 , 1 ,2\n", [" D1 "], [1.0, 2.0]),
+    ('id,e0,e1\nD1,"1.5",2\n', ["D1"], [1.5, 2.0]),
+    ('id,e0,e1\n"D,1",1.5,2\n', ["D,1"], [1.5, 2.0]),
+    ("\ufeffid,e0,e1\nD1,1.5,2\n", ["D1"], [1.5, 2.0]),
+    ("id,e0,e1\nD1,1.5,2", ["D1"], [1.5, 2.0]),
+    ("id,e0,e1\r\nD1,1.5,2\r\nD2,-0.0,5e-324\r\n", ["D1", "D2"],
+     [1.5, 2.0, -0.0, 5e-324]),
+    ("id,e0,e1\nD1,1_5,2\n", ["D1"], [15.0, 2.0]),
+], ids=["hash_id", "spaced_id", "quoted_number", "quoted_id", "bom",
+        "no_final_newline", "crlf", "underscore"])
+def test_accepted_spellings(tmp_path, text, ids, values):
+    got_ids, got = _read_text(tmp_path, text)
+    assert got_ids == ids
+    assert got.ravel().view(np.int64).tolist() == \
+        np.array(values).view(np.int64).tolist()
 
 
 # ---------------------------------------------------------------------------
