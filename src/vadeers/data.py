@@ -628,6 +628,14 @@ def atomic_open(path, binary: bool = False):
 # per-row memory a write holds, whatever the row count.
 WRITE_CHUNK_VALUES = 1 << 13
 
+# Characters read per chunk of the plain-text reader, which completes the
+# chunk's last line; a chunk's lines and fields are all the per-row memory
+# a read holds beyond the table.  The 104,832-row, 3.1 MB ic50.csv of the
+# serve benchmark then reads with a traced peak of 4.7 MB, 2.5 MB of it
+# the table, where the whole text at once peaked at 39 MB; 64 KiB chunks
+# peak at 3.9 MB but read no faster, 1 MiB ones at 20 MB.
+READ_CHUNK_BYTES = 1 << 17
+
 
 def _csv_field(value) -> str:
     """``value`` as ``csv.writer`` writes it in a row of two or more
@@ -662,15 +670,11 @@ def write_table(path, header: list[str], id_columns, values) -> None:
                              for line in map(",".join, zip(*fields))))
 
 
-def _parse_plain(text: str, n_ids: int, n_cols: int):
-    """Header, id columns and values of CSV text without quotes, bare
-    ``\\r`` or NUL, or None when the text is not such text or breaks a rule.
-
-    Lines are split with str methods and the floats parsed by
-    ``np.loadtxt``, which accepts a subset of the spellings ``float``
-    accepts and gives the same double for each.  The table is taken only
-    when ``loadtxt`` gives one row per line, no line is blank, and the
-    comma count leaves every line ``n_cols`` fields."""
+def _plain_lines(text: str, n_cols: int) -> list[str] | None:
+    """The lines of ``text``, whole lines of CSV text, without their row
+    ends, or None when the text holds a quote, NUL, bare ``\\r`` or blank
+    line, or a comma count that does not give every line ``n_cols``
+    fields."""
     if '"' in text or "\0" in text:
         return None
     if "\r" in text:
@@ -680,33 +684,74 @@ def _parse_plain(text: str, n_ids: int, n_cols: int):
     lines = text.split("\n")
     if lines[-1] == "":
         lines.pop()
-    if not lines:
+    if "" in lines or text.count(",") != len(lines) * (n_cols - 1):
         return None
-    header, body = lines[0].split(","), lines[1:]
-    if (len(header) != n_cols or "" in body
-            or text.count(",") != len(lines) * (n_cols - 1)):
-        return None
-    if not body or n_cols == n_ids:
-        values = np.empty((len(body), n_cols - n_ids))
-    else:
-        try:
-            values = np.loadtxt(body, dtype=np.float64, delimiter=",",
-                                comments=None, ndmin=2,
-                                usecols=tuple(range(n_ids, n_cols)))
-        except ValueError:
-            return None
-        if len(values) != len(body):
-            return None
-    if n_ids == 1:
-        return header, [[line.partition(",")[0] for line in body]], values
-    flat = ",".join(body).split(",") if body else []
-    return header, [flat[k::n_cols] for k in range(n_ids)], values
+    return lines
 
 
-def _parse_csv_module(name: str, text: str, n_ids: int, n_cols: int):
-    """Header, id columns and values of any CSV text, read with the csv
-    module and ``float``; errors name the first bad row and column."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+def _parse_plain(fh, n_ids: int, n_cols: int):
+    """Header, id columns and values of CSV text without quotes, bare
+    ``\\r`` or NUL, read from ``fh`` in chunks of whole lines, or None
+    when the text is not such text or breaks a rule.
+
+    Lines are split with str methods and the floats parsed by
+    ``np.loadtxt``, which accepts a subset of the spellings ``float``
+    accepts and gives the same double for each.  A chunk is taken only
+    when ``loadtxt`` gives one row per line, no line is blank, and every
+    line has ``n_cols`` fields.  Equal ids share one str object."""
+    header = None
+    columns = [[] for _ in range(n_ids)]
+    blocks = []
+    ids = {}
+    while chunk := fh.read(READ_CHUNK_BYTES):
+        lines = _plain_lines(chunk + fh.readline(), n_cols)
+        if lines is None:
+            return None
+        if header is None:
+            header = lines.pop(0).split(",")
+            if len(header) != n_cols:
+                return None
+        if not lines:
+            continue
+        if n_cols == n_ids:
+            # no float column for loadtxt to find a short line by
+            if any(line.count(",") != n_cols - 1 for line in lines):
+                return None
+            blocks.append(np.empty((len(lines), 0)))
+        else:
+            try:
+                block = np.loadtxt(lines, dtype=np.float64, delimiter=",",
+                                   comments=None, ndmin=2,
+                                   usecols=tuple(range(n_ids, n_cols)))
+            except ValueError:
+                return None
+            if len(block) != len(lines):
+                return None
+            blocks.append(block)
+        if n_ids == 1:
+            fields = [[line.partition(",")[0] for line in lines]]
+        else:
+            flat = ",".join(lines).split(",")
+            fields = [flat[k::n_cols] for k in range(n_ids)]
+        for column, field in zip(columns, fields):
+            column.extend(map(ids.setdefault, field, field))
+    if header is None:
+        return None
+    values = (np.concatenate(blocks) if blocks
+              else np.empty((0, n_cols - n_ids)))
+    return header, columns, values
+
+
+def _parse_csv_module(name: str, fh, n_ids: int, n_cols: int):
+    """Header, id columns and values of any CSV text in ``fh``, read with
+    the csv module and ``float``; errors name the first bad row and
+    column."""
+    rows = []
+    try:
+        rows.extend(csv.reader(fh))
+    except csv.Error as exc:  # a field over csv.field_size_limit()
+        where = f"row {len(rows)}" if rows else "header"
+        raise DataError(f"{name}: {where}: {exc}") from None
     if not rows:
         raise DataError(f"{name}: empty file")
     header, body = rows[0], rows[1:]
@@ -738,23 +783,43 @@ def _parse_csv_module(name: str, text: str, n_ids: int, n_cols: int):
             flat.reshape(len(body), n_cols - n_ids))
 
 
+def _not_utf8(path: Path) -> DataError:
+    """The error for a file whose bytes are not UTF-8, naming the line of
+    the first bad byte; LF, CRLF and a bare CR each end a line."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        return DataError(f"{path.name}: line {line}: byte "
+                         f"0x{raw[exc.start]:02x} is not UTF-8 text")
+    return DataError(f"{path.name}: not UTF-8 text")
+
+
 def read_table(path, n_ids: int, width: int) -> tuple[list[list[str]],
                                                       np.ndarray]:
-    """The ``n_ids`` id columns and the (n, width) float64 matrix of a CSV
-    with a header and ``n_ids + width`` fields in every row.  Values are
-    finite; errors name the file, row and column.
+    """The ``n_ids`` id columns and the (n, width) float64 matrix of a
+    UTF-8 CSV with a header and ``n_ids + width`` fields in every row.
+    Values are finite; errors name the file, row and column.
 
-    Text without quotes takes :func:`_parse_plain`; quoted text, and text
-    it declines, is read with the csv module, which gives the same table
-    or names the first error."""
+    Text without quotes takes :func:`_parse_plain`, a chunk of lines at a
+    time; quoted text, and text it declines, is read again from the start
+    with the csv module, which gives the same table or names the first
+    error."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing file {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
     n_cols = n_ids + width
-    header, ids, values = (_parse_plain(text, n_ids, n_cols)
-                           or _parse_csv_module(path.name, text, n_ids, n_cols))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            parsed = _parse_plain(fh, n_ids, n_cols)
+            if parsed is None:
+                fh.seek(0)
+                parsed = _parse_csv_module(path.name, fh, n_ids, n_cols)
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    header, ids, values = parsed
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
         r, c = bad[0]

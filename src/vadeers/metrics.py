@@ -62,9 +62,18 @@ def silhouette(points, labels) -> float:
     uniq, own = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ContractViolation("silhouette needs at least 2 distinct labels")
+    # one n x n array: the Gram matrix becomes the distances in place,
+    # (sq_i + sq_j) - 2 G_ij in blocks of rows of about 2**16 entries, the
+    # same operations on the same operands as the one-expression form
     sq = np.sum(points**2, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
-    dist = np.sqrt(np.maximum(d2, 0.0))
+    dist = points @ points.T
+    dist *= 2.0
+    step = max(1, (1 << 16) // len(sq))
+    for start in range(0, len(sq), step):
+        rows = dist[start:start + step]
+        np.subtract(sq[start:start + step, None] + sq[None, :], rows, out=rows)
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
 
     counts = np.bincount(own)
     # summed distance from every point to every cluster, in one product

@@ -268,6 +268,29 @@ def silhouette_loops(points, labels):
         scores.append(0.0 if max(a, b) == 0.0 else (b - a) / max(a, b))
     return math.fsum(scores) / n
 
+def silhouette_full_matrix(points, labels):
+    """Mean silhouette from the n x n distance matrix built in one
+    expression, ``sqrt(max(sq_i + sq_j - 2 G_ij, 0))``, and one product
+    with the one-hot label matrix."""
+    points = np.asarray(points, dtype=np.float64)
+    _, own = np.unique(np.asarray(labels), return_inverse=True)
+    sq = np.sum(points**2, axis=1)
+    d2 = sq[:, None] + sq[None, :] - 2.0 * (points @ points.T)
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    counts = np.bincount(own)
+    sums = dist @ (own[:, None] == np.arange(counts.size)).astype(np.float64)
+    rows = np.arange(points.shape[0])
+    n_own = counts[own]
+    a = sums[rows, own] / np.maximum(n_own - 1, 1)
+    mean_to = sums / counts
+    mean_to[rows, own] = np.inf
+    b = mean_to.min(axis=1)
+    top = np.maximum(a, b)
+    scores = np.divide(b - a, top, out=np.zeros_like(top), where=top != 0.0)
+    scores[n_own <= 1] = 0.0
+    return float(scores.mean())
+
+
 def exhaustive_kmeans_inertia(points, k):
     """Optimal k-means inertia by enumerating every assignment (n small)."""
     points = np.asarray(points, dtype=np.float64)

@@ -307,6 +307,25 @@ def test_predict_bad_value_names_file_row_column(tmp_path, run_dir, capsys,
     assert "drugs_in.csv" in err and "row 2" in err and f"column {column}" in err
 
 
+@pytest.mark.parametrize("first_id, message", [
+    (b"X\xe90", "drugs_in.csv: line 2: byte 0xe9 is not UTF-8 text"),
+    (b'"' + b"x" * 200_000 + b'"',
+     "drugs_in.csv: row 1: field larger than field limit (131072)"),
+], ids=["non_utf8", "long_quoted_field"])
+def test_predict_unreadable_input_exit_2(tmp_path, run_dir, capsys, first_id,
+                                         message):
+    dpath = tmp_path / "drugs_in.csv"
+    _write_feature_csv(dpath, "e", ["X0", "X1"], np.zeros((2, 32)))
+    dpath.write_bytes(dpath.read_bytes().replace(b"X0", first_id))
+    cpath = tmp_path / "cells_in.csv"
+    _write_feature_csv(cpath, "f", ["C0", "C1"], np.zeros((2, 20)))
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", run_dir / "checkpoint.bin",
+               "--drugs", dpath, "--cells", cpath,
+               "--out", tmp_path / "o.csv") == 2
+    assert capsys.readouterr().err == f"data error: {message}\n"
+
+
 def test_predict_width_mismatch_names_dims(tmp_path, run_dir):
     dpath = tmp_path / "bad.csv"
     _write_feature_csv(dpath, "e", ["X0"], np.zeros((1, 5)))

@@ -3,7 +3,9 @@ labels, CSV round-trips with precise error reporting, standardization
 (including the train-only leakage check), and the planted structure of
 the synthetic generator."""
 
+import csv
 import tempfile
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -424,15 +426,85 @@ def _read_outcome(read, path, n_ids, width):
     return ids, values.shape, values.view(np.int64).tolist()
 
 
-@settings(max_examples=300, deadline=None)
-@given(_table_texts())
-def test_read_table_matches_csv_reader(case):
+def _assert_read_matches_csv_reader(case):
     n_ids, width, text = case
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory, "t.csv")
         path.write_text(text, encoding="utf-8", newline="")
         assert (_read_outcome(read_table, path, n_ids, width)
                 == _read_outcome(csv_read_table, path, n_ids, width))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_texts())
+def test_read_table_matches_csv_reader(case):
+    _assert_read_matches_csv_reader(case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_table_texts())
+def test_read_table_in_one_line_chunks_matches_csv_reader(case):
+    # a one-byte chunk is completed to one whole line, so every table
+    # with a row crosses chunk boundaries
+    with patch.object(vadeers.data, "READ_CHUNK_BYTES", 1):
+        _assert_read_matches_csv_reader(case)
+
+
+@pytest.mark.parametrize("n_ids, width, text", [
+    (2, 0, "a,b\nx,y,z\nw\n"),
+    (1, 0, "\nD1\n"),
+    (1, 2, "id,e0\nD1,1,2,3\n"),
+    (2, 0, "a,b,c\nx\n"),
+], ids=["long_and_short_row", "blank_header", "short_header_long_row",
+        "long_header_short_row"])
+def test_offsetting_field_counts_match_csv_reader(n_ids, width, text):
+    # the comma count of the whole text is right, that of each line not
+    _assert_read_matches_csv_reader((n_ids, width, text))
+
+
+def test_pair_table_shares_id_strings_in_bounded_memory(tmp_path):
+    rng = np.random.default_rng(7)
+    drugs = [f"D{i}" for i in range(300)]
+    cells = [f"C{i}" for i in range(400)]
+    drug_col = np.asarray(drugs, dtype=object)[rng.integers(0, 300, 100_000)]
+    cell_col = np.asarray(cells, dtype=object)[rng.integers(0, 400, 100_000)]
+    path = tmp_path / "ic50.csv"
+    write_table(path, ["drug_id", "cell_id", "ic50"], [drug_col, cell_col],
+                rng.standard_normal((100_000, 1)))
+    tracemalloc.start()
+    try:
+        (got_drugs, got_cells), values = read_table(path, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got_drugs == drug_col.tolist() and got_cells == cell_col.tolist()
+    assert values.shape == (100_000, 1)
+    for column in (got_drugs, got_cells):
+        first = {}
+        assert all(first.setdefault(i, i) is i for i in column)
+    # reading the whole text at once held about 36 MiB
+    assert peak < 8 * 2**20
+
+
+@pytest.mark.parametrize("row_end", ["\n", "\r\n", "\r"],
+                         ids=["lf", "crlf", "cr"])
+def test_non_utf8_names_line_of_first_bad_byte(tmp_path, row_end):
+    path = tmp_path / "t.csv"
+    path.write_bytes(row_end.join(["id,e0", "D1,1", "D\xe92,2", ""])
+                     .encode("latin-1"))
+    with pytest.raises(DataError, match="^t.csv: line 3: byte 0xe9 is not "
+                                        "UTF-8 text$"):
+        read_table(path, 1, 1)
+
+
+def test_field_over_csv_limit_names_row(tmp_path):
+    limit = csv.field_size_limit()
+    path = tmp_path / "t.csv"
+    path.write_text(f'id,e0\nD1,1\n"{"x" * (limit + 1)}",2\n')
+    with pytest.raises(DataError, match=f"^t.csv: row 2: field larger than "
+                                        f"field limit \\({limit}\\)$"):
+        read_table(path, 1, 1)
+    assert csv.field_size_limit() == limit
 
 
 def _read_text(tmp_path, text):

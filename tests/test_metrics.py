@@ -3,6 +3,7 @@ silhouette (hand case, null case, invariances), PCA against an eigen
 oracle, cluster statistics, and generation-fidelity fixed points."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,12 @@ from vadeers.metrics import (
     silhouette,
 )
 
-from oracles import cluster_stats_two_pass, covariance_eigvals, silhouette_loops
+from oracles import (
+    cluster_stats_two_pass,
+    covariance_eigvals,
+    silhouette_full_matrix,
+    silhouette_loops,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +113,33 @@ def test_silhouette_matches_loop_oracle(seed):
     coincident = np.ones((5, 2))  # a = b = 0 everywhere
     assert silhouette(coincident, labels[:5]) == silhouette_loops(
         coincident, labels[:5]) == 0.0
+
+
+def test_silhouette_bit_identical_to_full_matrix_oracle():
+    rng = np.random.default_rng(5)
+    labels = rng.integers(0, 3, size=900)
+    pts = rng.standard_normal((900, 20)) + labels[:, None]
+    assert silhouette(pts, labels) == silhouette_full_matrix(pts, labels)
+    singleton = np.append(labels[:99], 3)
+    assert silhouette(pts[:100], singleton) == silhouette_full_matrix(
+        pts[:100], singleton)
+    coincident = np.ones((7, 2))
+    assert silhouette(coincident, labels[:7]) == silhouette_full_matrix(
+        coincident, labels[:7])
+
+
+def test_silhouette_memory_is_one_distance_matrix():
+    rng = np.random.default_rng(6)
+    pts = rng.standard_normal((900, 20))
+    labels = rng.integers(0, 3, size=900)
+    tracemalloc.start()
+    try:
+        silhouette(pts, labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the full-matrix expression holds three or four 900 x 900 arrays
+    assert peak < 1.5 * 900 * 900 * 8
 
 
 def test_silhouette_single_label_errors():
