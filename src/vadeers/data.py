@@ -673,8 +673,7 @@ def write_table(path, header: list[str], id_columns, values) -> None:
 def _plain_lines(text: str, n_cols: int) -> list[str] | None:
     """The lines of ``text``, whole lines of CSV text, without their row
     ends, or None when the text holds a quote, NUL, bare ``\\r`` or blank
-    line, or a comma count that does not give every line ``n_cols``
-    fields."""
+    line, or other than ``n_cols - 1`` commas per line in all."""
     if '"' in text or "\0" in text:
         return None
     if "\r" in text:
@@ -714,7 +713,9 @@ def _parse_plain(fh, n_ids: int, n_cols: int):
         if not lines:
             continue
         if n_cols == n_ids:
-            # no float column for loadtxt to find a short line by
+            # loadtxt rejects a line short of the last float column, so
+            # where there is one, a right comma count in all leaves no
+            # line long; without one, each line is counted
             if any(line.count(",") != n_cols - 1 for line in lines):
                 return None
             blocks.append(np.empty((len(lines), 0)))

@@ -268,6 +268,7 @@ def silhouette_loops(points, labels):
         scores.append(0.0 if max(a, b) == 0.0 else (b - a) / max(a, b))
     return math.fsum(scores) / n
 
+
 def silhouette_full_matrix(points, labels):
     """Mean silhouette from the n x n distance matrix built in one
     expression, ``sqrt(max(sq_i + sq_j - 2 G_ij, 0))``, and one product

@@ -458,7 +458,7 @@ def test_read_table_in_one_line_chunks_matches_csv_reader(case):
 ], ids=["long_and_short_row", "blank_header", "short_header_long_row",
         "long_header_short_row"])
 def test_offsetting_field_counts_match_csv_reader(n_ids, width, text):
-    # the comma count of the whole text is right, that of each line not
+    # each passes a count of the commas in the whole text
     _assert_read_matches_csv_reader((n_ids, width, text))
 
 
@@ -482,7 +482,7 @@ def test_pair_table_shares_id_strings_in_bounded_memory(tmp_path):
     for column in (got_drugs, got_cells):
         first = {}
         assert all(first.setdefault(i, i) is i for i in column)
-    # reading the whole text at once held about 36 MiB
+    # reading the whole text at once held about 37 MiB
     assert peak < 8 * 2**20
 
 
