@@ -68,7 +68,7 @@ def _load_config(path: str | None) -> dict:
     with open(p, encoding="utf-8") as fh:
         try:
             config = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise DataError(f"config file {p}: invalid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise DataError(f"config file {p}: the top level must be an object")
@@ -189,7 +189,8 @@ def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observanc
     out_dir = _out_dir(out, f"synth-seed{seed}")
     dataset = generate_synthetic(spec, seed=seed)
     save_csv(dataset, out_dir, seed=seed, generator_spec=spec)
-    click.echo(f"wrote {len(dataset.drugs)} drugs, {len(dataset.cells)} cells, "
+    click.echo(f"wrote {len(dataset.drug_ids)} drugs, "
+               f"{len(dataset.cell_ids)} cells, "
                f"{len(dataset.pair_y)} pairs to {out_dir}")
 
 

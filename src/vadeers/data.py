@@ -26,6 +26,7 @@ import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,7 @@ MANIFEST_VERSION = 1
 
 @dataclass
 class DrugRecord:
-    """One drug: a row view of a :class:`Dataset`, or an input to
-    :meth:`Dataset.build`."""
+    """One drug: a row view of a :class:`Dataset`."""
 
     id: str
     smiles_embedding: np.ndarray
@@ -58,31 +58,28 @@ class DrugRecord:
 
 @dataclass
 class CellLineRecord:
+    """One cell line: a row view of a :class:`Dataset`."""
+
     id: str
     features: np.ndarray
 
 
-def _matrix(rows: list[np.ndarray], ids: list[str], width_name: str,
-            value_name: str) -> np.ndarray:
-    """``rows`` as one float64 matrix, checked to share a width and to be
-    finite; errors name the first offending id."""
-    widths = {r.shape for r in rows}
-    if len(widths) > 1:
-        raise DataError(f"inconsistent {width_name} widths: {sorted(widths)}")
-    matrix = np.array(rows, dtype=np.float64)
-    bad = ~np.isfinite(matrix).all(axis=1)
+def _row_index(name: str, table) -> dict[str, int]:
+    """Id -> row of the ``(ids, matrix)`` table ``name``, checked to have
+    one id per matrix row, unique ids and finite values; errors name the
+    table's file and the first offending row."""
+    ids, values = table
+    if values.ndim != 2 or len(values) != len(ids):
+        raise ContractViolation(f"{name}: {len(ids)} ids for a matrix of "
+                                f"shape {values.shape}")
+    rows: dict[str, int] = {}
+    for r, i in enumerate(ids):
+        if rows.setdefault(i, r) != r:
+            raise DataError(f"{name}: duplicate id {i!r} at row {r + 1}")
+    bad = ~np.isfinite(values).all(axis=1)
     if bad.any():
-        raise DataError(f"non-finite {value_name} {ids[int(np.argmax(bad))]}")
-    return matrix
-
-
-def _rows_of(ids: list[str], wanted: np.ndarray) -> np.ndarray:
-    """The row of each ``wanted`` id in the unique ``ids``; -1 where it is
-    not there."""
-    keys = np.asarray(ids, dtype=str)
-    order = np.argsort(keys)
-    at = order[np.searchsorted(keys[order], wanted).clip(max=len(keys) - 1)]
-    return np.where(keys[at] == wanted, at, -1)
+        raise DataError(f"{name}: row {int(np.argmax(bad)) + 1}: non-finite value")
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,71 +108,69 @@ class Dataset:
     provenance: str = "synthetic"
 
     @classmethod
-    def build(cls, drugs: list[DrugRecord], cells: list[CellLineRecord],
-              pairs, provenance: str = "synthetic",
-              source: str = "pairs") -> "Dataset":
-        """The dataset of ``drugs``, ``cells`` and the observed pairs
+    def build(cls, drugs, profiles, cells, pairs,
+              provenance: str = "synthetic") -> "Dataset":
+        """The unlabeled dataset of the tables ``drugs`` (embeddings),
+        ``profiles`` (inhibition profiles of some of the drugs) and
+        ``cells`` (features), each an ``(ids, matrix)`` pair as
+        :func:`read_feature_csv` gives it, and of the observed pairs
         ``pairs = (drug_ids, cell_ids, values)``, in that order.
 
-        Ids are unique, each kind of row has one width, values are
-        finite, only profiled drugs carry a guiding label, and every pair
-        names a known drug and cell and appears once.  A pair error names
-        ``source`` and the pair's 1-based row."""
-        drug_ids = [d.id for d in drugs]
-        cell_ids = [c.id for c in cells]
-        if len(set(drug_ids)) != len(drug_ids):
-            raise DataError("duplicate drug ids")
-        if len(set(cell_ids)) != len(cell_ids):
-            raise DataError("duplicate cell ids")
-        if not drugs or not cells:
+        Each table has unique ids and finite values, every profile names
+        a drug, and every pair names a known drug and cell, appears once
+        and has a finite value.  Errors name the table's CSV file and the
+        1-based row."""
+        drugs, profiles, cells = ((ids, np.asarray(m, dtype=np.float64))
+                                  for ids, m in (drugs, profiles, cells))
+        drug_rows = _row_index("drugs.csv", drugs)
+        profile_rows = _row_index("profiles.csv", profiles)
+        cell_rows = _row_index("cells.csv", cells)
+        if not drug_rows or not cell_rows:
             raise DataError("a dataset needs at least one drug and one cell line")
-        embeddings = _matrix([d.smiles_embedding for d in drugs], drug_ids,
-                             "embedding", "embedding for drug")
-        features = _matrix([c.features for c in cells], cell_ids,
-                           "cell feature", "features for cell")
-        mask = np.array([d.has_profile for d in drugs])
-        width = next((d.inhibition_profile.shape for d in drugs if d.has_profile),
-                     (0,))
-        profiles = _matrix([d.inhibition_profile if d.has_profile
-                            else np.zeros(width) for d in drugs], drug_ids,
-                           "profile", "profile for drug")
-        labels = np.array([-1 if d.guiding_label is None else d.guiding_label
-                           for d in drugs], dtype=np.int64)
-        stray = (labels >= 0) & ~mask
-        if stray.any():
-            raise DataError(f"drug {drug_ids[int(np.argmax(stray))]} has a "
-                            f"guiding label but no inhibition profile")
+        unknown = profile_rows.keys() - drug_rows.keys()
+        if unknown:
+            raise DataError(f"profiles.csv: ids not present in drugs.csv: "
+                            f"{sorted(unknown)[:5]}")
+        placed = [drug_rows[i] for i in profiles[0]]
+        mask = np.zeros(len(drug_rows), dtype=bool)
+        mask[placed] = True
+        profile_matrix = np.zeros((len(drug_rows), profiles[1].shape[1]))
+        profile_matrix[placed] = profiles[1]
 
-        drug_col, cell_col = (np.asarray(col, dtype=str) for col in pairs[:2])
+        drug_col, cell_col = pairs[:2]
         y = np.asarray(pairs[2], dtype=np.float64)
         if not len(drug_col) == len(cell_col) == len(y):
             raise ContractViolation("pair columns differ in length")
-        pair_drug = _rows_of(drug_ids, drug_col)
-        pair_cell = _rows_of(cell_ids, cell_col)
-        # a key built from an unknown id may mark a later row as a repeat;
-        # the unknown id is then the earlier error
-        _, first = np.unique(pair_drug * len(cell_ids) + pair_cell,
-                             return_index=True)
-        repeat = np.ones(len(y), dtype=bool)
-        repeat[first] = False
-        bad = (pair_drug < 0) | (pair_cell < 0) | repeat | ~np.isfinite(y)
+        pair_drug, pair_cell = (
+            np.fromiter(map(rows.get, col, repeat(-1)), dtype=np.int64,
+                        count=len(y))
+            for rows, col in ((drug_rows, drug_col), (cell_rows, cell_col)))
+        # a stable sort keeps each key's first row first; a key built from
+        # an unknown id may mark a later row as a repeat, and the unknown
+        # id is then the earlier error
+        keys = pair_drug * len(cell_rows) + pair_cell
+        order = np.argsort(keys, kind="stable")
+        keys.sort()
+        repeat_row = np.zeros(len(y), dtype=bool)
+        repeat_row[order[1:][keys[1:] == keys[:-1]]] = True
+        bad = (pair_drug < 0) | (pair_cell < 0) | repeat_row | ~np.isfinite(y)
         if bad.any():
             r = int(np.argmax(bad))
             key = (str(drug_col[r]), str(cell_col[r]))
-            where = f"{source}: row {r + 1}"
+            where = f"ic50.csv: row {r + 1}"
             if pair_drug[r] < 0:
                 raise DataError(f"{where} references unknown drug {key[0]!r}")
             if pair_cell[r] < 0:
                 raise DataError(f"{where} references unknown cell {key[1]!r}")
-            what = ("duplicate sensitivity entry" if repeat[r]
+            what = ("duplicate sensitivity entry" if repeat_row[r]
                     else "non-finite sensitivity value")
             raise DataError(f"{where}: {what} for {key}")
 
         return cls(
-            drug_ids=drug_ids, embeddings=embeddings, profiles=profiles,
-            profile_mask=mask, labels=labels, cell_ids=cell_ids,
-            features=features, pair_drug=pair_drug, pair_cell=pair_cell, pair_y=y,
-            provenance=provenance,
+            drug_ids=list(drugs[0]), embeddings=drugs[1], profiles=profile_matrix,
+            profile_mask=mask, labels=np.full(len(drug_rows), -1, dtype=np.int64),
+            cell_ids=list(cells[0]), features=cells[1], pair_drug=pair_drug,
+            pair_cell=pair_cell, pair_y=y, provenance=provenance,
         )
 
     # ---- row views ----
@@ -363,11 +358,6 @@ class Scaler:
     def transform_cell(self, rows):
         rows = np.asarray(rows)
         out = (rows - self.cell_mean) / self.cell_std
-        return np.where(self.cell_binary, rows, out)
-
-    def inverse_cell(self, rows):
-        rows = np.asarray(rows)
-        out = rows * self.cell_std + self.cell_mean
         return np.where(self.cell_binary, rows, out)
 
     def transform_ic50(self, values):
@@ -566,23 +556,14 @@ def generate_synthetic_with_truth(
     cwidth = max(3, len(str(spec.n_cells - 1)))
     cell_ids = [f"C{j:0{cwidth}d}" for j in range(spec.n_cells)]
 
-    profiled_idx = set(
-        rng.choice(spec.n_drugs, size=spec.n_profiled, replace=False).tolist()
-    )
-    drugs = [
-        DrugRecord(
-            id=drug_ids[i],
-            smiles_embedding=embeddings[i],
-            inhibition_profile=profiles[i] if i in profiled_idx else None,
-        )
-        for i in range(spec.n_drugs)
-    ]
-    cells = [CellLineRecord(id=cell_ids[j], features=features[j])
-             for j in range(spec.n_cells)]
+    profiled = rng.choice(spec.n_drugs, size=spec.n_profiled, replace=False)
+    drug_obj = np.asarray(drug_ids, dtype=object)
     rows, cols = np.nonzero(observed)
     dataset = Dataset.build(
-        drugs, cells, (np.asarray(drug_ids)[rows], np.asarray(cell_ids)[cols],
-                       interaction[rows, cols] + noise[rows, cols]),
+        (drug_ids, embeddings), (drug_obj[profiled].tolist(), profiles[profiled]),
+        (cell_ids, features),
+        (drug_obj[rows].tolist(), np.asarray(cell_ids, dtype=object)[cols].tolist(),
+         interaction[rows, cols] + noise[rows, cols]),
         provenance="synthetic")
     truth = SyntheticTruth(
         drug_factors=u, cell_factors=v, planted_labels=planted,
@@ -878,26 +859,17 @@ def save_csv(dataset: Dataset, directory, seed: int | None = None,
         fh.write("\n")
 
 
-def _rows_by_id(path: Path, width: int, count: int) -> dict[str, np.ndarray]:
-    """The rows of a dataset feature CSV by id; ids are unique and their
-    number is ``count``, as the manifest says."""
-    ids, values = read_feature_csv(path, width)
-    out: dict[str, np.ndarray] = {}
-    for r, (rid, row) in enumerate(zip(ids, values), start=1):
-        if rid in out:
-            raise DataError(f"{path.name}: duplicate id {rid!r} at row {r}")
-        out[rid] = row
-    if len(out) != count:
-        raise DataError(f"{path.name}: {len(out)} rows, manifest says {count}")
-    return out
-
-
 def load_manifest(directory) -> dict:
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise DataError(f"missing file {path}")
     with open(path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise DataError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: the top level must be an object")
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise DataError(
             f"manifest format_version {manifest.get('format_version')!r} "
@@ -911,29 +883,17 @@ def load_csv(directory) -> Dataset:
     manifest; errors name the offending file, row, and column."""
     directory = Path(directory)
     manifest = load_manifest(directory)
-
-    emb = _rows_by_id(directory / "drugs.csv", manifest["smiles_dim"],
-                      manifest["n_drugs"])
-    profiles = _rows_by_id(directory / "profiles.csv", manifest["ip_dim"],
-                           manifest["n_profiled"])
-    feats = _rows_by_id(directory / "cells.csv", manifest["bio_dim"],
-                        manifest["n_cells"])
-    unknown = set(profiles) - set(emb)
-    if unknown:
-        raise DataError(f"profiles.csv: ids not present in drugs.csv: "
-                        f"{sorted(unknown)[:5]}")
-
-    drugs = [DrugRecord(id=i, smiles_embedding=v,
-                        inhibition_profile=profiles.get(i))
-             for i, v in emb.items()]
-    cells = [CellLineRecord(id=i, features=v) for i, v in feats.items()]
-
-    ic50_path = directory / "ic50.csv"
-    (drug_col, cell_col), values = read_table(ic50_path, 2, 1)
-    dataset = Dataset.build(
-        drugs, cells, (drug_col, cell_col, values[:, 0]),
-        provenance=manifest.get("provenance", "csv"), source=ic50_path.name)
-    if len(dataset.pair_y) != manifest["n_pairs"]:
-        raise DataError(f"ic50.csv: {len(dataset.pair_y)} rows, manifest says "
-                        f"{manifest['n_pairs']}")
+    drugs = read_feature_csv(directory / "drugs.csv", manifest["smiles_dim"])
+    profiles = read_feature_csv(directory / "profiles.csv", manifest["ip_dim"])
+    cells = read_feature_csv(directory / "cells.csv", manifest["bio_dim"])
+    (drug_col, cell_col), values = read_table(directory / "ic50.csv", 2, 1)
+    dataset = Dataset.build(drugs, profiles, cells,
+                            (drug_col, cell_col, values[:, 0]),
+                            provenance=manifest.get("provenance", "csv"))
+    for name, rows, key in (("drugs.csv", len(drugs[0]), "n_drugs"),
+                            ("profiles.csv", len(profiles[0]), "n_profiled"),
+                            ("cells.csv", len(cells[0]), "n_cells"),
+                            ("ic50.csv", len(values), "n_pairs")):
+        if rows != manifest[key]:
+            raise DataError(f"{name}: {rows} rows, manifest says {manifest[key]}")
     return dataset

@@ -15,7 +15,7 @@ at the bottom return plain floats/arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,14 +79,6 @@ class GmmParams:
 
     def scales(self) -> np.ndarray:
         return np.exp(self.log_scales)
-
-    def with_arrays(self, mixture_logits, means, log_scales) -> "GmmParams":
-        return replace(
-            self,
-            mixture_logits=mixture_logits,
-            means=means,
-            log_scales=log_scales,
-        )
 
 
 def init_gmm(

@@ -1,6 +1,6 @@
 """Minimal dense neural-network kernel: tensors with reverse-mode
-gradients, dense layers with inverted dropout, loss primitives, Adam
-over flat parameter stores."""
+gradients, dense layers with inverted dropout, Adam over flat parameter
+stores."""
 
 from .autodiff import (
     GradientTape,
@@ -30,7 +30,6 @@ from .layers import (
     init_layer_params,
     mlp_forward,
 )
-from .losses import mse
 from .optim import AdamState, adam_step
 from .store import FlatStore
 
@@ -50,7 +49,6 @@ __all__ = [
     "grad",
     "init_layer_params",
     "logsumexp",
-    "mse",
     "mul",
     "neg",
     "reparameterize",

@@ -1,19 +1,11 @@
-"""Scalar loss primitives."""
+"""Loss terms as single graph nodes."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from ..exceptions import ContractViolation
-from .autodiff import Tensor, square, sub, tmean, wrap
-
-
-def mse(a, b) -> Tensor:
-    """Mean over all entries of (a - b)^2; shapes must match exactly."""
-    a, b = wrap(a), wrap(b)
-    if a.shape != b.shape:
-        raise ContractViolation(f"mse shape mismatch: {a.shape} vs {b.shape}")
-    return tmean(square(sub(a, b)))
+from .autodiff import Tensor, wrap
 
 
 def row_mse(pred, target, row_weights=None) -> Tensor:

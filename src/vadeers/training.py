@@ -25,10 +25,9 @@ from .nnkernel import (
     GradientTape,
     Tensor,
     adam_step,
-    mse,
-    mul,
-    wrap,
+    weighted_sum,
 )
+from .nnkernel.losses import row_mse
 from .nnkernel.store import pack
 
 CHECKPOINT_MAGIC = b"VADEERS\x01"
@@ -400,7 +399,8 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
         preds = model.dspn_predict(drug_mu[pd_idx[chunk]],
                                    cell_lat[pc_idx[chunk]], binder,
                                    mode="train", rng=rng_step)
-        return {"dspn": mul(wrap(weights.dspn), mse(preds, y[chunk]))}
+        return {"dspn": weighted_sum([row_mse(preds, y[chunk])],
+                                     [weights.dspn])}
 
     dspn_adam = AdamState()  # fresh moments: the lr regime changes
     current_lr = None

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vadeers.exceptions import DataError
+from vadeers.exceptions import ContractViolation, DataError
 from vadeers.nnkernel import (
     add,
     exp,
@@ -165,6 +165,14 @@ def entropy_rows(log_sigma):
     log_sigma = wrap(log_sigma)
     d = log_sigma.shape[1]
     return add(tsum(log_sigma, axis=1), wrap(d * 0.5 * (1.0 + LOG_2PI)))
+
+
+def mse(a, b):
+    """Mean over all entries of (a - b)^2; shapes must match exactly."""
+    a, b = wrap(a), wrap(b)
+    if a.shape != b.shape:
+        raise ContractViolation(f"mse shape mismatch: {a.shape} vs {b.shape}")
+    return tmean(square(sub(a, b)))
 
 
 def mse_rows(a, b):

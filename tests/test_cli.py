@@ -3,6 +3,7 @@ precedence across the three layers, seed reproducibility, and the exit
 code contract (0 ok, 1 usage, 2 data error)."""
 
 import json
+import shutil
 import time
 import warnings
 from dataclasses import asdict
@@ -625,6 +626,31 @@ def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
     out = captured.out + captured.err
     assert "Traceback" not in out
     assert all(name in out for name in names), out
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("manifest.json", b'{"format_version": 1,'),
+    ("manifest.json", b'{"format_version": 1, "provenance": "caf\xe9"}'),
+    ("manifest.json", b"[1]"),
+    ("config.json", b'{"caf\xe9": 1}'),
+], ids=["truncated_manifest", "non_utf8_manifest", "list_manifest",
+        "non_utf8_config"])
+def test_unreadable_manifest_or_config_exit_2(tmp_path, data_dir, capsys,
+                                              name, text):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    cfg = tmp_path / "config.json"
+    cfg.write_text("{}")
+    bad = cfg if name == "config.json" else data / name
+    bad.write_bytes(text)
+    capsys.readouterr()
+    assert run("train", "--data", data, "--config", cfg,
+               "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("data error: ")
+    assert str(bad) in captured.err, captured.err
     assert not (tmp_path / "o").exists()
 
 

@@ -17,9 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import vadeers.data
 from vadeers.data import (
-    CellLineRecord,
     Dataset,
-    DrugRecord,
     SynthSpec,
     apply_scaler,
     derive_guiding_labels,
@@ -106,10 +104,9 @@ def test_paper_scale_label_shapes():
 
 
 def test_identical_profiles_log_warning(caplog):
-    drugs = [DrugRecord(id=f"D{i}", smiles_embedding=np.zeros(4),
-                        inhibition_profile=np.ones(5)) for i in range(6)]
-    cells = [CellLineRecord(id="C0", features=np.zeros(3))]
-    dataset = Dataset.build(drugs, cells, ([], [], []))
+    ids = [f"D{i}" for i in range(6)]
+    dataset = Dataset.build((ids, np.zeros((6, 4))), (ids, np.ones((6, 5))),
+                            (["C0"], np.zeros((1, 3))), ([], [], []))
     with caplog.at_level("WARNING"):
         labeled = derive_guiding_labels(dataset, n_labels=3, seed=0)
     assert "degenerate" in caplog.text
@@ -118,10 +115,8 @@ def test_identical_profiles_log_warning(caplog):
 
 
 def test_too_few_profiled_drugs():
-    drugs = [DrugRecord(id="D0", smiles_embedding=np.zeros(4),
-                        inhibition_profile=np.ones(5))]
-    dataset = Dataset.build(drugs, [CellLineRecord(id="C0", features=np.zeros(3))],
-                            ([], [], []))
+    dataset = Dataset.build((["D0"], np.zeros((1, 4))), (["D0"], np.ones((1, 5))),
+                            (["C0"], np.zeros((1, 3))), ([], [], []))
     with pytest.raises(DataError):
         derive_guiding_labels(dataset, n_labels=3, seed=0)
 
@@ -152,18 +147,12 @@ def test_labels_never_assigned_without_profile():
 # ---------------------------------------------------------------------------
 
 def _tiny_dataset():
-    drugs = [
-        DrugRecord("D0", np.array([1.0, 2.5]), np.array([0.5, -1.5, 2.0])),
-        DrugRecord("D1", np.array([-0.25, 0.125]), None),
-        DrugRecord("D2", np.array([3.0, -4.0]), np.array([1.0, 1.0, 1.0])),
-    ]
-    cells = [
-        CellLineRecord("C0", np.array([0.0, 1.0, 0.5, 1.0])),
-        CellLineRecord("C1", np.array([1.0, 0.0, -0.25, 1.0])),
-    ]
-    return Dataset.build(drugs, cells, (["D0", "D0", "D1", "D2"],
-                                        ["C0", "C1", "C0", "C1"],
-                                        [1.25, -0.5, 0.75, 2.0]))
+    return Dataset.build(
+        (["D0", "D1", "D2"], [[1.0, 2.5], [-0.25, 0.125], [3.0, -4.0]]),
+        (["D0", "D2"], [[0.5, -1.5, 2.0], [1.0, 1.0, 1.0]]),
+        (["C0", "C1"], [[0.0, 1.0, 0.5, 1.0], [1.0, 0.0, -0.25, 1.0]]),
+        (["D0", "D0", "D1", "D2"], ["C0", "C1", "C0", "C1"],
+         [1.25, -0.5, 0.75, 2.0]))
 
 
 def _same_pairs(a, b):
@@ -239,6 +228,53 @@ def test_bad_ic50_row_names_file_and_row(tmp_path, row, problem):
     assert msg.startswith("ic50.csv: row 3") and problem in msg
 
 
+def _append_first_row(text):
+    return text + text.splitlines()[1] + "\n"
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("drugs.csv", _append_first_row, "drugs.csv: duplicate id 'D0' at row 4"),
+    ("profiles.csv", _append_first_row,
+     "profiles.csv: duplicate id 'D0' at row 3"),
+    ("cells.csv", _append_first_row, "cells.csv: duplicate id 'C0' at row 3"),
+    ("manifest.json", lambda t: t.replace('"n_drugs": 3', '"n_drugs": 4'),
+     "drugs.csv: 3 rows, manifest says 4"),
+    ("manifest.json", lambda t: t.replace('"n_profiled": 2', '"n_profiled": 1'),
+     "profiles.csv: 2 rows, manifest says 1"),
+    ("manifest.json", lambda t: t.replace('"n_cells": 2', '"n_cells": 3'),
+     "cells.csv: 2 rows, manifest says 3"),
+    ("manifest.json", lambda t: t.replace('"n_pairs": 4', '"n_pairs": 5'),
+     "ic50.csv: 4 rows, manifest says 5"),
+    ("profiles.csv", lambda t: t.replace("\nD2,", "\nDX,"),
+     "profiles.csv: ids not present in drugs.csv: ['DX']"),
+], ids=["drugs_repeat", "profiles_repeat", "cells_repeat", "drugs_count",
+        "profiles_count", "cells_count", "ic50_count", "unknown_profile"])
+def test_load_csv_single_fault_message(tmp_path, name, edit, message):
+    save_csv(_tiny_dataset(), tmp_path)
+    path = tmp_path / name
+    text = path.read_text()
+    path.write_text(edit(text))
+    assert path.read_text() != text
+    with pytest.raises(DataError) as err:
+        load_csv(tmp_path)
+    assert str(err.value) == message
+
+
+def test_load_csv_peak_is_bounded(tmp_path):
+    spec = SynthSpec(n_drugs=300, n_profiled=150, n_cells=500)
+    save_csv(generate_synthetic(spec, seed=3), tmp_path, seed=3,
+             generator_spec=spec)
+    tracemalloc.start()
+    try:
+        dataset = load_csv(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dataset.pair_y) == 104_832
+    # building the dataset through per-row records peaked at 16.75 MiB
+    assert peak < 12 * 2**20
+
+
 _IDS = st.text(alphabet="abXY09_-. ,\"", min_size=1, max_size=5)
 
 
@@ -265,12 +301,13 @@ def _datasets(draw):
                                       max_size=n_drugs * n_cells)),
                         dtype=bool).reshape(n_drugs, n_cells)
     rows, cols = np.nonzero(observed)
-    drugs = [DrugRecord(i, e, p if keep else None)
-             for i, e, p, keep in zip(drug_ids, emb, profiles, profiled)]
-    cells = [CellLineRecord(i, f) for i, f in zip(cell_ids, feats)]
-    return Dataset.build(drugs, cells, (np.asarray(drug_ids)[rows],
-                                        np.asarray(cell_ids)[cols],
-                                        matrix(len(rows), 1)[:, 0]))
+    keep = np.array(profiled, dtype=bool)
+    return Dataset.build((drug_ids, emb),
+                         (np.asarray(drug_ids, dtype=object)[keep].tolist(),
+                          profiles[keep]),
+                         (cell_ids, feats),
+                         (np.asarray(drug_ids)[rows], np.asarray(cell_ids)[cols],
+                          matrix(len(rows), 1)[:, 0]))
 
 
 @settings(max_examples=50, deadline=None)
@@ -615,12 +652,11 @@ def test_apply_scaler_non_finite_value_names_pair():
     dataset = generate_synthetic(DESK, seed=13)
     _, scaler = standardize(dataset, {c.id for c in dataset.cells[:20]})
     k = len(dataset.pair_y) // 2
-    drug_col = np.asarray(dataset.drug_ids)[dataset.pair_drug]
-    cell_col = np.asarray(dataset.cell_ids)[dataset.pair_cell]
     y = dataset.pair_y.copy()
     y[k] = 1e308
-    dataset = Dataset.build(dataset.drugs, dataset.cells, (drug_col, cell_col, y))
-    key = (str(drug_col[k]), str(cell_col[k]))
+    dataset = replace(dataset, pair_y=y)
+    key = (dataset.drug_ids[dataset.pair_drug[k]],
+           dataset.cell_ids[dataset.pair_cell[k]])
     with np.errstate(over="ignore"), \
             pytest.raises(DataError, match="non-finite sensitivity") as err:
         apply_scaler(dataset, replace(scaler, ic50_std=0.5))
@@ -628,14 +664,12 @@ def test_apply_scaler_non_finite_value_names_pair():
 
 
 def test_zero_variance_column_warns(caplog):
-    drugs = [DrugRecord(f"D{i}", np.array([1.0, float(i)]),
-                        np.array([float(i), 2.0, float(i) * 2]))
-             for i in range(4)]
-    cells = [CellLineRecord(f"C{j}", np.array([0.5, float(j)]))
-             for j in range(4)]
-    dataset = Dataset.build(drugs, cells, ([f"D{i}" for i in range(4)],
-                                           [f"C{i}" for i in range(4)],
-                                           [float(i) for i in range(4)]))
+    ids, cells = [f"D{i}" for i in range(4)], [f"C{j}" for j in range(4)]
+    x = np.arange(4.0)
+    dataset = Dataset.build(
+        (ids, np.column_stack([np.ones(4), x])),
+        (ids, np.column_stack([x, np.full(4, 2.0), 2 * x])),
+        (cells, np.column_stack([np.full(4, 0.5), x])), (ids, cells, x))
     with caplog.at_level("WARNING"):
         std, scaler = standardize(dataset, {"C0", "C1", "C2", "C3"})
     assert "zero-variance" in caplog.text

@@ -19,7 +19,6 @@ from vadeers.nnkernel import (
     grad,
     init_layer_params,
     mlp_forward,
-    mse,
     mul,
     reparameterize,
     square,
@@ -37,6 +36,7 @@ from oracles import (
     assert_close,
     gradcheck,
     matmul_loops,
+    mse,
     mse_loops,
 )
 

@@ -10,9 +10,7 @@ import pytest
 import vadeers.data
 
 from vadeers.data import (
-    CellLineRecord,
     Dataset,
-    DrugRecord,
     SynthSpec,
     derive_guiding_labels,
     generate_synthetic,
@@ -62,12 +60,13 @@ def tiny_train(seed=0, **schedule_kw):
 # ---------------------------------------------------------------------------
 
 def _cells_only_dataset(n_cells):
-    drugs = [DrugRecord("D0", np.zeros(2), np.ones(3))]
-    cells = [CellLineRecord(f"C{j:04d}", np.zeros(2)) for j in range(n_cells)]
+    cell_ids = [f"C{j:04d}" for j in range(n_cells)]
     rng = np.random.default_rng(0)
-    observed = [f"C{j:04d}" for j in range(0, n_cells, 2)]
-    return Dataset.build(drugs, cells, (["D0"] * len(observed), observed,
-                                        rng.standard_normal(len(observed))))
+    observed = cell_ids[::2]
+    return Dataset.build((["D0"], np.zeros((1, 2))), (["D0"], np.ones((1, 3))),
+                         (cell_ids, np.zeros((n_cells, 2))),
+                         (["D0"] * len(observed), observed,
+                          rng.standard_normal(len(observed))))
 
 
 def test_split_reference_cell_counts():
