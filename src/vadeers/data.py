@@ -36,6 +36,9 @@ from .exceptions import ContractViolation, DataError
 log = logging.getLogger(__name__)
 
 MANIFEST_VERSION = 1
+# the manifest's widths and row counts, each a non-negative int
+MANIFEST_COUNTS = ("smiles_dim", "ip_dim", "bio_dim", "n_drugs", "n_profiled",
+                   "n_cells", "n_pairs")
 
 
 # ---------------------------------------------------------------------------
@@ -872,9 +875,16 @@ def load_manifest(directory) -> dict:
         raise DataError(f"{path}: the top level must be an object")
     if manifest.get("format_version") != MANIFEST_VERSION:
         raise DataError(
-            f"manifest format_version {manifest.get('format_version')!r} "
+            f"{path}: format_version {manifest.get('format_version')!r} "
             f"!= supported {MANIFEST_VERSION}"
         )
+    for key in MANIFEST_COUNTS:
+        if key not in manifest:
+            raise DataError(f"{path}: missing key {key!r}")
+        value = manifest[key]
+        if type(value) is not int or value < 0:
+            raise DataError(f"{path}: {key!r} must be a non-negative integer, "
+                            f"got {value!r}")
     return manifest
 
 

@@ -9,8 +9,7 @@ exactly the classical mixture density.
 
 Every density goes through one graph node, the semi-supervised prior of
 a batch of rows with a hand-written backward, so the same code path
-serves evaluation and gradient-based training; the convenience wrappers
-at the bottom return plain floats/arrays.
+serves evaluation and gradient-based training.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from .nnkernel import Tensor, wrap
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-UNLABELED = -1  # sentinel in label arrays; scalar API uses None
+UNLABELED = -1  # sentinel in label arrays
 
 
 @dataclass(frozen=True)
@@ -190,23 +189,6 @@ def semi_supervised_log_prior_rows(
     return Tensor(out, (z, logits, means, log_scales), backward)
 
 
-def mixture_log_density_rows(z, mixture_logits, means, log_scales) -> Tensor:
-    """log sum_k pi_k N(z | mu_k, Sigma_k) per row: the prior of rows
-    that all lack a label."""
-    z = wrap(z)
-    return semi_supervised_log_prior_rows(
-        z, np.full(z.shape[0], UNLABELED), mixture_logits, means, log_scales)
-
-
-def labeled_log_density_rows(z, labels, means, log_scales) -> Tensor:
-    """Log density of each row under its labeled component only."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if np.any(labels == UNLABELED):
-        raise IndexError(f"component {UNLABELED} out of range")
-    return semi_supervised_log_prior_rows(
-        z, labels, np.zeros(wrap(means).shape[0]), means, log_scales)
-
-
 def standard_normal_log_density_rows(z) -> Tensor:
     """Row-wise log N(z | 0, I), the vanilla-VAE prior, as one node."""
     z = wrap(z)
@@ -215,7 +197,7 @@ def standard_normal_log_density_rows(z) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# scalar / numpy convenience API
+# sampling
 # ---------------------------------------------------------------------------
 
 def _check_component(k: int, params: GmmParams):
@@ -223,52 +205,6 @@ def _check_component(k: int, params: GmmParams):
         raise IndexError(
             f"component {k} out of range for {params.n_components} components"
         )
-
-
-def _check_vector(z, params: GmmParams) -> np.ndarray:
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 1 or z.shape[0] != params.latent_dim:
-        raise ContractViolation(
-            f"expected a vector of length {params.latent_dim}, got shape {z.shape}"
-        )
-    if not np.all(np.isfinite(z)):
-        raise ContractViolation("z contains non-finite entries")
-    return z
-
-
-def log_component_density(z, k: int, params: GmmParams) -> float:
-    """Log diagonal-Gaussian density of component ``k`` at vector ``z``."""
-    _check_component(k, params)
-    z = _check_vector(z, params)
-    out = labeled_log_density_rows(
-        z[None, :], np.array([k]), params.means, params.log_scales
-    )
-    return float(out.data[0])
-
-
-def log_mixture_density(z, params: GmmParams) -> float:
-    """Log of the full mixture density at vector ``z``."""
-    z = _check_vector(z, params)
-    out = mixture_log_density_rows(
-        z[None, :], params.mixture_logits, params.means, params.log_scales
-    )
-    return float(out.data[0])
-
-
-def log_prior(z, label: int | None, params: GmmParams) -> float:
-    """Semi-supervised prior: labeled -> component density, else mixture."""
-    if label is not None:
-        _check_component(label, params)
-        return log_component_density(z, label, params)
-    return log_mixture_density(z, params)
-
-
-def responsibilities(z, params: GmmParams) -> np.ndarray:
-    """Posterior over components at ``z``: r_k ∝ pi_k N(z | mu_k, Sigma_k)."""
-    z = _check_vector(z, params)
-    _, _, comp, log_pi, log_mix = _mixture_scores(
-        z[None, :], params.mixture_logits, params.means, params.log_scales)
-    return _responsibilities(comp, log_pi, log_mix)[0]
 
 
 def sample_component(

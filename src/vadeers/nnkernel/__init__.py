@@ -5,31 +5,16 @@ stores."""
 from .autodiff import (
     GradientTape,
     Tensor,
-    add,
     concat,
     dense,
-    exp,
-    grad,
-    logsumexp,
-    mul,
-    neg,
     reparameterize,
     reshape,
-    square,
-    sub,
     take_rows,
     tmean,
-    tsum,
     weighted_sum,
     wrap,
 )
-from .layers import (
-    LayerSpec,
-    as_matrix,
-    glorot_uniform,
-    init_layer_params,
-    mlp_forward,
-)
+from .layers import LayerSpec, as_matrix, init_layer_params, mlp_forward
 from .optim import AdamState, adam_step
 from .store import FlatStore
 
@@ -40,24 +25,15 @@ __all__ = [
     "LayerSpec",
     "Tensor",
     "adam_step",
-    "add",
     "as_matrix",
     "concat",
     "dense",
-    "exp",
-    "glorot_uniform",
-    "grad",
     "init_layer_params",
-    "logsumexp",
-    "mul",
-    "neg",
+    "mlp_forward",
     "reparameterize",
     "reshape",
-    "square",
-    "sub",
     "take_rows",
     "tmean",
-    "tsum",
     "weighted_sum",
     "wrap",
 ]

@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..exceptions import ContractViolation
-from .store import FlatStore, pack
+from .store import FlatStore
 
 Array = np.ndarray
 
@@ -80,110 +80,15 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
 
 def wrap(x) -> Tensor:
     """Return ``x`` itself if it is a Tensor, else a constant leaf."""
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Sum ``grad`` down to ``shape`` undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
-
-
 # ---------------------------------------------------------------------------
 # primitive operations
 # ---------------------------------------------------------------------------
-
-def add(a, b) -> Tensor:
-    a, b = wrap(a), wrap(b)
-    sa, sb = a.shape, b.shape
-    return Tensor(
-        a.data + b.data, (a, b),
-        lambda g, needs, outs: (_unbroadcast(g, sa) if needs[0] else None,
-                                _unbroadcast(g, sb) if needs[1] else None),
-    )
-
-
-def sub(a, b) -> Tensor:
-    a, b = wrap(a), wrap(b)
-    sa, sb = a.shape, b.shape
-    return Tensor(
-        a.data - b.data, (a, b),
-        lambda g, needs, outs: (_unbroadcast(g, sa) if needs[0] else None,
-                                _unbroadcast(-g, sb) if needs[1] else None),
-    )
-
-
-def mul(a, b) -> Tensor:
-    a, b = wrap(a), wrap(b)
-    sa, sb = a.shape, b.shape
-    return Tensor(
-        a.data * b.data, (a, b),
-        lambda g, needs, outs: (
-            _unbroadcast(g * b.data, sa) if needs[0] else None,
-            _unbroadcast(g * a.data, sb) if needs[1] else None,
-        ),
-    )
-
-
-def neg(a) -> Tensor:
-    a = wrap(a)
-    return Tensor(-a.data, (a,), lambda g, needs, outs: (-g,))
-
-
-def exp(a) -> Tensor:
-    a = wrap(a)
-    out = np.exp(a.data)
-    return Tensor(out, (a,), lambda g, needs, outs: (g * out,))
-
-
-def square(a) -> Tensor:
-    a = wrap(a)
-    return Tensor(a.data * a.data, (a,),
-                  lambda g, needs, outs: (2.0 * a.data * g,))
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
-    a = wrap(a)
-    shape = a.shape
-
-    def backward(g, needs, outs):
-        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, shape).copy(),)
-
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
-
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
     a = wrap(a)
@@ -195,22 +100,6 @@ def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
         return (np.broadcast_to(gg / count, shape).copy(),)
 
     return Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
-
-
-def logsumexp(a, axis: int, keepdims: bool = False) -> Tensor:
-    """Stable log-sum-exp along ``axis`` (max-subtraction)."""
-    a = wrap(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
-    out = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
-
-    def backward(g, needs, outs):
-        e = np.exp(a.data - m)
-        soft = e / e.sum(axis=axis, keepdims=True)
-        gg = g if keepdims else np.expand_dims(g, axis)
-        return (soft * gg,)
-
-    return Tensor(out if keepdims else np.squeeze(out, axis=axis), (a,),
-                  backward)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -370,11 +259,12 @@ class GradientTape:
     differentiate with respect to.  Not thread-safe; use one tape per
     thread.
 
-    A tape bound to a :class:`FlatStore` registers only that store's own
-    arrays, and :meth:`gradient` lays the gradients out in its layout.
+    A tape is bound to a :class:`FlatStore`: it registers only that
+    store's own arrays, and :meth:`gradient` lays the gradients out in
+    its layout.
     """
 
-    def __init__(self, store: FlatStore | None = None):
+    def __init__(self, store: FlatStore):
         self._store = store
         self._params: dict[str, Tensor] = {}
 
@@ -382,7 +272,7 @@ class GradientTape:
         """Create and register a trainable leaf tensor."""
         if name in self._params:
             raise ContractViolation(f"parameter {name!r} registered twice")
-        if self._store is not None and self._store.get(name) is not value:
+        if self._store.get(name) is not value:
             raise ContractViolation(
                 f"parameter {name!r} is not an array of the tape's store"
             )
@@ -393,15 +283,13 @@ class GradientTape:
     def gradient(self, loss: Tensor) -> FlatStore:
         """Gradient of the scalar ``loss`` w.r.t. every registered parameter.
 
-        Returns a store showing each registered name.  With a bound store
-        it is that store's :meth:`~FlatStore.gradient_store`, valid until
-        the next gradient taken against the same store; without one, the
-        names are packed in registration order into a new vector.  A
-        parameter's first gradient is written into its slice, later ones
-        are added to it in place, and a parameter not reachable from
-        ``loss`` gets zeros.  If none is reachable the loss is not
-        connected to this tape and a :class:`ContractViolation` is
-        raised.
+        Returns the bound store's :meth:`~FlatStore.gradient_store`
+        showing each registered name, valid until the next gradient taken
+        against the same store.  A parameter's first gradient is written
+        into its slice, later ones are added to it in place, and a
+        parameter not reachable from ``loss`` gets zeros.  If none is
+        reachable the loss is not connected to this tape and a
+        :class:`ContractViolation` is raised.
         """
         if loss.data.shape != ():
             raise ContractViolation(
@@ -421,10 +309,7 @@ class GradientTape:
                 "loss is not connected to any parameter registered on this tape"
             )
 
-        if self._store is not None:
-            out = self._store.gradient_store(self._params)
-        else:
-            out = FlatStore(pack((n, p.shape) for n, p in self._params.items()))
+        out = self._store.gradient_store(self._params)
         slots = {p: out[name] for name, p in self._params.items()}
         fresh = dict(slots)  # slots no gradient has reached yet
         if loss in fresh:
@@ -458,7 +343,3 @@ class GradientTape:
             dest.fill(0.0)
         return out
 
-
-def grad(loss: Tensor, tape: GradientTape) -> FlatStore:
-    """Module-level alias for :meth:`GradientTape.gradient`."""
-    return tape.gradient(loss)

@@ -1,16 +1,13 @@
-"""Adam optimizer acting on name -> array parameter stores."""
+"""Adam optimizer acting on flat parameter stores."""
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..exceptions import ContractViolation
 from .store import FlatStore
-
-Params = Mapping[str, np.ndarray]
 
 # Elements per pass of the update sequence, so that a block's parameter,
 # gradient, moment and work slices stay in cache between its 15 ufuncs.
@@ -40,7 +37,7 @@ class AdamState:
     _runs: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def _moments(self, names: tuple[str, ...], params: Params):
+    def _moments(self, names: tuple[str, ...], params: FlatStore):
         """The (m, v) vectors of the run ``names``.  A run seen for the
         first time gets new vectors, zero but for the names updated
         before, whose moments are moved in; a run that shared a name
@@ -55,7 +52,7 @@ class AdamState:
 
 
 def _gather(moments: dict[str, np.ndarray], names: tuple[str, ...],
-            params: Params) -> np.ndarray:
+            params: FlatStore) -> np.ndarray:
     buf = np.zeros(sum(params[n].size for n in names))
     start = 0
     for name in names:
@@ -74,37 +71,12 @@ def _gather(moments: dict[str, np.ndarray], names: tuple[str, ...],
     return buf
 
 
-def _vector(p: np.ndarray, name: str) -> np.ndarray:
-    if not p.flags.c_contiguous:
-        raise ContractViolation(f"parameter {name!r} is not C-contiguous")
-    return p.reshape(-1)
-
-
-def _runs_of(params: Params, grads: Params):
-    """(names, parameter vector, gradient vector) of each run updated as
-    one: the maximal stretches of adjacent names when ``grads`` shares the
-    layout of a flat ``params``, else each name alone."""
-    for name, g in grads.items():
-        if name not in params:
-            raise ContractViolation(f"gradient for unknown parameter {name!r}")
-        if g.shape != params[name].shape:
-            raise ContractViolation(
-                f"gradient shape {g.shape} does not match parameter "
-                f"{name!r} shape {params[name].shape}"
-            )
-    if (isinstance(params, FlatStore) and isinstance(grads, FlatStore)
-            and grads.layout is params.layout):
-        return [(tuple(names), params.flat[start:stop], grads.flat[start:stop])
-                for start, stop, names in grads.runs()]
-    return [((name,), _vector(params[name], name), g.reshape(-1))
-            for name, g in grads.items()]
-
-
-def adam_step(params: Params, grads: Params, state: AdamState,
-              lr: float) -> tuple[Params, AdamState]:
+def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
+              lr: float) -> tuple[FlatStore, AdamState]:
     """One Adam update with bias correction.
 
-    Only parameters present in ``grads`` are touched; where a present
+    ``grads`` is a :meth:`~FlatStore.gradient_store` of ``params``, and
+    only the parameters it shows are touched; where a present
     gradient is zero the moments still decay but the value is unchanged.
     The parameter arrays of ``params`` and the moments and step count of
     ``state`` are updated in place, between graphs, and the same two
@@ -115,12 +87,19 @@ def adam_step(params: Params, grads: Params, state: AdamState,
     of ``ADAM_BLOCK`` elements; every operation is elementwise, so the
     results are bit-identical to the out-of-place form.
     """
+    if not (isinstance(params, FlatStore) and isinstance(grads, FlatStore)
+            and grads.layout is params.layout):
+        raise ContractViolation(
+            "adam_step needs a FlatStore and a gradient store of its layout"
+        )
     t = state.step_index + 1
-    runs = _runs_of(params, grads)
-    size = min(ADAM_BLOCK, max((p.size for _, p, _ in runs), default=0))
+    runs = grads.runs()
+    size = min(ADAM_BLOCK, max((stop - start for start, stop, _ in runs),
+                               default=0))
     work = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    for names, p_run, g_run in runs:
-        m_run, v_run = state._moments(names, params)
+    for lo, hi, names in runs:
+        p_run, g_run = params.flat[lo:hi], grads.flat[lo:hi]
+        m_run, v_run = state._moments(tuple(names), params)
         for start in range(0, p_run.size, ADAM_BLOCK):
             block = slice(start, start + ADAM_BLOCK)
             p, g, m, v = p_run[block], g_run[block], m_run[block], v_run[block]

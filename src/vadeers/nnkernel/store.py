@@ -9,7 +9,7 @@ whole-model copy, checkpoint or update pass is one array operation.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, MutableMapping
+from collections.abc import Iterable, Mapping
 
 import numpy as np
 
@@ -31,7 +31,7 @@ def pack(shapes: Iterable[tuple[str, tuple[int, ...]]]) -> Layout:
     return layout
 
 
-class FlatStore(MutableMapping):
+class FlatStore(Mapping):
     """Name -> array mapping whose values are views of ``flat``.
 
     Assigning to a name copies the value into its view, so every holder
@@ -108,16 +108,6 @@ class FlatStore(MutableMapping):
                 f"parameter {name!r} has shape {view.shape}, got {value.shape}"
             )
         view[...] = value
-
-    def __delitem__(self, name: str) -> None:
-        """Drop ``name`` and repack the others into a new vector; views
-        taken before no longer belong to the store."""
-        rest = {n: v for n, v in self._views.items() if n != name}
-        if len(rest) == len(self._views):
-            raise KeyError(name)
-        packed = FlatStore.from_arrays(rest)
-        self.layout, self.flat, self._views = packed.layout, packed.flat, packed._views
-        self._grad = None
 
     def __iter__(self):
         return iter(self._views)

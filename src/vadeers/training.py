@@ -510,6 +510,68 @@ def _header_arrays(path: Path, entries,
     return arrays
 
 
+# field of a checkpoint's scaler record -> the config width of its list,
+# or None for a single number
+SCALER_FIELDS = {
+    "embedding_mean": "smiles_dim", "embedding_std": "smiles_dim",
+    "ip_mean": "ip_dim", "ip_std": "ip_dim",
+    "cell_mean": "bio_dim", "cell_std": "bio_dim", "cell_binary": "bio_dim",
+    "ic50_mean": None, "ic50_std": None,
+}
+
+
+def _header_scaler(path: Path, record, config: ModelConfig) -> Scaler:
+    """The scaler of a checkpoint header: exactly the fields of
+    :class:`Scaler`, each list of its config width, every number finite
+    and every std > 0."""
+    if not isinstance(record, dict):
+        raise CheckpointError(f"{path}: header scaler is not an object")
+    odd = sorted(set(record) ^ set(SCALER_FIELDS))
+    if odd:
+        what = "unknown" if odd[0] in record else "missing"
+        raise CheckpointError(f"{path}: header scaler has {what} field {odd[0]!r}")
+    for key, dim in SCALER_FIELDS.items():
+        value = record[key]
+        kinds = (bool,) if key == "cell_binary" else (int, float)
+        if dim is None:
+            ok, want = type(value) in kinds, "a number"
+        else:
+            n = getattr(config, dim)
+            ok = (isinstance(value, list) and len(value) == n
+                  and all(type(v) in kinds for v in value))
+            want = f"a list of {n} {'booleans' if kinds == (bool,) else 'numbers'}"
+        if not ok:
+            raise CheckpointError(
+                f"{path}: header scaler field {key!r} must be {want}")
+        values = np.asarray(value, dtype=np.float64)
+        if not np.all(np.isfinite(values)):
+            raise CheckpointError(
+                f"{path}: header scaler field {key!r} has a non-finite value")
+        if key.endswith("_std") and np.any(values <= 0.0):
+            raise CheckpointError(
+                f"{path}: header scaler field {key!r} has a value <= 0")
+    return Scaler.from_dict(record)
+
+
+def _header_records(path: Path, header: dict) -> tuple[dict | None, dict | None]:
+    """The guiding labels (drug id -> int) and split cells (``train``,
+    ``val`` and ``test`` lists of ids) of a checkpoint header."""
+    labels, split = header.get("guiding_labels"), header.get("split_cells")
+    if labels is not None and not (
+            isinstance(labels, dict)
+            and all(type(v) is int for v in labels.values())):
+        raise CheckpointError(
+            f"{path}: header field 'guiding_labels' must map drug ids to ints")
+    if split is not None and not (
+            isinstance(split, dict) and set(split) == {"train", "val", "test"}
+            and all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+                    for ids in split.values())):
+        raise CheckpointError(
+            f"{path}: header field 'split_cells' must hold train, val and "
+            f"test lists of cell ids")
+    return labels or None, split
+
+
 def _check_widths(path, config: ModelConfig, source: str,
                   widths: dict[str, int]) -> None:
     for dim, want in widths.items():
@@ -575,11 +637,12 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         raise CheckpointError(f"{path}: payload does not match its payload_sha256")
     flat = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
     model = VadeersModel(config, FlatStore(layout, flat.astype(np.float64)))
-    labels = header.get("guiding_labels")
+    scaler = header.get("scaler")
+    labels, split = _header_records(path, header)
     return Checkpoint(
         model=model,
-        scaler=Scaler.from_dict(header["scaler"]) if header.get("scaler") else None,
-        guiding_labels={k: int(v) for k, v in labels.items()} if labels else None,
-        split_cells=header.get("split_cells"),
+        scaler=None if scaler is None else _header_scaler(path, scaler, config),
+        guiding_labels=labels,
+        split_cells=split,
         seed=header.get("seed"),
     )

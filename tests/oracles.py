@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive (scalar loops, brute-force sums,
 finite differences, exhaustive enumeration) and shares no code with the
-implementations under test.  The one exception is the section of
-tensor-composed loss terms: they are built from the kernel's primitive
-autodiff ops, one op per step of the formula, and serve as value and
+implementations under test.  The one exception is the tensor-composed
+section: a general elementwise op set (``add``, ``mul``, ``logsumexp``,
+...) built here on the kernel's public ``Tensor(data, parents,
+backward)``, and loss terms composed from those ops and the kernel's
+shape ops, one op per step of the formula.  They serve as value and
 gradient oracles for the library's single-node loss terms.  The CSV
 section is the ``csv``-module reader and writer that the library's array
 codec replaced, kept as its parity oracle.
@@ -21,17 +23,12 @@ import numpy as np
 
 from vadeers.exceptions import ContractViolation, DataError
 from vadeers.nnkernel import (
-    add,
-    exp,
-    logsumexp,
-    mul,
-    neg,
+    FlatStore,
+    GradientTape,
+    Tensor,
     reshape,
-    square,
-    sub,
     take_rows,
     tmean,
-    tsum,
     wrap,
 )
 
@@ -98,6 +95,107 @@ def entropy_mc(log_sigma, n_draws, rng):
     logq = (-0.5 * d * np.log(2 * np.pi) - np.log(sigma).sum()
             - 0.5 * np.sum((z / sigma) ** 2, axis=1))
     return -logq.mean()
+
+
+# ---------------------------------------------------------------------------
+# elementwise autodiff ops and tapes, for composing oracles
+# ---------------------------------------------------------------------------
+
+def bound_tape(arrays):
+    """A tape bound to a store holding copies of ``arrays``, and the
+    parameter tensor it registers for each name."""
+    store = FlatStore.from_arrays(arrays)
+    tape = GradientTape(store)
+    return tape, {name: tape.parameter(name, store[name]) for name in arrays}
+
+
+def _unbroadcast(grad, shape):
+    """Sum ``grad`` down to ``shape`` undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+def add(a, b):
+    a, b = wrap(a), wrap(b)
+    sa, sb = a.shape, b.shape
+    return Tensor(
+        a.data + b.data, (a, b),
+        lambda g, needs, outs: (_unbroadcast(g, sa) if needs[0] else None,
+                                _unbroadcast(g, sb) if needs[1] else None),
+    )
+
+
+def sub(a, b):
+    a, b = wrap(a), wrap(b)
+    sa, sb = a.shape, b.shape
+    return Tensor(
+        a.data - b.data, (a, b),
+        lambda g, needs, outs: (_unbroadcast(g, sa) if needs[0] else None,
+                                _unbroadcast(-g, sb) if needs[1] else None),
+    )
+
+
+def mul(a, b):
+    a, b = wrap(a), wrap(b)
+    sa, sb = a.shape, b.shape
+    return Tensor(
+        a.data * b.data, (a, b),
+        lambda g, needs, outs: (
+            _unbroadcast(g * b.data, sa) if needs[0] else None,
+            _unbroadcast(g * a.data, sb) if needs[1] else None,
+        ),
+    )
+
+
+def neg(a):
+    a = wrap(a)
+    return Tensor(-a.data, (a,), lambda g, needs, outs: (-g,))
+
+
+def exp(a):
+    a = wrap(a)
+    out = np.exp(a.data)
+    return Tensor(out, (a,), lambda g, needs, outs: (g * out,))
+
+
+def square(a):
+    a = wrap(a)
+    return Tensor(a.data * a.data, (a,),
+                  lambda g, needs, outs: (2.0 * a.data * g,))
+
+
+def tsum(a, axis=None, keepdims=False):
+    a = wrap(a)
+    shape = a.shape
+
+    def backward(g, needs, outs):
+        gg = g if axis is None or keepdims else np.expand_dims(g, axis)
+        return (np.broadcast_to(gg, shape).copy(),)
+
+    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+
+
+def logsumexp(a, axis, keepdims=False):
+    """Stable log-sum-exp along ``axis`` (max-subtraction)."""
+    a = wrap(a)
+    m = np.max(a.data, axis=axis, keepdims=True)
+    out = m + np.log(np.sum(np.exp(a.data - m), axis=axis, keepdims=True))
+
+    def backward(g, needs, outs):
+        e = np.exp(a.data - m)
+        soft = e / e.sum(axis=axis, keepdims=True)
+        gg = g if keepdims else np.expand_dims(g, axis)
+        return (soft * gg,)
+
+    return Tensor(out if keepdims else np.squeeze(out, axis=axis), (a,),
+                  backward)
 
 
 # ---------------------------------------------------------------------------

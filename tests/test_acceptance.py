@@ -27,7 +27,7 @@ from vadeers.model import (
     ModelConfig,
     VadeersModel,
 )
-from vadeers.nnkernel import GradientTape, grad
+from vadeers.nnkernel import GradientTape, Tensor, take_rows, tmean
 from vadeers.training import check_schedule_conformance
 
 from oracles import (
@@ -38,6 +38,8 @@ from oracles import (
     gradcheck,
     mixture_logpdf_bruteforce,
     responsibilities_bayes,
+    square,
+    sub,
 )
 
 
@@ -92,11 +94,11 @@ def test_criterion_1_gradient_suite():
 
         def run(arrays):
             probe = VadeersModel(model.config, arrays)
-            tape = GradientTape()
+            tape = GradientTape(probe.params)
             return loss_builder(probe, probe.binder(tape), batch), tape
 
         loss, tape = run(model.params)
-        grads = grad(loss, tape)
+        grads = tape.gradient(loss)
         trainable = {k: v for k, v in model.params.items()
                      if k not in frozen and k in grads}
 
@@ -120,7 +122,6 @@ def test_criterion_1_gradient_suite():
 
     def dspn_only(probe, binder, batch):
         enc = probe.encode_drug(batch.x_smiles, binder, sample=False)
-        from vadeers.nnkernel import Tensor, square, sub, take_rows, tmean
         cell_latent = probe.cae_encode(batch.x_bio, binder)
         preds = probe.dspn_predict(
             take_rows(enc.mu, batch.pair_drug),
@@ -158,14 +159,17 @@ def test_criterion_2_gmm_oracles():
         means=rng.normal(0, 2, size=(3, 4)),
         log_scales=rng.normal(0, 0.3, size=(3, 4)),
     )
+    arrays = params.mixture_logits, params.means, params.log_scales
     for _ in range(20):
         z = rng.normal(0, 2, size=4)
         brute = mixture_logpdf_bruteforce(z, params.weights(), params.means,
                                           params.scales())
-        assert abs(gmm.log_mixture_density(z, params) - brute) < 1e-9
+        unlabeled = gmm.semi_supervised_log_prior_rows(z[None, :], [-1], *arrays)
+        assert abs(unlabeled.data[0] - brute) < 1e-9
         bayes = responsibilities_bayes(z, params.weights(), params.means,
                                        params.scales())
-        assert np.max(np.abs(gmm.responsibilities(z, params) - bayes)) < 1e-10
+        scores = gmm._mixture_scores(z[None, :], *arrays)
+        assert np.max(np.abs(gmm._responsibilities(*scores[2:])[0] - bayes)) < 1e-10
 
     from vadeers.model import entropy_mean
     log_sigma = rng.normal(0, 0.4, size=5)
@@ -174,12 +178,9 @@ def test_criterion_2_gmm_oracles():
     assert abs(mc - analytic) / abs(analytic) < 0.01
 
     z = rng.normal(0, 2, size=(1000, 4))
-    semi = gmm.semi_supervised_log_prior_rows(
-        z, np.full(1000, -1), params.mixture_logits, params.means,
-        params.log_scales)
-    mix = gmm.mixture_log_density_rows(
-        z, params.mixture_logits, params.means, params.log_scales)
-    assert np.array_equal(semi.data, mix.data)
+    semi = gmm.semi_supervised_log_prior_rows(z, np.full(1000, -1), *arrays)
+    log_mix = gmm._mixture_scores(z, *arrays)[4]
+    assert np.array_equal(semi.data, log_mix)
 
 
 # ---------------------------------------------------------------------------

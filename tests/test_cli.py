@@ -357,7 +357,23 @@ def _rewrite_header(src, dst, mutate):
 @pytest.mark.parametrize("mutate, key", [
     (lambda h: h["config"].update(bogus_knob=1), "bogus_knob"),
     (lambda h: h["config"].pop("latent_dim"), "latent_dim"),
-], ids=["unknown_key", "missing_key"])
+    (lambda h: h["scaler"].pop("ic50_mean"), "ic50_mean"),
+    (lambda h: h["scaler"].update(bogus=1.0), "bogus"),
+    (lambda h: h["scaler"].update(embedding_std=[1.0, 1.0, 1.0]),
+     "embedding_std"),
+    (lambda h: h["scaler"].update(ip_mean=[0.0, 0.0, 0.0]), "ip_mean"),
+    (lambda h: h["scaler"]["cell_std"].__setitem__(0, 0.0), "cell_std"),
+    (lambda h: h["scaler"].update(ic50_std="1"), "ic50_std"),
+    (lambda h: h["scaler"]["cell_binary"].__setitem__(0, 1), "cell_binary"),
+    (lambda h: h.update(guiding_labels=[["D0", 0]]), "guiding_labels"),
+    (lambda h: h["guiding_labels"].update(D0="0"), "guiding_labels"),
+    (lambda h: h["split_cells"].pop("val"), "split_cells"),
+    (lambda h: h["split_cells"]["test"].append(7), "split_cells"),
+], ids=["unknown_key", "missing_key", "scaler_missing_field",
+        "scaler_unknown_field", "scaler_std_width", "scaler_mean_width",
+        "scaler_zero_std", "scaler_string_number", "scaler_int_binary",
+        "labels_list", "labels_string_value", "split_missing_part",
+        "split_int_id"])
 def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
                                              mutate, key):
     path = tmp_path / "bad.bin"
@@ -371,7 +387,8 @@ def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
 
 def test_checkpoint_missing_array_exit_2(tmp_path, run_dir, capsys):
     ckpt = load_checkpoint(run_dir / "checkpoint.bin")
-    del ckpt.model.params["gmm.means"]
+    ckpt.model.params = {name: value for name, value in ckpt.model.params.items()
+                         if name != "gmm.means"}
     path = tmp_path / "no_means.bin"
     save_checkpoint(ckpt, path)
     capsys.readouterr()
@@ -651,6 +668,32 @@ def test_unreadable_manifest_or_config_exit_2(tmp_path, data_dir, capsys,
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.startswith("data error: ")
     assert str(bad) in captured.err, captured.err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_pairs", None),
+    ("smiles_dim", "32"),
+    ("n_drugs", None),
+    ("ip_dim", True),
+    ("n_cells", -1),
+], ids=["missing", "string", "null", "bool", "negative"])
+def test_malformed_manifest_count_exit_2(tmp_path, data_dir, capsys, key,
+                                         value):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    manifest = json.loads((data / "manifest.json").read_text())
+    if value is None and key == "n_pairs":
+        del manifest[key]
+    else:
+        manifest[key] = value
+    (data / "manifest.json").write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run("train", "--data", data, "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert str(data / "manifest.json") in captured.err, captured.err
+    assert repr(key) in captured.err, captured.err
     assert not (tmp_path / "o").exists()
 
 

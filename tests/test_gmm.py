@@ -9,15 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vadeers import gmm
-from vadeers.nnkernel import GradientTape, grad, mul, tmean, tsum
+from vadeers.nnkernel import FlatStore, GradientTape, tmean
 
 import oracles
 from oracles import (
     assert_close,
+    bound_tape,
     gaussian_logpdf_fsum,
     gradcheck,
     mixture_logpdf_bruteforce,
+    mul,
     responsibilities_bayes,
+    tsum,
 )
 
 
@@ -33,13 +36,38 @@ def make_params(seed=0, k=3, d=3, constrained=False):
     )
 
 
+def log_prior(z, labels, params):
+    """Row-wise semi-supervised prior of ``z`` (n, D) as an array; a label
+    -1 scores its row under the mixture."""
+    return gmm.semi_supervised_log_prior_rows(
+        z, labels, params.mixture_logits, params.means, params.log_scales).data
+
+
+def component_density(z, k, params):
+    """Log density of component ``k`` at vector ``z``: a one-row prior
+    labeled ``k``."""
+    return float(log_prior(z[None, :], [k], params)[0])
+
+
+def mixture_density(z, params):
+    """Log mixture density at vector ``z``: an unlabeled one-row prior."""
+    return float(log_prior(z[None, :], [-1], params)[0])
+
+
+def responsibilities(z, params):
+    """Posterior over components at vector ``z``."""
+    _, _, comp, log_pi, log_mix = gmm._mixture_scores(
+        z[None, :], params.mixture_logits, params.means, params.log_scales)
+    return gmm._responsibilities(comp, log_pi, log_mix)[0]
+
+
 # ---------------------------------------------------------------------------
 # component density
 # ---------------------------------------------------------------------------
 
 def test_standard_normal_at_mode():
     params = gmm.GmmParams(np.zeros(1), np.zeros((1, 2)), np.zeros((1, 2)))
-    value = gmm.log_component_density(np.zeros(2), 0, params)
+    value = component_density(np.zeros(2), 0, params)
     assert abs(value - (-np.log(2 * np.pi))) < 1e-12
 
 
@@ -47,7 +75,7 @@ def test_density_at_mean_is_normalizer_only():
     params = make_params(seed=1, k=2, d=4)
     k = 1
     expected = -0.5 * np.sum(np.log(2 * np.pi * params.scales()[k] ** 2))
-    got = gmm.log_component_density(params.means[k], k, params)
+    got = component_density(params.means[k], k, params)
     assert abs(got - expected) < 1e-10
 
 
@@ -57,13 +85,13 @@ def test_component_density_matches_fsum_oracle():
     z = rng.normal(0.0, 2.0, size=3)
     for k in range(3):
         expected = gaussian_logpdf_fsum(z, params.means[k], params.scales()[k])
-        assert abs(gmm.log_component_density(z, k, params) - expected) < 1e-10
+        assert abs(component_density(z, k, params) - expected) < 1e-10
 
 
 def test_component_index_out_of_range():
     params = make_params()
     with pytest.raises(IndexError):
-        gmm.log_component_density(np.zeros(3), 5, params)
+        component_density(np.zeros(3), 5, params)
 
 
 # ---------------------------------------------------------------------------
@@ -73,8 +101,8 @@ def test_component_index_out_of_range():
 def test_single_component_mixture_equals_component():
     params = make_params(seed=4, k=1)
     z = np.array([0.3, -1.0, 2.0])
-    assert abs(gmm.log_mixture_density(z, params)
-               - gmm.log_component_density(z, 0, params)) < 1e-12
+    assert abs(mixture_density(z, params)
+               - component_density(z, 0, params)) < 1e-12
 
 
 def test_identical_components_collapse():
@@ -85,8 +113,8 @@ def test_identical_components_collapse():
     two = gmm.GmmParams(np.array([0.7, -1.3]), np.repeat(mu, 2, 0),
                         np.repeat(ls, 2, 0))
     z = rng.normal(size=3)
-    assert abs(gmm.log_mixture_density(z, two)
-               - gmm.log_mixture_density(z, one)) < 1e-12
+    assert abs(mixture_density(z, two)
+               - mixture_density(z, one)) < 1e-12
 
 
 def test_mixture_matches_bruteforce_sum():
@@ -96,7 +124,7 @@ def test_mixture_matches_bruteforce_sum():
         z = rng.normal(0.0, 2.0, size=2)
         expected = mixture_logpdf_bruteforce(
             z, params.weights(), params.means, params.scales())
-        assert abs(gmm.log_mixture_density(z, params) - expected) < 1e-9
+        assert abs(mixture_density(z, params) - expected) < 1e-9
 
 
 def test_logsumexp_lower_bound_property():
@@ -105,9 +133,9 @@ def test_logsumexp_lower_bound_property():
     log_pi = np.log(params.weights())
     for _ in range(50):
         z = rng.normal(0.0, 3.0, size=3)
-        mix = gmm.log_mixture_density(z, params)
+        mix = mixture_density(z, params)
         for k in range(4):
-            bound = log_pi[k] + gmm.log_component_density(z, k, params)
+            bound = log_pi[k] + component_density(z, k, params)
             assert mix >= bound - 1e-12
 
 
@@ -118,27 +146,27 @@ def test_logsumexp_lower_bound_property():
 def test_labeled_prior_is_component_density():
     params = make_params(seed=10)
     z = np.array([0.1, 0.2, -0.4])
+    rows = log_prior(np.repeat(z[None, :], 4, axis=0), [0, 1, 2, -1], params)
     for k in range(3):
-        assert gmm.log_prior(z, k, params) == \
-            gmm.log_component_density(z, k, params)
+        assert rows[k] == component_density(z, k, params)
 
 
 def test_unlabeled_prior_is_mixture():
     params = make_params(seed=11)
     z = np.array([1.0, -1.0, 0.5])
-    assert gmm.log_prior(z, None, params) == gmm.log_mixture_density(z, params)
+    rows = log_prior(np.stack([z, z]), [2, -1], params)
+    assert rows[1] == mixture_density(z, params)
 
 
 def test_prior_with_no_labels_reduces_to_mixture_rowwise():
     params = make_params(seed=12, k=3, d=2)
     rng = np.random.default_rng(13)
     z = rng.normal(0.0, 2.0, size=(1000, 2))
-    labels = np.full(1000, -1)
-    semi = gmm.semi_supervised_log_prior_rows(
-        z, labels, params.mixture_logits, params.means, params.log_scales)
-    mix = gmm.mixture_log_density_rows(
-        z, params.mixture_logits, params.means, params.log_scales)
-    assert np.array_equal(semi.data, mix.data)
+    semi = log_prior(z, np.full(1000, -1), params)
+    assert np.array_equal(semi, [mixture_density(row, params) for row in z])
+    brute = [mixture_logpdf_bruteforce(row, params.weights(), params.means,
+                                       params.scales()) for row in z]
+    assert np.max(np.abs(semi - brute)) < 1e-9
 
 
 def test_label_honors_its_component_on_average():
@@ -147,26 +175,19 @@ def test_label_honors_its_component_on_average():
     params = make_params(seed=14, k=3, d=3)
     rng = np.random.default_rng(15)
     z = gmm.sample_component(1, params, 1000, rng)
-    mean_1 = np.mean([gmm.log_prior(row, 1, params) for row in z])
-    mean_2 = np.mean([gmm.log_prior(row, 2, params) for row in z])
+    mean_1 = np.mean(log_prior(z, np.full(1000, 1), params))
+    mean_2 = np.mean(log_prior(z, np.full(1000, 2), params))
     assert mean_1 > mean_2
 
 
 def test_label_out_of_range_raises():
     params = make_params(seed=16)
     with pytest.raises(IndexError):
-        gmm.log_prior(np.zeros(3), 3, params)
+        log_prior(np.zeros((1, 3)), [3], params)
     with pytest.raises(IndexError):
-        gmm.semi_supervised_log_prior_rows(
-            np.zeros((2, 3)), np.array([0, 7]),
-            params.mixture_logits, params.means, params.log_scales)
+        log_prior(np.zeros((2, 3)), np.array([0, 7]), params)
     with pytest.raises(IndexError):
-        gmm.semi_supervised_log_prior_rows(
-            np.zeros((2, 3)), np.array([-2, 0]),
-            params.mixture_logits, params.means, params.log_scales)
-    with pytest.raises(IndexError):
-        gmm.labeled_log_density_rows(np.zeros((2, 3)), np.array([0, -1]),
-                                     params.means, params.log_scales)
+        log_prior(np.zeros((2, 3)), np.array([-2, 0]), params)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +197,7 @@ def test_label_out_of_range_raises():
 def test_responsibilities_uniform_for_identical_components():
     mu = np.zeros((4, 2))
     params = gmm.GmmParams(np.zeros(4), mu, np.zeros((4, 2)))
-    r = gmm.responsibilities(np.array([0.5, -0.5]), params)
+    r = responsibilities(np.array([0.5, -0.5]), params)
     assert np.allclose(r, 0.25, atol=1e-12)
 
 
@@ -186,7 +207,7 @@ def test_responsibilities_dominance_for_separated_components():
         np.array([[0.0, 0.0], [40.0, 40.0]]),  # >= 20 sigma apart
         np.zeros((2, 2)),
     )
-    r = gmm.responsibilities(params.means[0], params)
+    r = responsibilities(params.means[0], params)
     assert r[0] > 0.999
 
 
@@ -197,7 +218,7 @@ def test_responsibilities_match_bayes_oracle():
         z = rng.normal(0.0, 1.5, size=2)
         expected = responsibilities_bayes(
             z, params.weights(), params.means, params.scales())
-        assert np.max(np.abs(gmm.responsibilities(z, params) - expected)) < 1e-10
+        assert np.max(np.abs(responsibilities(z, params) - expected)) < 1e-10
 
 
 def test_responsibilities_sum_and_shift_invariance():
@@ -205,10 +226,10 @@ def test_responsibilities_sum_and_shift_invariance():
     rng = np.random.default_rng(20)
     for _ in range(20):
         z = rng.normal(0.0, 2.0, size=3)
-        r = gmm.responsibilities(z, params)
+        r = responsibilities(z, params)
         assert abs(r.sum() - 1.0) < 1e-12
         shifted = replace(params, mixture_logits=params.mixture_logits + 7.3)
-        r2 = gmm.responsibilities(z, shifted)
+        r2 = responsibilities(z, shifted)
         assert np.max(np.abs(r - r2)) < 1e-12
 
 
@@ -296,12 +317,9 @@ def test_sample_mixture_frequencies_match_weights():
 # ---------------------------------------------------------------------------
 
 def _prior_loss(arrays, z, labels):
-    tape = GradientTape()
-    logits = tape.parameter("logits", arrays["logits"])
-    means = tape.parameter("means", arrays["means"])
-    log_scales = tape.parameter("log_scales", arrays["log_scales"])
-    rows = gmm.semi_supervised_log_prior_rows(z, labels, logits, means,
-                                              log_scales)
+    tape, p = bound_tape(arrays)
+    rows = gmm.semi_supervised_log_prior_rows(z, labels, p["logits"],
+                                              p["means"], p["log_scales"])
     return tmean(rows), tape
 
 
@@ -317,7 +335,7 @@ def test_prior_gradients_match_finite_differences():
     labels = np.array([0, 1, -1, 2, -1, -1])
 
     loss, tape = _prior_loss(arrays, z, labels)
-    grads = grad(loss, tape)
+    grads = tape.gradient(loss)
 
     def f(p):
         l, _ = _prior_loss(p, z, labels)
@@ -336,7 +354,7 @@ def test_labeled_branch_gives_logits_no_gradient():
     }
     z = rng.normal(size=(4, 2))
     loss, tape = _prior_loss(arrays, z, np.array([0, 1, 2, 0]))
-    grads = grad(loss, tape)
+    grads = tape.gradient(loss)
     assert np.array_equal(grads["logits"], np.zeros(3))
     assert np.any(grads["means"] != 0)
 
@@ -349,14 +367,14 @@ def _prior_and_grads(prior_rows, arrays, labels, upstream, frozen):
     """Rows of ``prior_rows`` and the gradients of sum(upstream * rows)
     w.r.t. z, the logits, the means and, unless ``frozen``, the
     log-scales."""
-    tape = GradientTape()
-    z = tape.parameter("z", arrays["z"])
-    logits = tape.parameter("logits", arrays["logits"])
-    means = tape.parameter("means", arrays["means"])
-    log_scales = (arrays["log_scales"] if frozen
-                  else tape.parameter("log_scales", arrays["log_scales"]))
+    store = FlatStore.from_arrays(arrays)
+    tape = GradientTape(store)
+    z, logits, means = (tape.parameter(name, store[name])
+                        for name in ("z", "logits", "means"))
+    log_scales = (store["log_scales"] if frozen
+                  else tape.parameter("log_scales", store["log_scales"]))
     rows = prior_rows(z, labels, logits, means, log_scales)
-    return rows.data, dict(grad(tsum(mul(rows, upstream)), tape))
+    return rows.data, dict(tape.gradient(tsum(mul(rows, upstream))))
 
 
 @settings(max_examples=150, deadline=None)
@@ -399,4 +417,4 @@ def test_responsibilities_match_composed_oracle(n, k, d, seed):
                                            params.log_scales).data[0]
     scores = comp + oracles.log_weights(params.mixture_logits).data
     want = np.exp(scores - scores.max()) / np.exp(scores - scores.max()).sum()
-    assert_close(gmm.responsibilities(z, params), want, 1e-12)
+    assert_close(responsibilities(z, params), want, 1e-12)

@@ -24,21 +24,21 @@ from vadeers.nnkernel import (
     GradientTape,
     Tensor,
     adam_step,
-    grad,
-    mul,
     tmean,
-    tsum,
     wrap,
 )
 
 import oracles
 from oracles import (
     assert_close,
+    bound_tape,
     entropy_mc,
     entropy_rows,
     gaussian_logpdf_fsum,
     gradcheck,
     mse_loops,
+    mul,
+    tsum,
 )
 
 TOY = ModelConfig(
@@ -179,10 +179,10 @@ def test_entropy_and_vanilla_prior_nodes_match_composed_oracles(n, d, seed):
                                 upstream)))):
         values, grads = [], []
         for build in (fused, composed):
-            tape = GradientTape()
-            out = build(tape.parameter("x", x))
+            tape, p = bound_tape({"x": x})
+            out = build(p["x"])
             values.append(out.data)
-            grads.append(grad(out, tape)["x"])
+            grads.append(tape.gradient(out)["x"])
         assert_close(values[0], values[1], 1e-12)
         assert_close(grads[0], grads[1], 1e-10)
 
@@ -232,8 +232,10 @@ def test_dvae_loss_perfect_reconstruction_leaves_prior_entropy():
     enc = _enc_out(np.zeros(3), log_sigma, z)
     w = LossWeights()
     total, parts = dvae_row_terms(x, x, ip, ip, enc, None, params, w)
-    expected = (-gmm.log_mixture_density(z, params)
-                - float(entropy_rows(log_sigma[None, :]).data[0]))
+    mixture = gmm.semi_supervised_log_prior_rows(
+        z[None, :], [-1], params.mixture_logits, params.means,
+        params.log_scales).data[0]
+    expected = -mixture - float(entropy_rows(log_sigma[None, :]).data[0])
     assert abs(total - expected) < 1e-12
     assert parts["smiles_recon"] == 0.0 and parts["ip_recon"] == 0.0
 
@@ -338,11 +340,10 @@ def test_cae_identity_capable_config_overfits():
     x = np.random.default_rng(23).standard_normal((10, 5))
     state = AdamState()
     for _ in range(400):
-        tape = GradientTape()
-        binder = model.binder(tape)
-        _, loss = model.cae_loss_batch(binder, x)
-        grads = {k: v for k, v in grad(loss, tape).items()
-                 if k.startswith("cae.")}
+        tape = GradientTape(model.params)
+        _, loss = model.cae_loss_batch(model.binder(tape), x)
+        grads = tape.gradient(loss)
+        assert all(k.startswith("cae.") for k in grads)
         model.params, state = adam_step(model.params, grads, state, lr=0.02)
     _, final = model.cae_loss_batch(model.binder(), x)
     assert float(final.data) < 1e-3
@@ -504,7 +505,7 @@ def test_total_loss_gradients_all_variants():
 
         def run(arrays):
             probe = VadeersModel(model.config, arrays)
-            tape = GradientTape()
+            tape = GradientTape(probe.params)
             binder = probe.binder(tape)
             loss, _, _ = probe.total_loss(
                 binder, batch, LossWeights(),
@@ -512,7 +513,7 @@ def test_total_loss_gradients_all_variants():
             return loss, tape
 
         loss, tape = run(model.params)
-        grads = grad(loss, tape)
+        grads = tape.gradient(loss)
         trainable = {k: v for k, v in model.params.items() if k not in frozen}
 
         def f(p):
@@ -547,11 +548,11 @@ def test_dspn_input_switch_feeds_sample_instead_of_mean():
 def test_constrained_log_scales_never_registered():
     model = toy_model(variant="gmm_constrained", seed=44)
     batch = toy_batch(seed=45)
-    tape = GradientTape()
+    tape = GradientTape(model.params)
     binder = model.binder(tape)
     loss, _, _ = model.total_loss(binder, batch, LossWeights(),
                                   np.random.default_rng(46))
-    grads = grad(loss, tape)
+    grads = tape.gradient(loss)
     assert "gmm.log_scales" not in grads
     assert "gmm.means" in grads
 
@@ -574,12 +575,12 @@ def test_loss_graphs_stay_small():
                          prior_variant="gmm_unconstrained")
     model = VadeersModel.initialize(config, np.random.default_rng(70))
     batch = toy_batch(seed=71, n_drugs=8, n_cells=5, config=config)
-    binder = model.binder(GradientTape())
+    binder = model.binder(GradientTape(model.params))
     loss, _, _ = model.dvae_loss_batch(
         binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
         LossWeights(), np.random.default_rng(72))
     assert _graph_nodes(loss) <= 45
-    binder = model.binder(GradientTape())
+    binder = model.binder(GradientTape(model.params))
     loss, _, flags = model.total_loss(binder, batch, LossWeights(),
                                       np.random.default_rng(73), mode="train")
     assert not flags["dspn_empty"]
@@ -638,23 +639,26 @@ def test_model_copy_shares_no_memory():
     assert model.params["dspn.out.b"][0] != 7.0
 
 
-def test_store_bound_tape_gradients_match_unbound_bit_for_bit():
+def test_reused_gradient_vector_matches_a_fresh_one_bit_for_bit():
     batch = toy_batch(seed=60)
     for variant in ("vanilla", "gmm_constrained"):
         model = toy_model(variant=variant, seed=61)
         grads = []
-        for tape in (GradientTape(), GradientTape(model.params)):
-            binder = model.binder(tape)
+        for probe in (model, model.copy()):
+            tape = GradientTape(probe.params)
+            binder = probe.binder(tape)
             binder("cae.dec.out.b")  # registered, but no path reaches it
-            loss, _, _ = model.dvae_loss_batch(
+            loss, _, _ = probe.dvae_loss_batch(
                 binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
                 LossWeights(), np.random.default_rng(62))
-            # what the reused vector held must not leak into a slice
-            model.params.gradient_store(model.params).flat[:] = np.nan
+            if probe is model:
+                # what the reused vector held must not leak into a slice
+                model.params.gradient_store(model.params).flat[:] = np.nan
             grads.append(tape.gradient(loss))
-        unbound, bound = grads
-        assert list(bound) == list(unbound)
-        assert bound.layout is model.params.layout
-        for name in unbound:
-            assert bound[name].tobytes() == unbound[name].tobytes()
-        assert not bound["cae.dec.out.b"].any()
+        reused, fresh = grads
+        assert list(reused) == list(fresh)
+        assert reused.layout is model.params.layout
+        assert not np.shares_memory(reused.flat, fresh.flat)
+        for name in fresh:
+            assert reused[name].tobytes() == fresh[name].tobytes()
+        assert not reused["cae.dec.out.b"].any()

@@ -11,19 +11,15 @@ from hypothesis import given, settings, strategies as st
 from vadeers.exceptions import ContractViolation
 from vadeers.nnkernel import (
     AdamState,
+    FlatStore,
     GradientTape,
     LayerSpec,
     adam_step,
     dense,
-    exp,
-    grad,
     init_layer_params,
     mlp_forward,
-    mul,
     reparameterize,
-    square,
     tmean,
-    tsum,
     weighted_sum,
     wrap,
 )
@@ -33,11 +29,17 @@ from vadeers.nnkernel.losses import row_mse
 import oracles
 from oracles import (
     adam_out_of_place,
+    add,
     assert_close,
+    bound_tape,
+    exp,
     gradcheck,
     matmul_loops,
     mse,
     mse_loops,
+    mul,
+    square,
+    tsum,
 )
 
 
@@ -170,9 +172,9 @@ def test_mse_shape_mismatch():
 def _value_and_grads(build, arrays):
     """Value of the scalar ``build(params)`` and its gradients, with
     every array registered as a parameter."""
-    tape = GradientTape()
-    out = build({k: tape.parameter(k, v) for k, v in arrays.items()})
-    return out.data, dict(grad(out, tape))
+    tape, params = bound_tape(arrays)
+    out = build(params)
+    return out.data, dict(tape.gradient(out))
 
 
 def _assert_same_node(fused, composed, arrays):
@@ -232,7 +234,7 @@ def test_weighted_sum_matches_composed_oracle(weights, seed):
     def composed(p):
         total = wrap(0.0)
         for i, w in enumerate(weights):
-            total = total + mul(wrap(w), p[f"t{i}"])
+            total = add(total, mul(wrap(w), p[f"t{i}"]))
         return total
 
     _assert_same_node(
@@ -246,35 +248,38 @@ def test_weighted_sum_matches_composed_oracle(weights, seed):
 # ---------------------------------------------------------------------------
 
 def test_grad_quadratic():
-    tape = GradientTape()
-    w = tape.parameter("w", [1.0, 2.0])
-    loss = tsum(square(w))
-    grads = grad(loss, tape)
+    tape, p = bound_tape({"w": [1.0, 2.0]})
+    loss = tsum(square(p["w"]))
+    grads = tape.gradient(loss)
     assert np.array_equal(grads["w"], [2.0, 4.0])
 
 
 def test_grad_zero_for_unused_parameter():
-    tape = GradientTape()
-    w = tape.parameter("w", [1.0, 2.0])
-    u = tape.parameter("unused", [3.0])
-    loss = tsum(square(w))
-    grads = grad(loss, tape)
+    tape, p = bound_tape({"w": [1.0, 2.0], "unused": [3.0]})
+    loss = tsum(square(p["w"]))
+    grads = tape.gradient(loss)
     assert np.array_equal(grads["unused"], [0.0])
 
 
 def test_grad_disconnected_loss_raises():
-    tape = GradientTape()
-    tape.parameter("w", [1.0])
+    tape, _ = bound_tape({"w": [1.0]})
     loss = tsum(square(wrap([2.0])))
     with pytest.raises(ContractViolation):
-        grad(loss, tape)
+        tape.gradient(loss)
+
+
+def test_tape_registers_only_its_store_arrays():
+    store = FlatStore.from_arrays({"w": np.ones(2)})
+    tape = GradientTape(store)
+    with pytest.raises(ContractViolation):
+        tape.parameter("w", store["w"].copy())
+    with pytest.raises(ContractViolation):
+        tape.parameter("v", np.ones(2))
 
 
 def _mlp_loss(params_arrays, x, y, layers):
-    tape = GradientTape()
-    params = [(tape.parameter(f"w{i}", params_arrays[f"w{i}"]),
-               tape.parameter(f"b{i}", params_arrays[f"b{i}"]))
-              for i in range(len(layers))]
+    tape, p = bound_tape(params_arrays)
+    params = [(p[f"w{i}"], p[f"b{i}"]) for i in range(len(layers))]
     out = mlp_forward(x, layers, params)
     return mse(out, y), tape
 
@@ -291,7 +296,7 @@ def test_mlp_gradient_matches_finite_differences():
     y = rng.standard_normal((5, 3))
 
     loss, tape = _mlp_loss(arrays, x, y, layers)
-    grads = grad(loss, tape)
+    grads = tape.gradient(loss)
 
     def f(p):
         l, _ = _mlp_loss(p, x, y, layers)
@@ -314,16 +319,14 @@ def test_train_mode_dropout_gradient_matches_finite_differences():
     y = rng.standard_normal((6, 3))
 
     def loss_and_tape(p):
-        tape = GradientTape()
-        params = [(tape.parameter(f"w{i}", p[f"w{i}"]),
-                   tape.parameter(f"b{i}", p[f"b{i}"]))
-                  for i in range(len(layers))]
+        tape, bound = bound_tape(p)
+        params = [(bound[f"w{i}"], bound[f"b{i}"]) for i in range(len(layers))]
         out = mlp_forward(x, layers, params, mode="train",
                           rng=np.random.default_rng(11))
         return mse(out, y), tape
 
     loss, tape = loss_and_tape(arrays)
-    grads = grad(loss, tape)
+    grads = tape.gradient(loss)
     assert all(np.any(g != 0.0) for g in grads.values())
     ok, detail = gradcheck(lambda p: float(loss_and_tape(p)[0].data), arrays,
                            grads, rng, n_coords=200)
@@ -358,13 +361,13 @@ def test_graph_is_freed_without_the_cycle_collector():
     gc.collect()
     gc.disable()
     try:
-        tape = GradientTape()
-        params = [(tape.parameter(f"w{i}", w), tape.parameter(f"b{i}", b))
-                  for i, (w, b) in enumerate(arrays)]
+        tape, bound = bound_tape({f"{k}{i}": a for i, pair in enumerate(arrays)
+                                  for k, a in zip("wb", pair)})
+        params = [(bound[f"w{i}"], bound[f"b{i}"]) for i in range(len(arrays))]
         out = mlp_forward(x, layers, params, mode="train",
                           rng=np.random.default_rng(15))
-        grads = grad(tsum(exp(out)), tape)
-        del tape, params, out, grads
+        grads = tape.gradient(tsum(exp(out)))
+        del tape, bound, params, out, grads
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -374,17 +377,15 @@ def test_determinism_same_seed_same_values_and_grads():
     def build(seed):
         rng = np.random.default_rng(seed)
         layers = [LayerSpec(4, 4, "relu"), LayerSpec(4, 2, "identity")]
-        tape = GradientTape()
-        params = []
         arrays = {}
         for i, s in enumerate(layers):
-            w, b = init_layer_params(rng, s)
-            params.append((tape.parameter(f"w{i}", w),
-                           tape.parameter(f"b{i}", b)))
+            arrays[f"w{i}"], arrays[f"b{i}"] = init_layer_params(rng, s)
+        tape, bound = bound_tape(arrays)
+        params = [(bound[f"w{i}"], bound[f"b{i}"]) for i in range(len(layers))]
         x = rng.standard_normal((3, 4))
         loss = mse(mlp_forward(x, layers, params), np.ones((3, 2)))
         return loss.data.tobytes(), {k: v.tobytes()
-                                     for k, v in grad(loss, tape).items()}
+                                     for k, v in tape.gradient(loss).items()}
 
     v1, g1 = build(123)
     v2, g2 = build(123)
@@ -396,12 +397,21 @@ def test_determinism_same_seed_same_values_and_grads():
 # adam
 # ---------------------------------------------------------------------------
 
+def _grads(params, arrays):
+    """The gradient store of ``params`` showing and holding ``arrays``."""
+    grads = params.gradient_store(arrays)
+    for name, g in arrays.items():
+        grads[name] = g
+    return grads
+
+
 def test_adam_zero_grads_leave_params_decay_moments():
-    params = {"p": np.array([1.0, -2.0])}
+    params = FlatStore.from_arrays({"p": np.array([1.0, -2.0])})
     state = AdamState(m={"p": np.array([0.5, 0.5])},
                       v={"p": np.array([0.25, 0.25])}, step_index=3)
-    new_params, new_state = adam_step(params, {"p": np.zeros(2)}, state, lr=0.1)
-    assert np.array_equal(new_params["p"], params["p"])
+    new_params, new_state = adam_step(params, _grads(params, {"p": np.zeros(2)}),
+                                      state, lr=0.1)
+    assert np.array_equal(new_params["p"], [1.0, -2.0])
     assert np.allclose(new_state.m["p"], 0.9 * 0.5)
     assert np.allclose(new_state.v["p"], 0.999 * 0.25)
 
@@ -409,28 +419,31 @@ def test_adam_zero_grads_leave_params_decay_moments():
 def test_adam_first_step_moves_by_lr():
     # hand evaluation at t=1: m_hat = g, v_hat = g^2,
     # step = lr * g / (|g| + eps) ~= lr
-    params = {"p": np.array([0.0])}
-    new_params, _ = adam_step(params, {"p": np.array([1.0])}, AdamState(),
-                              lr=0.1)
+    params = FlatStore.from_arrays({"p": np.array([0.0])})
+    new_params, _ = adam_step(params, _grads(params, {"p": np.array([1.0])}),
+                              AdamState(), lr=0.1)
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
     assert abs(new_params["p"][0] - expected) < 1e-15
 
 
 def test_adam_converges_on_quadratic():
-    params = {"p": np.array([0.0])}
+    params = FlatStore.from_arrays({"p": np.array([0.0])})
     state = AdamState()
     for _ in range(100):
         g = 2.0 * (params["p"] - 3.0)
-        params, state = adam_step(params, {"p": g}, state, lr=0.1)
+        params, state = adam_step(params, _grads(params, {"p": g}), state,
+                                  lr=0.1)
     assert abs(params["p"][0] - 3.0) < 0.05
 
 
 def test_adam_in_place_matches_out_of_place_oracle():
     rng = np.random.default_rng(13)
-    params = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5),
-              "idle": rng.standard_normal(2)}
-    ref, m, v = dict(params), {}, {}
-    arrays = dict(params)
+    params = FlatStore.from_arrays({
+        "a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5),
+        "idle": rng.standard_normal(2)})
+    ref = {name: params[name].copy() for name in params}
+    m, v = {}, {}
+    flat = params.flat
     state = AdamState()
     for t in range(1, 6):
         grads = {"a": rng.standard_normal((4, 3)), "b": rng.standard_normal(5)}
@@ -439,10 +452,10 @@ def test_adam_in_place_matches_out_of_place_oracle():
         if t == 3:
             grads["b"][:] = 0.0
         ref, m, v = adam_out_of_place(ref, grads, m, v, t, lr=0.01)
-        out, state = adam_step(params, grads, state, lr=0.01)
+        out, state = adam_step(params, _grads(params, grads), state, lr=0.01)
         assert out is params and state.step_index == t
+        assert params.flat is flat  # updated in place
         for name in params:
-            assert params[name] is arrays[name]  # updated in place
             assert params[name].tobytes() == ref[name].tobytes()
         for name in grads:
             assert state.m[name].tobytes() == m[name].tobytes()
@@ -451,7 +464,7 @@ def test_adam_in_place_matches_out_of_place_oracle():
 
 
 def test_adam_runs_of_a_flat_store_match_out_of_place_oracle(monkeypatch):
-    from vadeers.nnkernel import FlatStore, optim
+    from vadeers.nnkernel import optim
 
     # blocks of 4 split every run; "b" is frozen between two active runs
     monkeypatch.setattr(optim, "ADAM_BLOCK", 4)
@@ -490,8 +503,6 @@ def test_adam_runs_of_a_flat_store_match_out_of_place_oracle(monkeypatch):
 
 
 def test_adam_moments_follow_a_name_into_a_new_run():
-    from vadeers.nnkernel import FlatStore
-
     rng = np.random.default_rng(15)
     params = FlatStore.from_arrays({n: rng.standard_normal(3) for n in "abc"})
     ref = {n: params[n].copy() for n in params}
@@ -511,5 +522,13 @@ def test_adam_moments_follow_a_name_into_a_new_run():
 
 
 def test_adam_shape_mismatch():
+    # only a gradient store of the parameters' own layout is accepted
+    params = FlatStore.from_arrays({"p": np.zeros(2)})
+    other = FlatStore.from_arrays({"p": np.zeros(3)})
+    for grads in (other.gradient_store(["p"]),
+                  FlatStore.from_arrays({"p": np.zeros(2)}),
+                  {"p": np.zeros(2)}):
+        with pytest.raises(ContractViolation):
+            adam_step(params, grads, AdamState(), lr=0.1)
     with pytest.raises(ContractViolation):
-        adam_step({"p": np.zeros(2)}, {"p": np.zeros(3)}, AdamState(), lr=0.1)
+        adam_step({"p": np.zeros(2)}, {"p": np.zeros(2)}, AdamState(), lr=0.1)
