@@ -1,0 +1,114 @@
+"""Reproducibility harness.
+
+``python scripts/repro.py digest`` runs a fixed small CLI session in a
+temporary directory and prints ``<sha256>  <path>`` for every artifact it
+wrote, in path order:
+
+* ``synth --scale desk --seed 5``;
+* ``train`` of each prior variant, two joint epochs with a DVAE break
+  every 50 joint steps, 25 validation and 25 test cell lines;
+* ``evaluate`` and ``predict`` of each trained variant, and ``generate``
+  of each with and without ``--component`` (without only, for vanilla);
+* an ``experiment`` of one variant at two seeds.
+
+A run log's first line records wall-clock time, so ``runlog*.jsonl``
+files are hashed without it.  Two digests taken with the same numpy and
+BLAS thread count (``OPENBLAS_NUM_THREADS=1``) are equal line for line
+exactly when every artifact is byte-identical.  The session uses the
+``vadeers`` package of the ``src`` directory beside this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from vadeers.cli import main as vadeers_main  # noqa: E402
+from vadeers.model import PRIOR_VARIANTS  # noqa: E402
+
+SEED = "5"
+SPLIT = {"n_val_cells": 25, "n_test_cells": 25}
+SCHEDULE = {"joint_epochs": 2, "dspn_epochs": 2, "dvae_break_every_steps": 50,
+            "dvae_break_epochs": 1}
+PREDICT_ROWS = 40
+
+
+def _run(*argv) -> None:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+        code = vadeers_main([str(a) for a in argv])
+    if code != 0:
+        raise SystemExit(f"vadeers {' '.join(map(str, argv))} exited "
+                         f"{code}:\n{out.getvalue()}")
+
+
+def _head(src: Path, dst: Path, rows: int) -> Path:
+    """``dst`` holding the header and first ``rows`` rows of ``src``."""
+    with open(src, newline="") as fh:
+        lines = fh.readlines()[: rows + 1]
+    with open(dst, "w", newline="") as fh:
+        fh.writelines(lines)
+    return dst
+
+
+def session(root: Path) -> None:
+    """The fixed CLI session, writing everything under ``root``."""
+    data = root / "data"
+    _run("synth", "--scale", "desk", "--seed", SEED, "--out", data)
+    config = root / "config.json"
+    config.write_text(json.dumps({"schedule": SCHEDULE, "split": SPLIT}))
+    drugs = _head(data / "drugs.csv", root / "predict_drugs.csv", PREDICT_ROWS)
+    cells = _head(data / "cells.csv", root / "predict_cells.csv", PREDICT_ROWS)
+    for variant in PRIOR_VARIANTS:
+        run = root / f"train-{variant}"
+        ckpt = run / "checkpoint.bin"
+        _run("train", "--data", data, "--out", run, "--seed", SEED,
+             "--variant", variant, "--config", config)
+        _run("evaluate", "--checkpoint", ckpt, "--data", data,
+             "--out", run / "eval", "--seed", SEED, "--n-gen", "50")
+        _run("predict", "--checkpoint", ckpt, "--drugs", drugs,
+             "--cells", cells, "--out", run / "predictions.csv")
+        _run("generate", "--checkpoint", ckpt, "--n", "30", "--seed", SEED,
+             "--out", run / "generated.csv")
+        if variant != "vanilla":
+            _run("generate", "--checkpoint", ckpt, "--n", "30",
+                 "--seed", SEED, "--component", "1",
+                 "--out", run / "generated_c1.csv")
+    _run("experiment", "--data", data, "--out", root / "experiment",
+         "--config", config, "--variants", "gmm_constrained", "--seeds", "5,6",
+         "--joint-epochs", "1", "--dspn-epochs", "1")
+
+
+def digest(root: Path) -> list[str]:
+    """``<sha256>  <path>`` of every file under ``root``, in path order;
+    a run log's wall-clock meta line is left out."""
+    lines = []
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        raw = path.read_bytes()
+        if path.name.startswith("runlog") and path.suffix == ".jsonl":
+            raw = raw.split(b"\n", 1)[1]
+        lines.append(f"{hashlib.sha256(raw).hexdigest()}  "
+                     f"{path.relative_to(root).as_posix()}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("mode", choices=["digest"])
+    parser.parse_args(argv)
+    with tempfile.TemporaryDirectory(prefix="vadeers-repro-") as tmp:
+        session(Path(tmp))
+        print("\n".join(digest(Path(tmp))))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,9 +30,11 @@ from .data import (
     atomic_open,
     derive_guiding_labels,
     generate_synthetic,
+    json_fits,
     load_csv,
     read_feature_csv,
     save_csv,
+    type_name,
     write_table,
 )
 from .exceptions import (
@@ -75,23 +77,6 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _fits(value, hint) -> bool:
-    """Whether the JSON ``value`` has the field type ``hint``: a bool is
-    no number, an int is a float, and a list is a tuple."""
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if typing.get_origin(hint) is tuple:
-        return (isinstance(value, list)
-                and all(_fits(v, typing.get_args(hint)[0]) for v in value))
-    return isinstance(value, hint)
-
-
-def _type_name(hint) -> str:
-    return hint.__name__ if isinstance(hint, type) else str(hint)
-
-
 def _configured(cls, defaults: dict, config: dict, section: str,
                 flags: dict, **fixed):
     """``cls`` built from flag > config file > default, skipping unset
@@ -108,9 +93,9 @@ def _configured(cls, defaults: dict, config: dict, section: str,
     for k, v in values.items():
         if k not in out:
             raise DataError(f"unknown config key {k!r}")
-        if not _fits(v, hints[k]):
+        if not json_fits(v, hints[k]):
             raise DataError(f"config section {section!r}, key {k!r}: "
-                            f"{v!r} is not of type {_type_name(hints[k])}")
+                            f"{v!r} is not of type {type_name(hints[k])}")
         out[k] = tuple(v) if isinstance(v, list) else v
     for k, v in flags.items():
         if v is not None:
@@ -145,7 +130,7 @@ def _pick(config: dict, key: str, flag, default):
     if flag is not None:
         return flag
     if key in config:
-        if not _fits(config[key], type(default)):
+        if not json_fits(config[key], type(default)):
             raise DataError(f"config key {key!r}: {config[key]!r} is not of "
                             f"type {type(default).__name__}")
         return config[key]

@@ -22,9 +22,10 @@ import io
 import json
 import logging
 import os
+import typing
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -491,13 +492,6 @@ class SynthSpec:
         if self.n_clusters < 1 or self.factor_dim < 1:
             raise ContractViolation("n_clusters and factor_dim must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SynthSpec":
-        return cls(**d)
-
 
 DESK_SPEC = SynthSpec(smiles_dim=32, ip_dim=24, bio_dim=20)
 
@@ -584,6 +578,23 @@ def generate_synthetic(spec: SynthSpec, seed: int = 0) -> Dataset:
 # ---------------------------------------------------------------------------
 # persistence
 # ---------------------------------------------------------------------------
+
+def json_fits(value, hint) -> bool:
+    """Whether the JSON ``value`` has the dataclass field type ``hint``: a
+    bool is no number, an int is a float, and a list is a tuple."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if typing.get_origin(hint) is tuple:
+        return (isinstance(value, list)
+                and all(json_fits(v, typing.get_args(hint)[0]) for v in value))
+    return isinstance(value, hint)
+
+
+def type_name(hint) -> str:
+    return hint.__name__ if isinstance(hint, type) else str(hint)
+
 
 @contextmanager
 def atomic_open(path, binary: bool = False):
@@ -855,7 +866,7 @@ def save_csv(dataset: Dataset, directory, seed: int | None = None,
         "ip_dim": dataset.profiles.shape[1],
         "bio_dim": dataset.bio_dim,
         "seed": seed,
-        "generator_spec": generator_spec.to_dict() if generator_spec else None,
+        "generator_spec": asdict(generator_spec) if generator_spec else None,
     }
     with atomic_open(directory / "manifest.json") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)

@@ -90,14 +90,6 @@ def silhouette(points, labels) -> float:
     return float(scores.mean())
 
 
-def int_or_str(label):
-    """Hashable canonical form for a label value."""
-    try:
-        return int(label)
-    except (TypeError, ValueError):
-        return str(label)
-
-
 def pca2(points) -> tuple[np.ndarray, tuple[float, float]]:
     """Project onto the top-2 principal directions of the centered data.
 
@@ -134,29 +126,21 @@ class ClusterStats:
 
     centroids: dict[int, np.ndarray]
     stds: dict[int, np.ndarray | None]
-    counts: dict[int, int]
 
 
-def cluster_stats(rows, labels, expected_labels=None) -> ClusterStats:
+def cluster_stats(rows, labels) -> ClusterStats:
     rows = np.asarray(rows, dtype=np.float64)
     labels = np.asarray(labels)
     if rows.ndim != 2 or labels.shape != (rows.shape[0],):
         raise ContractViolation(
             f"need (n, d) rows and n labels, got {rows.shape} and {labels.shape}"
         )
-    if expected_labels is not None:
-        unknown = set(int_or_str(l) for l in labels) - set(
-            int_or_str(l) for l in expected_labels)
-        if unknown:
-            raise ContractViolation(f"unknown labels: {sorted(unknown)}")
-    centroids, stds, counts = {}, {}, {}
+    centroids, stds = {}, {}
     for lab in np.unique(labels):
         member = rows[labels == lab]
-        key = int_or_str(lab)
-        centroids[key] = member.mean(axis=0)
-        stds[key] = member.std(axis=0) if member.shape[0] >= 2 else None
-        counts[key] = int(member.shape[0])
-    return ClusterStats(centroids=centroids, stds=stds, counts=counts)
+        centroids[int(lab)] = member.mean(axis=0)
+        stds[int(lab)] = member.std(axis=0) if member.shape[0] >= 2 else None
+    return ClusterStats(centroids=centroids, stds=stds)
 
 
 @dataclass
@@ -167,8 +151,6 @@ class FidelityReport:
     std_pearson: float | None
     per_cluster: dict[int, dict[str, float]]
     matching: dict[int, int]        # component -> true label
-    unmatched_components: list[int]
-    unmatched_labels: list[int]
 
 
 def _match_components(true_cent: dict, gen_cent: dict) -> dict[int, int]:
@@ -189,14 +171,14 @@ def _match_components(true_cent: dict, gen_cent: dict) -> dict[int, int]:
     return best or {}
 
 
-def generation_fidelity(true_rows, true_labels, gen_rows, gen_components,
-                        matching: dict[int, int] | None = None) -> FidelityReport:
+def generation_fidelity(true_rows, true_labels, gen_rows,
+                        gen_components) -> FidelityReport:
     """Feature-wise RMSE and Pearson between true and generated per-cluster
-    centroid and STD vectors, averaged over matched clusters."""
+    centroid and STD vectors, averaged over the clusters matched by
+    nearest centroids."""
     true_stats = cluster_stats(true_rows, true_labels)
     gen_stats = cluster_stats(gen_rows, gen_components)
-    if matching is None:
-        matching = _match_components(true_stats.centroids, gen_stats.centroids)
+    matching = _match_components(true_stats.centroids, gen_stats.centroids)
 
     per_cluster: dict[int, dict[str, float]] = {}
     cent_r, cent_p, std_r, std_p = [], [], [], []
@@ -219,8 +201,6 @@ def generation_fidelity(true_rows, true_labels, gen_rows, gen_components,
             std_p.append(entry["std_pearson"])
         per_cluster[comp] = entry
 
-    unmatched_components = sorted(set(gen_stats.centroids) - set(matching))
-    unmatched_labels = sorted(set(true_stats.centroids) - set(matching.values()))
     return FidelityReport(
         centroid_rmse=float(np.mean(cent_r)),
         centroid_pearson=float(np.mean(cent_p)),
@@ -228,8 +208,6 @@ def generation_fidelity(true_rows, true_labels, gen_rows, gen_components,
         std_pearson=float(np.mean(std_p)) if std_p else None,
         per_cluster=per_cluster,
         matching=matching,
-        unmatched_components=unmatched_components,
-        unmatched_labels=unmatched_labels,
     )
 
 

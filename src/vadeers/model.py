@@ -114,13 +114,12 @@ class LossWeights:
 
 @dataclass
 class EncoderOutput:
-    """Gaussian encoder output with the recorded reparameterization noise:
-    z = mu + exp(log_sigma) * eps, eps ~ N(0, I)."""
+    """Gaussian encoder output: z = mu + exp(log_sigma) * eps with
+    eps ~ N(0, I) when sampled, else z = mu."""
 
     mu: Tensor
     log_sigma: Tensor
     z: Tensor
-    eps: np.ndarray
 
 
 @dataclass
@@ -136,10 +135,6 @@ class Batch:
     pair_drug: np.ndarray         # (n_pairs,) index into the drug rows
     pair_cell: np.ndarray         # (n_pairs,) index into the cell rows
     y: np.ndarray                 # (n_pairs,) sensitivity targets
-
-    @property
-    def n_pairs(self) -> int:
-        return int(self.pair_drug.shape[0])
 
 
 class LayerChain(NamedTuple):
@@ -343,12 +338,10 @@ class VadeersModel:
         if sample:
             if rng is None:
                 raise ContractViolation("sampling encoder requires an rng")
-            eps = rng.standard_normal(mu.shape)
-            z = reparameterize(mu, log_sigma, eps)
+            z = reparameterize(mu, log_sigma, rng.standard_normal(mu.shape))
         else:
-            eps = np.zeros(mu.shape)
             z = mu
-        return EncoderOutput(mu=mu, log_sigma=log_sigma, z=z, eps=eps)
+        return EncoderOutput(mu=mu, log_sigma=log_sigma, z=z)
 
     def decode_drug(self, z, binder: _Binder | None = None) -> tuple[Tensor, Tensor]:
         """Two independent decoders on the same z: reconstruction of the
@@ -430,36 +423,25 @@ class VadeersModel:
 
     def total_loss(self, binder: _Binder, batch: Batch, weights: LossWeights,
                    rng: np.random.Generator, mode: str = "train"):
-        """Composite loss over one batch; returns (loss, breakdown, flags).
-
-        The sensitivity term runs over the observed pairs only; a batch
-        with zero observed pairs contributes nothing and is flagged."""
+        """Composite loss over one batch of at least one observed pair;
+        returns (loss, breakdown).  The sensitivity term runs over the
+        observed pairs only."""
         dvae_total, parts, enc = self.dvae_loss_batch(
             binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
             weights, rng,
         )
-        flags = {"dspn_empty": False}
-        if batch.x_bio.shape[0] > 0:
-            cell_latent, cae_term = self.cae_loss_batch(binder, batch.x_bio)
-        else:
-            cell_latent, cae_term = None, wrap(0.0)
-
-        if batch.n_pairs > 0 and cell_latent is not None:
-            drug_latent = enc.z if self.config.dspn_input == "sample" else enc.mu
-            dl = take_rows(drug_latent, batch.pair_drug)
-            cl = take_rows(cell_latent, batch.pair_cell)
-            preds = self.dspn_predict(dl, cl, binder, mode=mode, rng=rng)
-            dspn_term = row_mse(preds, batch.y)
-        else:
-            dspn_term = wrap(0.0)
-            flags["dspn_empty"] = True
-
+        cell_latent, cae_term = self.cae_loss_batch(binder, batch.x_bio)
+        drug_latent = enc.z if self.config.dspn_input == "sample" else enc.mu
+        preds = self.dspn_predict(take_rows(drug_latent, batch.pair_drug),
+                                  take_rows(cell_latent, batch.pair_cell),
+                                  binder, mode=mode, rng=rng)
+        dspn_term = row_mse(preds, batch.y)
         parts = {**parts,
                  "cae": weighted_sum([cae_term], [weights.cae]),
                  "dspn": weighted_sum([dspn_term], [weights.dspn])}
         total = weighted_sum([dvae_total, cae_term, dspn_term],
                              [1.0, weights.cae, weights.dspn])
-        return total, parts, flags
+        return total, parts
 
     # ---- eval helpers -------------------------------------------------------
 

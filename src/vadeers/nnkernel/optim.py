@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..exceptions import ContractViolation
-from .store import FlatStore
+from .store import FlatStore, Layout
 
 # Elements per pass of the update sequence, so that a block's parameter,
 # gradient, moment and work slices stay in cache between its 15 ufuncs.
@@ -26,80 +26,62 @@ EPS = 1e-8
 class AdamState:
     """First/second moment estimates plus the completed step count.
 
-    The moments of each run of names that :func:`adam_step` updates
-    together live in one vector per moment; ``m`` and ``v`` map every
-    name updated so far to its view of those vectors, and hold no entry
-    for a name never updated."""
+    The first :func:`adam_step` binds the state to the layout of its
+    parameters and to one stretch of their flat vector: from where the
+    gradients' first run starts to where their last run stops.  The
+    stretch begins at ``start``, and ``m`` and ``v`` hold its moments in
+    layout order, so the run ``[a, b)`` has the moments
+    ``m[a - start:b - start]``.  A name inside the stretch that no step
+    updates keeps zero moments."""
 
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    layout: Layout | None = None
+    start: int = 0
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
     step_index: int = 0
-    _runs: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-
-    def _moments(self, names: tuple[str, ...], params: FlatStore):
-        """The (m, v) vectors of the run ``names``.  A run seen for the
-        first time gets new vectors, zero but for the names updated
-        before, whose moments are moved in; a run that shared a name
-        with it is forgotten, so its vectors get rebuilt the same way."""
-        got = self._runs.get(names)
-        if got is None:
-            for key in [k for k in self._runs if not set(k).isdisjoint(names)]:
-                del self._runs[key]
-            got = self._runs[names] = (_gather(self.m, names, params),
-                                       _gather(self.v, names, params))
-        return got
-
-
-def _gather(moments: dict[str, np.ndarray], names: tuple[str, ...],
-            params: FlatStore) -> np.ndarray:
-    buf = np.zeros(sum(params[n].size for n in names))
-    start = 0
-    for name in names:
-        shape = params[name].shape
-        view = buf[start: start + params[name].size].reshape(shape)
-        old = moments.get(name)
-        if old is not None:
-            if old.shape != shape:
-                raise ContractViolation(
-                    f"moment shape {old.shape} does not match parameter "
-                    f"{name!r} shape {shape}"
-                )
-            view[...] = old
-        moments[name] = view
-        start += view.size
-    return buf
 
 
 def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
-              lr: float) -> tuple[FlatStore, AdamState]:
+              lr: float) -> None:
     """One Adam update with bias correction.
 
     ``grads`` is a :meth:`~FlatStore.gradient_store` of ``params``, and
     only the parameters it shows are touched; where a present
     gradient is zero the moments still decay but the value is unchanged.
     The parameter arrays of ``params`` and the moments and step count of
-    ``state`` are updated in place, between graphs, and the same two
-    objects are returned: a graph whose tensors share those parameter
-    arrays must not be used after the step.  Each operation of the
-    out-of-place form ``p - lr * m_hat / (sqrt(v_hat) + eps)`` runs in
-    its order on work buffers, once per run of adjacent names and block
-    of ``ADAM_BLOCK`` elements; every operation is elementwise, so the
-    results are bit-identical to the out-of-place form.
+    ``state`` are updated in place, between graphs: a graph whose tensors
+    share those parameter arrays must not be used after the step.  Every
+    run of ``grads`` must lie in the stretch ``state`` is bound to.  Each
+    operation of the out-of-place form
+    ``p - lr * m_hat / (sqrt(v_hat) + eps)`` runs in its order on work
+    buffers, once per run of adjacent names and block of ``ADAM_BLOCK``
+    elements; every operation is elementwise, so the results are
+    bit-identical to the out-of-place form.
     """
     if not (isinstance(params, FlatStore) and isinstance(grads, FlatStore)
             and grads.layout is params.layout):
         raise ContractViolation(
             "adam_step needs a FlatStore and a gradient store of its layout"
         )
-    t = state.step_index + 1
     runs = grads.runs()
-    size = min(ADAM_BLOCK, max((stop - start for start, stop, _ in runs),
-                               default=0))
+    if state.layout is None:
+        lo, hi = (runs[0][0], runs[-1][1]) if runs else (0, 0)
+        state.layout, state.start = params.layout, lo
+        state.m, state.v = np.zeros(hi - lo), np.zeros(hi - lo)
+    stop = state.start + state.m.size
+    if state.layout is not params.layout or any(
+            a < state.start or b > stop for a, b, _ in runs):
+        raise ContractViolation(
+            f"adam_step: the gradients leave the stretch [{state.start}, "
+            f"{stop}) of the layout the state is bound to"
+        )
+    t = state.step_index + 1
+    size = min(ADAM_BLOCK, max((b - a for a, b, _ in runs), default=0))
     work = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-    for lo, hi, names in runs:
+    for lo, hi, _ in runs:
         p_run, g_run = params.flat[lo:hi], grads.flat[lo:hi]
-        m_run, v_run = state._moments(tuple(names), params)
+        m_run = state.m[lo - state.start: hi - state.start]
+        v_run = state.v[lo - state.start: hi - state.start]
         for start in range(0, p_run.size, ADAM_BLOCK):
             block = slice(start, start + ADAM_BLOCK)
             p, g, m, v = p_run[block], g_run[block], m_run[block], v_run[block]
@@ -122,4 +104,3 @@ def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
             np.subtract(p, step, out=p, where=moved)
 
     state.step_index = t
-    return params, state

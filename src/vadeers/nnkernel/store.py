@@ -1,10 +1,11 @@
 """Named float64 arrays kept as views of one contiguous vector.
 
 A :class:`FlatStore` lays its arrays end to end in ``flat``; every name
-owns one slice, reshaped to its shape.  The model's parameters, the
-gradients of a tape bound to them and the Adam moments share one layout,
-so a stretch of adjacent names is one slice of each vector and a
-whole-model copy, checkpoint or update pass is one array operation.
+owns one slice, reshaped to its shape.  The model's parameters and the
+gradients of a tape bound to them share one layout, and the Adam moments
+of an optimizer state cover one stretch of it, so a run of adjacent names
+is one slice of each vector and a whole-model copy, checkpoint or update
+pass is one array operation.
 """
 
 from __future__ import annotations

@@ -11,12 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+import typing
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Scaler, atomic_open, standardize
+from .data import Dataset, Scaler, atomic_open, json_fits, standardize, type_name
 from .exceptions import CheckpointError, ContractViolation, DataError, NumericError
 from .model import Batch, LossWeights, ModelConfig, VadeersModel
 from .nnkernel import (
@@ -98,9 +99,6 @@ class Split:
     train_rows: np.ndarray
     val_rows: np.ndarray
     test_rows: np.ndarray
-
-    def cell_sets(self) -> tuple[set[str], set[str], set[str]]:
-        return set(self.train_cells), set(self.val_cells), set(self.test_cells)
 
 
 def split_by_cell_line(dataset: Dataset, spec: SplitSpec) -> Split:
@@ -351,8 +349,8 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
         })
 
     def joint_terms(binder, batch: Batch) -> dict[str, Tensor]:
-        loss, parts, _ = model.total_loss(binder, batch, weights, rng_step,
-                                          mode="train")
+        loss, parts = model.total_loss(binder, batch, weights, rng_step,
+                                       mode="train")
         return {"total": loss, **parts}
 
     def break_terms(binder, chunk: np.ndarray) -> dict[str, Tensor]:
@@ -475,16 +473,21 @@ def save_checkpoint(checkpoint: Checkpoint, path):
 
 def _header_config(path: Path, cfg) -> ModelConfig:
     """The model config of a checkpoint header, with exactly the fields
-    of ``ModelConfig``."""
+    of ``ModelConfig``, each value of its field's type."""
     if not isinstance(cfg, dict):
         raise CheckpointError(f"{path}: header has no config object")
     odd = sorted(set(cfg) ^ {f.name for f in fields(ModelConfig)})
     if odd:
         what = "unknown" if odd[0] in cfg else "missing"
         raise CheckpointError(f"{path}: header config has {what} key {odd[0]!r}")
+    hints = typing.get_type_hints(ModelConfig)
+    for key, value in cfg.items():
+        if not json_fits(value, hints[key]):
+            raise CheckpointError(f"{path}: header config key {key!r}: {value!r} "
+                                  f"is not of type {type_name(hints[key])}")
     try:
         return ModelConfig.from_dict(cfg)
-    except (ContractViolation, TypeError) as exc:
+    except ContractViolation as exc:
         raise CheckpointError(f"{path}: header config: {exc}") from None
 
 
@@ -553,15 +556,22 @@ def _header_scaler(path: Path, record, config: ModelConfig) -> Scaler:
     return Scaler.from_dict(record)
 
 
-def _header_records(path: Path, header: dict) -> tuple[dict | None, dict | None]:
-    """The guiding labels (drug id -> int) and split cells (``train``,
-    ``val`` and ``test`` lists of ids) of a checkpoint header."""
+def _header_records(path: Path, header: dict, config: ModelConfig
+                    ) -> tuple[dict | None, dict | None]:
+    """The guiding labels (drug id -> int in ``[0, n_guiding_labels)``)
+    and split cells (``train``, ``val`` and ``test`` lists of ids) of a
+    checkpoint header."""
     labels, split = header.get("guiding_labels"), header.get("split_cells")
     if labels is not None and not (
             isinstance(labels, dict)
             and all(type(v) is int for v in labels.values())):
         raise CheckpointError(
             f"{path}: header field 'guiding_labels' must map drug ids to ints")
+    for drug, label in (labels or {}).items():
+        if not 0 <= label < config.n_guiding_labels:
+            raise CheckpointError(
+                f"{path}: guiding label {label} of drug {drug!r} is outside "
+                f"[0, {config.n_guiding_labels})")
     if split is not None and not (
             isinstance(split, dict) and set(split) == {"train", "val", "test"}
             and all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
@@ -572,24 +582,15 @@ def _header_records(path: Path, header: dict) -> tuple[dict | None, dict | None]
     return labels or None, split
 
 
-def _check_widths(path, config: ModelConfig, source: str,
-                  widths: dict[str, int]) -> None:
-    for dim, want in widths.items():
-        got = getattr(config, dim)
-        if got != want:
-            raise CheckpointError(
-                f"{path}: checkpoint {dim}={got} does not match "
-                f"{source} {dim}={want}"
-            )
-
-
 def check_compatible(checkpoint: Checkpoint, dataset: Dataset, path) -> None:
     """Raise :class:`CheckpointError`, naming the checkpoint file
     ``path``, unless ``dataset`` has the checkpoint's input widths and
     every drug the checkpoint's guiding labels name."""
-    _check_widths(path, checkpoint.model.config, "the dataset's", {
-        "smiles_dim": dataset.smiles_dim, "ip_dim": dataset.ip_dim,
-        "bio_dim": dataset.bio_dim})
+    for dim in ("smiles_dim", "ip_dim", "bio_dim"):
+        got, want = getattr(checkpoint.model.config, dim), getattr(dataset, dim)
+        if got != want:
+            raise CheckpointError(f"{path}: checkpoint {dim}={got} does not "
+                                  f"match the dataset's {dim}={want}")
     missing = sorted(set(checkpoint.guiding_labels or ()) - set(dataset.drug_ids))
     if missing:
         raise CheckpointError(
@@ -598,7 +599,7 @@ def check_compatible(checkpoint: Checkpoint, dataset: Dataset, path) -> None:
         )
 
 
-def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpoint:
+def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     raw = path.read_bytes()
     if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
@@ -610,6 +611,8 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
         header = json.loads(raw[offset: offset + size])
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"{path}: corrupt header") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
     offset += size
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(
@@ -617,10 +620,6 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
             f"!= supported {CHECKPOINT_VERSION}"
         )
     config = _header_config(path, header.get("config"))
-    if expected_config is not None:
-        _check_widths(path, config, "expected", {
-            dim: getattr(expected_config, dim)
-            for dim in ("smiles_dim", "ip_dim", "bio_dim", "latent_dim")})
     expected = VadeersModel(config, {}).param_shapes()
     layout = pack(_header_arrays(path, header.get("arrays"), expected))
     have = (len(raw) - offset) // 8
@@ -638,7 +637,7 @@ def load_checkpoint(path, expected_config: ModelConfig | None = None) -> Checkpo
     flat = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
     model = VadeersModel(config, FlatStore(layout, flat.astype(np.float64)))
     scaler = header.get("scaler")
-    labels, split = _header_records(path, header)
+    labels, split = _header_records(path, header, config)
     return Checkpoint(
         model=model,
         scaler=None if scaler is None else _header_scaler(path, scaler, config),

@@ -129,8 +129,8 @@ def test_criterion_1_gradient_suite():
         return tmean(square(sub(preds, Tensor(batch.y))))
 
     def composite(probe, binder, batch):
-        loss, _, _ = probe.total_loss(binder, batch, weights,
-                                      np.random.default_rng(2), mode="eval")
+        loss, _ = probe.total_loss(binder, batch, weights,
+                                   np.random.default_rng(2), mode="eval")
         return loss
 
     for variant in ("vanilla", "gmm_constrained", "gmm_unconstrained"):

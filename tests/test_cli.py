@@ -369,11 +369,20 @@ def _rewrite_header(src, dst, mutate):
     (lambda h: h["guiding_labels"].update(D0="0"), "guiding_labels"),
     (lambda h: h["split_cells"].pop("val"), "split_cells"),
     (lambda h: h["split_cells"]["test"].append(7), "split_cells"),
+    (lambda h: h["guiding_labels"].update(D0=99), "D0"),
+    (lambda h: h["guiding_labels"].update(D0=-1), "D0"),
+    (lambda h: h["guiding_labels"].update(D0=h["config"]["n_guiding_labels"]),
+     "D0"),
+    (lambda h: h["config"].update(latent_dim=4.0), "latent_dim"),
+    (lambda h: h["config"].update(n_components=3.0), "n_components"),
+    (lambda h: h["config"].update(dspn_dims=[32.0, 16.0, 8.0]), "dspn_dims"),
 ], ids=["unknown_key", "missing_key", "scaler_missing_field",
         "scaler_unknown_field", "scaler_std_width", "scaler_mean_width",
         "scaler_zero_std", "scaler_string_number", "scaler_int_binary",
         "labels_list", "labels_string_value", "split_missing_part",
-        "split_int_id"])
+        "split_int_id", "label_99", "label_minus_1", "label_n_guiding_labels",
+        "config_float_latent_dim", "config_float_n_components",
+        "config_float_dspn_dims"])
 def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
                                              mutate, key):
     path = tmp_path / "bad.bin"
@@ -383,6 +392,26 @@ def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
                "--out", tmp_path / "g.csv") == 2
     err = capsys.readouterr().err
     assert "bad.bin" in err and repr(key) in err
+
+
+@pytest.mark.parametrize("header", [[1], None, 3], ids=["list", "null", "int"])
+@pytest.mark.parametrize("command", ["generate", "evaluate", "predict"])
+def test_checkpoint_header_not_an_object_exit_2(tmp_path, data_dir, capsys,
+                                                command, header):
+    path = tmp_path / "bad.bin"
+    blob = json.dumps(header).encode()
+    path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob)
+    dpath, cpath = tmp_path / "drugs_in.csv", tmp_path / "cells_in.csv"
+    _write_feature_csv(dpath, "e", ["X0"], np.zeros((1, 32)))
+    _write_feature_csv(cpath, "f", ["C0"], np.zeros((1, 20)))
+    args = {"generate": ["--n", "5"], "evaluate": ["--data", data_dir],
+            "predict": ["--drugs", dpath, "--cells", cpath]}[command]
+    capsys.readouterr()
+    assert run(command, "--checkpoint", path, *args,
+               "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "bad.bin: header is not a JSON object" in err
+    assert "Traceback" not in err
 
 
 def test_checkpoint_missing_array_exit_2(tmp_path, run_dir, capsys):

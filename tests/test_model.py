@@ -91,7 +91,9 @@ def test_zero_weight_encoder_outputs_epsilon():
     enc = model.encode_drug(x, rng=np.random.default_rng(3))
     assert np.array_equal(enc.mu.data, np.zeros((3, 3)))
     assert np.array_equal(enc.log_sigma.data, np.zeros((3, 3)))
-    assert np.array_equal(enc.z.data, enc.eps)
+    # z = 0 + exp(0) * eps replays the rng's draw
+    assert np.array_equal(enc.z.data,
+                          np.random.default_rng(3).standard_normal((3, 3)))
 
 
 def test_encoder_deterministic_for_fixed_seed():
@@ -194,7 +196,7 @@ def test_entropy_and_vanilla_prior_nodes_match_composed_oracles(n, d, seed):
 def _enc_out(mu, log_sigma, z):
     mu, log_sigma, z = (np.atleast_2d(a) for a in (mu, log_sigma, z))
     return EncoderOutput(mu=Tensor(mu), log_sigma=Tensor(log_sigma),
-                         z=Tensor(z), eps=np.zeros_like(mu))
+                         z=Tensor(z))
 
 
 def dvae_row_terms(x, recon, ip, ip_pred, enc, label, params, weights):
@@ -344,7 +346,7 @@ def test_cae_identity_capable_config_overfits():
         _, loss = model.cae_loss_batch(model.binder(tape), x)
         grads = tape.gradient(loss)
         assert all(k.startswith("cae.") for k in grads)
-        model.params, state = adam_step(model.params, grads, state, lr=0.02)
+        adam_step(model.params, grads, state, lr=0.02)
     _, final = model.cae_loss_batch(model.binder(), x)
     assert float(final.data) < 1e-3
 
@@ -444,8 +446,8 @@ def test_total_loss_weight_masking():
     w = LossWeights(smiles_recon=1.0, ip_recon=0.0, prior=0.0, entropy=0.0,
                     cae=0.0, dspn=0.0)
     rng = np.random.default_rng(29)
-    loss, parts, _ = model.total_loss(model.binder(), batch, w, rng,
-                                      mode="eval")
+    loss, parts = model.total_loss(model.binder(), batch, w, rng,
+                                   mode="eval")
     # the same rng stream must be replayed for the reference pass
     rng2 = np.random.default_rng(29)
     enc = model.encode_drug(batch.x_smiles, rng=rng2)
@@ -458,25 +460,11 @@ def test_total_loss_breakdown_sums_to_total():
     for variant in ("vanilla", "gmm_constrained", "gmm_unconstrained"):
         model = toy_model(variant=variant, seed=30)
         batch = toy_batch(seed=31)
-        loss, parts, flags = model.total_loss(
+        loss, parts = model.total_loss(
             model.binder(), batch, LossWeights(),
             np.random.default_rng(32), mode="eval")
         assert abs(float(loss.data)
                    - sum(float(p.data) for p in parts.values())) < 1e-12
-        assert not flags["dspn_empty"]
-
-
-def test_total_loss_empty_pairs_flagged():
-    model = toy_model(seed=33)
-    batch = toy_batch(seed=34)
-    batch.pair_drug = np.array([], dtype=np.intp)
-    batch.pair_cell = np.array([], dtype=np.intp)
-    batch.y = np.array([])
-    loss, parts, flags = model.total_loss(
-        model.binder(), batch, LossWeights(), np.random.default_rng(35),
-        mode="eval")
-    assert flags["dspn_empty"]
-    assert float(parts["dspn"].data) == 0.0
 
 
 def test_unobserved_pairs_do_not_change_dspn_term():
@@ -489,10 +477,10 @@ def test_unobserved_pairs_do_not_change_dspn_term():
     batch = toy_batch(seed=37)
     w = LossWeights(smiles_recon=0, ip_recon=0, prior=0, entropy=0, cae=0,
                     dspn=1)
-    loss_a, _, _ = model.total_loss(model.binder(), batch, w,
-                                    np.random.default_rng(38), mode="eval")
-    loss_b, _, _ = model.total_loss(model.binder(), batch, w,
-                                    np.random.default_rng(39), mode="eval")
+    loss_a, _ = model.total_loss(model.binder(), batch, w,
+                                 np.random.default_rng(38), mode="eval")
+    loss_b, _ = model.total_loss(model.binder(), batch, w,
+                                 np.random.default_rng(39), mode="eval")
     assert float(loss_a.data) == float(loss_b.data)
 
 
@@ -507,7 +495,7 @@ def test_total_loss_gradients_all_variants():
             probe = VadeersModel(model.config, arrays)
             tape = GradientTape(probe.params)
             binder = probe.binder(tape)
-            loss, _, _ = probe.total_loss(
+            loss, _ = probe.total_loss(
                 binder, batch, LossWeights(),
                 np.random.default_rng(42), mode="eval")
             return loss, tape
@@ -532,13 +520,13 @@ def test_dspn_input_switch_feeds_sample_instead_of_mean():
                     dspn=1)
     mean_fed = toy_model(seed=51, dspn_input="mean")
     sample_fed = toy_model(seed=51, dspn_input="sample")
-    loss_mean_a, _, _ = mean_fed.total_loss(
+    loss_mean_a, _ = mean_fed.total_loss(
         mean_fed.binder(), batch, w, np.random.default_rng(1), mode="eval")
-    loss_mean_b, _, _ = mean_fed.total_loss(
+    loss_mean_b, _ = mean_fed.total_loss(
         mean_fed.binder(), batch, w, np.random.default_rng(2), mode="eval")
-    loss_samp_a, _, _ = sample_fed.total_loss(
+    loss_samp_a, _ = sample_fed.total_loss(
         sample_fed.binder(), batch, w, np.random.default_rng(1), mode="eval")
-    loss_samp_b, _, _ = sample_fed.total_loss(
+    loss_samp_b, _ = sample_fed.total_loss(
         sample_fed.binder(), batch, w, np.random.default_rng(2), mode="eval")
     # mean-fed predictor ignores the z draw; sample-fed follows it
     assert float(loss_mean_a.data) == float(loss_mean_b.data)
@@ -550,8 +538,8 @@ def test_constrained_log_scales_never_registered():
     batch = toy_batch(seed=45)
     tape = GradientTape(model.params)
     binder = model.binder(tape)
-    loss, _, _ = model.total_loss(binder, batch, LossWeights(),
-                                  np.random.default_rng(46))
+    loss, _ = model.total_loss(binder, batch, LossWeights(),
+                               np.random.default_rng(46))
     grads = tape.gradient(loss)
     assert "gmm.log_scales" not in grads
     assert "gmm.means" in grads
@@ -581,9 +569,8 @@ def test_loss_graphs_stay_small():
         LossWeights(), np.random.default_rng(72))
     assert _graph_nodes(loss) <= 45
     binder = model.binder(GradientTape(model.params))
-    loss, _, flags = model.total_loss(binder, batch, LossWeights(),
-                                      np.random.default_rng(73), mode="train")
-    assert not flags["dspn_empty"]
+    loss, _ = model.total_loss(binder, batch, LossWeights(),
+                               np.random.default_rng(73), mode="train")
     assert _graph_nodes(loss) <= 95
 
 

@@ -405,25 +405,32 @@ def _grads(params, arrays):
     return grads
 
 
+def _moments(state, params, name):
+    """(m, v) of ``name`` in the stretch ``state`` is bound to."""
+    a, b, shape = params.layout[name]
+    return (state.m[a - state.start: b - state.start].reshape(shape),
+            state.v[a - state.start: b - state.start].reshape(shape))
+
+
 def test_adam_zero_grads_leave_params_decay_moments():
     params = FlatStore.from_arrays({"p": np.array([1.0, -2.0])})
-    state = AdamState(m={"p": np.array([0.5, 0.5])},
-                      v={"p": np.array([0.25, 0.25])}, step_index=3)
-    new_params, new_state = adam_step(params, _grads(params, {"p": np.zeros(2)}),
-                                      state, lr=0.1)
-    assert np.array_equal(new_params["p"], [1.0, -2.0])
-    assert np.allclose(new_state.m["p"], 0.9 * 0.5)
-    assert np.allclose(new_state.v["p"], 0.999 * 0.25)
+    state = AdamState(layout=params.layout, m=np.array([0.5, 0.5]),
+                      v=np.array([0.25, 0.25]), step_index=3)
+    adam_step(params, _grads(params, {"p": np.zeros(2)}), state, lr=0.1)
+    assert np.array_equal(params["p"], [1.0, -2.0])
+    assert np.allclose(state.m, 0.9 * 0.5)
+    assert np.allclose(state.v, 0.999 * 0.25)
+    assert state.step_index == 4
 
 
 def test_adam_first_step_moves_by_lr():
     # hand evaluation at t=1: m_hat = g, v_hat = g^2,
     # step = lr * g / (|g| + eps) ~= lr
     params = FlatStore.from_arrays({"p": np.array([0.0])})
-    new_params, _ = adam_step(params, _grads(params, {"p": np.array([1.0])}),
-                              AdamState(), lr=0.1)
+    assert adam_step(params, _grads(params, {"p": np.array([1.0])}),
+                     AdamState(), lr=0.1) is None
     expected = -0.1 * 1.0 / (1.0 + 1e-8)
-    assert abs(new_params["p"][0] - expected) < 1e-15
+    assert abs(params["p"][0] - expected) < 1e-15
 
 
 def test_adam_converges_on_quadratic():
@@ -431,8 +438,7 @@ def test_adam_converges_on_quadratic():
     state = AdamState()
     for _ in range(100):
         g = 2.0 * (params["p"] - 3.0)
-        params, state = adam_step(params, _grads(params, {"p": g}), state,
-                                  lr=0.1)
+        adam_step(params, _grads(params, {"p": g}), state, lr=0.1)
     assert abs(params["p"][0] - 3.0) < 0.05
 
 
@@ -452,15 +458,17 @@ def test_adam_in_place_matches_out_of_place_oracle():
         if t == 3:
             grads["b"][:] = 0.0
         ref, m, v = adam_out_of_place(ref, grads, m, v, t, lr=0.01)
-        out, state = adam_step(params, _grads(params, grads), state, lr=0.01)
-        assert out is params and state.step_index == t
+        adam_step(params, _grads(params, grads), state, lr=0.01)
+        assert state.step_index == t
         assert params.flat is flat  # updated in place
         for name in params:
             assert params[name].tobytes() == ref[name].tobytes()
         for name in grads:
-            assert state.m[name].tobytes() == m[name].tobytes()
-            assert state.v[name].tobytes() == v[name].tobytes()
-    assert "idle" not in state.m
+            got_m, got_v = _moments(state, params, name)
+            assert got_m.tobytes() == m[name].tobytes()
+            assert got_v.tobytes() == v[name].tobytes()
+    # the stretch ends where the last updated name does
+    assert (state.start, state.m.size, state.v.size) == (0, 17, 17)
 
 
 def test_adam_runs_of_a_flat_store_match_out_of_place_oracle(monkeypatch):
@@ -489,36 +497,37 @@ def test_adam_runs_of_a_flat_store_match_out_of_place_oracle(monkeypatch):
         if t == 3:
             grads["d"] = np.zeros(3)
         ref, m, v = adam_out_of_place(ref, dict(grads), m, v, t, lr=0.01)
-        out, state = adam_step(params, grads, state, lr=0.01)
-        assert out is params
+        adam_step(params, grads, state, lr=0.01)
         for name in params:
             assert params[name].tobytes() == ref[name].tobytes()
         for name in active:
-            assert state.m[name].tobytes() == m[name].tobytes()
-            assert state.v[name].tobytes() == v[name].tobytes()
+            got_m, got_v = _moments(state, params, name)
+            assert got_m.tobytes() == m[name].tobytes()
+            assert got_v.tobytes() == v[name].tobytes()
+    # the frozen name inside the stretch keeps its value and zero moments
     assert params["b"].tobytes() == frozen.tobytes()
-    assert "b" not in state.m and "b" not in state.v
-    assert sorted(state._runs) == [("a1", "a2"), ("c", "d")]
-    assert sum(mv[0].size for mv in state._runs.values()) == 24
+    assert not np.any(np.concatenate(_moments(state, params, "b")))
+    assert state.layout is params.layout and state.start == 0
+    assert state.m.size == state.v.size == 28
 
 
-def test_adam_moments_follow_a_name_into_a_new_run():
+def test_adam_rejects_a_run_outside_its_stretch_or_another_layout():
     rng = np.random.default_rng(15)
     params = FlatStore.from_arrays({n: rng.standard_normal(3) for n in "abc"})
-    ref = {n: params[n].copy() for n in params}
-    m, v = {}, {}
     state = AdamState()
-    for t, names in enumerate((["a", "b"], ["b", "c"], ["a", "b", "c"]), 1):
-        grads = params.gradient_store(names)
-        for name in names:
-            grads[name] = rng.standard_normal(3)
-        ref, m, v = adam_out_of_place(ref, dict(grads), m, v, t, lr=0.1)
-        adam_step(params, grads, state, lr=0.1)
-        for name in params:
-            assert params[name].tobytes() == ref[name].tobytes()
-        for name in m:
-            assert state.m[name].tobytes() == m[name].tobytes()
-            assert state.v[name].tobytes() == v[name].tobytes()
+    adam_step(params, _grads(params, {"b": rng.standard_normal(3)}), state,
+              lr=0.1)
+    assert (state.start, state.m.size) == (3, 3)
+    before = params.flat.copy()
+    for names in (["a"], ["c"], ["a", "b"], ["b", "c"]):
+        with pytest.raises(ContractViolation, match="stretch"):
+            adam_step(params, _grads(params, {n: np.ones(3) for n in names}),
+                      state, lr=0.1)
+    other = FlatStore.from_arrays({n: np.zeros(3) for n in "abc"})
+    with pytest.raises(ContractViolation, match="stretch"):
+        adam_step(other, _grads(other, {"b": np.ones(3)}), state, lr=0.1)
+    assert params.flat.tobytes() == before.tobytes()
+    assert state.step_index == 1
 
 
 def test_adam_shape_mismatch():

@@ -2,6 +2,7 @@
 break/freeze/lr-decay accounting, determinism, divergence handling, and
 checkpoint round-trips."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from vadeers.training import (
     TrainSchedule,
     TrainingAborted,
     build_pair_batch,
+    check_compatible,
     check_schedule_conformance,
     load_checkpoint,
     save_checkpoint,
@@ -83,7 +85,8 @@ def test_split_partitions_pairs_completely():
     total = (len(split.train_rows) + len(split.val_rows)
              + len(split.test_rows))
     assert total == len(dataset.pair_y)
-    train_set, val_set, test_set = split.cell_sets()
+    train_set, val_set, test_set = (set(split.train_cells), set(split.val_cells),
+                                    set(split.test_cells))
     assert not train_set & val_set
     assert not train_set & test_set
     assert not val_set & test_set
@@ -197,7 +200,7 @@ def test_different_seeds_differ():
 
 def test_no_heldout_cells_touch_gradients():
     result = tiny_train(seed=4)
-    _, val_set, test_set = result.split.cell_sets()
+    val_set, test_set = set(result.split.val_cells), set(result.split.test_cells)
     assert not result.runlog.cells_touched & val_set
     assert not result.runlog.cells_touched & test_set
 
@@ -370,14 +373,11 @@ def test_checkpoint_wrong_dim_names_both(tmp_path):
     result = tiny_train()
     path = tmp_path / "model.bin"
     save_checkpoint(_checkpoint_for(result), path)
-    wrong = ModelConfig(**{
-        **{f: getattr(TINY_CONFIG, f) for f in TINY_CONFIG.__dataclass_fields__},
-        "smiles_dim": 99,
-    })
+    wide = generate_synthetic(replace(TINY_SPEC, smiles_dim=99), seed=0)
     with pytest.raises(CheckpointError) as err:
-        load_checkpoint(path, expected_config=wrong)
+        check_compatible(load_checkpoint(path), wide, path)
     msg = str(err.value)
-    assert "10" in msg and "99" in msg
+    assert str(path) in msg and "smiles_dim=10" in msg and "smiles_dim=99" in msg
 
 
 def test_vanilla_checkpoint_has_no_gmm_block(tmp_path):
