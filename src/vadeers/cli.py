@@ -297,7 +297,7 @@ cli.add_command(train_cmd, name="train")
 @cli.command()
 @click.option("--checkpoint", "checkpoint_path", type=str, required=True)
 @click.option("--component", type=int, default=None)
-@click.option("--n", "n_samples", type=int, default=300)
+@click.option("--n", "n_samples", type=click.IntRange(min=1), default=300)
 @click.option("--out", type=str, default=None)
 @click.option("--seed", type=int, default=0)
 def generate(checkpoint_path, component, n_samples, out, seed):
@@ -401,7 +401,8 @@ def _rebuild_split(dataset: Dataset, split_cells: dict) -> Split:
 @click.option("--data", "data_dir", type=str, required=True)
 @click.option("--out", type=str, default=None)
 @click.option("--seed", type=int, default=0)
-@click.option("--n-gen", type=int, default=inspect.signature(evaluate)
+@click.option("--n-gen", type=click.IntRange(min=1),
+              default=inspect.signature(evaluate)
               .parameters["n_gen_per_component"].default)
 def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
     """Full metric report plus 2-D projection CSVs for plotting."""

@@ -272,6 +272,9 @@ def generate_profiles(model: VadeersModel, n_per_component: int,
     component of each row; under the vanilla prior, ``3 * n_per_component``
     standard-normal draws, each labeled -1.  All draws are decoded in one
     pass."""
+    if n_per_component < 1:
+        raise ContractViolation(
+            f"n_per_component must be >= 1, got {n_per_component}")
     rng = np.random.Generator(np.random.PCG64(seed))
     gmm_params = model.gmm_params()
     if gmm_params is not None:

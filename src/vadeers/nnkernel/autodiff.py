@@ -17,6 +17,10 @@ suite are not attainable in single precision.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +32,81 @@ Array = np.ndarray
 
 ACTIVATIONS = ("relu", "identity")
 
+# A dense forward runs as two row parts, the first on a worker thread,
+# when the process may use two CPUs.  The first part is the largest
+# multiple of SPLIT_ALIGN rows not above half the rows; each part must
+# hold at least SPLIT_ROWS rows (so 128-row training batches never split)
+# and SPLIT_MACS multiply-adds.  Then every row's bits equal the one-call
+# product's.  OpenBLAS 0.3.31 on a Sapphire Rapids Xeon gave other bits in
+# rows near a part boundary that is not a multiple of 24, where the
+# output width is not a multiple of 8, and in parts under 10**6
+# multiply-adds, which take its small-matrix kernel where the whole
+# product did not; 48 also covers kernels that tile 16 rows.  At one
+# BLAS thread on that 2-core VM, 500 rows of 512 -> 256 took 2.6 ms split
+# against 4.3 ms whole (median), 3.4 against 4.7 ms in the mean.  Parts
+# of 2 to 8 million multiply-adds gained at the median but mostly lost
+# in the mean: the worker's CPU, idle between calls, sometimes took
+# milliseconds to start or finish its part.
+SPLIT_ROWS = 144
+SPLIT_ALIGN = 48
+SPLIT_MACS = 2 ** 23
+# On a host whose other tenants share the second core, split products
+# can take longer than one-call ones for minutes at a time: there a
+# split over 500 rows of 512 -> 256 took 5.7 ms in the mean against
+# 4.6 ms whole.  So each split is timed against the one-call time its
+# caller's part implies, and when a moving average of those ratios (over
+# about 16 splits) rises above 1, the next SPLIT_BACKOFF forwards that
+# would split run both parts on the caller.
+SPLIT_BACKOFF = 32
+
+
+class _Splitter:
+    """The worker thread, made on first use, and how well splits paid."""
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.worker: ThreadPoolExecutor | None = None
+        self.ratio = 1.0  # moving average of split time / one-call time
+        self.skip = 0     # forwards left to run both parts on the caller
+
+    def take_turn(self) -> ThreadPoolExecutor | None:
+        """The worker for this forward's first part, or None to run both
+        parts on the caller."""
+        with self.lock:
+            if self.skip:
+                self.skip -= 1
+                return None
+            if self.worker is None:
+                self.worker = ThreadPoolExecutor(max_workers=1)
+            return self.worker
+
+    def record(self, ratio: float) -> None:
+        with self.lock:
+            self.ratio += (ratio - self.ratio) / 16
+            if self.ratio > 1.0:
+                self.ratio, self.skip = 1.0, SPLIT_BACKOFF
+
+
+_splitter = _Splitter()
+
+
+def _new_splitter() -> None:
+    global _splitter
+    _splitter = _Splitter()
+
+
+if hasattr(os, "register_at_fork"):
+    # a forked child has no worker thread, and the lock may have been held
+    # by another thread; the child starts afresh
+    os.register_at_fork(after_in_child=_new_splitter)
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
 
 class Tensor:
     """A node in the computation graph.
@@ -35,6 +114,8 @@ class Tensor:
     ``data`` is a float64 ndarray and must not be mutated while a graph
     that holds it is in use; forward evaluation is therefore safe from
     multiple threads, while a graph/backward pass is single-threaded.
+    A large :func:`dense` forward hands part of its rows to one worker
+    thread that all callers share; its result does not depend on that.
     A parameter leaf shares its array with the parameter store, and
     :func:`~vadeers.nnkernel.optim.adam_step` updates those arrays in
     place, between graphs: build a new graph after each step.
@@ -146,7 +227,16 @@ def dense(x, weights, bias, activation: str = "identity",
     backward pass recovers the relu gate (subgradient 0 at 0) from that
     output: where the mask is nonzero the output is positive exactly
     where the pre-activation is, and where it is zero the gradient is
-    zero either way."""
+    zero either way.
+
+    The forward product may run in two row parts, by the rule of
+    ``SPLIT_ROWS``, ``SPLIT_ALIGN`` and ``SPLIT_MACS``; every row's bits
+    equal the one-call product's at one BLAS thread.  The first part runs
+    on a worker thread, under the caller's ``np.errstate``, unless recent
+    splits did not pay (``SPLIT_BACKOFF``) or the worker has not started
+    it when the caller's own part is done; then it runs on the caller.
+    ``dense`` returns or raises only once both parts are done.  The
+    backward pass always runs on the calling thread."""
     x, weights, bias = wrap(x), wrap(weights), wrap(bias)
     if x.ndim != 2 or weights.ndim != 2:
         raise ContractViolation(
@@ -168,12 +258,7 @@ def dense(x, weights, bias, activation: str = "identity",
             f"{(x.shape[0], weights.shape[1])}"
         )
     relu = activation == "relu"
-    out = x.data @ weights.data
-    out += bias.data
-    if relu:
-        np.maximum(out, 0.0, out=out)
-    if mask is not None:
-        out *= mask
+    out = _dense_forward(x.data, weights.data, bias.data, relu, mask)
 
     # the closure holds the output array, not the node: a node reachable
     # from its own backward would be a reference cycle, and the whole
@@ -190,6 +275,57 @@ def dense(x, weights, bias, activation: str = "identity",
                 g.sum(axis=0, out=outs[2]) if needs[2] else None)
 
     return Tensor(out, (x, weights, bias), backward)
+
+
+def _dense_rows(x, weights, bias, relu, mask, out, rows) -> None:
+    """``act(x @ W + b) * mask`` of the rows ``rows``, into ``out``."""
+    o = out[rows]
+    np.matmul(x[rows], weights, out=o)
+    o += bias
+    if relu:
+        np.maximum(o, 0.0, out=o)
+    if mask is not None:
+        o *= mask[rows]
+
+
+def _dense_rows_in(err: dict, *args) -> None:
+    """:func:`_dense_rows` under the caller's floating-point error
+    settings, which a worker thread does not inherit."""
+    with np.errstate(**err):
+        _dense_rows(*args)
+
+
+def _dense_forward(x, weights, bias, relu, mask) -> Array:
+    n = x.shape[0]
+    out = np.empty((n, weights.shape[1]))
+    args = (x, weights, bias, relu, mask, out)
+    cut = n // 2 // SPLIT_ALIGN * SPLIT_ALIGN
+    if cut < SPLIT_ROWS or cut * weights.size < SPLIT_MACS or _cpus() < 2:
+        _dense_rows(*args, slice(None))
+        return out
+    splitter = _splitter
+    worker = splitter.take_turn()
+    if worker is None:
+        # backing off: the same two products, so the same bits at any
+        # BLAS thread count
+        _dense_rows(*args, slice(cut, n))
+        _dense_rows(*args, slice(cut))
+        return out
+    start = time.perf_counter()
+    future = worker.submit(_dense_rows_in, np.geterr(), *args, slice(cut))
+    try:
+        _dense_rows(*args, slice(cut, n))
+        own = time.perf_counter() - start
+    finally:
+        # a part the worker has not started yet runs here: on a busy host
+        # the worker's CPU can take milliseconds to wake
+        mine = future.cancel()
+        if not mine:
+            future.result()
+    if mine:
+        _dense_rows(*args, slice(cut))
+    splitter.record((time.perf_counter() - start) * (n - cut) / (own * n))
+    return out
 
 
 def reparameterize(mu, log_sigma, eps: Array) -> Tensor:

@@ -201,6 +201,34 @@ def test_generate_component_on_vanilla_unsupported(tmp_path, data_dir,
                "--n", "5", "--out", tmp_path / "z.csv") == 0
 
 
+@pytest.fixture(scope="module")
+def vanilla_run_dir(tmp_path_factory, data_dir, config_file):
+    out = tmp_path_factory.mktemp("runs") / "vanilla"
+    assert run("train", "--data", data_dir, "--out", out, "--config",
+               config_file, "--seed", "2", "--variant", "vanilla",
+               "--joint-epochs", "1", "--dspn-epochs", "1") == 0
+    return out
+
+
+@pytest.mark.parametrize("variant", ["vanilla", "gmm_constrained"])
+@pytest.mark.parametrize("command, flag", [("generate", "--n"),
+                                           ("evaluate", "--n-gen")])
+@pytest.mark.parametrize("n", [-5, 0])
+def test_nonpositive_sample_count_is_a_usage_error(
+        request, tmp_path, data_dir, capsys, variant, command, flag, n):
+    fixture = "vanilla_run_dir" if variant == "vanilla" else "run_dir"
+    ckpt = request.getfixturevalue(fixture) / "checkpoint.bin"
+    args = ["--data", data_dir] if command == "evaluate" else []
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run(command, "--checkpoint", ckpt, *args, flag, n,
+               "--out", out) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert f"'{flag}'" in captured.err, captured.err
+    assert not out.exists()
+
+
 def test_generate_from_trained_model_separates_components(
         tmp_path, trained_variants, desk_data):
     # rows generated from different components classify to their matched

@@ -319,6 +319,20 @@ def test_untrained_model_has_null_sensitivity_correlation():
     assert other.silhouette_latent == report.silhouette_latent
 
 
+@pytest.mark.parametrize("variant", ["vanilla", "gmm_constrained"])
+@pytest.mark.parametrize("n", [-5, 0])
+def test_generate_profiles_rejects_nonpositive_counts(variant, n):
+    from vadeers.metrics import generate_profiles
+    from vadeers.model import ModelConfig, VadeersModel
+
+    config = ModelConfig(smiles_dim=16, ip_dim=12, bio_dim=10, latent_dim=4,
+                         dvae_encoder_dims=(16, 8), decoder_dims=(8, 16),
+                         dspn_dims=(16, 8, 4), prior_variant=variant)
+    model = VadeersModel.initialize(config, np.random.default_rng(1))
+    with pytest.raises(ContractViolation, match="n_per_component"):
+        generate_profiles(model, n, seed=0)
+
+
 def test_metric_report_json_round_trip():
     report = MetricReport(
         ic50_rmse=1.23456789012345, ic50_pearson=0.87,

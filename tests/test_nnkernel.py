@@ -3,6 +3,12 @@ expectation, gradient finite-difference checks, Adam behavior and
 determinism."""
 
 import gc
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +29,7 @@ from vadeers.nnkernel import (
     weighted_sum,
     wrap,
 )
+from vadeers.nnkernel import autodiff
 from vadeers.nnkernel.layers import dropout_mask
 from vadeers.nnkernel.losses import row_mse
 
@@ -71,6 +78,261 @@ def test_affine_dimension_mismatch_names_shapes():
     with pytest.raises(ContractViolation) as err:
         dense(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
     assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# row-split forward
+# ---------------------------------------------------------------------------
+
+# a product wide enough that 2 * SPLIT_ROWS rows split; 230 outputs is not
+# a multiple of 8, the width whose edge tiles depend on where rows start
+SPLIT_IN, SPLIT_OUT = 256, 230
+
+
+@pytest.fixture
+def split_parts(monkeypatch):
+    """Two CPUs whatever the host has, a fresh worker and no back-off.
+    The list collects the row count of every part the worker ran.  The
+    caller's own part waits until the worker has started, so the caller
+    never takes a part over."""
+    parts = []
+    handed = {}  # id of a forward's output -> set once the worker started
+    real_rows, real_in = autodiff._dense_rows, autodiff._dense_rows_in
+    real_turn = autodiff._Splitter.take_turn
+
+    class Worker:
+        def __init__(self, pool):
+            self.pool = pool
+
+        def submit(self, fn, *args):
+            handed[id(args[-2])] = threading.Event()
+            return self.pool.submit(fn, *args)
+
+    def take_turn(self):
+        pool = real_turn(self)
+        return None if pool is None else Worker(pool)
+
+    def worker_part(err, *args):
+        parts.append(args[-1].stop)
+        handed[id(args[-2])].set()
+        real_in(err, *args)
+
+    def rows(*args):
+        if args[-1].start is not None and id(args[-2]) in handed:
+            assert handed[id(args[-2])].wait(timeout=30.0)
+            del handed[id(args[-2])]
+        real_rows(*args)
+
+    monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
+    monkeypatch.setattr(autodiff, "_splitter", autodiff._Splitter())
+    monkeypatch.setattr(autodiff, "SPLIT_BACKOFF", 0)
+    monkeypatch.setattr(autodiff._Splitter, "take_turn", take_turn)
+    monkeypatch.setattr(autodiff, "_dense_rows", rows)
+    monkeypatch.setattr(autodiff, "_dense_rows_in", worker_part)
+    return parts
+
+
+def _split_inputs(n, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n, SPLIT_IN)),
+            rng.standard_normal((SPLIT_IN, SPLIT_OUT)),
+            rng.standard_normal(SPLIT_OUT))
+
+
+def test_split_needs_enough_rows_macs_and_cpus(split_parts, monkeypatch):
+    assert autodiff.SPLIT_ROWS * SPLIT_IN * SPLIT_OUT >= autodiff.SPLIT_MACS
+    rows = 2 * autodiff.SPLIT_ROWS
+    dense(*_split_inputs(rows - 1))
+    assert split_parts == []
+    dense(*_split_inputs(rows))
+    assert split_parts == [autodiff.SPLIT_ROWS]
+    dense(*_split_inputs(1000))
+    assert split_parts[-1] % autodiff.SPLIT_ALIGN == 0
+    assert 500 - autodiff.SPLIT_ALIGN < split_parts[-1] <= 500
+    narrow = np.ones((1000, 8))
+    dense(narrow, np.ones((8, 8)), np.zeros(8))
+    monkeypatch.setattr(autodiff, "_cpus", lambda: 1)
+    dense(*_split_inputs(1000))
+    assert len(split_parts) == 2
+
+
+@pytest.mark.parametrize("n", [2 * autodiff.SPLIT_ROWS - 1,
+                               2 * autodiff.SPLIT_ROWS,
+                               2 * autodiff.SPLIT_ROWS + 1, 1000])
+@pytest.mark.parametrize("activation", ["relu", "identity"])
+@pytest.mark.parametrize("masked", [False, True])
+def test_split_forward_matches_the_unsplit_expression(split_parts, n,
+                                                      activation, masked):
+    x, w, b = _split_inputs(n, seed=n)
+    mask = None
+    expected = x @ w + b
+    if activation == "relu":
+        expected = np.maximum(expected, 0.0)
+    if masked:
+        mask = dropout_mask(np.random.default_rng(1), expected.shape, 0.5)
+        expected = expected * mask
+    out = dense(x, w, b, activation, mask)
+    assert len(split_parts) == (n >= 2 * autodiff.SPLIT_ROWS)
+    np.testing.assert_allclose(out.data, expected, rtol=1e-12)
+
+
+def _overflowing(n):
+    # the product is finite, about 1e308; adding the 1e308 bias overflows
+    return (np.ones((n, SPLIT_IN)),
+            np.full((SPLIT_IN, SPLIT_OUT), 1e308 / SPLIT_IN),
+            np.full(SPLIT_OUT, 1e308))
+
+
+def test_split_forward_keeps_the_callers_errstate(split_parts):
+    x, w, b = _overflowing(2 * autodiff.SPLIT_ROWS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(over="ignore"):
+            out = dense(x, w, b)
+    assert split_parts == [autodiff.SPLIT_ROWS]
+    assert np.isposinf(out.data).all()
+
+
+def test_an_error_in_the_worker_part_reaches_the_caller(split_parts):
+    x, w, b = _overflowing(2 * autodiff.SPLIT_ROWS)
+    x[autodiff.SPLIT_ROWS:] = 0.0  # only the worker's rows overflow
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        dense(x, w, b)
+    assert split_parts == [autodiff.SPLIT_ROWS]
+    x, w, b = _split_inputs(2 * autodiff.SPLIT_ROWS)
+    np.testing.assert_allclose(dense(x, w, b).data, x @ w + b, rtol=1e-12)
+
+
+def test_the_caller_waits_for_the_worker_when_its_own_part_fails(
+        split_parts, monkeypatch):
+    finished = []
+    counting = autodiff._dense_rows_in
+
+    def slow(*args):
+        time.sleep(0.05)
+        counting(*args)
+        finished.append(True)
+
+    monkeypatch.setattr(autodiff, "_dense_rows_in", slow)
+    x, w, b = _overflowing(2 * autodiff.SPLIT_ROWS)
+    x[:autodiff.SPLIT_ROWS] = 0.0  # only the caller's rows overflow
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        dense(x, w, b)
+    assert finished == [True]
+
+
+def test_the_caller_runs_a_part_the_worker_has_not_started(monkeypatch):
+    monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
+    monkeypatch.setattr(autodiff, "_splitter", autodiff._Splitter())
+    x, w, b = _split_inputs(2 * autodiff.SPLIT_ROWS)
+    ran = []
+    monkeypatch.setattr(autodiff, "_dense_rows_in", lambda *a: ran.append(a))
+    gate = threading.Event()
+    busy = autodiff._splitter.take_turn().submit(gate.wait, 30.0)
+    try:
+        out = dense(x, w, b).data
+    finally:
+        gate.set()
+    assert busy.result(timeout=30.0)
+    assert ran == []
+    np.testing.assert_allclose(out, x @ w + b, rtol=1e-12)
+
+
+def test_splits_back_off_after_one_that_did_not_pay(split_parts,
+                                                   monkeypatch):
+    monkeypatch.setattr(autodiff, "SPLIT_BACKOFF", 3)
+    worker_part = autodiff._dense_rows_in
+
+    def late(*args):
+        worker_part(*args)
+        time.sleep(0.1)
+
+    monkeypatch.setattr(autodiff, "_dense_rows_in", late)
+    x, w, b = _split_inputs(2 * autodiff.SPLIT_ROWS)
+    for _ in range(5):
+        np.testing.assert_allclose(dense(x, w, b).data, x @ w + b,
+                                   rtol=1e-12)
+    # the first split took far longer than one call would have, so the
+    # next three forwards ran whole and the fifth split again
+    assert split_parts == [autodiff.SPLIT_ROWS] * 2
+
+
+def test_a_forward_that_backs_off_gives_the_split_bytes(monkeypatch):
+    monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
+    monkeypatch.setattr(autodiff, "_splitter", autodiff._Splitter())
+    x, w, b = _split_inputs(1000)
+    split = dense(x, w, b).data
+    autodiff._splitter.skip = 1
+    assert np.array_equal(dense(x, w, b).data, split)
+    assert autodiff._splitter.skip == 0
+
+
+def test_splits_that_pay_never_back_off(monkeypatch):
+    monkeypatch.setattr(autodiff, "SPLIT_BACKOFF", 3)
+    splitter = autodiff._Splitter()
+    for _ in range(100):
+        assert splitter.take_turn() is not None
+        splitter.record(0.6)
+    splitter.record(20.0)
+    assert [splitter.take_turn() is None for _ in range(4)] == \
+        [True, True, True, False]
+
+
+def test_callers_on_many_threads_share_the_worker(split_parts):
+    inputs = [_split_inputs(2 * autodiff.SPLIT_ROWS + 7 * i, seed=i)
+              for i in range(6)]
+    wrong = []
+
+    def call(x, w, b):
+        expected = x @ w + b
+        for _ in range(10):
+            if not np.allclose(dense(x, w, b).data, expected, rtol=1e-12):
+                wrong.append(x.shape)
+
+    threads = [threading.Thread(target=call, args=args) for args in inputs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert len(split_parts) == 60
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_a_forked_child_runs_a_split_dense(split_parts):
+    x, w, b = _split_inputs(2 * autodiff.SPLIT_ROWS)
+    expected = dense(x, w, b).data  # the parent's worker now exists
+    assert autodiff._splitter.worker is not None
+    with warnings.catch_warnings():
+        # Python 3.12 warns when a process with threads forks
+        warnings.simplefilter("ignore", DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            fresh = autodiff._splitter.worker is None
+            out = dense(x, w, b).data
+            code = 0 if fresh and len(split_parts) == 2 \
+                and np.array_equal(out, expected) else 1
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish a split dense")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status) == 0
 
 
 # ---------------------------------------------------------------------------
