@@ -462,10 +462,10 @@ class VadeersModel:
         the whole input is.  A short block would change the product's
         last bits (a single row goes through numpy's matrix-vector path);
         with this rule the result is bit-identical to scoring every row
-        in one graph, at one BLAS thread.  A block of at least
-        ``2 * SPLIT_ROWS`` rows runs the DSPN's wide forward products on
-        two cores (:func:`~vadeers.nnkernel.autodiff.dense`), whose row
-        rule keeps those bits."""
+        in one graph, at one BLAS thread.  There a block of at least
+        ``2 * SPLIT_ROWS`` rows runs the DSPN's widest forward
+        product on two cores (:func:`~vadeers.nnkernel.autodiff.dense`),
+        whose row rule keeps those bits."""
         drug_latent = np.asarray(drug_latent, dtype=np.float64)
         cell_latent = np.asarray(cell_latent, dtype=np.float64)
         _check_latent_shapes(drug_latent.shape, cell_latent.shape)

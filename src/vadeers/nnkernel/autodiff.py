@@ -17,10 +17,13 @@ suite are not attainable in single precision.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,10 +36,13 @@ Array = np.ndarray
 ACTIVATIONS = ("relu", "identity")
 
 # A dense forward runs as two row parts, the first on a worker thread,
-# when the process may use two CPUs.  The first part is the largest
-# multiple of SPLIT_ALIGN rows not above half the rows; each part must
-# hold at least SPLIT_ROWS rows (so 128-row training batches never split)
-# and SPLIT_MACS multiply-adds.  Then every row's bits equal the one-call
+# when the process may use two CPUs and BLAS runs each product on one
+# thread.  (With more BLAS threads a product already uses the second
+# core: at two, splitting made the benchmark's rank queries 6% and its
+# evaluate 12% slower.)  The first part is the largest multiple of
+# SPLIT_ALIGN rows not above half the rows; each part must hold at least
+# SPLIT_ROWS rows (so 128-row training batches never split) and
+# SPLIT_MACS multiply-adds.  Then every row's bits equal the one-call
 # product's.  OpenBLAS 0.3.31 on a Sapphire Rapids Xeon gave other bits in
 # rows near a part boundary that is not a multiple of 24, where the
 # output width is not a multiple of 8, and in parts under 10**6
@@ -46,17 +52,24 @@ ACTIVATIONS = ("relu", "identity")
 # against 4.3 ms whole (median), 3.4 against 4.7 ms in the mean.  Parts
 # of 2 to 8 million multiply-adds gained at the median but mostly lost
 # in the mean: the worker's CPU, idle between calls, sometimes took
-# milliseconds to start or finish its part.
+# milliseconds to start or finish its part.  There, single-thread work
+# also ran about 10% slower for a while after a run of splits, so
+# SPLIT_MACS leaves out the 256 -> 128 layer of a 512-row scoring block
+# (parts of 2**23).
 SPLIT_ROWS = 144
 SPLIT_ALIGN = 48
-SPLIT_MACS = 2 ** 23
+SPLIT_MACS = 2 ** 24
 # On a host whose other tenants share the second core, split products
 # can take longer than one-call ones for minutes at a time: there a
 # split over 500 rows of 512 -> 256 took 5.7 ms in the mean against
 # 4.6 ms whole.  So each split is timed against the one-call time its
 # caller's part implies, and when a moving average of those ratios (over
 # about 16 splits) rises above 1, the next SPLIT_BACKOFF forwards that
-# would split run both parts on the caller.
+# would split run both parts on the caller.  The average starts, and
+# starts again after a back-off, at 0.5, an even split.  Started at 1,
+# a single slow split backed off: the benchmark's serve workload ran 20%
+# of its splittable forwards on the caller in a run whose median ratio
+# was 0.58.
 SPLIT_BACKOFF = 32
 
 
@@ -66,7 +79,7 @@ class _Splitter:
     def __init__(self):
         self.lock = threading.Lock()
         self.worker: ThreadPoolExecutor | None = None
-        self.ratio = 1.0  # moving average of split time / one-call time
+        self.ratio = 0.5  # moving average of split time / one-call time
         self.skip = 0     # forwards left to run both parts on the caller
 
     def take_turn(self) -> ThreadPoolExecutor | None:
@@ -84,7 +97,7 @@ class _Splitter:
         with self.lock:
             self.ratio += (ratio - self.ratio) / 16
             if self.ratio > 1.0:
-                self.ratio, self.skip = 1.0, SPLIT_BACKOFF
+                self.ratio, self.skip = 0.5, SPLIT_BACKOFF
 
 
 _splitter = _Splitter()
@@ -106,6 +119,22 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:
         return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS of a numpy wheel runs a product on, read once;
+    None for a BLAS that cannot be asked, where forwards never split."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for sym in ("scipy_openblas_get_num_threads64_",
+                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            fn = getattr(handle, sym, None)
+            if fn is not None:
+                fn.restype, fn.argtypes = ctypes.c_int, []
+                return int(fn())
+    return None
 
 
 class Tensor:
@@ -230,11 +259,11 @@ def dense(x, weights, bias, activation: str = "identity",
     zero either way.
 
     The forward product may run in two row parts, by the rule of
-    ``SPLIT_ROWS``, ``SPLIT_ALIGN`` and ``SPLIT_MACS``; every row's bits
-    equal the one-call product's at one BLAS thread.  The first part runs
-    on a worker thread, under the caller's ``np.errstate``, unless recent
-    splits did not pay (``SPLIT_BACKOFF``) or the worker has not started
-    it when the caller's own part is done; then it runs on the caller.
+    ``SPLIT_ROWS``, ``SPLIT_ALIGN`` and ``SPLIT_MACS``, when BLAS runs on
+    one thread; every row's bits equal the one-call product's.  The
+    first part runs on a worker thread, under the caller's
+    ``np.errstate``, unless recent splits did not pay (``SPLIT_BACKOFF``);
+    then it runs on the caller.
     ``dense`` returns or raises only once both parts are done.  The
     backward pass always runs on the calling thread."""
     x, weights, bias = wrap(x), wrap(weights), wrap(bias)
@@ -300,7 +329,8 @@ def _dense_forward(x, weights, bias, relu, mask) -> Array:
     out = np.empty((n, weights.shape[1]))
     args = (x, weights, bias, relu, mask, out)
     cut = n // 2 // SPLIT_ALIGN * SPLIT_ALIGN
-    if cut < SPLIT_ROWS or cut * weights.size < SPLIT_MACS or _cpus() < 2:
+    if cut < SPLIT_ROWS or cut * weights.size < SPLIT_MACS or _cpus() < 2 \
+            or _blas_threads() != 1:
         _dense_rows(*args, slice(None))
         return out
     splitter = _splitter
@@ -317,13 +347,7 @@ def _dense_forward(x, weights, bias, relu, mask) -> Array:
         _dense_rows(*args, slice(cut, n))
         own = time.perf_counter() - start
     finally:
-        # a part the worker has not started yet runs here: on a busy host
-        # the worker's CPU can take milliseconds to wake
-        mine = future.cancel()
-        if not mine:
-            future.result()
-    if mine:
-        _dense_rows(*args, slice(cut))
+        future.result()
     splitter.record((time.perf_counter() - start) * (n - cut) / (own * n))
     return out
 
