@@ -25,6 +25,7 @@ from .nnkernel import (
     as_matrix,
     concat,
     dense,
+    in_row_parts,
     init_layer_params,
     mlp_forward,
     reparameterize,
@@ -40,11 +41,18 @@ PRIOR_VARIANTS = ("vanilla", "gmm_constrained", "gmm_unconstrained")
 
 ENTROPY_CONST = 0.5 * (1.0 + gmm.LOG_2PI)  # per-dimension Gaussian entropy at sigma=1
 
-# Rows per eval-mode DSPN graph in predict_sensitivity.  At paper dims a
-# block's activations stay in cache: 63,000 rows scored in 512-row blocks
-# took 0.45 s, in 1024-row blocks 0.48 s, in 4096-row blocks 0.76 s, and
-# in one block 0.70-0.76 s (one BLAS thread, 2-core Xeon VM).
-PREDICT_BLOCK_ROWS = 512
+# Rows per eval-mode DSPN graph in predict_sensitivity.  Part edges at
+# multiples of 48 rows keep OpenBLAS's row tiles where one product over
+# all rows puts them, so every score keeps its bits.  At paper dims a
+# part's activations stay in cache: 63,000 rows took 0.45 s in 512-row
+# blocks against 0.76 s in 4096-row ones.  On one CPU they took as long
+# in 240-row parts as in 512-row ones (587 vs 594 ms), and each part's
+# first layer stays above OpenBLAS's small-matrix kernel.  Each
+# thread's malloc arena keeps its largest part's activations: with the
+# benchmark's train_desk, peak RSS was 78.4 MB with 240-row parts on two
+# threads, 83.4 MB with 512-row parts, and 74.8 MB with 512-row blocks
+# on one thread (one BLAS thread, 2-core Xeon VM).
+PREDICT_BLOCK_ROWS = 240
 
 
 @dataclass(frozen=True)
@@ -454,30 +462,28 @@ class VadeersModel:
 
     def predict_sensitivity(self, drug_latent, cell_latent) -> np.ndarray:
         """Deterministic eval-mode sensitivity prediction, scored through
-        ``dspn_predict`` in blocks of ``PREDICT_BLOCK_ROWS`` rows, so its
+        ``dspn_predict`` in parts of ``PREDICT_BLOCK_ROWS`` rows, so its
         memory does not grow with the row count.
 
-        Blocks start every ``PREDICT_BLOCK_ROWS`` rows and the leftover
-        rows join the last block, so no block is shorter than that unless
-        the whole input is.  A short block would change the product's
+        Parts start every ``PREDICT_BLOCK_ROWS`` rows and the leftover
+        rows join the last part, so no part is shorter than that unless
+        the whole input is.  A short part would change the product's
         last bits (a single row goes through numpy's matrix-vector path);
         with this rule the result is bit-identical to scoring every row
-        in one graph, at one BLAS thread.  There a block of at least
-        ``2 * SPLIT_ROWS`` rows runs the DSPN's widest forward
-        product on two cores (:func:`~vadeers.nnkernel.autodiff.dense`),
-        whose row rule keeps those bits."""
+        in one graph, at one BLAS thread.  There, on two CPUs, the parts
+        run on the caller and one worker thread
+        (:func:`~vadeers.nnkernel.autodiff.in_row_parts`); the parts, and
+        so the bits, are the same on one CPU."""
         drug_latent = np.asarray(drug_latent, dtype=np.float64)
         cell_latent = np.asarray(cell_latent, dtype=np.float64)
         _check_latent_shapes(drug_latent.shape, cell_latent.shape)
-        n = drug_latent.shape[0]
-        stops = [*range(PREDICT_BLOCK_ROWS, n - PREDICT_BLOCK_ROWS + 1,
-                        PREDICT_BLOCK_ROWS), n]
-        out = np.empty(n)
-        start = 0
-        for stop in stops:
-            out[start:stop] = self.dspn_predict(
-                drug_latent[start:stop], cell_latent[start:stop], mode="eval").data
-            start = stop
+        out = np.empty(drug_latent.shape[0])
+
+        def score(rows: slice) -> None:
+            out[rows] = self.dspn_predict(drug_latent[rows], cell_latent[rows],
+                                          mode="eval").data
+
+        in_row_parts(score, len(out), PREDICT_BLOCK_ROWS)
         return out
 
 

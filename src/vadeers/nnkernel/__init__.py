@@ -7,6 +7,7 @@ from .autodiff import (
     Tensor,
     concat,
     dense,
+    in_row_parts,
     reparameterize,
     reshape,
     take_rows,
@@ -28,6 +29,7 @@ __all__ = [
     "as_matrix",
     "concat",
     "dense",
+    "in_row_parts",
     "init_layer_params",
     "mlp_forward",
     "reparameterize",

@@ -9,7 +9,8 @@ parameter get no gradient, and an op computes none for them.  A dense
 layer (affine map, activation and dropout mask) is one node,
 :func:`dense`; so are the Gaussian reparameterization,
 :func:`reparameterize`, and a weighted sum of scalar loss terms,
-:func:`weighted_sum`.
+:func:`weighted_sum`.  :func:`in_row_parts` runs a row-wise forward in
+row parts on two cores.
 
 Everything is 64-bit; the gradient-check tolerances used by the test
 suite are not attainable in single precision.
@@ -21,7 +22,6 @@ import ctypes
 import functools
 import os
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, Sequence
@@ -35,83 +35,92 @@ Array = np.ndarray
 
 ACTIVATIONS = ("relu", "identity")
 
-# A dense forward runs as two row parts, the first on a worker thread,
-# when the process may use two CPUs and BLAS runs each product on one
-# thread.  (With more BLAS threads a product already uses the second
-# core: at two, splitting made the benchmark's rank queries 6% and its
-# evaluate 12% slower.)  The first part is the largest multiple of
-# SPLIT_ALIGN rows not above half the rows; each part must hold at least
-# SPLIT_ROWS rows (so 128-row training batches never split) and
-# SPLIT_MACS multiply-adds.  Then every row's bits equal the one-call
-# product's.  OpenBLAS 0.3.31 on a Sapphire Rapids Xeon gave other bits in
-# rows near a part boundary that is not a multiple of 24, where the
-# output width is not a multiple of 8, and in parts under 10**6
-# multiply-adds, which take its small-matrix kernel where the whole
-# product did not; 48 also covers kernels that tile 16 rows.  At one
-# BLAS thread on that 2-core VM, 500 rows of 512 -> 256 took 2.6 ms split
-# against 4.3 ms whole (median), 3.4 against 4.7 ms in the mean.  Parts
-# of 2 to 8 million multiply-adds gained at the median but mostly lost
-# in the mean: the worker's CPU, idle between calls, sometimes took
-# milliseconds to start or finish its part.  There, single-thread work
-# also ran about 10% slower for a while after a run of splits, so
-# SPLIT_MACS leaves out the 256 -> 128 layer of a 512-row scoring block
-# (parts of 2**23).
-SPLIT_ROWS = 144
-SPLIT_ALIGN = 48
-SPLIT_MACS = 2 ** 24
-# On a host whose other tenants share the second core, split products
-# can take longer than one-call ones for minutes at a time: there a
-# split over 500 rows of 512 -> 256 took 5.7 ms in the mean against
-# 4.6 ms whole.  So each split is timed against the one-call time its
-# caller's part implies, and when a moving average of those ratios (over
-# about 16 splits) rises above 1, the next SPLIT_BACKOFF forwards that
-# would split run both parts on the caller.  The average starts, and
-# starts again after a back-off, at 0.5, an even split.  Started at 1,
-# a single slow split backed off: the benchmark's serve workload ran 20%
-# of its splittable forwards on the caller in a run whose median ratio
-# was 0.58.
-SPLIT_BACKOFF = 32
+# ``in_row_parts`` uses the worker thread only at one BLAS thread: with
+# more, each product already uses the second core.  Parts are claimed
+# from a cursor, not assigned, so that the caller never waits for the
+# worker to wake: on a 2-vCPU guest a worker idle between calls often
+# started milliseconds late.
 
 
-class _Splitter:
-    """The worker thread, made on first use, and how well splits paid."""
+class _Parts:
+    """The row parts of one :func:`in_row_parts` call: which one is next,
+    and whether the worker is running one."""
+
+    def __init__(self, fn: Callable[[slice], None], stops: list[int]):
+        self.fn = fn
+        self.stops = stops
+        self.cond = threading.Condition()
+        self.next = 0         # index of the next unclaimed part
+        self.busy = False     # the worker is running a part
+        self.error: BaseException | None = None  # raised in the worker
+
+    def claim(self, by_worker: bool) -> slice | None:
+        with self.cond:
+            i = self.next
+            if i == len(self.stops):
+                return None
+            self.next = i + 1
+            if by_worker:
+                self.busy = True
+            return slice(self.stops[i - 1] if i else 0, self.stops[i])
+
+    def work(self, err: dict) -> None:
+        """The worker's loop, under the caller's floating-point error
+        settings, which a worker thread does not inherit."""
+        with np.errstate(**err):
+            while (rows := self.claim(True)) is not None:
+                error = None
+                try:
+                    self.fn(rows)
+                except BaseException as exc:  # raised again on the caller
+                    error = exc
+                with self.cond:
+                    self.busy = False
+                    if error is not None:
+                        self.error, self.next = error, len(self.stops)
+                    self.cond.notify_all()
+
+    def run(self) -> None:
+        """The caller's loop; returns once every part is done."""
+        try:
+            while (rows := self.claim(False)) is not None:
+                self.fn(rows)
+        finally:
+            with self.cond:
+                self.next = len(self.stops)  # after an error, hand out no more
+                self.cond.wait_for(lambda: not self.busy)
+        if self.error is not None:
+            raise self.error
+
+
+class _Worker:
+    """The worker thread, made on first use."""
 
     def __init__(self):
         self.lock = threading.Lock()
-        self.worker: ThreadPoolExecutor | None = None
-        self.ratio = 0.5  # moving average of split time / one-call time
-        self.skip = 0     # forwards left to run both parts on the caller
+        self.pool: ThreadPoolExecutor | None = None
 
-    def take_turn(self) -> ThreadPoolExecutor | None:
-        """The worker for this forward's first part, or None to run both
-        parts on the caller."""
+    def offer(self, parts: _Parts) -> None:
         with self.lock:
-            if self.skip:
-                self.skip -= 1
-                return None
-            if self.worker is None:
-                self.worker = ThreadPoolExecutor(max_workers=1)
-            return self.worker
-
-    def record(self, ratio: float) -> None:
-        with self.lock:
-            self.ratio += (ratio - self.ratio) / 16
-            if self.ratio > 1.0:
-                self.ratio, self.skip = 0.5, SPLIT_BACKOFF
+            if self.pool is None:
+                self.pool = ThreadPoolExecutor(max_workers=1)
+            # the future is never read: work() hands every error of a
+            # part to the caller
+            self.pool.submit(parts.work, np.geterr())
 
 
-_splitter = _Splitter()
+_worker = _Worker()
 
 
-def _new_splitter() -> None:
-    global _splitter
-    _splitter = _Splitter()
+def _new_worker() -> None:
+    global _worker
+    _worker = _Worker()
 
 
 if hasattr(os, "register_at_fork"):
     # a forked child has no worker thread, and the lock may have been held
     # by another thread; the child starts afresh
-    os.register_at_fork(after_in_child=_new_splitter)
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _cpus() -> int:
@@ -124,7 +133,8 @@ def _cpus() -> int:
 @functools.cache
 def _blas_threads() -> int | None:
     """Threads the OpenBLAS of a numpy wheel runs a product on, read once;
-    None for a BLAS that cannot be asked, where forwards never split."""
+    None for a BLAS that cannot be asked, where parts never use the
+    worker."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libdir.glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
@@ -137,14 +147,33 @@ def _blas_threads() -> int | None:
     return None
 
 
+def in_row_parts(fn: Callable[[slice], None], n: int, part_rows: int) -> None:
+    """Call ``fn(rows)`` on each part of ``n`` rows: a part starts every
+    ``part_rows`` rows and the leftover joins the last part, so no part
+    is shorter than ``part_rows`` unless all ``n`` rows are.  The parts
+    are the same on any host.
+
+    Where the process may use two CPUs and BLAS runs on one thread, the
+    caller and the worker thread take the next unclaimed part in turn;
+    ``fn`` must be safe to run on two threads at once for different
+    parts.  The worker runs under the caller's ``np.errstate``.  This
+    returns once every part is done, having waited only for a part that
+    the worker claimed.  An error in either thread's part stops the
+    handing out of parts and is raised once the worker's part is done."""
+    parts = _Parts(fn, [*range(part_rows, n - part_rows + 1, part_rows), n])
+    if len(parts.stops) > 1 and _cpus() >= 2 and _blas_threads() == 1:
+        _worker.offer(parts)
+    parts.run()
+
+
 class Tensor:
     """A node in the computation graph.
 
     ``data`` is a float64 ndarray and must not be mutated while a graph
     that holds it is in use; forward evaluation is therefore safe from
     multiple threads, while a graph/backward pass is single-threaded.
-    A large :func:`dense` forward hands part of its rows to one worker
-    thread that all callers share; its result does not depend on that.
+    :func:`in_row_parts` uses this to run eval forwards of row parts on
+    the caller and on one worker thread that all callers share.
     A parameter leaf shares its array with the parameter store, and
     :func:`~vadeers.nnkernel.optim.adam_step` updates those arrays in
     place, between graphs: build a new graph after each step.
@@ -256,16 +285,7 @@ def dense(x, weights, bias, activation: str = "identity",
     backward pass recovers the relu gate (subgradient 0 at 0) from that
     output: where the mask is nonzero the output is positive exactly
     where the pre-activation is, and where it is zero the gradient is
-    zero either way.
-
-    The forward product may run in two row parts, by the rule of
-    ``SPLIT_ROWS``, ``SPLIT_ALIGN`` and ``SPLIT_MACS``, when BLAS runs on
-    one thread; every row's bits equal the one-call product's.  The
-    first part runs on a worker thread, under the caller's
-    ``np.errstate``, unless recent splits did not pay (``SPLIT_BACKOFF``);
-    then it runs on the caller.
-    ``dense`` returns or raises only once both parts are done.  The
-    backward pass always runs on the calling thread."""
+    zero either way."""
     x, weights, bias = wrap(x), wrap(weights), wrap(bias)
     if x.ndim != 2 or weights.ndim != 2:
         raise ContractViolation(
@@ -287,7 +307,12 @@ def dense(x, weights, bias, activation: str = "identity",
             f"{(x.shape[0], weights.shape[1])}"
         )
     relu = activation == "relu"
-    out = _dense_forward(x.data, weights.data, bias.data, relu, mask)
+    out = x.data @ weights.data
+    out += bias.data
+    if relu:
+        np.maximum(out, 0.0, out=out)
+    if mask is not None:
+        out *= mask
 
     # the closure holds the output array, not the node: a node reachable
     # from its own backward would be a reference cycle, and the whole
@@ -304,52 +329,6 @@ def dense(x, weights, bias, activation: str = "identity",
                 g.sum(axis=0, out=outs[2]) if needs[2] else None)
 
     return Tensor(out, (x, weights, bias), backward)
-
-
-def _dense_rows(x, weights, bias, relu, mask, out, rows) -> None:
-    """``act(x @ W + b) * mask`` of the rows ``rows``, into ``out``."""
-    o = out[rows]
-    np.matmul(x[rows], weights, out=o)
-    o += bias
-    if relu:
-        np.maximum(o, 0.0, out=o)
-    if mask is not None:
-        o *= mask[rows]
-
-
-def _dense_rows_in(err: dict, *args) -> None:
-    """:func:`_dense_rows` under the caller's floating-point error
-    settings, which a worker thread does not inherit."""
-    with np.errstate(**err):
-        _dense_rows(*args)
-
-
-def _dense_forward(x, weights, bias, relu, mask) -> Array:
-    n = x.shape[0]
-    out = np.empty((n, weights.shape[1]))
-    args = (x, weights, bias, relu, mask, out)
-    cut = n // 2 // SPLIT_ALIGN * SPLIT_ALIGN
-    if cut < SPLIT_ROWS or cut * weights.size < SPLIT_MACS or _cpus() < 2 \
-            or _blas_threads() != 1:
-        _dense_rows(*args, slice(None))
-        return out
-    splitter = _splitter
-    worker = splitter.take_turn()
-    if worker is None:
-        # backing off: the same two products, so the same bits at any
-        # BLAS thread count
-        _dense_rows(*args, slice(cut, n))
-        _dense_rows(*args, slice(cut))
-        return out
-    start = time.perf_counter()
-    future = worker.submit(_dense_rows_in, np.geterr(), *args, slice(cut))
-    try:
-        _dense_rows(*args, slice(cut, n))
-        own = time.perf_counter() - start
-    finally:
-        future.result()
-    splitter.record((time.perf_counter() - start) * (n - cut) / (own * n))
-    return out
 
 
 def reparameterize(mu, log_sigma, eps: Array) -> Tensor:

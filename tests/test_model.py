@@ -27,6 +27,7 @@ from vadeers.nnkernel import (
     tmean,
     wrap,
 )
+from vadeers.nnkernel import autodiff
 
 import oracles
 from oracles import (
@@ -381,7 +382,10 @@ def test_dspn_inputs_are_positional():
 
 
 B = PREDICT_BLOCK_ROWS
-BLOCK_EDGE_ROWS = [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1]
+# the edges of the parts, and of 512-row blocks
+BLOCK_EDGE_ROWS = [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1,
+                   511, 512, 513, 1023, 1024, 1025, 1537]
+ONE_BLAS_THREAD = autodiff._blas_threads() == 1
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
@@ -390,8 +394,29 @@ def test_predict_sensitivity_matches_one_shot(n):
     rng = np.random.default_rng(n)
     d = rng.standard_normal((n, 3))
     c = rng.standard_normal((n, 3))
-    np.testing.assert_allclose(model.predict_sensitivity(d, c),
-                               model.dspn_predict(d, c).data, rtol=1e-12)
+    parts = model.predict_sensitivity(d, c)
+    whole = model.dspn_predict(d, c).data
+    if ONE_BLAS_THREAD:
+        assert np.array_equal(parts, whole)
+    else:
+        np.testing.assert_allclose(parts, whole, rtol=1e-12)
+
+
+@pytest.mark.skipif(not ONE_BLAS_THREAD,
+                    reason="parts keep the bits at one BLAS thread")
+def test_predict_sensitivity_parts_give_one_graphs_bytes(monkeypatch):
+    model = VadeersModel.initialize(ModelConfig(), np.random.default_rng(35))
+    rng = np.random.default_rng(36)
+    width = model.config.latent_dim
+    for n in [1, 239, 240, 479, 480, 500, 719, 720, 2_000, 12_345]:
+        d = rng.standard_normal((n, width))
+        c = rng.standard_normal((n, width))
+        monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
+        two = model.predict_sensitivity(d, c)
+        monkeypatch.setattr(autodiff, "_cpus", lambda: 1)
+        one = model.predict_sensitivity(d, c)
+        whole = model.dspn_predict(d, c).data
+        assert np.array_equal(two, one) and np.array_equal(two, whole), n
 
 
 def test_predict_sensitivity_blocks_are_never_short(monkeypatch):
