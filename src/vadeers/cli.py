@@ -1,10 +1,12 @@
 """Command-line entry point.
 
 Subcommands: synth, train, generate, predict, evaluate, experiment.
-Option precedence is flag > config file > default; every command honors
---seed and is bit-reproducible for equal invocations.  The default
-output root is $VADEERS_RUN_ROOT (falling back to the current
-directory).  Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
+Option precedence is flag > config file > default (synth, train and
+experiment read --config).  Every command but predict, which draws no
+random numbers, takes --seed (experiment: --seeds), and equal
+invocations are bit-reproducible.  The default output root is
+$VADEERS_RUN_ROOT (falling back to the current directory).  Exit
+codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ import inspect
 import json
 import os
 import sys
-import typing
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -29,17 +30,18 @@ from .data import (
     apply_scaler,
     atomic_open,
     derive_guiding_labels,
+    field_defaults,
     generate_synthetic,
     json_fits,
+    json_object,
     load_csv,
     read_feature_csv,
+    record_of,
     save_csv,
-    type_name,
     write_table,
 )
 from .exceptions import (
     CheckpointError,
-    ContractViolation,
     DataError,
     NumericError,
     VadeersError,
@@ -48,7 +50,6 @@ from .metrics import evaluate, generate_profiles, pca2
 from .model import LossWeights, ModelConfig, PRIOR_VARIANTS
 from .training import (
     Checkpoint,
-    Split,
     SplitSpec,
     TrainResult,
     TrainingAborted,
@@ -61,80 +62,47 @@ from .training import (
 )
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file {p} does not exist")
-    with open(p, encoding="utf-8") as fh:
-        try:
-            config = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"config file {p}: invalid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise DataError(f"config file {p}: the top level must be an object")
+class _Config(dict):
+    """The top-level object of a config file; ``where`` names the file."""
+
+    where = "config"
+
+
+def _load_config(path: str | None) -> _Config:
+    config = _Config()
+    if path:
+        p = Path(path)
+        if not p.exists():
+            raise DataError(f"config file {p} does not exist")
+        config.where = f"config file {p}"
+        config.update(json_object(p.read_bytes(), config.where))
     return config
 
 
-def _configured(cls, defaults: dict, config: dict, section: str,
+def _configured(cls, defaults: dict, config: _Config, section: str,
                 flags: dict, **fixed):
-    """``cls`` built from flag > config file > default, skipping unset
-    (None) flags, and the ``fixed`` values.  The values of the config
-    file's ``section`` must have the types of the fields of the
-    dataclass ``cls``.  When ``cls`` rejects the values and would accept
-    them with one config-file value set back to its default, that value
-    is at fault and the error names its section and key."""
-    values = config.get(section) or {}
-    if not isinstance(values, dict):
-        raise DataError(f"config section {section!r} must be an object")
-    hints = typing.get_type_hints(cls)
-    out = dict(defaults)
-    for k, v in values.items():
-        if k not in out:
-            raise DataError(f"unknown config key {k!r}")
-        if not json_fits(v, hints[k]):
-            raise DataError(f"config section {section!r}, key {k!r}: "
-                            f"{v!r} is not of type {type_name(hints[k])}")
-        out[k] = tuple(v) if isinstance(v, list) else v
-    for k, v in flags.items():
-        if v is not None:
-            out[k] = v
-    try:
-        return cls(**{**out, **fixed})
-    except ContractViolation as exc:
-        for k in values:
-            if flags.get(k) is None and _accepts(cls, {**out, k: defaults[k],
-                                                        **fixed}):
-                raise DataError(f"config section {section!r}, key {k!r}: "
-                                f"{exc}") from None
-        raise
+    """``cls`` built from flag > config file > default (see
+    :func:`record_of`); errors name the file, the section and the key."""
+    values = config.get(section)
+    return record_of(cls, {} if values is None else values,
+                     f"{config.where}, section {section!r}", defaults,
+                     flags=flags, **fixed)
 
 
-def _accepts(cls, values: dict) -> bool:
-    try:
-        cls(**values)
-    except ContractViolation:
-        return False
-    return True
-
-
-def _field_defaults(cls, *exclude: str) -> dict:
-    """Default of each field of the dataclass ``cls``, except ``exclude``."""
-    return {f.name: f.default for f in fields(cls) if f.name not in exclude}
-
-
-def _pick(config: dict, key: str, flag, default):
+def _pick(config: _Config, key: str, flag, default, choices=None):
     """flag > config file > default for a top-level config key, whose
-    value must have the default's type."""
-    if flag is not None:
-        return flag
-    if key in config:
-        if not json_fits(config[key], type(default)):
-            raise DataError(f"config key {key!r}: {config[key]!r} is not of "
-                            f"type {type(default).__name__}")
-        return config[key]
-    return default
+    value must have the default's type and be one of ``choices``, if
+    given (a flag's choices are click's to check)."""
+    if flag is not None or key not in config:
+        return default if flag is None else flag
+    value = config[key]
+    if not json_fits(value, type(default)):
+        raise DataError(f"{config.where}, key {key!r}: {value!r} is not of "
+                        f"type {type(default).__name__}")
+    if choices is not None and value not in choices:
+        raise DataError(f"{config.where}, key {key!r}: {value!r} is not one "
+                        f"of {', '.join(choices)}")
+    return value
 
 
 def _out_dir(out: str | None, default_name: str) -> Path:
@@ -165,7 +133,7 @@ def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observanc
     """Generate a synthetic dataset directory (CSV files + manifest)."""
     config = _load_config(config_path)
     seed = _pick(config, "seed", seed, 0)
-    scale = _pick(config, "scale", scale, "desk")
+    scale = _pick(config, "scale", scale, "desk", ("paper", "desk"))
     base = asdict(DESK_SPEC if scale == "desk" else SynthSpec())
     spec = _configured(SynthSpec, base, config, "synth", {
         "n_drugs": n_drugs, "n_profiled": n_profiled,
@@ -188,16 +156,16 @@ def _run_training(dataset: Dataset, config: dict, variant: str, seed: int,
                   split_flags: dict) -> tuple[TrainResult, ModelConfig, SplitSpec]:
     model_config = _configured(
         ModelConfig,
-        {**_field_defaults(ModelConfig), "smiles_dim": dataset.smiles_dim,
+        {**field_defaults(ModelConfig), "smiles_dim": dataset.smiles_dim,
          "ip_dim": dataset.ip_dim, "bio_dim": dataset.bio_dim},
         config, "model", model_flags, prior_variant=variant)
-    # the run seed and the derived epoch total are not configurable
-    schedule = _configured(
-        TrainSchedule, _field_defaults(TrainSchedule, "seed", "total_epochs"),
-        config, "schedule", schedule_flags, seed=seed)
-    split_spec = _configured(SplitSpec, _field_defaults(SplitSpec, "seed"),
+    # the run seed is not configurable
+    schedule = _configured(TrainSchedule,
+                           field_defaults(TrainSchedule, "seed"), config,
+                           "schedule", schedule_flags, seed=seed)
+    split_spec = _configured(SplitSpec, field_defaults(SplitSpec, "seed"),
                              config, "split", split_flags, seed=seed)
-    weights = _configured(LossWeights, _field_defaults(LossWeights), config,
+    weights = _configured(LossWeights, field_defaults(LossWeights), config,
                           "weights", {})
     if model_config.uses_gmm:
         dataset = derive_guiding_labels(
@@ -256,7 +224,8 @@ def train_cmd(config_path, data_dir, out, seed, variant, latent_dim,
     config = _load_config(config_path)
     seed = _pick(config, "seed", seed, 0)
     variant = _pick(config, "variant", variant,
-                    _field_defaults(ModelConfig)["prior_variant"])
+                    field_defaults(ModelConfig)["prior_variant"],
+                    PRIOR_VARIANTS)
     dataset = load_csv(data_dir)
     out_dir = _out_dir(out, f"train-{variant}-seed{seed}")
     try:
@@ -384,18 +353,6 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
 # evaluate
 # ---------------------------------------------------------------------------
 
-def _rebuild_split(dataset: Dataset, split_cells: dict) -> Split:
-    known = set(dataset.cell_ids)
-    stored = set().union(*(set(v) for v in split_cells.values()))
-    if stored != known:
-        raise DataError(
-            "split reconstruction mismatch: the dataset's cell lines differ "
-            "from those recorded at training time"
-        )
-    return partition_by_cells(dataset, split_cells["train"],
-                              split_cells["val"], split_cells["test"])
-
-
 @cli.command("evaluate")
 @click.option("--checkpoint", "checkpoint_path", type=str, required=True)
 @click.option("--data", "data_dir", type=str, required=True)
@@ -408,10 +365,17 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
     """Full metric report plus 2-D projection CSVs for plotting."""
     ckpt = load_checkpoint(checkpoint_path)
     if ckpt.scaler is None or ckpt.split_cells is None:
-        raise CheckpointError("checkpoint lacks scaler/split records")
+        raise CheckpointError(f"{checkpoint_path}: checkpoint lacks "
+                              f"scaler/split records")
     dataset = load_csv(data_dir)
     check_compatible(ckpt, dataset, checkpoint_path)
-    split = _rebuild_split(dataset, ckpt.split_cells)
+    cells = ckpt.split_cells
+    if set().union(*cells.values()) != set(dataset.cell_ids):
+        raise DataError(f"{checkpoint_path}: split reconstruction mismatch: "
+                        f"the dataset's cell lines differ from those "
+                        f"recorded at training time")
+    split = partition_by_cells(dataset, cells["train"], cells["val"],
+                               cells["test"])
     dataset_std = apply_scaler(dataset, ckpt.scaler)
     gen_rows, comps = generate_profiles(ckpt.model, n_gen, seed)
     mu = ckpt.model.drug_latent_means(dataset_std.embeddings)

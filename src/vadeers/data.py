@@ -22,10 +22,11 @@ import io
 import json
 import logging
 import os
+import types
 import typing
 import uuid
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
@@ -54,10 +55,6 @@ class DrugRecord:
     smiles_embedding: np.ndarray
     inhibition_profile: np.ndarray | None = None
     guiding_label: int | None = None
-
-    @property
-    def has_profile(self) -> bool:
-        return self.inhibition_profile is not None
 
 
 @dataclass
@@ -371,31 +368,18 @@ class Scaler:
         return np.asarray(values) * self.ic50_std + self.ic50_mean
 
     def to_dict(self) -> dict:
-        return {
-            "embedding_mean": self.embedding_mean.tolist(),
-            "embedding_std": self.embedding_std.tolist(),
-            "ip_mean": self.ip_mean.tolist(),
-            "ip_std": self.ip_std.tolist(),
-            "cell_mean": self.cell_mean.tolist(),
-            "cell_std": self.cell_std.tolist(),
-            "cell_binary": [bool(b) for b in self.cell_binary],
-            "ic50_mean": self.ic50_mean,
-            "ic50_std": self.ic50_std,
-        }
+        """The JSON form: each array as a list."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist()
+                for f in fields(self)}
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Scaler":
-        return cls(
-            embedding_mean=np.asarray(d["embedding_mean"], dtype=np.float64),
-            embedding_std=np.asarray(d["embedding_std"], dtype=np.float64),
-            ip_mean=np.asarray(d["ip_mean"], dtype=np.float64),
-            ip_std=np.asarray(d["ip_std"], dtype=np.float64),
-            cell_mean=np.asarray(d["cell_mean"], dtype=np.float64),
-            cell_std=np.asarray(d["cell_std"], dtype=np.float64),
-            cell_binary=np.asarray(d["cell_binary"], dtype=bool),
-            ic50_mean=float(d["ic50_mean"]),
-            ic50_std=float(d["ic50_std"]),
-        )
+    def from_dict(cls, record: dict) -> "Scaler":
+        """The scaler of :meth:`to_dict`'s form."""
+        return cls(**{
+            f.name: float(record[f.name]) if f.type == "float" else
+            np.asarray(record[f.name],
+                       dtype=bool if f.name == "cell_binary" else np.float64)
+            for f in fields(cls)})
 
 
 def fit_scaler(dataset: Dataset, train_cell_ids: set[str]) -> Scaler:
@@ -579,21 +563,118 @@ def generate_synthetic(spec: SynthSpec, seed: int = 0) -> Dataset:
 # persistence
 # ---------------------------------------------------------------------------
 
+# the types of the decoded JSON values that fit each leaf type: a bool
+# is no number, an int is a float
+_JSON_TYPES = {float: {int, float}, int: {int}, bool: {bool}, str: {str}}
+
+
 def json_fits(value, hint) -> bool:
-    """Whether the JSON ``value`` has the dataclass field type ``hint``: a
-    bool is no number, an int is a float, and a list is a tuple."""
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    if hint is int:
-        return isinstance(value, int) and not isinstance(value, bool)
-    if typing.get_origin(hint) is tuple:
-        return (isinstance(value, list)
-                and all(json_fits(v, typing.get_args(hint)[0]) for v in value))
+    """Whether the decoded JSON ``value`` has the type ``hint``: a list is
+    a tuple, and the items of a ``list[T]``, ``tuple[T, ...]`` or
+    ``dict[str, T]``, and the value of an ``X | None``, fit in turn."""
+    if hint in _JSON_TYPES:
+        return type(value) in _JSON_TYPES[hint]
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(json_fits(value, arg) for arg in args)
+    if origin in (list, tuple):
+        return isinstance(value, list) and _all_fit(value, args[0])
+    if origin is dict:
+        return (isinstance(value, dict) and _all_fit(value, args[0])
+                and _all_fit(value.values(), args[1]))
     return isinstance(value, hint)
 
 
-def type_name(hint) -> str:
-    return hint.__name__ if isinstance(hint, type) else str(hint)
+def _all_fit(values, hint) -> bool:
+    """Whether every item of ``values`` fits ``hint``; items of a leaf
+    type are checked by their set of types, in one pass."""
+    if hint in _JSON_TYPES:
+        return set(map(type, values)) <= _JSON_TYPES[hint]
+    return all(json_fits(v, hint) for v in values)
+
+
+def _utf8(raw: bytes, where: str, error=DataError) -> str:
+    """``raw`` decoded as UTF-8; the error names ``where`` and the line of
+    the first bad byte, where LF, CRLF and a bare CR each end a line."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = raw[:exc.start]
+        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+        raise error(f"{where}: line {line}: byte 0x{raw[exc.start]:02x} "
+                    f"is not UTF-8 text") from None
+
+
+def json_object(raw: bytes, where: str, error=DataError,
+                version: int | None = None) -> dict:
+    """The JSON object that the UTF-8 bytes ``raw`` hold, whose
+    ``format_version`` is ``version`` when one is given.  Every error is
+    an ``error`` that names ``where``."""
+    text = _utf8(raw, where, error)
+    try:
+        record = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad JSON, or an int past the str-to-int digit
+        # limit; RecursionError: nesting past the recursion limit
+        raise error(f"{where}: invalid JSON: {exc}") from None
+    if not isinstance(record, dict):
+        raise error(f"{where} is not a JSON object")
+    if version is not None and record.get("format_version") != version:
+        raise error(f"{where}: format_version "
+                    f"{record.get('format_version')!r} != supported {version}")
+    return record
+
+
+def field_defaults(cls, *exclude: str) -> dict:
+    """Default of each field of the dataclass ``cls``, except ``exclude``."""
+    return {f.name: f.default for f in fields(cls) if f.name not in exclude}
+
+
+def _accepts(cls, values: dict) -> bool:
+    try:
+        cls(**values)
+    except ContractViolation:
+        return False
+    return True
+
+
+def record_of(cls, values, where: str, defaults: dict, error=DataError,
+              flags: dict | None = None, **fixed):
+    """The dataclass ``cls`` built from flag > ``values`` > ``defaults``,
+    skipping unset (None) flags, and the ``fixed`` values.  ``values`` is
+    a JSON object whose keys are among ``defaults`` and whose values have
+    the types of the fields of ``cls``; its lists become tuples.
+
+    When ``cls`` rejects the values and would accept them with one of
+    ``values`` set back to its default, that value is at fault and the
+    error names its key; else, when it would accept them with all of
+    ``values`` set back, they are at fault together.  Those errors are
+    ``error`` and name ``where``; a fault of the flags or ``fixed``
+    values stays a :class:`ContractViolation`."""
+    if not isinstance(values, dict):
+        raise error(f"{where} must be an object")
+    hints = typing.get_type_hints(cls)
+    flags = {k: v for k, v in (flags or {}).items() if v is not None}
+    out = dict(defaults)
+    for k, v in values.items():
+        if k not in out:
+            raise error(f"{where}: unknown key {k!r}")
+        hint = hints[k]
+        if not json_fits(v, hint):
+            raise error(f"{where}, key {k!r}: {v!r} is not of type "
+                        f"{hint.__name__ if isinstance(hint, type) else hint}")
+        out[k] = tuple(v) if isinstance(v, list) else v
+    out.update(flags)
+    try:
+        return cls(**{**out, **fixed})
+    except ContractViolation as exc:
+        for k in values:
+            if k not in flags and _accepts(cls, {**out, k: defaults[k],
+                                                 **fixed}):
+                raise error(f"{where}, key {k!r}: {exc}") from None
+        if _accepts(cls, {**defaults, **flags, **fixed}):
+            raise error(f"{where}: {exc}") from None
+        raise
 
 
 @contextmanager
@@ -779,20 +860,6 @@ def _parse_csv_module(name: str, fh, n_ids: int, n_cols: int):
             flat.reshape(len(body), n_cols - n_ids))
 
 
-def _not_utf8(path: Path) -> DataError:
-    """The error for a file whose bytes are not UTF-8, naming the line of
-    the first bad byte; LF, CRLF and a bare CR each end a line."""
-    raw = path.read_bytes()
-    try:
-        raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = raw[:exc.start]
-        line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
-        return DataError(f"{path.name}: line {line}: byte "
-                         f"0x{raw[exc.start]:02x} is not UTF-8 text")
-    return DataError(f"{path.name}: not UTF-8 text")
-
-
 def read_table(path, n_ids: int, width: int) -> tuple[list[list[str]],
                                                       np.ndarray]:
     """The ``n_ids`` id columns and the (n, width) float64 matrix of a
@@ -814,7 +881,8 @@ def read_table(path, n_ids: int, width: int) -> tuple[list[list[str]],
                 fh.seek(0)
                 parsed = _parse_csv_module(path.name, fh, n_ids, n_cols)
     except UnicodeDecodeError:
-        raise _not_utf8(path) from None
+        _utf8(path.read_bytes(), path.name)
+        raise DataError(f"{path.name}: not UTF-8 text") from None
     header, ids, values = parsed
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
@@ -877,18 +945,8 @@ def load_manifest(directory) -> dict:
     path = Path(directory) / "manifest.json"
     if not path.exists():
         raise DataError(f"missing file {path}")
-    with open(path, encoding="utf-8") as fh:
-        try:
-            manifest = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise DataError(f"{path}: the top level must be an object")
-    if manifest.get("format_version") != MANIFEST_VERSION:
-        raise DataError(
-            f"{path}: format_version {manifest.get('format_version')!r} "
-            f"!= supported {MANIFEST_VERSION}"
-        )
+    manifest = json_object(path.read_bytes(), str(path),
+                           version=MANIFEST_VERSION)
     for key in MANIFEST_COUNTS:
         if key not in manifest:
             raise DataError(f"{path}: missing key {key!r}")

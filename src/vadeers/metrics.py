@@ -343,6 +343,7 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
                                generate_profiles(model, n_gen_per_component, seed))
         sil_gen = silhouette(gen_rows, gen_comps)
 
+    if gmm_params is not None and labels:
         labeled_ids = sorted(labels)
         didx = dataset.drug_index()
         true_rows_nat = dataset.profiles[[didx[i] for i in labeled_ids]]

@@ -96,12 +96,6 @@ class ModelConfig:
     def uses_gmm(self) -> bool:
         return self.prior_variant != "vanilla"
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelConfig":
-        """Config from its JSON form, in which the hidden dims are lists."""
-        return cls(**{**d, **{key: tuple(d[key]) for key in
-                              ("dvae_encoder_dims", "decoder_dims", "dspn_dims")}})
-
 
 @dataclass(frozen=True)
 class LossWeights:

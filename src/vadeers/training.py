@@ -11,13 +11,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-import typing
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, Scaler, atomic_open, json_fits, standardize, type_name
+from .data import (Dataset, Scaler, atomic_open, field_defaults, json_fits,
+                   json_object, record_of, standardize)
 from .exceptions import CheckpointError, ContractViolation, DataError, NumericError
 from .model import Batch, LossWeights, ModelConfig, VadeersModel
 from .nnkernel import (
@@ -43,7 +43,6 @@ class TrainSchedule:
 
     joint_epochs: int = 150
     dspn_epochs: int = 50
-    total_epochs: int | None = None  # auto: joint + dspn (200 by default)
     lr_joint: float = 0.005
     lr_dspn: float = 0.001
     dspn_lr_decay: float = 0.1
@@ -55,14 +54,6 @@ class TrainSchedule:
     seed: int = 0
 
     def __post_init__(self):
-        if self.total_epochs is None:
-            object.__setattr__(self, "total_epochs",
-                               self.joint_epochs + self.dspn_epochs)
-        if self.total_epochs != self.joint_epochs + self.dspn_epochs:
-            raise ContractViolation(
-                f"total_epochs ({self.total_epochs}) != joint_epochs + "
-                f"dspn_epochs ({self.joint_epochs} + {self.dspn_epochs})"
-            )
         for name in ("batch_size", "dvae_break_every_steps",
                      "dvae_break_epochs", "dvae_break_batch",
                      "dspn_lr_decay_every"):
@@ -70,6 +61,10 @@ class TrainSchedule:
                 raise ContractViolation(f"{name} must be positive")
         if self.joint_epochs < 0 or self.dspn_epochs < 0:
             raise ContractViolation("epoch counts must be non-negative")
+
+    @property
+    def total_epochs(self) -> int:
+        return self.joint_epochs + self.dspn_epochs
 
     def dspn_lr_at(self, epoch: int) -> float:
         """Effective phase-2 learning rate at 0-indexed phase-2 epoch."""
@@ -474,21 +469,14 @@ def save_checkpoint(checkpoint: Checkpoint, path):
 def _header_config(path: Path, cfg) -> ModelConfig:
     """The model config of a checkpoint header, with exactly the fields
     of ``ModelConfig``, each value of its field's type."""
-    if not isinstance(cfg, dict):
-        raise CheckpointError(f"{path}: header has no config object")
-    odd = sorted(set(cfg) ^ {f.name for f in fields(ModelConfig)})
-    if odd:
-        what = "unknown" if odd[0] in cfg else "missing"
-        raise CheckpointError(f"{path}: header config has {what} key {odd[0]!r}")
-    hints = typing.get_type_hints(ModelConfig)
-    for key, value in cfg.items():
-        if not json_fits(value, hints[key]):
-            raise CheckpointError(f"{path}: header config key {key!r}: {value!r} "
-                                  f"is not of type {type_name(hints[key])}")
-    try:
-        return ModelConfig.from_dict(cfg)
-    except ContractViolation as exc:
-        raise CheckpointError(f"{path}: header config: {exc}") from None
+    defaults = field_defaults(ModelConfig)
+    missing = sorted(defaults.keys() - cfg.keys()
+                     if isinstance(cfg, dict) else ())
+    if missing:
+        raise CheckpointError(f"{path}: header config has missing key "
+                              f"{missing[0]!r}")
+    return record_of(ModelConfig, cfg, f"{path}: header config", defaults,
+                     CheckpointError)
 
 
 def _header_arrays(path: Path, entries,
@@ -535,14 +523,13 @@ def _header_scaler(path: Path, record, config: ModelConfig) -> Scaler:
         raise CheckpointError(f"{path}: header scaler has {what} field {odd[0]!r}")
     for key, dim in SCALER_FIELDS.items():
         value = record[key]
-        kinds = (bool,) if key == "cell_binary" else (int, float)
+        kind = bool if key == "cell_binary" else float
         if dim is None:
-            ok, want = type(value) in kinds, "a number"
+            ok, want = json_fits(value, kind), "a number"
         else:
             n = getattr(config, dim)
-            ok = (isinstance(value, list) and len(value) == n
-                  and all(type(v) in kinds for v in value))
-            want = f"a list of {n} {'booleans' if kinds == (bool,) else 'numbers'}"
+            ok = json_fits(value, list[kind]) and len(value) == n
+            want = f"a list of {n} {'booleans' if kind is bool else 'numbers'}"
         if not ok:
             raise CheckpointError(
                 f"{path}: header scaler field {key!r} must be {want}")
@@ -556,15 +543,12 @@ def _header_scaler(path: Path, record, config: ModelConfig) -> Scaler:
     return Scaler.from_dict(record)
 
 
-def _header_records(path: Path, header: dict, config: ModelConfig
-                    ) -> tuple[dict | None, dict | None]:
-    """The guiding labels (drug id -> int in ``[0, n_guiding_labels)``)
-    and split cells (``train``, ``val`` and ``test`` lists of ids) of a
-    checkpoint header."""
+def _header_records(path: Path, header: dict, config: ModelConfig):
+    """The guiding labels (drug id -> int in ``[0, n_guiding_labels)``),
+    split cells (``train``, ``val`` and ``test`` lists of ids) and seed
+    of a checkpoint header."""
     labels, split = header.get("guiding_labels"), header.get("split_cells")
-    if labels is not None and not (
-            isinstance(labels, dict)
-            and all(type(v) is int for v in labels.values())):
+    if not json_fits(labels, dict[str, int] | None):
         raise CheckpointError(
             f"{path}: header field 'guiding_labels' must map drug ids to ints")
     for drug, label in (labels or {}).items():
@@ -572,14 +556,16 @@ def _header_records(path: Path, header: dict, config: ModelConfig
             raise CheckpointError(
                 f"{path}: guiding label {label} of drug {drug!r} is outside "
                 f"[0, {config.n_guiding_labels})")
-    if split is not None and not (
-            isinstance(split, dict) and set(split) == {"train", "val", "test"}
-            and all(isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-                    for ids in split.values())):
+    if split is not None and not (json_fits(split, dict[str, list[str]])
+                                  and set(split) == {"train", "val", "test"}):
         raise CheckpointError(
             f"{path}: header field 'split_cells' must hold train, val and "
             f"test lists of cell ids")
-    return labels or None, split
+    seed = header.get("seed")
+    if not json_fits(seed, int | None):
+        raise CheckpointError(f"{path}: header field 'seed' must be an int "
+                              f"or null, got {seed!r}")
+    return labels or None, split, seed
 
 
 def check_compatible(checkpoint: Checkpoint, dataset: Dataset, path) -> None:
@@ -607,18 +593,12 @@ def load_checkpoint(path) -> Checkpoint:
     offset = len(CHECKPOINT_MAGIC)
     size = int.from_bytes(raw[offset: offset + 8], "little")
     offset += 8
-    try:
-        header = json.loads(raw[offset: offset + size])
-    except json.JSONDecodeError as exc:
-        raise CheckpointError(f"{path}: corrupt header") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header is not a JSON object")
+    if offset + size > len(raw):
+        raise CheckpointError(f"{path}: header length {size} runs past the "
+                              f"end of the file")
+    header = json_object(raw[offset: offset + size], f"{path}: header",
+                         CheckpointError, CHECKPOINT_VERSION)
     offset += size
-    if header.get("format_version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"{path}: format_version {header.get('format_version')!r} "
-            f"!= supported {CHECKPOINT_VERSION}"
-        )
     config = _header_config(path, header.get("config"))
     expected = VadeersModel(config, {}).param_shapes()
     layout = pack(_header_arrays(path, header.get("arrays"), expected))
@@ -637,11 +617,11 @@ def load_checkpoint(path) -> Checkpoint:
     flat = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
     model = VadeersModel(config, FlatStore(layout, flat.astype(np.float64)))
     scaler = header.get("scaler")
-    labels, split = _header_records(path, header, config)
+    labels, split, seed = _header_records(path, header, config)
     return Checkpoint(
         model=model,
         scaler=None if scaler is None else _header_scaler(path, scaler, config),
         guiding_labels=labels,
         split_cells=split,
-        seed=header.get("seed"),
+        seed=seed,
     )

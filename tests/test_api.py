@@ -1,16 +1,20 @@
 """API-surface guard: every name the kernel exports and every public
 function or class of the mixture module has a caller in the package
-outside the file that defines it, so no entry point is kept for the
+outside the file that defines it, and every public function, class and
+method of the data, metrics, model and training modules is used in the
+package outside its own definition, so no entry point is kept for the
 tests alone."""
 
 import ast
+import functools
 import inspect
+import types
 from pathlib import Path
 
 import pytest
 
 import vadeers
-from vadeers import gmm, nnkernel
+from vadeers import data, gmm, metrics, model, nnkernel, training
 
 PACKAGE = Path(vadeers.__file__).parent
 
@@ -49,3 +53,106 @@ def test_public_name_has_a_caller_in_the_package(module, name, obj):
                for path in sorted(PACKAGE.rglob("*.py"))
                if path.resolve() not in own and name in _uses(path, module)]
     assert callers, f"{module}.{name} has no caller outside its own file"
+
+
+# ---------------------------------------------------------------------------
+# data, metrics, model and training: used anywhere but in their own body
+# ---------------------------------------------------------------------------
+
+MEMBERS = (types.FunctionType, property, classmethod, staticmethod,
+           functools.cached_property)
+
+# contracts whose callers are tests or tools by design
+ALLOWED = {
+    # the determinism tests compare two runs' logs through it
+    "training.RunLog.comparable",
+    # the conformance tests check a run log against its schedule with it
+    "training.check_schedule_conformance",
+    # the protocol's epoch total, which the schedule tests assert
+    "training.TrainSchedule.total_epochs",
+    # reads back a report that a run wrote; the CLI writes, never reads
+    "metrics.MetricReport.from_json",
+    # row views that perfbench/workloads.py reads; perfbench is kept fixed
+    "data.Dataset.drugs", "data.Dataset.cells",
+    "data.Dataset.embedding_matrix", "data.Dataset.feature_matrix",
+}
+
+
+def _guarded():
+    """(qualified name, attribute?) of every public function and class of
+    the four modules, and of every public method or property of their
+    classes; a method counts as used only where it is read as an
+    attribute."""
+    out = []
+    for module in (data, metrics, model, training):
+        short = module.__name__.rpartition(".")[2]
+        for name, obj in vars(module).items():
+            if (name.startswith("_")
+                    or not (inspect.isfunction(obj) or inspect.isclass(obj))
+                    or obj.__module__ != module.__name__):
+                continue
+            out.append((f"{short}.{name}", False))
+            if inspect.isclass(obj):
+                out += [(f"{short}.{name}.{attr}", True)
+                        for attr, member in vars(obj).items()
+                        if not attr.startswith("_")
+                        and isinstance(member, MEMBERS)]
+    return out
+
+
+GUARDED = _guarded()
+
+
+class _Reads(ast.NodeVisitor):
+    """The bare names and the attribute names a file reads, each outside
+    the body of a function or class of that name."""
+
+    def __init__(self):
+        self.names, self.attrs, self.inside = set(), set(), []
+
+    def visit_def(self, node):
+        self.inside.append(node.name)
+        self.generic_visit(node)
+        self.inside.pop()
+
+    visit_FunctionDef = visit_AsyncFunctionDef = visit_ClassDef = visit_def
+
+    def visit_Name(self, node):
+        if node.id not in self.inside:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.inside:
+            self.attrs.add(node.attr)
+        self.generic_visit(node)
+
+
+@functools.cache
+def _package_reads() -> tuple[set[str], set[str]]:
+    names, attrs = set(), set()
+    for path in PACKAGE.rglob("*.py"):
+        reads = _Reads()
+        reads.visit(ast.parse(path.read_text(encoding="utf-8")))
+        names |= reads.names
+        attrs |= reads.attrs
+    return names, attrs
+
+
+@pytest.mark.parametrize("qualname, attribute", GUARDED,
+                         ids=[q for q, _ in GUARDED])
+def test_public_member_is_used_in_the_package(qualname, attribute):
+    names, attrs = _package_reads()
+    leaf = qualname.rpartition(".")[2]
+    used = leaf in attrs if attribute else leaf in names | attrs
+    assert used or qualname in ALLOWED, \
+        f"{qualname} is used nowhere in the package but in its own body"
+
+
+def test_every_allowed_name_is_guarded_and_unused():
+    names, attrs = _package_reads()
+    guarded = dict(GUARDED)
+    for qualname in ALLOWED:
+        leaf = qualname.rpartition(".")[2]
+        assert qualname in guarded, qualname
+        assert leaf not in (attrs if guarded[qualname] else names | attrs), \
+            f"{qualname} has a use in the package; drop it from ALLOWED"

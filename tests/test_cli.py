@@ -404,13 +404,18 @@ def _rewrite_header(src, dst, mutate):
     (lambda h: h["config"].update(latent_dim=4.0), "latent_dim"),
     (lambda h: h["config"].update(n_components=3.0), "n_components"),
     (lambda h: h["config"].update(dspn_dims=[32.0, 16.0, 8.0]), "dspn_dims"),
+    (lambda h: h["config"].update(latent_dim=0), "latent_dim"),
+    (lambda h: h.update(seed="x"), "seed"),
+    (lambda h: h.update(seed=1.5), "seed"),
+    (lambda h: h.update(seed=True), "seed"),
 ], ids=["unknown_key", "missing_key", "scaler_missing_field",
         "scaler_unknown_field", "scaler_std_width", "scaler_mean_width",
         "scaler_zero_std", "scaler_string_number", "scaler_int_binary",
         "labels_list", "labels_string_value", "split_missing_part",
         "split_int_id", "label_99", "label_minus_1", "label_n_guiding_labels",
         "config_float_latent_dim", "config_float_n_components",
-        "config_float_dspn_dims"])
+        "config_float_dspn_dims", "config_zero_latent_dim", "seed_string",
+        "seed_float", "seed_bool"])
 def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
                                              mutate, key):
     path = tmp_path / "bad.bin"
@@ -440,6 +445,66 @@ def test_checkpoint_header_not_an_object_exit_2(tmp_path, data_dir, capsys,
     err = capsys.readouterr().err
     assert "bad.bin: header is not a JSON object" in err
     assert "Traceback" not in err
+
+
+def _with_length(raw, size):
+    """A checkpoint's bytes ``raw`` with its header-length field set to
+    ``size``."""
+    n = len(CHECKPOINT_MAGIC)
+    return raw[:n] + size.to_bytes(8, "little") + raw[n + 8:]
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda raw, size: raw[:14] + b"\xff" + raw[15:],
+    lambda raw, size: _with_length(raw, size + 40),
+    lambda raw, size: _with_length(raw, len(raw)),
+], ids=["non_utf8_header_byte", "length_inside_file", "length_past_end"])
+@pytest.mark.parametrize("command", ["generate", "evaluate", "predict"])
+def test_checkpoint_header_bytes_defect_exit_2(tmp_path, run_dir, data_dir,
+                                               capsys, command, mutate):
+    raw = (run_dir / "checkpoint.bin").read_bytes()
+    n = len(CHECKPOINT_MAGIC)
+    path = tmp_path / "bad.bin"
+    path.write_bytes(mutate(raw, int.from_bytes(raw[n: n + 8], "little")))
+    dpath, cpath = tmp_path / "drugs_in.csv", tmp_path / "cells_in.csv"
+    _write_feature_csv(dpath, "e", ["X0"], np.zeros((1, 32)))
+    _write_feature_csv(cpath, "f", ["C0"], np.zeros((1, 20)))
+    args = {"generate": ["--n", "5"], "evaluate": ["--data", data_dir],
+            "predict": ["--drugs", dpath, "--cells", cpath]}[command]
+    capsys.readouterr()
+    assert run(command, "--checkpoint", path, *args,
+               "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: "), err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: h.update(scaler=None),
+    lambda h: h.update(split_cells=None),
+    lambda h: h["split_cells"]["test"].append("C999"),
+], ids=["no_scaler", "no_split", "split_unknown_cell"])
+def test_evaluate_checkpoint_records_defect_exit_2(tmp_path, run_dir, data_dir,
+                                                   capsys, mutate):
+    path = tmp_path / "bad.bin"
+    _rewrite_header(run_dir / "checkpoint.bin", path, mutate)
+    capsys.readouterr()
+    assert run("evaluate", "--checkpoint", path, "--data", data_dir,
+               "--out", tmp_path / "e") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: "), err
+
+
+def test_evaluate_gmm_checkpoint_without_labels(tmp_path, run_dir, data_dir):
+    path = tmp_path / "unlabeled.bin"
+    _rewrite_header(run_dir / "checkpoint.bin", path,
+                    lambda h: h.update(guiding_labels=None))
+    out = tmp_path / "e"
+    assert run("evaluate", "--checkpoint", path, "--data", data_dir,
+               "--out", out) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["silhouette_generated"] is not None
+    assert report["centroid_pearson"] is None and report["per_cluster"] == {}
 
 
 def test_checkpoint_missing_array_exit_2(tmp_path, run_dir, capsys):
@@ -685,6 +750,12 @@ def test_bad_config_key_exit_2(tmp_path, data_dir):
     ({"synth": {"n_profiled": 0}}, ("synth",), 2, ["'synth'", "'n_profiled'"]),
     (None, ("train", "--n-val-cells", "-1"), 1, ["n_val_cells"]),
     (None, ("train", "--latent-dim", "0"), 1, ["latent_dim"]),
+    # exit 1 or a silent paper scale before config errors named the file
+    ({"variant": "bogus"}, (), 2, ["bad.json", "'variant'"]),
+    ({"scale": "huge"}, ("synth",), 2, ["bad.json", "'scale'"]),
+    # no one key at fault: the section is
+    ({"model": {"latent_dim": 0, "smiles_dim": 0}}, (), 2,
+     ["bad.json", "'model'"]),
 ])
 def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
                                                 config, argv, code, names):
@@ -708,8 +779,10 @@ def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
     ("manifest.json", b'{"format_version": 1, "provenance": "caf\xe9"}'),
     ("manifest.json", b"[1]"),
     ("config.json", b'{"caf\xe9": 1}'),
+    ("manifest.json", b"[" * 100_000),
+    ("config.json", b"[" * 100_000),
 ], ids=["truncated_manifest", "non_utf8_manifest", "list_manifest",
-        "non_utf8_config"])
+        "non_utf8_config", "deep_manifest", "deep_config"])
 def test_unreadable_manifest_or_config_exit_2(tmp_path, data_dir, capsys,
                                               name, text):
     data = tmp_path / "data"

@@ -23,6 +23,8 @@ from vadeers.data import (
     derive_guiding_labels,
     generate_synthetic,
     generate_synthetic_with_truth,
+    json_fits,
+    json_object,
     kmeans,
     load_csv,
     read_feature_csv,
@@ -99,7 +101,7 @@ def test_paper_scale_label_shapes():
     labels = [d.guiding_label for d in labeled.drugs if d.guiding_label is not None]
     assert len(labels) == 117
     assert set(labels) <= {0, 1, 2}
-    assert all(d.has_profile for d in labeled.drugs
+    assert all(d.inhibition_profile is not None for d in labeled.drugs
                if d.guiding_label is not None)
 
 
@@ -138,7 +140,7 @@ def test_labels_never_assigned_without_profile():
     dataset = generate_synthetic(DESK, seed=6)
     labeled = derive_guiding_labels(dataset, n_labels=3, seed=6)
     for d in labeled.drugs:
-        if not d.has_profile:
+        if d.inhibition_profile is None:
             assert d.guiding_label is None
 
 
@@ -179,7 +181,7 @@ def test_synthetic_export_import_exact(tmp_path):
     for a, b in zip(dataset.drugs, loaded.drugs):
         assert a.id == b.id
         assert np.array_equal(a.smiles_embedding, b.smiles_embedding)
-        if a.has_profile:
+        if a.inhibition_profile is not None:
             assert np.array_equal(a.inhibition_profile, b.inhibition_profile)
         else:
             assert b.inhibition_profile is None
@@ -677,6 +679,43 @@ def test_zero_variance_column_warns(caplog):
 
 
 # ---------------------------------------------------------------------------
+# JSON records
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("value, hint, fits", [
+    (1, float, True), (True, float, False), (1.0, int, False),
+    (True, bool, True), (None, int | None, True), ("x", int | None, False),
+    ([1, 2], tuple[int, ...], True), ([1, 2.5], list[int], False),
+    ([], list[str], True), ("x", list[str], False), ([[1]], list[int], False),
+    ({"a": 1}, dict[str, int], True), ({"a": True}, dict[str, int], False),
+    ({"a": ["x"]}, dict[str, list[str]], True),
+    ({"a": [1]}, dict[str, list[str]], False),
+    (None, dict[str, int] | None, True), ([1], dict[str, int] | None, False),
+])
+def test_json_fits(value, hint, fits):
+    assert json_fits(value, hint) is fits
+
+
+@pytest.mark.parametrize("raw, message", [
+    (b'{\n"a": "caf\xe9"}', "here: line 2: byte 0xe9 is not UTF-8 text"),
+    (b'{"a": 1,', "here: invalid JSON: "),
+    (b"[1]", "here is not a JSON object"),
+    (b'{"format_version": 2}', "here: format_version 2 != supported 1"),
+    (b"{}", "here: format_version None != supported 1"),
+    (b"[" * 100_000, "here: invalid JSON: "),
+], ids=["not_utf8", "truncated", "list", "version", "no_version", "deep"])
+def test_json_object_errors_name_where(raw, message):
+    with pytest.raises(DataError) as err:
+        json_object(raw, "here", version=1)
+    assert str(err.value).startswith(message), err.value
+
+
+def test_json_object_reads_an_object():
+    assert json_object(b'{"format_version": 1, "a": [1]}', "here",
+                       version=1) == {"format_version": 1, "a": [1]}
+
+
+# ---------------------------------------------------------------------------
 # synthetic generator
 # ---------------------------------------------------------------------------
 
@@ -685,7 +724,7 @@ def test_planted_ip_clusters_have_positive_silhouette():
     rows, labs = [], []
     idx = {d.id: i for i, d in enumerate(dataset.drugs)}
     for d in dataset.drugs:
-        if d.has_profile:
+        if d.inhibition_profile is not None:
             rows.append(d.inhibition_profile)
             labs.append(truth.planted_labels[idx[d.id]])
     assert silhouette(np.stack(rows), np.array(labs)) > 0.3
@@ -700,7 +739,7 @@ def test_zero_noise_collapses_clusters():
     idx = {d.id: i for i, d in enumerate(dataset.drugs)}
     by_cluster = {}
     for d in dataset.drugs:
-        if d.has_profile:
+        if d.inhibition_profile is not None:
             by_cluster.setdefault(
                 truth.planted_labels[idx[d.id]], []).append(d.inhibition_profile)
     for rows in by_cluster.values():

@@ -132,7 +132,7 @@ def test_build_pair_batch_masks_and_labels():
                    key=lambda i: idx[i])
     for row, drug_id in enumerate(drugs):
         d = dataset.drugs[idx[drug_id]]
-        assert batch.ip_mask[row] == (1.0 if d.has_profile else 0.0)
+        assert batch.ip_mask[row] == float(dataset.profile_mask[idx[drug_id]])
         expected = -1 if d.guiding_label is None else d.guiding_label
         assert batch.labels[row] == expected
 
