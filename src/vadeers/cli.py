@@ -329,8 +329,8 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
     cell_ids, feats = read_feature_csv(cells_path, model.config.bio_dim)
     if len(drug_ids) != len(cell_ids):
         raise DataError(
-            f"{len(drug_ids)} drug rows vs {len(cell_ids)} cell rows; "
-            f"the files pair row-by-row"
+            f"{drugs_path} has {len(drug_ids)} drug rows and {cells_path} "
+            f"{len(cell_ids)} cell rows; the files pair row-by-row"
         )
     if not drug_ids:
         raise DataError(f"{drugs_path}: no data rows")
@@ -428,6 +428,12 @@ def experiment(config_path, data_dir, out, seeds, variants, joint_epochs,
     for v in variant_list:
         if v not in PRIOR_VARIANTS:
             raise DataError(f"unknown variant {v!r}")
+    split = _configured(SplitSpec, field_defaults(SplitSpec, "seed"), config,
+                        "split", {})
+    if split.n_test_cells < 1:
+        raise DataError(f"{config.where}, section 'split', key "
+                        f"'n_test_cells': an experiment reports on test "
+                        f"pairs, so it must be >= 1")
     dataset = load_csv(data_dir)
     out_dir = _out_dir(out, "experiment")
     out_dir.mkdir(parents=True, exist_ok=True)

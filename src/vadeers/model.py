@@ -466,7 +466,7 @@ class VadeersModel:
         with this rule the result is bit-identical to scoring every row
         in one graph, at one BLAS thread.  There, on two CPUs, the parts
         run on the caller and one worker thread
-        (:func:`~vadeers.nnkernel.autodiff.in_row_parts`); the parts, and
+        (:func:`~vadeers.nnkernel.parts.in_row_parts`); the parts, and
         so the bits, are the same on one CPU."""
         drug_latent = np.asarray(drug_latent, dtype=np.float64)
         cell_latent = np.asarray(cell_latent, dtype=np.float64)

@@ -1,13 +1,12 @@
 """Minimal dense neural-network kernel: tensors with reverse-mode
 gradients, dense layers with inverted dropout, Adam over flat parameter
-stores."""
+stores, and row parts run on two threads."""
 
 from .autodiff import (
     GradientTape,
     Tensor,
     concat,
     dense,
-    in_row_parts,
     reparameterize,
     reshape,
     take_rows,
@@ -17,6 +16,7 @@ from .autodiff import (
 )
 from .layers import LayerSpec, as_matrix, init_layer_params, mlp_forward
 from .optim import AdamState, adam_step
+from .parts import in_row_parts
 from .store import FlatStore
 
 __all__ = [

@@ -9,8 +9,7 @@ parameter get no gradient, and an op computes none for them.  A dense
 layer (affine map, activation and dropout mask) is one node,
 :func:`dense`; so are the Gaussian reparameterization,
 :func:`reparameterize`, and a weighted sum of scalar loss terms,
-:func:`weighted_sum`.  :func:`in_row_parts` runs a row-wise forward in
-row parts on two cores.
+:func:`weighted_sum`.
 
 Everything is 64-bit; the gradient-check tolerances used by the test
 suite are not attainable in single precision.
@@ -18,12 +17,6 @@ suite are not attainable in single precision.
 
 from __future__ import annotations
 
-import ctypes
-import functools
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,136 +28,6 @@ Array = np.ndarray
 
 ACTIVATIONS = ("relu", "identity")
 
-# ``in_row_parts`` uses the worker thread only at one BLAS thread: with
-# more, each product already uses the second core.  Parts are claimed
-# from a cursor, not assigned, so that the caller never waits for the
-# worker to wake: on a 2-vCPU guest a worker idle between calls often
-# started milliseconds late.
-
-
-class _Parts:
-    """The row parts of one :func:`in_row_parts` call: which one is next,
-    and whether the worker is running one."""
-
-    def __init__(self, fn: Callable[[slice], None], stops: list[int]):
-        self.fn = fn
-        self.stops = stops
-        self.cond = threading.Condition()
-        self.next = 0         # index of the next unclaimed part
-        self.busy = False     # the worker is running a part
-        self.error: BaseException | None = None  # raised in the worker
-
-    def claim(self, by_worker: bool) -> slice | None:
-        with self.cond:
-            i = self.next
-            if i == len(self.stops):
-                return None
-            self.next = i + 1
-            if by_worker:
-                self.busy = True
-            return slice(self.stops[i - 1] if i else 0, self.stops[i])
-
-    def work(self, err: dict) -> None:
-        """The worker's loop, under the caller's floating-point error
-        settings, which a worker thread does not inherit."""
-        with np.errstate(**err):
-            while (rows := self.claim(True)) is not None:
-                error = None
-                try:
-                    self.fn(rows)
-                except BaseException as exc:  # raised again on the caller
-                    error = exc
-                with self.cond:
-                    self.busy = False
-                    if error is not None:
-                        self.error, self.next = error, len(self.stops)
-                    self.cond.notify_all()
-
-    def run(self) -> None:
-        """The caller's loop; returns once every part is done."""
-        try:
-            while (rows := self.claim(False)) is not None:
-                self.fn(rows)
-        finally:
-            with self.cond:
-                self.next = len(self.stops)  # after an error, hand out no more
-                self.cond.wait_for(lambda: not self.busy)
-        if self.error is not None:
-            raise self.error
-
-
-class _Worker:
-    """The worker thread, made on first use."""
-
-    def __init__(self):
-        self.lock = threading.Lock()
-        self.pool: ThreadPoolExecutor | None = None
-
-    def offer(self, parts: _Parts) -> None:
-        with self.lock:
-            if self.pool is None:
-                self.pool = ThreadPoolExecutor(max_workers=1)
-            # the future is never read: work() hands every error of a
-            # part to the caller
-            self.pool.submit(parts.work, np.geterr())
-
-
-_worker = _Worker()
-
-
-def _new_worker() -> None:
-    global _worker
-    _worker = _Worker()
-
-
-if hasattr(os, "register_at_fork"):
-    # a forked child has no worker thread, and the lock may have been held
-    # by another thread; the child starts afresh
-    os.register_at_fork(after_in_child=_new_worker)
-
-
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-@functools.cache
-def _blas_threads() -> int | None:
-    """Threads the OpenBLAS of a numpy wheel runs a product on, read once;
-    None for a BLAS that cannot be asked, where parts never use the
-    worker."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for sym in ("scipy_openblas_get_num_threads64_",
-                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.restype, fn.argtypes = ctypes.c_int, []
-                return int(fn())
-    return None
-
-
-def in_row_parts(fn: Callable[[slice], None], n: int, part_rows: int) -> None:
-    """Call ``fn(rows)`` on each part of ``n`` rows: a part starts every
-    ``part_rows`` rows and the leftover joins the last part, so no part
-    is shorter than ``part_rows`` unless all ``n`` rows are.  The parts
-    are the same on any host.
-
-    Where the process may use two CPUs and BLAS runs on one thread, the
-    caller and the worker thread take the next unclaimed part in turn;
-    ``fn`` must be safe to run on two threads at once for different
-    parts.  The worker runs under the caller's ``np.errstate``.  This
-    returns once every part is done, having waited only for a part that
-    the worker claimed.  An error in either thread's part stops the
-    handing out of parts and is raised once the worker's part is done."""
-    parts = _Parts(fn, [*range(part_rows, n - part_rows + 1, part_rows), n])
-    if len(parts.stops) > 1 and _cpus() >= 2 and _blas_threads() == 1:
-        _worker.offer(parts)
-    parts.run()
-
 
 class Tensor:
     """A node in the computation graph.
@@ -172,8 +35,9 @@ class Tensor:
     ``data`` is a float64 ndarray and must not be mutated while a graph
     that holds it is in use; forward evaluation is therefore safe from
     multiple threads, while a graph/backward pass is single-threaded.
-    :func:`in_row_parts` uses this to run eval forwards of row parts on
-    the caller and on one worker thread that all callers share.
+    :func:`~vadeers.nnkernel.parts.in_row_parts` uses this to run eval
+    forwards of row parts on the caller and on one worker thread that all
+    callers share.
     A parameter leaf shares its array with the parameter store, and
     :func:`~vadeers.nnkernel.optim.adam_step` updates those arrays in
     place, between graphs: build a new graph after each step.
@@ -211,9 +75,6 @@ class Tensor:
     @property
     def ndim(self) -> int:
         return self.data.ndim
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""

@@ -78,9 +78,11 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_val_cells", "n_test_cells"):
-            if getattr(self, name) < 0:
-                raise ContractViolation(f"{name} must be >= 0")
+        # a training run always reports on its validation pairs
+        if self.n_val_cells < 1:
+            raise ContractViolation("n_val_cells must be >= 1")
+        if self.n_test_cells < 0:
+            raise ContractViolation("n_test_cells must be >= 0")
 
 
 @dataclass(eq=False)

@@ -138,6 +138,18 @@ def test_readme_quickstart_split_fits_default_synth(tmp_path):
                "--joint-epochs", "1", "--dspn-epochs", "1") == 0
 
 
+def test_train_without_test_cells_writes_its_run_directory(tmp_path, data_dir,
+                                                          config_file):
+    out = tmp_path / "no-test"
+    assert run("train", "--data", data_dir, "--out", out,
+               "--config", config_file, "--variant", "vanilla",
+               "--joint-epochs", "1", "--dspn-epochs", "1",
+               "--n-test-cells", "0") == 0
+    assert (out / "report_val.json").exists()
+    assert (out / "config_echo.json").exists()
+    assert load_checkpoint(out / "checkpoint.bin").split_cells["test"] == []
+
+
 def test_train_default_model_echo_matches_model_config(tmp_path, data_dir):
     out = tmp_path / "defaults"
     assert run("train", "--data", data_dir, "--out", out, "--variant",
@@ -353,6 +365,21 @@ def test_predict_unreadable_input_exit_2(tmp_path, run_dir, capsys, first_id,
                "--drugs", dpath, "--cells", cpath,
                "--out", tmp_path / "o.csv") == 2
     assert capsys.readouterr().err == f"data error: {message}\n"
+
+
+def test_predict_row_count_mismatch_names_both_files(tmp_path, run_dir,
+                                                     capsys):
+    dpath = tmp_path / "drugs_in.csv"
+    _write_feature_csv(dpath, "e", ["X0", "X1", "X2"], np.zeros((3, 32)))
+    cpath = tmp_path / "cells_in.csv"
+    _write_feature_csv(cpath, "f", ["C0", "C1"], np.zeros((2, 20)))
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", run_dir / "checkpoint.bin",
+               "--drugs", dpath, "--cells", cpath,
+               "--out", tmp_path / "o.csv") == 2
+    err = capsys.readouterr().err
+    assert str(dpath) in err and str(cpath) in err, err
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_predict_width_mismatch_names_dims(tmp_path, run_dir):
@@ -756,6 +783,15 @@ def test_bad_config_key_exit_2(tmp_path, data_dir):
     # no one key at fault: the section is
     ({"model": {"latent_dim": 0, "smiles_dim": 0}}, (), 2,
      ["bad.json", "'model'"]),
+    # train always reports on val pairs, and experiment on test pairs, so
+    # both fail before a run trains, not after
+    ({"split": {"n_val_cells": 0, "n_test_cells": 4}}, (), 2,
+     ["bad.json", "'split'", "'n_val_cells'"]),
+    (None, ("train", "--n-val-cells", "0", "--n-test-cells", "4"), 1,
+     ["n_val_cells"]),
+    ({"split": {"n_val_cells": 4, "n_test_cells": 0},
+      "schedule": {"joint_epochs": 1, "dspn_epochs": 1}}, ("experiment",), 2,
+     ["bad.json", "'split'", "'n_test_cells'"]),
 ])
 def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
                                                 config, argv, code, names):

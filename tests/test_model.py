@@ -27,7 +27,7 @@ from vadeers.nnkernel import (
     tmean,
     wrap,
 )
-from vadeers.nnkernel import autodiff
+from vadeers.nnkernel import parts
 
 import oracles
 from oracles import (
@@ -146,7 +146,7 @@ def test_default_decoder_widths_match_reference_shapes():
 # ---------------------------------------------------------------------------
 
 def test_entropy_one_dim_unit_sigma():
-    h = entropy_mean(np.zeros((1, 1))).item()
+    h = float(entropy_mean(np.zeros((1, 1))).data)
     assert abs(h - 0.5 * (1 + np.log(2 * np.pi))) < 1e-12
     assert abs(h - 1.418939) < 1e-6
 
@@ -154,15 +154,15 @@ def test_entropy_one_dim_unit_sigma():
 def test_entropy_doubling_sigma_adds_d_log2():
     rng = np.random.default_rng(10)
     log_sigma = rng.normal(size=(1, 5))
-    h1 = entropy_mean(log_sigma).item()
-    h2 = entropy_mean(log_sigma + np.log(2.0)).item()
+    h1 = float(entropy_mean(log_sigma).data)
+    h2 = float(entropy_mean(log_sigma + np.log(2.0)).data)
     assert abs((h2 - h1) - 5 * np.log(2.0)) < 1e-12
 
 
 def test_entropy_matches_monte_carlo():
     rng = np.random.default_rng(11)
     log_sigma = rng.normal(0.0, 0.4, size=4)
-    analytic = entropy_mean(log_sigma[None, :]).item()
+    analytic = float(entropy_mean(log_sigma[None, :]).data)
     mc = entropy_mc(log_sigma, 100_000, np.random.default_rng(12))
     assert abs(mc - analytic) / abs(analytic) < 0.01
 
@@ -221,7 +221,7 @@ def dvae_row_terms(x, recon, ip, ip_pred, enc, label, params, weights):
         enc, Tensor(np.atleast_2d(recon)), Tensor(np.atleast_2d(ip_pred)),
         np.atleast_2d(ip), mask, [-1 if label is None else label],
         np.atleast_2d(x), weights, model.binder())
-    return total.item(), {k: v.item() for k, v in parts.items()}
+    return float(total.data), {k: float(v.data) for k, v in parts.items()}
 
 
 def test_dvae_loss_perfect_reconstruction_leaves_prior_entropy():
@@ -385,7 +385,7 @@ B = PREDICT_BLOCK_ROWS
 # the edges of the parts, and of 512-row blocks
 BLOCK_EDGE_ROWS = [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1,
                    511, 512, 513, 1023, 1024, 1025, 1537]
-ONE_BLAS_THREAD = autodiff._blas_threads() == 1
+ONE_BLAS_THREAD = parts._blas_threads() == 1
 
 
 @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
@@ -394,12 +394,12 @@ def test_predict_sensitivity_matches_one_shot(n):
     rng = np.random.default_rng(n)
     d = rng.standard_normal((n, 3))
     c = rng.standard_normal((n, 3))
-    parts = model.predict_sensitivity(d, c)
+    scored = model.predict_sensitivity(d, c)
     whole = model.dspn_predict(d, c).data
     if ONE_BLAS_THREAD:
-        assert np.array_equal(parts, whole)
+        assert np.array_equal(scored, whole)
     else:
-        np.testing.assert_allclose(parts, whole, rtol=1e-12)
+        np.testing.assert_allclose(scored, whole, rtol=1e-12)
 
 
 @pytest.mark.skipif(not ONE_BLAS_THREAD,
@@ -411,9 +411,9 @@ def test_predict_sensitivity_parts_give_one_graphs_bytes(monkeypatch):
     for n in [1, 239, 240, 479, 480, 500, 719, 720, 2_000, 12_345]:
         d = rng.standard_normal((n, width))
         c = rng.standard_normal((n, width))
-        monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
+        monkeypatch.setattr(parts, "_cpus", lambda: 2)
         two = model.predict_sensitivity(d, c)
-        monkeypatch.setattr(autodiff, "_cpus", lambda: 1)
+        monkeypatch.setattr(parts, "_cpus", lambda: 1)
         one = model.predict_sensitivity(d, c)
         whole = model.dspn_predict(d, c).data
         assert np.array_equal(two, one) and np.array_equal(two, whole), n

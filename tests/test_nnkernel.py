@@ -32,7 +32,7 @@ from vadeers.nnkernel import (
     weighted_sum,
     wrap,
 )
-from vadeers.nnkernel import autodiff
+from vadeers.nnkernel import parts
 from vadeers.nnkernel.layers import dropout_mask
 from vadeers.nnkernel.losses import row_mse
 
@@ -109,20 +109,19 @@ def _openblas_set_threads():
 
 @pytest.fixture
 def two_cores(monkeypatch):
-    """Two CPUs whatever the host has, BLAS on one thread, and a fresh
-    worker, shut down after the test."""
+    """Two CPUs whatever the host has, BLAS on one thread, and no worker
+    yet; the worker made in the test is shut down after it."""
     set_threads = _openblas_set_threads()
-    threads = autodiff._blas_threads.__wrapped__()
+    threads = parts._blas_threads.__wrapped__()
     if set_threads is None or threads is None:
         pytest.skip("needs the OpenBLAS of a numpy wheel")
     set_threads(1)
-    monkeypatch.setattr(autodiff, "_cpus", lambda: 2)
-    monkeypatch.setattr(autodiff, "_blas_threads", lambda: 1)
-    worker = autodiff._Worker()
-    monkeypatch.setattr(autodiff, "_worker", worker)
-    yield worker
-    if worker.pool is not None:
-        worker.pool.shutdown()
+    monkeypatch.setattr(parts, "_cpus", lambda: 2)
+    monkeypatch.setattr(parts, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(parts, "_pool", None)
+    yield
+    if parts._pool is not None:
+        parts._pool.shutdown()
     set_threads(threads)
 
 
@@ -187,12 +186,12 @@ def test_parts_use_the_worker_only_with_two_cpus_and_one_blas_thread(
         two_cores, monkeypatch):
     _, log = _dense_in_parts(*_split_inputs(2 * PART - 1), meet=True)
     assert log.runs == [(0, False)]
-    assert two_cores.pool is None  # one part: no worker is made
+    assert parts._pool is None  # one part: no worker is made
     _, log = _dense_in_parts(*_split_inputs(2 * PART), meet=True)
     assert len(log.runs) == 2 and len(log.starts(True)) == 1
     for cpus, threads in [(2, 2), (2, None), (1, 1)]:
-        monkeypatch.setattr(autodiff, "_cpus", lambda: cpus)
-        monkeypatch.setattr(autodiff, "_blas_threads", lambda: threads)
+        monkeypatch.setattr(parts, "_cpus", lambda: cpus)
+        monkeypatch.setattr(parts, "_blas_threads", lambda: threads)
         _, log = _dense_in_parts(*_split_inputs(3 * PART))
         assert log.runs == [(0, False), (PART, False), (2 * PART, False)]
 
@@ -268,27 +267,24 @@ def test_the_caller_waits_for_the_worker_when_its_own_part_fails(two_cores):
     assert len(log.runs) == 2
 
 
-def test_the_caller_does_not_wait_for_a_late_worker(two_cores, monkeypatch):
+def test_the_caller_does_not_wait_for_a_late_worker(two_cores):
     awake = threading.Event()
-    work = autodiff._Parts.work
-
-    def late(self, err):
-        awake.wait(60.0)
-        work(self, err)
-
-    monkeypatch.setattr(autodiff._Parts, "work", late)
+    # the pool's one thread is busy, so the worker of the call below
+    # starts only once ``awake`` is set
+    blocker = parts._shared_pool().submit(awake.wait, 60.0)
     x, w, b = _split_inputs(5 * PART)
     try:
         out, log = _dense_in_parts(x, w, b)
         # every part ran on the caller, and it returned while the worker
         # was still blocked
-        assert not awake.is_set()
+        assert not awake.is_set() and not blocker.done()
     finally:
         awake.set()
     assert log.starts(False) == [0, PART, 2 * PART, 3 * PART, 4 * PART]
     assert log.starts(True) == []
     np.testing.assert_allclose(out, x @ w + b, rtol=1e-12)
-    # the late worker found nothing left and is free for the next call
+    # the late worker was cancelled, and the thread is free for the next
+    # call
     out, log = _dense_in_parts(x, w, b, meet=True)
     assert log.starts(True)
     np.testing.assert_allclose(out, x @ w + b, rtol=1e-12)
@@ -296,13 +292,13 @@ def test_the_caller_does_not_wait_for_a_late_worker(two_cores, monkeypatch):
 
 def test_callers_on_many_threads_share_the_worker(two_cores):
     inputs = [_split_inputs(2 * PART + 7 * i, seed=i) for i in range(6)]
-    wrong, parts = [], []
+    wrong, counts = [], []
 
     def call(x, w, b):
         expected = x @ w + b
         for _ in range(10):
             out, log = _dense_in_parts(x, w, b)
-            parts.append(len(log.runs))
+            counts.append(len(log.runs))
             if not np.allclose(out, expected, rtol=1e-12):
                 wrong.append(x.shape)
 
@@ -318,8 +314,8 @@ def test_callers_on_many_threads_share_the_worker(two_cores):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
-    assert parts == [2] * 60
-    assert two_cores.pool is not None
+    assert counts == [2] * 60
+    assert parts._pool is not None
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -334,7 +330,7 @@ def test_a_forked_child_runs_a_split_dense(two_cores):
     if pid == 0:
         code = 1
         try:
-            fresh = autodiff._worker.pool is None
+            fresh = parts._pool is None
             out, log = _dense_in_parts(x, w, b, meet=True)
             code = 0 if fresh and len(log.starts(True)) == 1 \
                 and np.array_equal(out, expected) else 1
@@ -422,18 +418,19 @@ def test_chain_break_raises():
 
 def test_mse_zero_for_identical():
     a = np.random.default_rng(5).standard_normal((3, 3))
-    assert mse(a, a).item() == 0.0
+    assert float(mse(a, a).data) == 0.0
 
 
 def test_mse_hand_case():
-    assert mse(np.array([[0.0, 0.0]]), np.array([[1.0, 3.0]])).item() == 5.0
+    assert float(mse(np.array([[0.0, 0.0]]),
+                     np.array([[1.0, 3.0]])).data) == 5.0
 
 
 def test_mse_matches_scalar_oracle():
     rng = np.random.default_rng(6)
     a = rng.standard_normal((5, 7))
     b = rng.standard_normal((5, 7))
-    assert abs(mse(a, b).item() - mse_loops(a, b)) < 1e-12
+    assert abs(float(mse(a, b).data) - mse_loops(a, b)) < 1e-12
 
 
 def test_mse_shape_mismatch():
