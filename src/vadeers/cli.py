@@ -388,18 +388,16 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
         fh.write(report.to_json() + "\n")
 
     labels = ckpt.guiding_labels or {}
-    ids = dataset_std.drug_ids
-    labeled = [i for i, d in enumerate(ids) if d in labels]
-    if len(labeled) >= 3:
-        proj, _ = pca2(mu[labeled])
-        write_table(out_dir / "latent_pca.csv",
-                    ["drug_id", "label", "pc1", "pc2"],
-                    [[ids[i] for i in labeled],
-                     [labels[ids[i]] for i in labeled]], proj)
-
-    proj, _ = pca2(gen_rows)
-    write_table(out_dir / "generated_ip_pca.csv", ["component", "pc1", "pc2"],
-                [comps], proj)
+    labeled = [i for i, d in enumerate(dataset_std.drug_ids) if d in labels]
+    ids = [dataset_std.drug_ids[i] for i in labeled]
+    # a projection needs 3 rows and 2 columns; without them it is not written
+    for name, id_header, id_columns, rows in (
+            ("latent_pca.csv", ["drug_id", "label"],
+             [ids, [labels[d] for d in ids]], mu[labeled]),
+            ("generated_ip_pca.csv", ["component"], [comps], gen_rows)):
+        if rows.shape[0] >= 3 and rows.shape[1] >= 2:
+            write_table(out_dir / name, [*id_header, "pc1", "pc2"], id_columns,
+                        pca2(rows)[0])
     click.echo(f"report: {out_dir / 'report.json'}")
 
 
@@ -494,9 +492,6 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0
-    except click.UsageError as exc:
-        exc.show()
-        return 1
     except click.ClickException as exc:
         exc.show()
         return 1
@@ -505,7 +500,7 @@ def main(argv=None) -> int:
     except (DataError, CheckpointError) as exc:
         click.echo(f"data error: {exc}", err=True)
         return 2
-    except (NumericError, TrainingAborted) as exc:
+    except NumericError as exc:
         click.echo(f"numeric failure: {exc}", err=True)
         return 3
     except OSError as exc:

@@ -127,7 +127,8 @@ class Dataset:
         profile_rows = _row_index("profiles.csv", profiles)
         cell_rows = _row_index("cells.csv", cells)
         if not drug_rows or not cell_rows:
-            raise DataError("a dataset needs at least one drug and one cell line")
+            raise DataError(f"{'cells' if drug_rows else 'drugs'}.csv: no rows; a "
+                            f"dataset needs at least one drug and one cell line")
         unknown = profile_rows.keys() - drug_rows.keys()
         if unknown:
             raise DataError(f"profiles.csv: ids not present in drugs.csv: "
@@ -194,7 +195,8 @@ class Dataset:
     @property
     def ip_dim(self) -> int:
         if not self.profile_mask.any():
-            raise DataError("dataset has no inhibition profiles")
+            raise DataError("profiles.csv: no rows; the dataset has no "
+                            "inhibition profiles")
         return self.profiles.shape[1]
 
     @property
@@ -274,8 +276,6 @@ def kmeans(points, n_clusters: int, seed: int, max_iters: int = 300,
     """Best of ``n_init`` Lloyd runs (k-means++ seeding), by inertia.
     Deterministic for a given seed."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ContractViolation(f"points must be 2-D, got shape {points.shape}")
     n = points.shape[0]
     if not (1 <= n_clusters <= n):
         raise ContractViolation(
@@ -393,7 +393,8 @@ def fit_scaler(dataset: Dataset, train_cell_ids: set[str]) -> Scaler:
     cell_mean, cell_std = _column_stats(train_cells)
     train_vals = dataset.pair_y[is_train[dataset.pair_cell]]
     if train_vals.size == 0:
-        raise DataError("no training sensitivity pairs to fit the scaler on")
+        raise DataError("ic50.csv: no pairs on the training cell lines to fit "
+                        "the scaler on")
     ic50_mean = float(train_vals.mean())
     ic50_std = float(train_vals.std())
     if ic50_std == 0.0:

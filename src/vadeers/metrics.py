@@ -6,6 +6,11 @@ comparison between true and generated per-cluster profile statistics.
 Conventions: Silhouette uses Euclidean distance on the full vectors
 (PCA is for plotting only); singleton clusters score 0; cluster STDs are
 population STDs.  Latent-space metrics use encoder means, never samples.
+A Silhouette needs two clusters: with fewer, :func:`evaluate` reports it
+as None.
+
+Row arrays and their label or value arrays are expected to match in
+length; only the counts that make a metric undefined are checked.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ from .training import Split
 def rmse(y_true, y_pred) -> float:
     a = np.asarray(y_true, dtype=np.float64).ravel()
     b = np.asarray(y_pred, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ContractViolation(f"rmse length mismatch: {a.shape} vs {b.shape}")
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
@@ -36,8 +39,6 @@ def pearson(y_true, y_pred) -> float:
     inputs give exactly 1.0."""
     a = np.asarray(y_true, dtype=np.float64).ravel()
     b = np.asarray(y_pred, dtype=np.float64).ravel()
-    if a.shape != b.shape:
-        raise ContractViolation(f"pearson length mismatch: {a.shape} vs {b.shape}")
     if a.size < 2:
         raise ContractViolation("pearson needs at least 2 points")
     ac = a - a.mean()
@@ -55,10 +56,6 @@ def silhouette(points, labels) -> float:
     max(a, b) is 0."""
     points = np.asarray(points, dtype=np.float64)
     labels = np.asarray(labels)
-    if points.ndim != 2 or labels.shape != (points.shape[0],):
-        raise ContractViolation(
-            f"need (n, d) points and n labels, got {points.shape} and {labels.shape}"
-        )
     uniq, own = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ContractViolation("silhouette needs at least 2 distinct labels")
@@ -97,8 +94,6 @@ def pca2(points) -> tuple[np.ndarray, tuple[float, float]]:
     is made positive.  Returns (n, 2) scores and the two explained
     variance fractions."""
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ContractViolation(f"points must be 2-D, got shape {points.shape}")
     n, d = points.shape
     if n < 3:
         raise ContractViolation(f"pca2 needs at least 3 rows, got {n}")
@@ -131,10 +126,6 @@ class ClusterStats:
 def cluster_stats(rows, labels) -> ClusterStats:
     rows = np.asarray(rows, dtype=np.float64)
     labels = np.asarray(labels)
-    if rows.ndim != 2 or labels.shape != (rows.shape[0],):
-        raise ContractViolation(
-            f"need (n, d) rows and n labels, got {rows.shape} and {labels.shape}"
-        )
     centroids, stds = {}, {}
     for lab in np.unique(labels):
         member = rows[labels == lab]
@@ -341,7 +332,8 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
     if gmm_params is not None:
         gen_rows, gen_comps = (generated if generated is not None else
                                generate_profiles(model, n_gen_per_component, seed))
-        sil_gen = silhouette(gen_rows, gen_comps)
+        if gmm_params.n_components >= 2:
+            sil_gen = silhouette(gen_rows, gen_comps)
 
     if gmm_params is not None and labels:
         labeled_ids = sorted(labels)

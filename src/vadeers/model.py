@@ -323,7 +323,9 @@ class VadeersModel:
     def encode_drug(self, x, binder: _Binder | None = None,
                     rng: np.random.Generator | None = None,
                     sample: bool = True) -> EncoderOutput:
-        """Two-headed encoder; z via reparameterization with one draw."""
+        """Two-headed encoder; z via reparameterization with one draw
+        from ``rng`` when ``sample`` is true.  ``x`` is checked: it is
+        finite, 2-D and ``smiles_dim`` wide."""
         binder = binder or self.binder()
         x = wrap(x)
         as_matrix(x.data, "drug input")
@@ -338,8 +340,6 @@ class VadeersModel:
         if not (np.all(np.isfinite(mu.data)) and np.all(np.isfinite(log_sigma.data))):
             raise NumericError("non-finite encoder head output")
         if sample:
-            if rng is None:
-                raise ContractViolation("sampling encoder requires an rng")
             z = reparameterize(mu, log_sigma, rng.standard_normal(mu.shape))
         else:
             z = mu
@@ -371,10 +371,9 @@ class VadeersModel:
     def dspn_predict(self, drug_latent, cell_latent,
                      binder: _Binder | None = None, mode: str = "eval",
                      rng: np.random.Generator | None = None) -> Tensor:
-        """Prediction head on [drug latent, cell latent]; returns (n,)."""
+        """Prediction head on [drug latent, cell latent], two (n,
+        latent_dim) inputs; returns (n,)."""
         binder = binder or self.binder()
-        drug_latent, cell_latent = wrap(drug_latent), wrap(cell_latent)
-        _check_latent_shapes(drug_latent.shape, cell_latent.shape)
         x = concat([drug_latent, cell_latent], axis=1)
         out = self._forward("dspn", x, binder, mode=mode, rng=rng)
         return reshape(out, (out.shape[0],))
@@ -470,7 +469,9 @@ class VadeersModel:
         so the bits, are the same on one CPU."""
         drug_latent = np.asarray(drug_latent, dtype=np.float64)
         cell_latent = np.asarray(cell_latent, dtype=np.float64)
-        _check_latent_shapes(drug_latent.shape, cell_latent.shape)
+        if drug_latent.shape != cell_latent.shape:
+            raise ContractViolation(f"latent shapes differ: {drug_latent.shape} "
+                                    f"vs {cell_latent.shape}")
         out = np.empty(drug_latent.shape[0])
 
         def score(rows: slice) -> None:
@@ -479,10 +480,3 @@ class VadeersModel:
 
         in_row_parts(score, len(out), PREDICT_BLOCK_ROWS)
         return out
-
-
-def _check_latent_shapes(drug_shape, cell_shape):
-    if drug_shape != cell_shape:
-        raise ContractViolation(
-            f"latent shapes differ: {drug_shape} vs {cell_shape}"
-        )

@@ -13,6 +13,11 @@ layer (affine map, activation and dropout mask) is one node,
 
 Everything is 64-bit; the gradient-check tolerances used by the test
 suite are not attainable in single precision.
+
+Ops do not check their operands: shapes must match and gather indices
+must be in range, or numpy raises its own ``ValueError`` or
+``IndexError``.  The package checks its inputs where they enter (CSV
+files, configs, checkpoints, the model's encoders).
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from ..exceptions import ContractViolation
 from .store import FlatStore
 
 Array = np.ndarray
-
-ACTIVATIONS = ("relu", "identity")
 
 
 class Tensor:
@@ -72,10 +75,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def __repr__(self) -> str:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}{tag})"
@@ -120,12 +119,6 @@ def take_rows(a, indices) -> Tensor:
     """Row gather with scatter-add backward; indices are constants."""
     a = wrap(a)
     idx = np.asarray(indices, dtype=np.intp)
-    if a.ndim != 2:
-        raise ContractViolation(f"take_rows expects a 2-D tensor, got {a.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise ContractViolation(
-            f"take_rows index out of range for {a.shape[0]} rows"
-        )
 
     def backward(g, needs, outs):
         out = np.zeros_like(a.data)
@@ -148,25 +141,6 @@ def dense(x, weights, bias, activation: str = "identity",
     where the pre-activation is, and where it is zero the gradient is
     zero either way."""
     x, weights, bias = wrap(x), wrap(weights), wrap(bias)
-    if x.ndim != 2 or weights.ndim != 2:
-        raise ContractViolation(
-            f"affine expects 2-D input and weights, got {x.shape} and {weights.shape}"
-        )
-    if x.shape[1] != weights.shape[0]:
-        raise ContractViolation(
-            f"affine shape mismatch: input {x.shape} vs weights {weights.shape}"
-        )
-    if bias.data.shape != (weights.shape[1],):
-        raise ContractViolation(
-            f"affine bias shape {bias.shape} does not match weights {weights.shape}"
-        )
-    if activation not in ACTIVATIONS:
-        raise ContractViolation(f"unknown activation {activation!r}")
-    if mask is not None and mask.shape != (x.shape[0], weights.shape[1]):
-        raise ContractViolation(
-            f"dense mask shape {mask.shape} does not match output "
-            f"{(x.shape[0], weights.shape[1])}"
-        )
     relu = activation == "relu"
     out = x.data @ weights.data
     out += bias.data
@@ -214,11 +188,6 @@ def weighted_sum(terms: Sequence, weights: Sequence[float]) -> Tensor:
     weights are constants."""
     ts = tuple(wrap(t) for t in terms)
     ws = tuple(float(w) for w in weights)
-    if len(ts) != len(ws) or any(t.shape != () for t in ts):
-        raise ContractViolation(
-            f"weighted_sum needs one weight per scalar term, got "
-            f"{[t.shape for t in ts]} and {len(ws)} weights"
-        )
     return Tensor(
         sum(w * t.data for w, t in zip(ws, ts)), ts,
         lambda g, needs, outs: tuple(g * w if need else None
@@ -269,9 +238,8 @@ class GradientTape:
         self._params: dict[str, Tensor] = {}
 
     def parameter(self, name: str, value) -> Tensor:
-        """Create and register a trainable leaf tensor."""
-        if name in self._params:
-            raise ContractViolation(f"parameter {name!r} registered twice")
+        """Create and register a trainable leaf tensor; register each
+        name once."""
         if self._store.get(name) is not value:
             raise ContractViolation(
                 f"parameter {name!r} is not an array of the tape's store"
@@ -281,7 +249,8 @@ class GradientTape:
         return t
 
     def gradient(self, loss: Tensor) -> FlatStore:
-        """Gradient of the scalar ``loss`` w.r.t. every registered parameter.
+        """Gradient of the finite scalar ``loss`` w.r.t. every registered
+        parameter.
 
         Returns the bound store's :meth:`~FlatStore.gradient_store`
         showing each registered name, valid until the next gradient taken
@@ -291,12 +260,6 @@ class GradientTape:
         reachable the loss is not connected to this tape and a
         :class:`ContractViolation` is raised.
         """
-        if loss.data.shape != ():
-            raise ContractViolation(
-                f"gradient target must be a scalar, got shape {loss.shape}"
-            )
-        if not np.isfinite(loss.data):
-            raise ContractViolation("loss is not finite")
         order = _topo_order(loss)
         # nodes on a path to a registered parameter; no other node gets a
         # gradient, and ops skip the work for parents outside this set

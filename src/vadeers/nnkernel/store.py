@@ -33,7 +33,8 @@ def pack(shapes: Iterable[tuple[str, tuple[int, ...]]]) -> Layout:
 
 
 class FlatStore(Mapping):
-    """Name -> array mapping whose values are views of ``flat``.
+    """Name -> array mapping whose values are views of ``flat``, a
+    float64 vector as long as the layout.
 
     Assigning to a name copies the value into its view, so every holder
     of a view, and of ``flat``, sees the change; an unknown name or a
@@ -48,14 +49,9 @@ class FlatStore(Mapping):
 
     def __init__(self, layout: Layout, flat: np.ndarray | None = None,
                  names: Iterable[str] | None = None):
-        size = max((stop for _, stop, _ in layout.values()), default=0)
         if flat is None:
-            flat = np.zeros(size)
-        if flat.dtype != np.float64 or flat.shape != (size,):
-            raise ContractViolation(
-                f"flat store needs a float64 vector of {size}, got "
-                f"{flat.dtype} {flat.shape}"
-            )
+            flat = np.zeros(max((stop for _, stop, _ in layout.values()),
+                                default=0))
         self.layout = layout
         self.flat = flat
         self._grad: np.ndarray | None = None

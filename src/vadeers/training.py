@@ -488,7 +488,8 @@ def _header_arrays(path: Path, entries,
     try:
         arrays = [(e["name"], tuple(e["shape"])) for e in entries]
     except (KeyError, TypeError):
-        raise CheckpointError(f"{path}: malformed array list in header") from None
+        raise CheckpointError(f"{path}: header field 'arrays' must list "
+                              f"objects with a name and a shape") from None
     got = dict(arrays)
     odd = sorted(set(got) ^ set(expected))
     if odd:
@@ -518,7 +519,8 @@ def _header_scaler(path: Path, record, config: ModelConfig) -> Scaler:
     :class:`Scaler`, each list of its config width, every number finite
     and every std > 0."""
     if not isinstance(record, dict):
-        raise CheckpointError(f"{path}: header scaler is not an object")
+        raise CheckpointError(f"{path}: header field 'scaler' must be an "
+                              f"object or null")
     odd = sorted(set(record) ^ set(SCALER_FIELDS))
     if odd:
         what = "unknown" if odd[0] in record else "missing"
@@ -618,6 +620,13 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: payload does not match its payload_sha256")
     flat = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
     model = VadeersModel(config, FlatStore(layout, flat.astype(np.float64)))
+    if not np.isfinite(flat).all():
+        bad = next(n for n, a in model.params.items() if not np.isfinite(a).all())
+        raise CheckpointError(f"{path}: array {bad!r} has a non-finite value")
+    if (config.prior_variant == "gmm_constrained"
+            and model.params["gmm.log_scales"].any()):
+        raise CheckpointError(f"{path}: array 'gmm.log_scales' of a "
+                              f"gmm_constrained model is not all zero")
     scaler = header.get("scaler")
     labels, split, seed = _header_records(path, header, config)
     return Checkpoint(

@@ -11,14 +11,17 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import vadeers.cli
 from vadeers.cli import main
 from vadeers.data import load_csv, load_manifest
 from vadeers.metrics import MetricReport
 from vadeers.model import ModelConfig, VadeersModel
 from vadeers.training import (
     CHECKPOINT_MAGIC,
+    SplitSpec,
     load_checkpoint,
     save_checkpoint,
+    split_by_cell_line,
 )
 
 SMALL_MODEL = {
@@ -139,7 +142,7 @@ def test_readme_quickstart_split_fits_default_synth(tmp_path):
 
 
 def test_train_without_test_cells_writes_its_run_directory(tmp_path, data_dir,
-                                                          config_file):
+                                                          config_file, capsys):
     out = tmp_path / "no-test"
     assert run("train", "--data", data_dir, "--out", out,
                "--config", config_file, "--variant", "vanilla",
@@ -148,6 +151,12 @@ def test_train_without_test_cells_writes_its_run_directory(tmp_path, data_dir,
     assert (out / "report_val.json").exists()
     assert (out / "config_echo.json").exists()
     assert load_checkpoint(out / "checkpoint.bin").split_cells["test"] == []
+    # evaluate reports on test pairs, and this run has none
+    capsys.readouterr()
+    assert run("evaluate", "--checkpoint", out / "checkpoint.bin",
+               "--data", data_dir, "--out", tmp_path / "eval") == 1
+    assert capsys.readouterr().err == "error: no test pairs to evaluate on\n"
+    assert not (tmp_path / "eval").exists()
 
 
 def test_train_default_model_echo_matches_model_config(tmp_path, data_dir):
@@ -367,6 +376,27 @@ def test_predict_unreadable_input_exit_2(tmp_path, run_dir, capsys, first_id,
     assert capsys.readouterr().err == f"data error: {message}\n"
 
 
+@pytest.mark.parametrize("empty, message", [
+    (True, "drugs_in.csv: empty file"),
+    (False, "drugs_in.csv: no data rows"),
+], ids=["empty_file", "header_only"])
+def test_predict_without_rows_exit_2(tmp_path, run_dir, capsys, empty,
+                                     message):
+    dpath = tmp_path / "drugs_in.csv"
+    _write_feature_csv(dpath, "e", [], np.zeros((0, 32)))
+    if empty:
+        dpath.write_bytes(b"")
+    cpath = tmp_path / "cells_in.csv"
+    _write_feature_csv(cpath, "f", [], np.zeros((0, 20)))
+    capsys.readouterr()
+    assert run("predict", "--checkpoint", run_dir / "checkpoint.bin",
+               "--drugs", dpath, "--cells", cpath,
+               "--out", tmp_path / "o.csv") == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and message in err, err
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_predict_row_count_mismatch_names_both_files(tmp_path, run_dir,
                                                      capsys):
     dpath = tmp_path / "drugs_in.csv"
@@ -435,6 +465,10 @@ def _rewrite_header(src, dst, mutate):
     (lambda h: h.update(seed="x"), "seed"),
     (lambda h: h.update(seed=1.5), "seed"),
     (lambda h: h.update(seed=True), "seed"),
+    (lambda h: h["config"].update(prior_variant="bogus"), "prior_variant"),
+    (lambda h: h["arrays"][0].pop("shape"), "arrays"),
+    (lambda h: h.update(scaler=[1.0]), "scaler"),
+    (lambda h: h["scaler"].update(ic50_mean=float("nan")), "ic50_mean"),
 ], ids=["unknown_key", "missing_key", "scaler_missing_field",
         "scaler_unknown_field", "scaler_std_width", "scaler_mean_width",
         "scaler_zero_std", "scaler_string_number", "scaler_int_binary",
@@ -442,7 +476,8 @@ def _rewrite_header(src, dst, mutate):
         "split_int_id", "label_99", "label_minus_1", "label_n_guiding_labels",
         "config_float_latent_dim", "config_float_n_components",
         "config_float_dspn_dims", "config_zero_latent_dim", "seed_string",
-        "seed_float", "seed_bool"])
+        "seed_float", "seed_bool", "config_prior_variant", "array_no_shape",
+        "scaler_not_an_object", "scaler_nan"])
 def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
                                              mutate, key):
     path = tmp_path / "bad.bin"
@@ -454,6 +489,16 @@ def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
     assert "bad.bin" in err and repr(key) in err
 
 
+def _command_args(command, tmp_path, data_dir):
+    """The arguments of ``command`` but --checkpoint and --out; predict
+    gets one drug row and one cell row."""
+    dpath, cpath = tmp_path / "drugs_in.csv", tmp_path / "cells_in.csv"
+    _write_feature_csv(dpath, "e", ["X0"], np.zeros((1, 32)))
+    _write_feature_csv(cpath, "f", ["C0"], np.zeros((1, 20)))
+    return {"generate": ["--n", "5"], "evaluate": ["--data", data_dir],
+            "predict": ["--drugs", dpath, "--cells", cpath]}[command]
+
+
 @pytest.mark.parametrize("header", [[1], None, 3], ids=["list", "null", "int"])
 @pytest.mark.parametrize("command", ["generate", "evaluate", "predict"])
 def test_checkpoint_header_not_an_object_exit_2(tmp_path, data_dir, capsys,
@@ -461,11 +506,7 @@ def test_checkpoint_header_not_an_object_exit_2(tmp_path, data_dir, capsys,
     path = tmp_path / "bad.bin"
     blob = json.dumps(header).encode()
     path.write_bytes(CHECKPOINT_MAGIC + len(blob).to_bytes(8, "little") + blob)
-    dpath, cpath = tmp_path / "drugs_in.csv", tmp_path / "cells_in.csv"
-    _write_feature_csv(dpath, "e", ["X0"], np.zeros((1, 32)))
-    _write_feature_csv(cpath, "f", ["C0"], np.zeros((1, 20)))
-    args = {"generate": ["--n", "5"], "evaluate": ["--data", data_dir],
-            "predict": ["--drugs", dpath, "--cells", cpath]}[command]
+    args = _command_args(command, tmp_path, data_dir)
     capsys.readouterr()
     assert run(command, "--checkpoint", path, *args,
                "--out", tmp_path / "out") == 2
@@ -485,7 +526,9 @@ def _with_length(raw, size):
     lambda raw, size: raw[:14] + b"\xff" + raw[15:],
     lambda raw, size: _with_length(raw, size + 40),
     lambda raw, size: _with_length(raw, len(raw)),
-], ids=["non_utf8_header_byte", "length_inside_file", "length_past_end"])
+    lambda raw, size: raw + bytes(8),
+], ids=["non_utf8_header_byte", "length_inside_file", "length_past_end",
+        "trailing_bytes"])
 @pytest.mark.parametrize("command", ["generate", "evaluate", "predict"])
 def test_checkpoint_header_bytes_defect_exit_2(tmp_path, run_dir, data_dir,
                                                capsys, command, mutate):
@@ -493,17 +536,35 @@ def test_checkpoint_header_bytes_defect_exit_2(tmp_path, run_dir, data_dir,
     n = len(CHECKPOINT_MAGIC)
     path = tmp_path / "bad.bin"
     path.write_bytes(mutate(raw, int.from_bytes(raw[n: n + 8], "little")))
-    dpath, cpath = tmp_path / "drugs_in.csv", tmp_path / "cells_in.csv"
-    _write_feature_csv(dpath, "e", ["X0"], np.zeros((1, 32)))
-    _write_feature_csv(cpath, "f", ["C0"], np.zeros((1, 20)))
-    args = {"generate": ["--n", "5"], "evaluate": ["--data", data_dir],
-            "predict": ["--drugs", dpath, "--cells", cpath]}[command]
+    args = _command_args(command, tmp_path, data_dir)
     capsys.readouterr()
     assert run(command, "--checkpoint", path, *args,
                "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {path}: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, value, problem", [
+    ("dspn.0.W", np.nan, "has a non-finite value"),
+    ("gmm.logits", np.inf, "has a non-finite value"),
+    ("gmm.log_scales", 0.5, "of a gmm_constrained model is not all zero"),
+], ids=["nan_weight", "inf_logit", "constrained_log_scale"])
+@pytest.mark.parametrize("command", ["generate", "evaluate", "predict"])
+def test_checkpoint_bad_parameter_value_exit_2(tmp_path, run_dir, data_dir,
+                                               capsys, command, name, value,
+                                               problem):
+    ckpt = load_checkpoint(run_dir / "checkpoint.bin")
+    ckpt.model.params[name].flat[0] = value
+    path = tmp_path / "bad.bin"
+    save_checkpoint(ckpt, path)
+    args = _command_args(command, tmp_path, data_dir)
+    capsys.readouterr()
+    assert run(command, "--checkpoint", path, *args,
+               "--out", tmp_path / "out") == 2
+    assert capsys.readouterr().err == \
+        f"data error: {path}: array {name!r} {problem}\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("mutate", [
@@ -611,6 +672,47 @@ def test_evaluate_encodes_drugs_once(tmp_path, run_dir, data_dir,
                "--data", data_dir, "--out", out, "--n-gen", "20") == 0
     assert (out / "latent_pca.csv").exists()
     assert len(calls) == 1
+
+
+def test_evaluate_vanilla_checkpoint_projects_standard_normal_draws(
+        tmp_path, vanilla_run_dir, data_dir):
+    out = tmp_path / "eval"
+    assert run("evaluate", "--checkpoint", vanilla_run_dir / "checkpoint.bin",
+               "--data", data_dir, "--out", out, "--n-gen", "5") == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["silhouette_generated"] is None
+    assert report["silhouette_latent"] is None and report["per_cluster"] == {}
+    # three draws per --n-gen, each labeled -1; and no labeled drugs
+    rows = (out / "generated_ip_pca.csv").read_text().splitlines()[1:]
+    assert len(rows) == 15 and {r.split(",")[0] for r in rows} == {"-1"}
+    assert not (out / "latent_pca.csv").exists()
+
+
+@pytest.mark.parametrize("train_flags, n_gen, projections", [
+    (("--n-components", "1", "--n-guiding-labels", "1"), "40",
+     {"latent_pca.csv", "generated_ip_pca.csv"}),
+    (("--latent-dim", "1"), "40", {"generated_ip_pca.csv"}),
+    (("--n-components", "2", "--n-guiding-labels", "2"), "1",
+     {"latent_pca.csv"}),
+], ids=["one_component", "one_latent_column", "two_generated_rows"])
+def test_train_and_evaluate_write_what_they_can(tmp_path, data_dir,
+                                                config_file, train_flags,
+                                                n_gen, projections):
+    # one component has no generated Silhouette, and a projection needs
+    # 3 rows and 2 columns; each is left out, not an error
+    run_out = tmp_path / "run"
+    assert run("train", "--data", data_dir, "--out", run_out,
+               "--config", config_file, "--variant", "gmm_constrained",
+               *train_flags) == 0
+    reports = [json.loads((run_out / "report_val.json").read_text())]
+    out = tmp_path / "eval"
+    assert run("evaluate", "--checkpoint", run_out / "checkpoint.bin",
+               "--data", data_dir, "--out", out, "--n-gen", n_gen) == 0
+    reports.append(json.loads((out / "report.json").read_text()))
+    one_component = train_flags[:2] == ("--n-components", "1")
+    for report in reports:
+        assert (report["silhouette_generated"] is None) == one_component
+    assert {p.name for p in out.glob("*_pca.csv")} == projections
 
 
 def test_evaluate_rejects_changed_dataset(tmp_path, run_dir, data_dir,
@@ -792,6 +894,28 @@ def test_bad_config_key_exit_2(tmp_path, data_dir):
     ({"split": {"n_val_cells": 4, "n_test_cells": 0},
       "schedule": {"joint_epochs": 1, "dspn_epochs": 1}}, ("experiment",), 2,
      ["bad.json", "'split'", "'n_test_cells'"]),
+    # the rules of each config record, one key at fault
+    ({"synth": {"observance": 0.0}}, ("synth",), 2,
+     ["bad.json", "'synth'", "'observance'"]),
+    ({"synth": {"n_binary_features": 20}}, ("synth",), 2,
+     ["bad.json", "'synth'", "'n_binary_features'"]),
+    ({"synth": {"n_clusters": 0}}, ("synth",), 2,
+     ["bad.json", "'synth'", "'n_clusters'"]),
+    ({"model": {"n_guiding_labels": 4}}, (), 2,
+     ["bad.json", "'model'", "'n_guiding_labels'"]),
+    ({"model": {"dspn_dropout": 1.0}}, (), 2,
+     ["bad.json", "'model'", "'dspn_dropout'"]),
+    ({"model": {"dspn_input": "z"}}, (), 2,
+     ["bad.json", "'model'", "'dspn_input'"]),
+    ({"model": {"decoder_dims": [8, 0]}}, (), 2,
+     ["bad.json", "'model'", "'decoder_dims'"]),
+    ({"schedule": {"joint_epochs": -1}}, (), 2,
+     ["bad.json", "'schedule'", "'joint_epochs'"]),
+    # errors of the command line itself
+    (None, ("train", "--config", "no-such-config.json"), 2,
+     ["config file no-such-config.json does not exist"]),
+    (None, ("experiment", "--variants", "vanilla,bogus"), 2,
+     ["unknown variant 'bogus'"]),
 ])
 def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
                                                 config, argv, code, names):
@@ -860,6 +984,79 @@ def test_malformed_manifest_count_exit_2(tmp_path, data_dir, capsys, key,
     assert "Traceback" not in captured.out + captured.err
     assert str(data / "manifest.json") in captured.err, captured.err
     assert repr(key) in captured.err, captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def _header_only(name, count):
+    """An edit leaving only the header of ``name``, and the manifest's
+    ``count`` at 0."""
+    def edit(data):
+        path = data / name
+        path.write_text(path.read_text().splitlines()[0] + "\n")
+        manifest = json.loads((data / "manifest.json").read_text())
+        (data / "manifest.json").write_text(json.dumps({**manifest, count: 0}))
+    return edit
+
+
+def _pairs_on_held_out_cells_only(data):
+    split = split_by_cell_line(load_csv(data), SplitSpec(
+        n_val_cells=4, n_test_cells=4, seed=0))
+    held_out = {*split.val_cells, *split.test_cells}
+    header, *rows = (data / "ic50.csv").read_text().splitlines()
+    kept = [row for row in rows if row.split(",")[1] in held_out]
+    (data / "ic50.csv").write_text("\n".join([header, *kept]) + "\n")
+    manifest = json.loads((data / "manifest.json").read_text())
+    (data / "manifest.json").write_text(
+        json.dumps({**manifest, "n_pairs": len(kept)}))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda data: (data / "cells.csv").unlink(),
+     "missing file {data}/cells.csv"),
+    (_header_only("cells.csv", "n_cells"),
+     "cells.csv: no rows; a dataset needs at least one drug and one cell "
+     "line"),
+    (_header_only("profiles.csv", "n_profiled"),
+     "profiles.csv: no rows; the dataset has no inhibition profiles"),
+    (_pairs_on_held_out_cells_only,
+     "ic50.csv: no pairs on the training cell lines to fit the scaler on"),
+], ids=["missing_file", "no_cells", "no_profiles", "no_train_pairs"])
+def test_unusable_dataset_exit_2(tmp_path, data_dir, config_file, capsys,
+                                 edit, message):
+    data = tmp_path / "data"
+    shutil.copytree(data_dir, data)
+    edit(data)
+    capsys.readouterr()
+    assert run("train", "--data", data, "--config", config_file,
+               "--seed", "0", "--out", tmp_path / "o") == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err == f"data error: {message.format(data=data)}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_unwritable_output_is_an_io_error_exit_2(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    capsys.readouterr()
+    assert run("synth", "--out", blocker / "synth", "--n-drugs", "10",
+               "--n-profiled", "5", "--n-cells", "8") == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("i/o error: ")
+    assert str(blocker / "synth") in captured.err, captured.err
+
+
+def test_interrupt_exits_1_without_traceback(tmp_path, data_dir, capsys,
+                                             monkeypatch):
+    def interrupted(directory):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(vadeers.cli, "load_csv", interrupted)
+    capsys.readouterr()
+    assert run("train", "--data", data_dir, "--out", tmp_path / "o") == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
     assert not (tmp_path / "o").exists()
 
 

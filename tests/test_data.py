@@ -148,13 +148,40 @@ def test_labels_never_assigned_without_profile():
 # CSV round-trips
 # ---------------------------------------------------------------------------
 
+def _tiny_tables():
+    """The drug, profile and cell tables and the pair columns of a tiny
+    dataset, as lists that a test may edit."""
+    return [(["D0", "D1", "D2"], [[1.0, 2.5], [-0.25, 0.125], [3.0, -4.0]]),
+            (["D0", "D2"], [[0.5, -1.5, 2.0], [1.0, 1.0, 1.0]]),
+            (["C0", "C1"], [[0.0, 1.0, 0.5, 1.0], [1.0, 0.0, -0.25, 1.0]]),
+            (["D0", "D0", "D1", "D2"], ["C0", "C1", "C0", "C1"],
+             [1.25, -0.5, 0.75, 2.0])]
+
+
 def _tiny_dataset():
-    return Dataset.build(
-        (["D0", "D1", "D2"], [[1.0, 2.5], [-0.25, 0.125], [3.0, -4.0]]),
-        (["D0", "D2"], [[0.5, -1.5, 2.0], [1.0, 1.0, 1.0]]),
-        (["C0", "C1"], [[0.0, 1.0, 0.5, 1.0], [1.0, 0.0, -0.25, 1.0]]),
-        (["D0", "D0", "D1", "D2"], ["C0", "C1", "C0", "C1"],
-         [1.25, -0.5, 0.75, 2.0]))
+    return Dataset.build(*_tiny_tables())
+
+
+@pytest.mark.parametrize("edit, error, message", [
+    (lambda t: t[0][0].append("D3"), ContractViolation,
+     "drugs.csv: 4 ids for a matrix of shape (3, 2)"),
+    (lambda t: t[2][1][1].__setitem__(2, np.inf), DataError,
+     "cells.csv: row 2: non-finite value"),
+    (lambda t: t[3][2].pop(), ContractViolation,
+     "pair columns differ in length"),
+    (lambda t: t[3][2].__setitem__(1, np.nan), DataError,
+     "ic50.csv: row 2: non-finite sensitivity value for ('D0', 'C1')"),
+], ids=["ids_and_rows", "non_finite_table_value", "pair_columns",
+        "non_finite_pair_value"])
+def test_build_rejects_tables_the_csv_reader_cannot_give(edit, error,
+                                                         message):
+    # read_table gives one id per row and finite values, so only a
+    # library caller can give Dataset.build these
+    tables = _tiny_tables()
+    edit(tables)
+    with pytest.raises(error) as err:
+        Dataset.build(*tables)
+    assert str(err.value) == message
 
 
 def _same_pairs(a, b):
@@ -609,6 +636,7 @@ def test_standardize_train_columns_centered():
     train_cells = {c.id for c in dataset.cells[:20]}
     std, scaler = standardize(dataset, train_cells)
     emb = std.embedding_matrix()
+    assert std.feature_matrix() is std.features
     assert np.max(np.abs(emb.mean(axis=0))) < 1e-10
     assert np.max(np.abs(emb.std(axis=0) - 1.0)) < 1e-10
     feats = np.stack([c.features for c in std.cells if c.id in train_cells])
@@ -676,6 +704,15 @@ def test_zero_variance_column_warns(caplog):
         std, scaler = standardize(dataset, {"C0", "C1", "C2", "C3"})
     assert "zero-variance" in caplog.text
     assert scaler.embedding_std[0] == 1.0
+
+
+def test_constant_sensitivities_are_left_unscaled(caplog):
+    tables = _tiny_tables()
+    tables[3] = (*tables[3][:2], [0.5] * 4)
+    with caplog.at_level("WARNING"):
+        std, scaler = standardize(Dataset.build(*tables), {"C0", "C1"})
+    assert "zero-variance sensitivity values left unscaled" in caplog.text
+    assert scaler.ic50_std == 1.0 and not std.pair_y.any()
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,11 @@ def test_pearson_constant_input_errors():
         pearson(np.ones(5), np.arange(5.0))
 
 
+def test_pearson_of_one_point_errors():
+    with pytest.raises(ContractViolation, match="at least 2 points"):
+        pearson([1.0], [2.0])
+
+
 # ---------------------------------------------------------------------------
 # silhouette
 # ---------------------------------------------------------------------------
@@ -208,6 +213,17 @@ def test_pca2_too_few_columns():
         pca2(np.zeros((5, 1)))
 
 
+def test_pca2_too_few_rows():
+    with pytest.raises(ContractViolation, match="at least 3 rows"):
+        pca2(np.zeros((2, 4)))
+
+
+def test_pca2_of_constant_rows_explains_nothing():
+    proj, fractions = pca2(np.ones((4, 3)))
+    assert fractions == (0.0, 0.0)
+    assert not proj.any()
+
+
 # ---------------------------------------------------------------------------
 # cluster stats
 # ---------------------------------------------------------------------------
@@ -344,3 +360,19 @@ def test_metric_report_json_round_trip():
     back = MetricReport.from_json(report.to_json())
     assert back == report
     assert back.to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("ic50_pearson", 1.5, "outside"),
+    ("silhouette_generated", -1.01, "outside"),
+    ("ip_rmse", -0.5, "negative"),
+    ("std_rmse", -1.0, "negative"),
+])
+def test_metric_report_rejects_values_out_of_range(field, value, message):
+    fields = dict(ic50_rmse=1.0, ic50_pearson=0.5, ip_rmse=1.0,
+                  silhouette_latent=None, silhouette_generated=None,
+                  centroid_rmse=None, centroid_pearson=None, std_rmse=None,
+                  std_pearson=None, gen_std_mean=None, per_cluster={},
+                  run_seed=0, n_test_pairs=1)
+    with pytest.raises(ContractViolation, match=f"{field}=.* {message}"):
+        MetricReport(**{**fields, field: value})

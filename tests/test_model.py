@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vadeers import gmm
-from vadeers.exceptions import ContractViolation
+from vadeers.exceptions import ContractViolation, NumericError
 from vadeers.model import (
     PREDICT_BLOCK_ROWS,
     Batch,
@@ -459,6 +459,29 @@ def test_predict_sensitivity_rejects_unequal_row_counts():
     model = toy_model(seed=34)
     with pytest.raises(ContractViolation, match="latent shapes differ"):
         model.predict_sensitivity(np.zeros((2 * B, 3)), np.zeros((2 * B + 1, 3)))
+
+
+@pytest.mark.parametrize("encode, x, message", [
+    ("drug_latent_means", np.zeros(TOY.smiles_dim), "drug input must be 2-D"),
+    ("drug_latent_means", np.full((2, TOY.smiles_dim), np.nan),
+     "drug input contains non-finite entries"),
+    ("drug_latent_means", np.zeros((2, TOY.smiles_dim + 1)),
+     "drug input width 7 != smiles_dim 6"),
+    ("cell_latents", np.zeros((2, TOY.bio_dim - 1)),
+     "cell input width 3 != bio_dim 4"),
+], ids=["drug_1d", "drug_nan", "drug_width", "cell_width"])
+def test_encoders_reject_malformed_input(encode, x, message):
+    # the library entry points check what they are given; the CLI's
+    # readers check widths and values before these are reached
+    with pytest.raises(ContractViolation, match=message):
+        getattr(toy_model(seed=35), encode)(x)
+
+
+def test_non_finite_encoder_head_is_a_numeric_error():
+    model = toy_model(seed=36)
+    model.params["dvae.enc.logsig.b"] = np.full(TOY.latent_dim, np.inf)
+    with pytest.raises(NumericError, match="non-finite encoder head output"):
+        model.drug_latent_means(np.zeros((2, TOY.smiles_dim)))
 
 
 # ---------------------------------------------------------------------------

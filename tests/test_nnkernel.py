@@ -77,12 +77,6 @@ def test_affine_matches_triple_loop_oracle():
     assert np.max(np.abs(out.data - expected)) < 1e-12
 
 
-def test_affine_dimension_mismatch_names_shapes():
-    with pytest.raises(ContractViolation) as err:
-        dense(np.zeros((2, 3)), np.zeros((4, 2)), np.zeros(2))
-    assert "(2, 3)" in str(err.value) and "(4, 2)" in str(err.value)
-
-
 # ---------------------------------------------------------------------------
 # row parts on two cores
 # ---------------------------------------------------------------------------
@@ -398,20 +392,6 @@ def test_dropout_mask_bytes_match_the_out_of_place_expression(rate):
     assert mask.tobytes() == (keep.astype(np.float64) / (1.0 - rate)).tobytes()
 
 
-def test_dropout_requires_rng_in_train_mode():
-    layers = [LayerSpec(2, 2, "relu", 0.5)]
-    params = [(np.eye(2), np.zeros(2))]
-    with pytest.raises(ContractViolation):
-        mlp_forward(np.ones((1, 2)), layers, params, mode="train")
-
-
-def test_chain_break_raises():
-    layers = [LayerSpec(2, 3), LayerSpec(4, 2)]
-    params = [(np.zeros((2, 3)), np.zeros(3)), (np.zeros((4, 2)), np.zeros(2))]
-    with pytest.raises(ContractViolation):
-        mlp_forward(np.ones((1, 2)), layers, params)
-
-
 # ---------------------------------------------------------------------------
 # mse
 # ---------------------------------------------------------------------------
@@ -431,15 +411,6 @@ def test_mse_matches_scalar_oracle():
     a = rng.standard_normal((5, 7))
     b = rng.standard_normal((5, 7))
     assert abs(float(mse(a, b).data) - mse_loops(a, b)) < 1e-12
-
-
-def test_mse_shape_mismatch():
-    with pytest.raises(ContractViolation):
-        mse(np.zeros((2, 2)), np.zeros((2, 3)))
-    with pytest.raises(ContractViolation):
-        row_mse(np.zeros((2, 2)), np.zeros((2, 3)))
-    with pytest.raises(ContractViolation):
-        row_mse(np.zeros((2, 2)), np.zeros((2, 2)), np.ones(3))
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +507,11 @@ def test_grad_zero_for_unused_parameter():
     loss = tsum(square(p["w"]))
     grads = tape.gradient(loss)
     assert np.array_equal(grads["unused"], [0.0])
+
+
+def test_grad_of_a_parameter_by_itself_is_one():
+    tape, p = bound_tape({"w": np.array(3.0)})
+    assert tape.gradient(p["w"])["w"] == 1.0
 
 
 def test_grad_disconnected_loss_raises():

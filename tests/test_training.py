@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import vadeers.data
+import vadeers.training
 
 from vadeers.data import (
     Dataset,
@@ -21,6 +22,7 @@ from vadeers.exceptions import CheckpointError, ContractViolation, DataError
 from vadeers.model import LossWeights, ModelConfig, VadeersModel
 from vadeers.training import (
     Checkpoint,
+    RunLog,
     SplitSpec,
     TrainSchedule,
     TrainingAborted,
@@ -170,6 +172,42 @@ def test_conformance_checker_passes_and_detects_tampering():
     assert check_schedule_conformance(tampered, schedule)
 
 
+def _conforming_runlog():
+    """A hand-made run log that conforms to its schedule: two joint
+    epochs of three steps with a break every three steps, then two DSPN
+    epochs."""
+    schedule = TrainSchedule(joint_epochs=2, dspn_epochs=2,
+                             dvae_break_every_steps=3)
+    runlog = RunLog(
+        epochs=[{"phase": 1, "phase_epoch": 0, "joint_step": 3, "lr": 0.005},
+                {"phase": 1, "phase_epoch": 1, "joint_step": 6, "lr": 0.005},
+                {"phase": 2, "phase_epoch": 0, "joint_step": 6, "lr": 0.001},
+                {"phase": 2, "phase_epoch": 1, "joint_step": 6, "lr": 0.001}],
+        events=[{"event": "break_start", "at_joint_step": 3},
+                {"event": "break_start", "at_joint_step": 6},
+                {"event": "freeze_check", "phase_epoch": 0, "hash": "h"},
+                {"event": "freeze_check", "phase_epoch": 1, "hash": "h"}])
+    return runlog, schedule
+
+
+@pytest.mark.parametrize("edit, problem", [
+    (lambda log: log.epochs.pop(0), "1 joint epochs, expected 2"),
+    (lambda log: log.epochs.pop(), "1 dspn epochs, expected 2"),
+    (lambda log: log.events.pop(0), "1 breaks, expected 2"),
+    (lambda log: log.events[0].update(at_joint_step=2),
+     "break 1 at step 2, expected 3"),
+    (lambda log: log.events.pop(), "1 freeze checks, expected 2"),
+    (lambda log: log.events[-1].update(hash="other"),
+     "frozen-parameter hash changed during phase 2"),
+], ids=["joint_epoch", "dspn_epoch", "break_count", "break_step",
+        "freeze_count", "freeze_hash"])
+def test_conformance_checker_names_each_violation(edit, problem):
+    runlog, schedule = _conforming_runlog()
+    assert check_schedule_conformance(runlog, schedule) == []
+    edit(runlog)
+    assert problem in check_schedule_conformance(runlog, schedule)
+
+
 def test_phase2_lr_decay_schedule():
     schedule = TrainSchedule()
     assert schedule.dspn_lr_at(0) == 0.001
@@ -220,6 +258,33 @@ def test_divergent_lr_aborts_with_last_good_model(phase, schedule_kw):
     assert len(reasons) == 1 and reasons[0].startswith(phase), reasons
     for arr in aborted.model.params.values():
         assert np.all(np.isfinite(arr))
+
+
+def test_overflowing_loss_aborts_though_activations_stay_finite():
+    # each term is finite at init, and their weighted sum overflows
+    weights = LossWeights(smiles_recon=1e308, ip_recon=1e308, cae=1e308,
+                          dspn=1e308)
+    with pytest.raises(TrainingAborted,
+                       match="^joint step 1 loss non-finite$") as err:
+        train(tiny_dataset(), TINY_CONFIG,
+              TrainSchedule(joint_epochs=1, dspn_epochs=1, seed=0), weights,
+              SplitSpec(n_val_cells=3, n_test_cells=3, seed=0))
+    assert err.value.runlog.events[-1] == {
+        "event": "aborted", "reason": "joint step 1 loss non-finite"}
+
+
+def test_a_frozen_parameter_that_moves_in_phase_2_aborts(monkeypatch):
+    step = vadeers.training.adam_step
+
+    def leaky(params, grads, state, lr):
+        step(params, grads, state, lr)
+        if "dvae.enc.0.W" not in grads:  # a phase-2 step trains the DSPN only
+            params["dvae.enc.0.b"] += 1.0
+
+    monkeypatch.setattr(vadeers.training, "adam_step", leaky)
+    with pytest.raises(TrainingAborted,
+                       match="frozen parameters changed during phase 2"):
+        tiny_train()
 
 
 def test_gmm_variant_requires_labels():
