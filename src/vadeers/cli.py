@@ -27,7 +27,6 @@ from .data import (
     DESK_SPEC,
     Dataset,
     SynthSpec,
-    apply_scaler,
     atomic_open,
     derive_guiding_labels,
     field_defaults,
@@ -46,17 +45,15 @@ from .exceptions import (
     NumericError,
     VadeersError,
 )
-from .metrics import evaluate, generate_profiles, pca2
+from .metrics import evaluate, pca2
 from .model import LossWeights, ModelConfig, PRIOR_VARIANTS
 from .training import (
-    Checkpoint,
     SplitSpec,
     TrainResult,
     TrainingAborted,
     TrainSchedule,
     check_compatible,
     load_checkpoint,
-    partition_by_cells,
     save_checkpoint,
     train,
 )
@@ -153,7 +150,7 @@ def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observanc
 
 def _run_training(dataset: Dataset, config: dict, variant: str, seed: int,
                   model_flags: dict, schedule_flags: dict,
-                  split_flags: dict) -> tuple[TrainResult, ModelConfig, SplitSpec]:
+                  split_flags: dict) -> TrainResult:
     model_config = _configured(
         ModelConfig,
         {**field_defaults(ModelConfig), "smiles_dim": dataset.smiles_dim,
@@ -170,34 +167,19 @@ def _run_training(dataset: Dataset, config: dict, variant: str, seed: int,
     if model_config.uses_gmm:
         dataset = derive_guiding_labels(
             dataset, n_labels=model_config.n_guiding_labels, seed=seed)
-    result = train(dataset, model_config, schedule, weights, split_spec)
-    return result, model_config, split_spec
+    return train(dataset, model_config, schedule, weights, split_spec)
 
 
-def _write_run_dir(out_dir: Path, result: TrainResult, dataset: Dataset,
-                   seed: int) -> dict[str, int]:
-    """Write a run's artifacts; returns its guiding-label map."""
+def _write_run_dir(out_dir: Path, result: TrainResult,
+                   dataset: Dataset) -> None:
+    """Write a run's checkpoint, run log and validation report."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    labels = result.dataset_std.guiding_labels()
-    checkpoint = Checkpoint(
-        model=result.model,
-        scaler=result.scaler,
-        guiding_labels=labels or None,
-        split_cells={
-            "train": result.split.train_cells,
-            "val": result.split.val_cells,
-            "test": result.split.test_cells,
-        },
-        seed=seed,
-    )
-    save_checkpoint(checkpoint, out_dir / "checkpoint.bin")
+    save_checkpoint(result.checkpoint, out_dir / "checkpoint.bin")
     result.runlog.export_jsonl(out_dir / "runlog.jsonl")
-    report = evaluate(result.model, dataset, result.dataset_std, result.split,
-                      result.scaler, labels=labels or None, seed=seed,
-                      pairs="val")
+    report = evaluate(result.checkpoint, dataset, pairs="val",
+                      seed=result.checkpoint.seed).report
     with atomic_open(out_dir / "report_val.json") as fh:
         fh.write(report.to_json() + "\n")
-    return labels
 
 
 @cli.command()
@@ -229,7 +211,7 @@ def train_cmd(config_path, data_dir, out, seed, variant, latent_dim,
     dataset = load_csv(data_dir)
     out_dir = _out_dir(out, f"train-{variant}-seed{seed}")
     try:
-        result, model_config, _ = _run_training(
+        result = _run_training(
             dataset, config, variant, seed,
             model_flags={"latent_dim": latent_dim, "n_components": n_components,
                          "n_guiding_labels": n_guiding_labels},
@@ -244,14 +226,14 @@ def train_cmd(config_path, data_dir, out, seed, variant, latent_dim,
     except TrainingAborted as exc:
         # label the partial artifacts, then surface the numeric failure
         out_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(Checkpoint(model=exc.model, seed=seed),
+        save_checkpoint(exc.result.checkpoint,
                         out_dir / "checkpoint_last_good.ABORTED.bin")
-        exc.runlog.export_jsonl(out_dir / "runlog.ABORTED.jsonl")
+        exc.result.runlog.export_jsonl(out_dir / "runlog.ABORTED.jsonl")
         raise
-    _write_run_dir(out_dir, result, dataset, seed)
+    _write_run_dir(out_dir, result, dataset)
     with atomic_open(out_dir / "config_echo.json") as fh:
         fh.write(json.dumps({"variant": variant, "seed": seed,
-                             "model": asdict(model_config)},
+                             "model": asdict(result.checkpoint.model.config)},
                             sort_keys=True, indent=2) + "\n")
     click.echo(f"run directory: {out_dir}")
 
@@ -297,11 +279,8 @@ def generate(checkpoint_path, component, n_samples, out, seed):
     else:
         z = rng.standard_normal((n_samples, config.latent_dim))
     recon, ip_pred = model.decode_drug(z)
-    emb = recon.data
-    ip = ip_pred.data
-    if ckpt.scaler is not None:
-        emb = ckpt.scaler.inverse_embedding(emb)
-        ip = ckpt.scaler.inverse_ip(ip)
+    emb = ckpt.scaler.inverse_embedding(recon.data)
+    ip = ckpt.scaler.inverse_ip(ip_pred.data)
     out_path = Path(out) if out else _out_dir(None, "generated.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_table(out_path, ["component"]
@@ -334,14 +313,9 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
         )
     if not drug_ids:
         raise DataError(f"{drugs_path}: no data rows")
-    if ckpt.scaler is not None:
-        emb = ckpt.scaler.transform_embedding(emb)
-        feats = ckpt.scaler.transform_cell(feats)
-    mu = model.drug_latent_means(emb)
-    lat = model.cell_latents(feats)
-    preds = model.predict_sensitivity(mu, lat)
-    if ckpt.scaler is not None:
-        preds = ckpt.scaler.inverse_ic50(preds)
+    mu = model.drug_latent_means(ckpt.scaler.transform_embedding(emb))
+    lat = model.cell_latents(ckpt.scaler.transform_cell(feats))
+    preds = ckpt.scaler.inverse_ic50(model.predict_sensitivity(mu, lat))
     out_path = Path(out) if out else _out_dir(None, "predictions.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_table(out_path, ["drug_id", "cell_id", "prediction"],
@@ -364,32 +338,22 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
 def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
     """Full metric report plus 2-D projection CSVs for plotting."""
     ckpt = load_checkpoint(checkpoint_path)
-    if ckpt.scaler is None or ckpt.split_cells is None:
-        raise CheckpointError(f"{checkpoint_path}: checkpoint lacks "
-                              f"scaler/split records")
+    if not ckpt.split_cells["test"]:
+        raise CheckpointError(f"{checkpoint_path}: the checkpoint's test "
+                              f"split holds no cell lines, and evaluate "
+                              f"reports on test pairs")
     dataset = load_csv(data_dir)
     check_compatible(ckpt, dataset, checkpoint_path)
-    cells = ckpt.split_cells
-    if set().union(*cells.values()) != set(dataset.cell_ids):
-        raise DataError(f"{checkpoint_path}: split reconstruction mismatch: "
-                        f"the dataset's cell lines differ from those "
-                        f"recorded at training time")
-    split = partition_by_cells(dataset, cells["train"], cells["val"],
-                               cells["test"])
-    dataset_std = apply_scaler(dataset, ckpt.scaler)
-    gen_rows, comps = generate_profiles(ckpt.model, n_gen, seed)
-    mu = ckpt.model.drug_latent_means(dataset_std.embeddings)
-    report = evaluate(ckpt.model, dataset, dataset_std, split, ckpt.scaler,
-                      labels=ckpt.guiding_labels, n_gen_per_component=n_gen,
-                      seed=seed, generated=(gen_rows, comps), drug_mu=mu)
+    report, mu, gen_rows, comps = evaluate(
+        ckpt, dataset, n_gen_per_component=n_gen, seed=seed)
     out_dir = _out_dir(out, f"eval-seed{seed}")
     out_dir.mkdir(parents=True, exist_ok=True)
     with atomic_open(out_dir / "report.json") as fh:
         fh.write(report.to_json() + "\n")
 
     labels = ckpt.guiding_labels or {}
-    labeled = [i for i, d in enumerate(dataset_std.drug_ids) if d in labels]
-    ids = [dataset_std.drug_ids[i] for i in labeled]
+    labeled = [i for i, d in enumerate(dataset.drug_ids) if d in labels]
+    ids = [dataset.drug_ids[i] for i in labeled]
     # a projection needs 3 rows and 2 columns; without them it is not written
     for name, id_header, id_columns, rows in (
             ("latent_pca.csv", ["drug_id", "label"],
@@ -405,6 +369,22 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
 # experiment grid
 # ---------------------------------------------------------------------------
 
+def _list_flag(text: str, flag: str, kind: type, what: str,
+               choices=()) -> list:
+    """The values of a comma-separated list flag: one or more, distinct,
+    each of type ``kind`` and, given ``choices``, one of them; anything
+    else is a usage error naming ``flag`` and ``what`` it lists."""
+    try:
+        values = [kind(s.strip()) for s in text.split(",") if s.strip()]
+    except ValueError:
+        values = []
+    if (not values or len(set(values)) < len(values)
+            or choices and not set(values) <= set(choices)):
+        raise click.BadParameter(f"{text!r} is not a comma-separated list "
+                                 f"of distinct {what}", param_hint=flag)
+    return values
+
+
 @cli.command()
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--data", "data_dir", type=str, required=True)
@@ -416,16 +396,11 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
 def experiment(config_path, data_dir, out, seeds, variants, joint_epochs,
                dspn_epochs):
     """Run the variant x seed grid and aggregate mean +- std per metric."""
+    seed_list = _list_flag(seeds, "--seeds", int, "integers")
+    variant_list = _list_flag(variants, "--variants", str,
+                              f"names of {', '.join(PRIOR_VARIANTS)}",
+                              PRIOR_VARIANTS)
     config = _load_config(config_path)
-    try:
-        seed_list = [int(s) for s in seeds.split(",") if s != ""]
-    except ValueError:
-        raise click.BadParameter(f"{seeds!r} is not a comma-separated list "
-                                 f"of integers", param_hint="--seeds") from None
-    variant_list = [v.strip() for v in variants.split(",") if v.strip()]
-    for v in variant_list:
-        if v not in PRIOR_VARIANTS:
-            raise DataError(f"unknown variant {v!r}")
     split = _configured(SplitSpec, field_defaults(SplitSpec, "seed"), config,
                         "split", {})
     if split.n_test_cells < 1:
@@ -443,16 +418,14 @@ def experiment(config_path, data_dir, out, seeds, variants, joint_epochs,
         v: {m: [] for m in metric_names} for v in variant_list}
     for variant in variant_list:
         for seed in seed_list:
-            result, _, _ = _run_training(
+            result = _run_training(
                 dataset, config, variant, seed, model_flags={},
                 schedule_flags={"joint_epochs": joint_epochs,
                                 "dspn_epochs": dspn_epochs},
                 split_flags={})
             run_dir = out_dir / f"{variant}-seed{seed}"
-            labels = _write_run_dir(run_dir, result, dataset, seed)
-            report = evaluate(result.model, dataset, result.dataset_std,
-                              result.split, result.scaler,
-                              labels=labels or None, seed=seed, pairs="test")
+            _write_run_dir(run_dir, result, dataset)
+            report = evaluate(result.checkpoint, dataset, seed=seed).report
             with atomic_open(run_dir / "report_test.json") as fh:
                 fh.write(report.to_json() + "\n")
             for m in metric_names:

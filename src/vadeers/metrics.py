@@ -18,14 +18,15 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gmm
-from .data import Dataset
+from .data import Dataset, apply_scaler
 from .exceptions import ContractViolation, UndefinedMetricError
 from .model import VadeersModel
-from .training import Split
+from .training import Checkpoint, partition_by_cells
 
 
 def rmse(y_true, y_pred) -> float:
@@ -137,7 +138,7 @@ def cluster_stats(rows, labels) -> ClusterStats:
 @dataclass
 class FidelityReport:
     centroid_rmse: float
-    centroid_pearson: float
+    centroid_pearson: float | None
     std_rmse: float | None
     std_pearson: float | None
     per_cluster: dict[int, dict[str, float]]
@@ -166,10 +167,12 @@ def generation_fidelity(true_rows, true_labels, gen_rows,
                         gen_components) -> FidelityReport:
     """Feature-wise RMSE and Pearson between true and generated per-cluster
     centroid and STD vectors, averaged over the clusters matched by
-    nearest centroids."""
+    nearest centroids.  A Pearson over fewer than 2 features is
+    undefined: it is None, in each cluster and on average."""
     true_stats = cluster_stats(true_rows, true_labels)
     gen_stats = cluster_stats(gen_rows, gen_components)
     matching = _match_components(true_stats.centroids, gen_stats.centroids)
+    correlate = pearson if np.shape(true_rows)[1] >= 2 else lambda a, b: None
 
     per_cluster: dict[int, dict[str, float]] = {}
     cent_r, cent_p, std_r, std_p = [], [], [], []
@@ -178,25 +181,28 @@ def generation_fidelity(true_rows, true_labels, gen_rows,
         entry = {
             "label": lab,
             "centroid_rmse": rmse(tc, gc),
-            "centroid_pearson": pearson(tc, gc),
+            "centroid_pearson": correlate(tc, gc),
         }
         cent_r.append(entry["centroid_rmse"])
         cent_p.append(entry["centroid_pearson"])
         ts, gs = true_stats.stds[lab], gen_stats.stds[comp]
         if ts is not None and gs is not None:
             entry["std_rmse"] = rmse(ts, gs)
-            entry["std_pearson"] = pearson(ts, gs)
+            entry["std_pearson"] = correlate(ts, gs)
             entry["gen_std_mean"] = float(np.mean(gs))
             entry["true_std_mean"] = float(np.mean(ts))
             std_r.append(entry["std_rmse"])
             std_p.append(entry["std_pearson"])
         per_cluster[comp] = entry
 
+    def mean(values):
+        return float(np.mean(values)) if values and None not in values else None
+
     return FidelityReport(
         centroid_rmse=float(np.mean(cent_r)),
-        centroid_pearson=float(np.mean(cent_p)),
-        std_rmse=float(np.mean(std_r)) if std_r else None,
-        std_pearson=float(np.mean(std_p)) if std_p else None,
+        centroid_pearson=mean(cent_p),
+        std_rmse=mean(std_r),
+        std_pearson=mean(std_p),
         per_cluster=per_cluster,
         matching=matching,
     )
@@ -256,13 +262,12 @@ def predict_pairs(model: VadeersModel, dataset_std: Dataset, rows: np.ndarray,
                                      lat[dataset_std.pair_cell[rows]])
 
 
-def generate_profiles(model: VadeersModel, n_per_component: int,
-                      seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Decoded inhibition profiles (standardized scale) of
-    ``n_per_component`` draws from each mixture component, and the
-    component of each row; under the vanilla prior, ``3 * n_per_component``
-    standard-normal draws, each labeled -1.  All draws are decoded in one
-    pass."""
+def sample_latents(model: VadeersModel, n_per_component: int,
+                   seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """The latent draws that generated profiles decode from:
+    ``n_per_component`` from each mixture component, and the component
+    of each row; under the vanilla prior, ``3 * n_per_component``
+    standard-normal draws, each labeled -1."""
     if n_per_component < 1:
         raise ContractViolation(
             f"n_per_component must be >= 1, got {n_per_component}")
@@ -276,35 +281,45 @@ def generate_profiles(model: VadeersModel, n_per_component: int,
     else:
         zs = [rng.standard_normal((3 * n_per_component, model.config.latent_dim))]
         comps = np.full(3 * n_per_component, -1)
-    _, ip_gen = model.decode_drug(np.concatenate(zs))
-    return ip_gen.data, comps
+    return np.concatenate(zs), comps
 
 
-def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
-             split: Split, scaler, *, labels: dict[str, int] | None = None,
-             n_gen_per_component: int = 300, seed: int = 0,
-             pairs: str = "test",
-             generated: tuple[np.ndarray, np.ndarray] | None = None,
-             drug_mu: np.ndarray | None = None) -> MetricReport:
-    """Compute the full metric battery.
+class Evaluation(NamedTuple):
+    """What :func:`evaluate` computed: the report, the encoder means of
+    all of the dataset's drugs, and the generated inhibition profiles
+    (standardized scale) with the component of each row."""
 
-    ``dataset`` holds natural-scale values, ``dataset_std`` the
-    standardized copy the model was trained on.  Sensitivity metrics are
-    computed on the chosen held-out pair set on the natural scale;
-    profile reconstruction RMSE is a training-data metric on the
-    standardized scale; the latent Silhouette uses encoder means of the
-    labeled drugs; generated metrics sample each mixture component and
-    decode (GMM variants only), or use ``generated``, the result of
-    :func:`generate_profiles` for the same model, ``n_gen_per_component``
-    and ``seed``.  ``drug_mu``, when given, is
-    ``model.drug_latent_means`` of all of ``dataset_std``'s drugs."""
-    rows = {"test": split.test_rows, "val": split.val_rows,
-            "train": split.train_rows}[pairs]
+    report: MetricReport
+    drug_mu: np.ndarray
+    generated: np.ndarray
+    components: np.ndarray
+
+
+def evaluate(checkpoint: Checkpoint, dataset: Dataset, *, pairs: str = "test",
+             n_gen_per_component: int = 300, seed: int = 0) -> Evaluation:
+    """Compute the full metric battery of a trained model on ``dataset``,
+    which holds natural-scale values.
+
+    The standardized copy comes from the checkpoint's scaler, and the
+    ``pairs`` ("test" or "val") from its split cells.  Sensitivity
+    metrics are computed on those pairs on the natural scale; profile
+    reconstruction RMSE is a training-data metric on the standardized
+    scale; the latent Silhouette uses encoder means of the checkpoint's
+    labeled drugs.  Generated profiles decode :func:`sample_latents`'
+    draws for ``n_gen_per_component`` and ``seed``, in one decoder pass
+    with the profiled drugs' means; their metrics cover the GMM variants
+    only."""
+    model, scaler, labels = (checkpoint.model, checkpoint.scaler,
+                             checkpoint.guiding_labels)
+    cells = checkpoint.split_cells
+    split = partition_by_cells(dataset, cells["train"], cells["val"],
+                               cells["test"])
+    rows = {"test": split.test_rows, "val": split.val_rows}[pairs]
     if not len(rows):
         raise ContractViolation(f"no {pairs} pairs to evaluate on")
+    dataset_std = apply_scaler(dataset, scaler)
 
-    if drug_mu is None:
-        drug_mu = model.drug_latent_means(dataset_std.embeddings)
+    drug_mu = model.drug_latent_means(dataset_std.embeddings)
     preds = scaler.inverse_ic50(predict_pairs(model, dataset_std, rows, drug_mu))
     truth = dataset.pair_y[rows]
     ic50_rmse = rmse(truth, preds)
@@ -312,11 +327,12 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
 
     # profile reconstruction on the training data (all profiled drugs)
     profiled = dataset_std.profile_mask
-    _, ip_pred = model.decode_drug(drug_mu[profiled])
-    ip_rmse = rmse(dataset_std.profiles[profiled], ip_pred.data)
+    n_profiled = int(profiled.sum())
+    z_gen, gen_comps = sample_latents(model, n_gen_per_component, seed)
+    _, ip_pred = model.decode_drug(np.concatenate([drug_mu[profiled], z_gen]))
+    ip_rmse = rmse(dataset_std.profiles[profiled], ip_pred.data[:n_profiled])
+    gen_rows = ip_pred.data[n_profiled:]
 
-    if labels is None:
-        labels = dataset.guiding_labels()
     sil_latent = None
     if labels and len(set(labels.values())) >= 2:
         ids = dataset_std.drug_ids
@@ -329,11 +345,8 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
     gen_std_mean = None
     per_cluster: dict = {}
     gmm_params = model.gmm_params()
-    if gmm_params is not None:
-        gen_rows, gen_comps = (generated if generated is not None else
-                               generate_profiles(model, n_gen_per_component, seed))
-        if gmm_params.n_components >= 2:
-            sil_gen = silhouette(gen_rows, gen_comps)
+    if gmm_params is not None and gmm_params.n_components >= 2:
+        sil_gen = silhouette(gen_rows, gen_comps)
 
     if gmm_params is not None and labels:
         labeled_ids = sorted(labels)
@@ -347,7 +360,7 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
                 if "gen_std_mean" in e]
         gen_std_mean = float(np.mean(stds)) if stds else None
 
-    return MetricReport(
+    report = MetricReport(
         ic50_rmse=ic50_rmse,
         ic50_pearson=ic50_pearson,
         ip_rmse=ip_rmse,
@@ -362,3 +375,4 @@ def evaluate(model: VadeersModel, dataset: Dataset, dataset_std: Dataset,
         run_seed=seed,
         n_test_pairs=len(rows),
     )
+    return Evaluation(report, drug_mu, gen_rows, gen_comps)

@@ -234,23 +234,33 @@ def _params_hash(model: VadeersModel, groups: tuple[str, ...]) -> str:
     return h.hexdigest()
 
 
-class TrainingAborted(NumericError):
-    """Raised when the loss goes non-finite; carries the last model state
-    that completed an epoch with finite losses."""
+@dataclass
+class Checkpoint:
+    """Everything needed to use a trained model later: parameters, config,
+    the scaler fitted on the training cell lines, the guiding labels, the
+    cell lines of each split partition, and the run seed."""
 
-    def __init__(self, message: str, model: VadeersModel, runlog: RunLog):
-        super().__init__(message)
-        self.model = model
-        self.runlog = runlog
+    model: VadeersModel
+    scaler: Scaler
+    guiding_labels: dict[str, int] | None
+    split_cells: dict[str, list[str]]
+    seed: int | None
 
 
 @dataclass
 class TrainResult:
-    model: VadeersModel
+    checkpoint: Checkpoint
     runlog: RunLog
-    scaler: Scaler
-    split: Split
-    dataset_std: Dataset  # standardized copy used for training/eval
+
+
+class TrainingAborted(NumericError):
+    """Raised when the loss goes non-finite; ``result`` holds the run log
+    and a complete checkpoint of the last model state that completed an
+    epoch with finite losses."""
+
+    def __init__(self, message: str, result: TrainResult):
+        super().__init__(message)
+        self.result = result
 
 
 def _batched(indices: np.ndarray, size: int):
@@ -264,6 +274,9 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
 
     The dataset must already carry guiding labels when a GMM variant is
     trained.  Standardization is fitted on the training split inside.
+    Returns the run log and the checkpoint: the trained model with that
+    scaler, the dataset's guiding labels, the split's cell lines and
+    ``schedule.seed``.
     """
     if config.uses_gmm:
         labels = dataset.labels[dataset.labels >= 0]
@@ -305,12 +318,19 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     def touch(cell_rows: np.ndarray):
         runlog.cells_touched.update(cell_ids[np.unique(cell_rows)].tolist())
 
+    def _result(trained: VadeersModel) -> TrainResult:
+        runlog.wall_clock_seconds = time.monotonic() - started
+        guiding = dataset.guiding_labels() or None
+        cells = {"train": split.train_cells, "val": split.val_cells,
+                 "test": split.test_cells}
+        return TrainResult(
+            Checkpoint(trained, scaler, guiding, cells, schedule.seed), runlog)
+
     def _abort(message: str) -> TrainingAborted:
         runlog.event("aborted", reason=message)
-        runlog.wall_clock_seconds = time.monotonic() - started
         restored = VadeersModel(model.config,
                                 FlatStore(model.params.layout, last_good))
-        return TrainingAborted(message, restored, runlog)
+        return TrainingAborted(message, _result(restored))
 
     def step(where: str, state: AdamState, lr: float, loss_terms,
              *args) -> dict[str, float]:
@@ -417,26 +437,12 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             raise _abort("frozen parameters changed during phase 2")
         last_good = model.flat.copy()
 
-    runlog.wall_clock_seconds = time.monotonic() - started
-    return TrainResult(model=model, runlog=runlog, scaler=scaler, split=split,
-                       dataset_std=data_std)
+    return _result(model)
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
-
-@dataclass
-class Checkpoint:
-    """Everything needed to use a trained model later: parameters, config,
-    the fitted scaler, guiding labels, and the split cell ids."""
-
-    model: VadeersModel
-    scaler: Scaler | None = None
-    guiding_labels: dict[str, int] | None = None
-    split_cells: dict[str, list[str]] | None = None
-    seed: int | None = None
-
 
 def save_checkpoint(checkpoint: Checkpoint, path):
     """Deterministic container: magic, JSON header (sorted keys), raw
@@ -451,7 +457,7 @@ def save_checkpoint(checkpoint: Checkpoint, path):
         "format_version": CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "prior_variant": model.config.prior_variant,
-        "scaler": checkpoint.scaler.to_dict() if checkpoint.scaler else None,
+        "scaler": checkpoint.scaler.to_dict(),
         "guiding_labels": checkpoint.guiding_labels,
         "split_cells": checkpoint.split_cells,
         "seed": checkpoint.seed,
@@ -520,7 +526,7 @@ def _header_scaler(path: Path, record, config: ModelConfig) -> Scaler:
     and every std > 0."""
     if not isinstance(record, dict):
         raise CheckpointError(f"{path}: header field 'scaler' must be an "
-                              f"object or null")
+                              f"object")
     odd = sorted(set(record) ^ set(SCALER_FIELDS))
     if odd:
         what = "unknown" if odd[0] in record else "missing"
@@ -560,8 +566,8 @@ def _header_records(path: Path, header: dict, config: ModelConfig):
             raise CheckpointError(
                 f"{path}: guiding label {label} of drug {drug!r} is outside "
                 f"[0, {config.n_guiding_labels})")
-    if split is not None and not (json_fits(split, dict[str, list[str]])
-                                  and set(split) == {"train", "val", "test"}):
+    if not (json_fits(split, dict[str, list[str]])
+            and set(split) == {"train", "val", "test"}):
         raise CheckpointError(
             f"{path}: header field 'split_cells' must hold train, val and "
             f"test lists of cell ids")
@@ -574,8 +580,9 @@ def _header_records(path: Path, header: dict, config: ModelConfig):
 
 def check_compatible(checkpoint: Checkpoint, dataset: Dataset, path) -> None:
     """Raise :class:`CheckpointError`, naming the checkpoint file
-    ``path``, unless ``dataset`` has the checkpoint's input widths and
-    every drug the checkpoint's guiding labels name."""
+    ``path``, unless ``dataset`` has the checkpoint's input widths, every
+    drug the checkpoint's guiding labels name, and exactly the cell lines
+    of its split."""
     for dim in ("smiles_dim", "ip_dim", "bio_dim"):
         got, want = getattr(checkpoint.model.config, dim), getattr(dataset, dim)
         if got != want:
@@ -587,6 +594,10 @@ def check_compatible(checkpoint: Checkpoint, dataset: Dataset, path) -> None:
             f"{path}: {len(missing)} guiding-label drug(s) of the checkpoint "
             f"are not in the dataset, first {missing[0]!r}"
         )
+    if set().union(*checkpoint.split_cells.values()) != set(dataset.cell_ids):
+        raise CheckpointError(f"{path}: split reconstruction mismatch: the "
+                              f"dataset's cell lines differ from those "
+                              f"recorded at training time")
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -627,12 +638,6 @@ def load_checkpoint(path) -> Checkpoint:
             and model.params["gmm.log_scales"].any()):
         raise CheckpointError(f"{path}: array 'gmm.log_scales' of a "
                               f"gmm_constrained model is not all zero")
-    scaler = header.get("scaler")
     labels, split, seed = _header_records(path, header, config)
-    return Checkpoint(
-        model=model,
-        scaler=None if scaler is None else _header_scaler(path, scaler, config),
-        guiding_labels=labels,
-        split_cells=split,
-        seed=seed,
-    )
+    return Checkpoint(model, _header_scaler(path, header.get("scaler"), config),
+                      labels, split, seed)

@@ -53,8 +53,6 @@ def trained_variants(desk_data):
     import time
 
     dataset, _ = desk_data
-    labels = {d.id: d.guiding_label for d in dataset.drugs
-              if d.guiding_label is not None}
     out = {}
     for variant in VARIANTS:
         config = ModelConfig(
@@ -67,11 +65,10 @@ def trained_variants(desk_data):
                        SplitSpec(n_val_cells=25, n_test_cells=25,
                                  seed=DESK_SEED))
         elapsed = time.monotonic() - started
-        report = evaluate(result.model, dataset, result.dataset_std,
-                          result.split, result.scaler, labels=labels,
-                          seed=DESK_SEED)
-        out[variant] = TrainedVariant(result=result, report=report,
-                                      labels=labels, train_seconds=elapsed)
+        report = evaluate(result.checkpoint, dataset, seed=DESK_SEED).report
+        out[variant] = TrainedVariant(
+            result=result, report=report,
+            labels=result.checkpoint.guiding_labels, train_seconds=elapsed)
     return out
 
 

@@ -201,7 +201,7 @@ def test_criterion_3_clustering_transfer(trained_variants):
 
 
 def _generated_profiles(tv, n_per_component, seed):
-    model = tv.result.model
+    model = tv.result.checkpoint.model
     gp = model.gmm_params()
     rng = np.random.default_rng(seed)
     rows, comps = [], []
@@ -226,7 +226,7 @@ def test_criterion_4_guided_generation(trained_variants, desk_data):
 
         # classify generated profiles against the true cluster centroids
         rows_std, comps = _generated_profiles(tv, 300, seed=100)
-        gen_nat = tv.result.scaler.inverse_ip(rows_std)
+        gen_nat = tv.result.checkpoint.scaler.inverse_ip(rows_std)
         labels = tv.labels
         idx = dataset.drug_index()
         true_rows = np.stack([dataset.drugs[idx[i]].inhibition_profile
@@ -321,11 +321,9 @@ def test_criterion_8_determinism(tmp_path, trained_variants, desk_data):
     from vadeers.metrics import evaluate
     tv = trained_variants["gmm_constrained"]
     dataset, _ = desk_data
-    a = evaluate(tv.result.model, dataset, tv.result.dataset_std,
-                 tv.result.split, tv.result.scaler, labels=tv.labels, seed=3)
-    b = evaluate(tv.result.model, dataset, tv.result.dataset_std,
-                 tv.result.split, tv.result.scaler, labels=tv.labels, seed=3)
-    assert a == b
+    a = evaluate(tv.result.checkpoint, dataset, seed=3)
+    b = evaluate(tv.result.checkpoint, dataset, seed=3)
+    assert a.report == b.report
 
     # command level: full train command repeated end to end
     data_dir = tmp_path / "data"

@@ -151,12 +151,37 @@ def test_train_without_test_cells_writes_its_run_directory(tmp_path, data_dir,
     assert (out / "report_val.json").exists()
     assert (out / "config_echo.json").exists()
     assert load_checkpoint(out / "checkpoint.bin").split_cells["test"] == []
-    # evaluate reports on test pairs, and this run has none
+    # evaluate reports on test pairs, and this run has none: the
+    # checkpoint says so before the dataset is read
     capsys.readouterr()
     assert run("evaluate", "--checkpoint", out / "checkpoint.bin",
-               "--data", data_dir, "--out", tmp_path / "eval") == 1
-    assert capsys.readouterr().err == "error: no test pairs to evaluate on\n"
+               "--data", tmp_path / "unread", "--out", tmp_path / "eval") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {out / 'checkpoint.bin'}: the checkpoint's test split "
+        f"holds no cell lines, and evaluate reports on test pairs\n")
     assert not (tmp_path / "eval").exists()
+
+
+def test_train_on_one_profile_column_reports_null_correlations(tmp_path,
+                                                               config_file):
+    # a Pearson over one feature is undefined, not an error
+    cfg = tmp_path / "narrow.json"
+    cfg.write_text(json.dumps({"synth": {"ip_dim": 1}}))
+    data = tmp_path / "data"
+    assert run("synth", "--out", data, "--seed", "0", "--n-drugs", "24",
+               "--n-profiled", "12", "--n-cells", "20", "--observance", "0.8",
+               "--config", cfg) == 0
+    out = tmp_path / "run"
+    assert run("train", "--data", data, "--out", out, "--config", config_file,
+               "--variant", "gmm_constrained", "--joint-epochs", "2",
+               "--dspn-epochs", "1") == 0
+    report = json.loads((out / "report_val.json").read_text())
+    assert report["centroid_rmse"] is not None
+    assert report["centroid_pearson"] is None and report["std_pearson"] is None
+    assert report["per_cluster"]
+    for entry in report["per_cluster"].values():
+        assert entry["centroid_pearson"] is None
+        assert entry.get("std_pearson") is None
 
 
 def test_train_default_model_echo_matches_model_config(tmp_path, data_dir):
@@ -255,20 +280,18 @@ def test_generate_from_trained_model_separates_components(
     # rows generated from different components classify to their matched
     # planted clusters by nearest centroid
     from vadeers.metrics import cluster_stats, generation_fidelity
-    from vadeers.training import Checkpoint, save_checkpoint
 
     tv = trained_variants["gmm_constrained"]
     dataset, _ = desk_data
     ckpt_path = tmp_path / "trained.bin"
-    save_checkpoint(Checkpoint(model=tv.result.model, scaler=tv.result.scaler,
-                               guiding_labels=tv.labels), ckpt_path)
+    save_checkpoint(tv.result.checkpoint, ckpt_path)
     rows, comps = [], []
     for k in range(3):
         out = tmp_path / f"gen{k}.csv"
         assert run("generate", "--checkpoint", ckpt_path, "--component", k,
                    "--n", "100", "--out", out, "--seed", k) == 0
         lines = out.read_text().splitlines()[1:]
-        smiles_dim = tv.result.model.config.smiles_dim
+        smiles_dim = tv.result.checkpoint.model.config.smiles_dim
         for line in lines:
             fields = line.split(",")
             assert int(fields[0]) == k
@@ -583,6 +606,23 @@ def test_evaluate_checkpoint_records_defect_exit_2(tmp_path, run_dir, data_dir,
     assert err.startswith(f"data error: {path}: "), err
 
 
+@pytest.mark.parametrize("field", ["scaler", "split_cells"])
+@pytest.mark.parametrize("command", ["generate", "predict"])
+def test_checkpoint_without_scaler_or_split_exit_2(tmp_path, run_dir, data_dir,
+                                                   capsys, command, field):
+    # evaluate's cases are test_evaluate_checkpoint_records_defect_exit_2's
+    path = tmp_path / "bad.bin"
+    _rewrite_header(run_dir / "checkpoint.bin", path,
+                    lambda h: h.update({field: None}))
+    args = _command_args(command, tmp_path, data_dir)
+    capsys.readouterr()
+    assert run(command, "--checkpoint", path, *args,
+               "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: header field {field!r}"), err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evaluate_gmm_checkpoint_without_labels(tmp_path, run_dir, data_dir):
     path = tmp_path / "unlabeled.bin"
     _rewrite_header(run_dir / "checkpoint.bin", path,
@@ -660,18 +700,24 @@ def test_evaluate_twice_identical_and_complete(tmp_path, run_dir, data_dir):
 def test_evaluate_encodes_drugs_once(tmp_path, run_dir, data_dir,
                                      monkeypatch):
     calls = []
-    encode = VadeersModel.drug_latent_means
 
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return encode(self, *args, **kwargs)
+    def counted(name):
+        method = getattr(VadeersModel, name)
 
-    monkeypatch.setattr(VadeersModel, "drug_latent_means", counted)
+        def call(self, *args, **kwargs):
+            calls.append(name)
+            return method(self, *args, **kwargs)
+        monkeypatch.setattr(VadeersModel, name, call)
+
+    counted("drug_latent_means")
+    counted("decode_drug")
     out = tmp_path / "eval"
     assert run("evaluate", "--checkpoint", run_dir / "checkpoint.bin",
                "--data", data_dir, "--out", out, "--n-gen", "20") == 0
+    # the projections reuse the report's encoder means and generated rows
     assert (out / "latent_pca.csv").exists()
-    assert len(calls) == 1
+    assert (out / "generated_ip_pca.csv").exists()
+    assert sorted(calls) == ["decode_drug", "drug_latent_means"]
 
 
 def test_evaluate_vanilla_checkpoint_projects_standard_normal_draws(
@@ -914,8 +960,16 @@ def test_bad_config_key_exit_2(tmp_path, data_dir):
     # errors of the command line itself
     (None, ("train", "--config", "no-such-config.json"), 2,
      ["config file no-such-config.json does not exist"]),
-    (None, ("experiment", "--variants", "vanilla,bogus"), 2,
-     ["unknown variant 'bogus'"]),
+    # a flag value is a usage error, raised before any data is read
+    (None, ("experiment", "--variants", "vanilla,bogus"), 1,
+     ["--variants", "'vanilla,bogus' is not a comma-separated list of "
+      "distinct names of vanilla, gmm_constrained, gmm_unconstrained"]),
+    (None, ("experiment", "--seeds", ","), 1,
+     ["--seeds", "',' is not a comma-separated list of distinct integers"]),
+    (None, ("experiment", "--variants", " "), 1, ["--variants", "' ' is not"]),
+    (None, ("experiment", "--seeds", "1,0,1"), 1, ["--seeds", "'1,0,1' is not"]),
+    (None, ("experiment", "--variants", "vanilla, vanilla"), 1,
+     ["--variants", "'vanilla, vanilla' is not"]),
 ])
 def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
                                                 config, argv, code, names):
@@ -1077,3 +1131,40 @@ def test_divergent_train_exit_3_without_numpy_warnings(tmp_path, data_dir,
     assert "numeric failure: joint step 2 diverged" in err, err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_aborted_train_saves_a_complete_checkpoint(tmp_path, data_dir,
+                                                   config_file, run_dir):
+    # run_dir trained the same data with the same config and seed, so its
+    # scaler, split and guiding labels are the aborted run's too
+    config = json.loads(config_file.read_text())
+    config["schedule"]["lr_joint"] = 1e12
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    assert run("train", "--data", data_dir, "--out", out, "--config", cfg,
+               "--seed", "1", "--variant", "gmm_constrained") == 3
+    path = out / "checkpoint_last_good.ABORTED.bin"
+    aborted = load_checkpoint(path)
+    done = load_checkpoint(run_dir / "checkpoint.bin")
+    assert aborted.scaler.to_dict() == done.scaler.to_dict()
+    assert aborted.split_cells == done.split_cells
+    assert aborted.guiding_labels == done.guiding_labels
+    assert aborted.guiding_labels and aborted.seed == done.seed == 1
+
+    # predictions are on the natural scale of the training data
+    dataset = load_csv(data_dir)
+    demb, cfeat = dataset.embeddings[:4], dataset.features[:4]
+    dpath, cpath = tmp_path / "drugs_in.csv", tmp_path / "cells_in.csv"
+    _write_feature_csv(dpath, "e", dataset.drug_ids[:4], demb)
+    _write_feature_csv(cpath, "f", dataset.cell_ids[:4], cfeat)
+    preds = tmp_path / "preds.csv"
+    assert run("predict", "--checkpoint", path, "--drugs", dpath,
+               "--cells", cpath, "--out", preds) == 0
+    got = [float(line.split(",")[2])
+           for line in preds.read_text().splitlines()[1:]]
+    model, scaler = aborted.model, aborted.scaler
+    mu = model.drug_latent_means(scaler.transform_embedding(demb))
+    lat = model.cell_latents(scaler.transform_cell(cfeat))
+    assert np.array_equal(np.array(got), scaler.inverse_ic50(
+        model.predict_sensitivity(mu, lat)))

@@ -307,38 +307,58 @@ def test_fidelity_unmatched_cluster_flagged():
 # report round-trip
 # ---------------------------------------------------------------------------
 
-def test_untrained_model_has_null_sensitivity_correlation():
+def _untrained():
+    """A synthetic dataset, and the checkpoint of a run of no epochs on
+    it, which holds the initial model."""
     from vadeers.data import SynthSpec, derive_guiding_labels, \
-        generate_synthetic, standardize
-    from vadeers.metrics import evaluate
-    from vadeers.model import ModelConfig, VadeersModel
-    from vadeers.training import SplitSpec, split_by_cell_line
+        generate_synthetic
+    from vadeers.model import LossWeights, ModelConfig
+    from vadeers.training import SplitSpec, TrainSchedule, train
 
     spec = SynthSpec(smiles_dim=16, ip_dim=12, bio_dim=10, n_drugs=60,
                      n_profiled=30, n_cells=60)
     dataset = derive_guiding_labels(generate_synthetic(spec, seed=0),
                                     n_labels=3, seed=0)
-    split = split_by_cell_line(dataset, SplitSpec(n_val_cells=10,
-                                                  n_test_cells=10, seed=0))
-    dataset_std, scaler = standardize(dataset, set(split.train_cells))
     config = ModelConfig(smiles_dim=16, ip_dim=12, bio_dim=10, latent_dim=4,
                          dvae_encoder_dims=(16, 8), decoder_dims=(8, 16),
                          dspn_dims=(16, 8, 4),
                          prior_variant="gmm_constrained")
-    model = VadeersModel.initialize(config, np.random.default_rng(1))
-    report = evaluate(model, dataset, dataset_std, split, scaler, seed=0)
+    result = train(dataset, config,
+                   TrainSchedule(joint_epochs=0, dspn_epochs=0, seed=1),
+                   LossWeights(), SplitSpec(n_val_cells=10, n_test_cells=10,
+                                            seed=0))
+    return dataset, result.checkpoint
+
+
+def test_untrained_model_has_null_sensitivity_correlation():
+    from vadeers.metrics import evaluate
+
+    dataset, checkpoint = _untrained()
+    report = evaluate(checkpoint, dataset, seed=0).report
     assert abs(report.ic50_pearson) < 0.15
 
     # the latent Silhouette uses encoder means: changing the generation
     # seed must not move it
-    other = evaluate(model, dataset, dataset_std, split, scaler, seed=99)
+    other = evaluate(checkpoint, dataset, seed=99).report
     assert other.silhouette_latent == report.silhouette_latent
+
+
+@pytest.mark.parametrize("pairs", ["test", "val"])
+def test_evaluate_needs_pairs_on_the_chosen_cell_lines(pairs):
+    from vadeers.metrics import evaluate
+
+    dataset, checkpoint = _untrained()
+    checkpoint.split_cells[pairs] = []
+    with pytest.raises(ContractViolation,
+                       match=f"^no {pairs} pairs to evaluate on$"):
+        evaluate(checkpoint, dataset, pairs=pairs)
 
 
 @pytest.mark.parametrize("variant", ["vanilla", "gmm_constrained"])
 @pytest.mark.parametrize("n", [-5, 0])
 def test_generate_profiles_rejects_nonpositive_counts(variant, n):
-    from vadeers.metrics import generate_profiles
+    # profile generation draws its latents here
+    from vadeers.metrics import sample_latents
     from vadeers.model import ModelConfig, VadeersModel
 
     config = ModelConfig(smiles_dim=16, ip_dim=12, bio_dim=10, latent_dim=4,
@@ -346,7 +366,7 @@ def test_generate_profiles_rejects_nonpositive_counts(variant, n):
                          dspn_dims=(16, 8, 4), prior_variant=variant)
     model = VadeersModel.initialize(config, np.random.default_rng(1))
     with pytest.raises(ContractViolation, match="n_per_component"):
-        generate_profiles(model, n, seed=0)
+        sample_latents(model, n, seed=0)
 
 
 def test_metric_report_json_round_trip():

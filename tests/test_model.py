@@ -641,11 +641,20 @@ def test_params_are_views_of_flat_in_sorted_order():
 
 
 def test_flat_bytes_are_the_checkpoint_payload(tmp_path):
+    from vadeers.data import Scaler
     from vadeers.training import Checkpoint, load_checkpoint, save_checkpoint
 
     model = toy_model(variant="gmm_constrained")
+    widths = {"embedding": TOY.smiles_dim, "ip": TOY.ip_dim,
+              "cell": TOY.bio_dim}
+    identity = Scaler.from_dict({
+        **{f"{part}_{stat}": [float(stat == "std")] * n
+           for part, n in widths.items() for stat in ("mean", "std")},
+        "cell_binary": [False] * TOY.bio_dim, "ic50_mean": 0.0,
+        "ic50_std": 1.0})
     path = tmp_path / "m.bin"
-    save_checkpoint(Checkpoint(model=model), path)
+    save_checkpoint(Checkpoint(model, identity, None,
+                               {"train": [], "val": [], "test": []}, 0), path)
     payload = model.flat.tobytes()
     assert path.read_bytes()[-len(payload):] == payload
     assert load_checkpoint(path).model.flat.tobytes() == payload

@@ -21,7 +21,6 @@ from vadeers.data import (
 from vadeers.exceptions import CheckpointError, ContractViolation, DataError
 from vadeers.model import LossWeights, ModelConfig, VadeersModel
 from vadeers.training import (
-    Checkpoint,
     RunLog,
     SplitSpec,
     TrainSchedule,
@@ -226,8 +225,9 @@ def test_equal_seeds_give_equal_runlogs():
     a = tiny_train(seed=9)
     b = tiny_train(seed=9)
     assert a.runlog.comparable() == b.runlog.comparable()
-    for name in a.model.params:
-        assert np.array_equal(a.model.params[name], b.model.params[name])
+    pa, pb = a.checkpoint.model.params, b.checkpoint.model.params
+    for name in pa:
+        assert np.array_equal(pa[name], pb[name])
 
 
 def test_different_seeds_differ():
@@ -238,7 +238,8 @@ def test_different_seeds_differ():
 
 def test_no_heldout_cells_touch_gradients():
     result = tiny_train(seed=4)
-    val_set, test_set = set(result.split.val_cells), set(result.split.test_cells)
+    cells = result.checkpoint.split_cells
+    val_set, test_set = set(cells["val"]), set(cells["test"])
     assert not result.runlog.cells_touched & val_set
     assert not result.runlog.cells_touched & test_set
 
@@ -251,13 +252,19 @@ def test_no_heldout_cells_touch_gradients():
 def test_divergent_lr_aborts_with_last_good_model(phase, schedule_kw):
     with pytest.raises(TrainingAborted) as err:
         tiny_train(**schedule_kw)
-    aborted = err.value
-    assert isinstance(aborted.model, VadeersModel)
+    aborted = err.value.result
+    assert isinstance(aborted.checkpoint.model, VadeersModel)
     reasons = [e["reason"] for e in aborted.runlog.events
                if e["event"] == "aborted"]
     assert len(reasons) == 1 and reasons[0].startswith(phase), reasons
-    for arr in aborted.model.params.values():
+    for arr in aborted.checkpoint.model.params.values():
         assert np.all(np.isfinite(arr))
+    # the rest of the checkpoint is that of a run of the same seed
+    done = tiny_train(joint_epochs=0, dspn_epochs=0).checkpoint
+    assert aborted.checkpoint.scaler.to_dict() == done.scaler.to_dict()
+    assert aborted.checkpoint.split_cells == done.split_cells
+    assert aborted.checkpoint.guiding_labels == done.guiding_labels
+    assert aborted.checkpoint.seed == done.seed == 0
 
 
 def test_overflowing_loss_aborts_though_activations_stay_finite():
@@ -269,7 +276,7 @@ def test_overflowing_loss_aborts_though_activations_stay_finite():
         train(tiny_dataset(), TINY_CONFIG,
               TrainSchedule(joint_epochs=1, dspn_epochs=1, seed=0), weights,
               SplitSpec(n_val_cells=3, n_test_cells=3, seed=0))
-    assert err.value.runlog.events[-1] == {
+    assert err.value.result.runlog.events[-1] == {
         "event": "aborted", "reason": "joint step 1 loss non-finite"}
 
 
@@ -308,30 +315,17 @@ def test_labels_out_of_range_rejected():
 
 
 def test_constrained_covariances_stay_identity_after_training():
-    result = tiny_train(joint_epochs=3, dspn_epochs=1)
-    assert np.array_equal(result.model.params["gmm.log_scales"],
-                          np.zeros_like(result.model.params["gmm.log_scales"]))
+    params = tiny_train(joint_epochs=3, dspn_epochs=1).checkpoint.model.params
+    assert np.array_equal(params["gmm.log_scales"],
+                          np.zeros_like(params["gmm.log_scales"]))
 
 
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _checkpoint_for(result, labels=None):
-    return Checkpoint(
-        model=result.model,
-        scaler=result.scaler,
-        guiding_labels=labels,
-        split_cells={"train": result.split.train_cells,
-                     "val": result.split.val_cells,
-                     "test": result.split.test_cells},
-        seed=0,
-    )
-
-
 def test_checkpoint_save_load_save_byte_identical(tmp_path):
-    result = tiny_train()
-    ckpt = _checkpoint_for(result)
+    ckpt = tiny_train().checkpoint
     p1 = tmp_path / "a.bin"
     p2 = tmp_path / "b.bin"
     save_checkpoint(ckpt, p1)
@@ -341,17 +335,18 @@ def test_checkpoint_save_load_save_byte_identical(tmp_path):
 
 
 def test_checkpoint_round_trip_is_bit_exact(tmp_path):
-    result = tiny_train()
+    ckpt = tiny_train().checkpoint
+    model = ckpt.model
     path = tmp_path / "model.bin"
-    save_checkpoint(_checkpoint_for(result), path)
+    save_checkpoint(ckpt, path)
     loaded = load_checkpoint(path)
-    assert sorted(loaded.model.params) == sorted(result.model.params)
-    for name, arr in result.model.params.items():
+    assert sorted(loaded.model.params) == sorted(model.params)
+    for name, arr in model.params.items():
         assert np.array_equal(loaded.model.params[name], arr)
     rng = np.random.default_rng(0)
     dl = rng.standard_normal((4, TINY_CONFIG.latent_dim))
     cl = rng.standard_normal((4, TINY_CONFIG.latent_dim))
-    a = result.model.predict_sensitivity(dl, cl)
+    a = model.predict_sensitivity(dl, cl)
     b = loaded.model.predict_sensitivity(dl, cl)
     assert np.array_equal(a, b)
 
@@ -392,16 +387,16 @@ def _disk_full(monkeypatch, target, fails):
 
 
 def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
-    result = tiny_train()
+    ckpt = tiny_train().checkpoint
     path = tmp_path / "checkpoint.bin"
-    save_checkpoint(_checkpoint_for(result), path)
+    save_checkpoint(ckpt, path)
     before = path.read_bytes()
-    payload_bytes = 8 * sum(a.size for a in result.model.params.values())
+    payload_bytes = 8 * ckpt.model.flat.size
     partial = _disk_full(monkeypatch, path,
                          lambda data: len(data) == payload_bytes)
-    result.model.params["dspn.0.b"] += 1.0
+    ckpt.model.params["dspn.0.b"] += 1.0
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(_checkpoint_for(result), path)
+        save_checkpoint(ckpt, path)
     monkeypatch.undo()
     # the failure came after a partial temporary file was on disk ...
     assert len(partial) == 1 and partial[0].endswith(".tmp")
@@ -435,9 +430,8 @@ def test_artifact_write_failure_keeps_previous_file(tmp_path, monkeypatch,
 
 
 def test_checkpoint_wrong_dim_names_both(tmp_path):
-    result = tiny_train()
     path = tmp_path / "model.bin"
-    save_checkpoint(_checkpoint_for(result), path)
+    save_checkpoint(tiny_train().checkpoint, path)
     wide = generate_synthetic(replace(TINY_SPEC, smiles_dim=99), seed=0)
     with pytest.raises(CheckpointError) as err:
         check_compatible(load_checkpoint(path), wide, path)
@@ -450,9 +444,12 @@ def test_vanilla_checkpoint_has_no_gmm_block(tmp_path):
         **{f: getattr(TINY_CONFIG, f) for f in TINY_CONFIG.__dataclass_fields__},
         "prior_variant": "vanilla",
     })
-    model = VadeersModel.initialize(config, np.random.default_rng(0))
+    untrained = train(tiny_dataset(), config,
+                      TrainSchedule(joint_epochs=0, dspn_epochs=0, seed=0),
+                      LossWeights(), SplitSpec(n_val_cells=3, n_test_cells=3,
+                                               seed=0))
     path = tmp_path / "vanilla.bin"
-    save_checkpoint(Checkpoint(model=model), path)
+    save_checkpoint(untrained.checkpoint, path)
     loaded = load_checkpoint(path)
     assert not any(n.startswith("gmm.") for n in loaded.model.params)
     assert loaded.model.gmm_params() is None
