@@ -2,11 +2,12 @@
 
 Subcommands: synth, train, generate, predict, evaluate, experiment.
 Option precedence is flag > config file > default (synth, train and
-experiment read --config).  Every command but predict, which draws no
-random numbers, takes --seed (experiment: --seeds), and equal
-invocations are bit-reproducible.  The default output root is
-$VADEERS_RUN_ROOT (falling back to the current directory).  Exit
-codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
+experiment read --config, and each checks every top-level key of it).
+Every command but predict, which draws no random numbers, takes --seed
+(experiment: --seeds), and equal invocations are bit-reproducible.
+The default output root is $VADEERS_RUN_ROOT (falling back to the
+current directory).  Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import inspect
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import click
@@ -31,7 +32,6 @@ from .data import (
     derive_guiding_labels,
     field_defaults,
     generate_synthetic,
-    json_fits,
     json_object,
     load_csv,
     read_feature_csv,
@@ -41,6 +41,7 @@ from .data import (
 )
 from .exceptions import (
     CheckpointError,
+    ContractViolation,
     DataError,
     NumericError,
     VadeersError,
@@ -48,8 +49,8 @@ from .exceptions import (
 from .metrics import evaluate, pca2
 from .model import LossWeights, ModelConfig, PRIOR_VARIANTS
 from .training import (
+    Checkpoint,
     SplitSpec,
-    TrainResult,
     TrainingAborted,
     TrainSchedule,
     check_compatible,
@@ -59,47 +60,55 @@ from .training import (
 )
 
 
-class _Config(dict):
-    """The top-level object of a config file; ``where`` names the file."""
+@dataclass(frozen=True)
+class _ConfigFile:
+    """The keys a config file may hold: the run keys, and a section for
+    each record that a command configures.  ``source`` names the file."""
 
-    where = "config"
+    source: str
+    seed: int = 0
+    variant: str = field_defaults(ModelConfig)["prior_variant"]
+    scale: str = "desk"
+    model: dict | None = None
+    schedule: dict | None = None
+    split: dict | None = None
+    weights: dict | None = None
+    synth: dict | None = None
 
-
-def _load_config(path: str | None) -> _Config:
-    config = _Config()
-    if path:
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"config file {p} does not exist")
-        config.where = f"config file {p}"
-        config.update(json_object(p.read_bytes(), config.where))
-    return config
-
-
-def _configured(cls, defaults: dict, config: _Config, section: str,
-                flags: dict, **fixed):
-    """``cls`` built from flag > config file > default (see
-    :func:`record_of`); errors name the file, the section and the key."""
-    values = config.get(section)
-    return record_of(cls, {} if values is None else values,
-                     f"{config.where}, section {section!r}", defaults,
-                     flags=flags, **fixed)
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ContractViolation("seed must be >= 0")
+        for key, choices in (("variant", PRIOR_VARIANTS),
+                             ("scale", ("paper", "desk"))):
+            if getattr(self, key) not in choices:
+                raise ContractViolation(f"{getattr(self, key)!r} is not one "
+                                        f"of {', '.join(choices)}")
 
 
-def _pick(config: _Config, key: str, flag, default, choices=None):
-    """flag > config file > default for a top-level config key, whose
-    value must have the default's type and be one of ``choices``, if
-    given (a flag's choices are click's to check)."""
-    if flag is not None or key not in config:
-        return default if flag is None else flag
-    value = config[key]
-    if not json_fits(value, type(default)):
-        raise DataError(f"{config.where}, key {key!r}: {value!r} is not of "
-                        f"type {type(default).__name__}")
-    if choices is not None and value not in choices:
-        raise DataError(f"{config.where}, key {key!r}: {value!r} is not one "
-                        f"of {', '.join(choices)}")
-    return value
+def _load_config(path: str | None, *run_set: str, **flags) -> _ConfigFile:
+    """The config file at ``path``, if given, checked as it stands and
+    then with the run-key ``flags`` on top.  A ``run_set`` key, which the
+    command sets by other means, is an unknown key."""
+    source = f"config file {path}" if path else "config"
+    if path and not Path(path).exists():
+        raise DataError(f"{source} does not exist")
+    values = json_object(Path(path).read_bytes(), source) if path else {}
+    defaults = field_defaults(_ConfigFile, "source", *run_set)
+    config = record_of(_ConfigFile, values, source, defaults, source=source)
+    return replace(config, **{k: v for k, v in flags.items() if v is not None})
+
+
+def _configured(cls, config: _ConfigFile, section: str, flags: dict,
+                base: dict | None = None, **fixed):
+    """``cls`` built from flag > config file > ``base`` > default (see
+    :func:`record_of`), with the ``fixed`` values that the run sets; each
+    flag sets the field of its own name, and errors name the file, the
+    section and the key."""
+    defaults = {**field_defaults(cls, *fixed), **(base or {})}
+    return record_of(cls, getattr(config, section) or {},
+                     f"{config.source}, section {section!r}", defaults,
+                     flags={k: v for k, v in flags.items() if k in defaults},
+                     **fixed)
 
 
 def _out_dir(out: str | None, default_name: str) -> Path:
@@ -120,25 +129,21 @@ def cli():
 @cli.command()
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--out", type=str, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--scale", type=click.Choice(["paper", "desk"]), default=None)
 @click.option("--n-drugs", type=int, default=None)
 @click.option("--n-profiled", type=int, default=None)
 @click.option("--n-cells", type=int, default=None)
 @click.option("--observance", type=float, default=None)
-def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observance):
+def synth(config_path, out, seed, scale, **flags):
     """Generate a synthetic dataset directory (CSV files + manifest)."""
-    config = _load_config(config_path)
-    seed = _pick(config, "seed", seed, 0)
-    scale = _pick(config, "scale", scale, "desk", ("paper", "desk"))
-    base = asdict(DESK_SPEC if scale == "desk" else SynthSpec())
-    spec = _configured(SynthSpec, base, config, "synth", {
-        "n_drugs": n_drugs, "n_profiled": n_profiled,
-        "n_cells": n_cells, "observance": observance,
-    })
-    out_dir = _out_dir(out, f"synth-seed{seed}")
-    dataset = generate_synthetic(spec, seed=seed)
-    save_csv(dataset, out_dir, seed=seed, generator_spec=spec)
+    config = _load_config(config_path, seed=seed, scale=scale)
+    spec = _configured(SynthSpec, config, "synth", flags,
+                       base=asdict(DESK_SPEC) if config.scale == "desk"
+                       else None)
+    out_dir = _out_dir(out, f"synth-seed{config.seed}")
+    dataset = generate_synthetic(spec, seed=config.seed)
+    save_csv(dataset, out_dir, seed=config.seed, generator_spec=spec)
     click.echo(f"wrote {len(dataset.drug_ids)} drugs, "
                f"{len(dataset.cell_ids)} cells, "
                f"{len(dataset.pair_y)} pairs to {out_dir}")
@@ -148,45 +153,49 @@ def synth(config_path, out, seed, scale, n_drugs, n_profiled, n_cells, observanc
 # train
 # ---------------------------------------------------------------------------
 
-def _run_training(dataset: Dataset, config: dict, variant: str, seed: int,
-                  model_flags: dict, schedule_flags: dict,
-                  split_flags: dict) -> TrainResult:
+def _train_run(out_dir: Path, dataset: Dataset, config: _ConfigFile,
+               variant: str, seed: int, flags: dict) -> Checkpoint:
+    """Train ``variant`` at ``seed`` with the settings of flag > config
+    file > default, and write its run directory: the checkpoint, run
+    log, validation report and config echo.  An aborted run writes its
+    last-good checkpoint and its run log as ``.ABORTED`` files."""
     model_config = _configured(
-        ModelConfig,
-        {**field_defaults(ModelConfig), "smiles_dim": dataset.smiles_dim,
-         "ip_dim": dataset.ip_dim, "bio_dim": dataset.bio_dim},
-        config, "model", model_flags, prior_variant=variant)
-    # the run seed is not configurable
-    schedule = _configured(TrainSchedule,
-                           field_defaults(TrainSchedule, "seed"), config,
-                           "schedule", schedule_flags, seed=seed)
-    split_spec = _configured(SplitSpec, field_defaults(SplitSpec, "seed"),
-                             config, "split", split_flags, seed=seed)
-    weights = _configured(LossWeights, field_defaults(LossWeights), config,
-                          "weights", {})
+        ModelConfig, config, "model", flags,
+        base={"smiles_dim": dataset.smiles_dim, "ip_dim": dataset.ip_dim,
+              "bio_dim": dataset.bio_dim}, prior_variant=variant)
+    schedule = _configured(TrainSchedule, config, "schedule", flags, seed=seed)
+    split_spec = _configured(SplitSpec, config, "split", flags, seed=seed)
+    weights = _configured(LossWeights, config, "weights", flags)
     if model_config.uses_gmm:
         dataset = derive_guiding_labels(
             dataset, n_labels=model_config.n_guiding_labels, seed=seed)
-    return train(dataset, model_config, schedule, weights, split_spec)
-
-
-def _write_run_dir(out_dir: Path, result: TrainResult,
-                   dataset: Dataset) -> None:
-    """Write a run's checkpoint, run log and validation report."""
+    try:
+        result = train(dataset, model_config, schedule, weights, split_spec)
+    except TrainingAborted as exc:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        save_checkpoint(exc.result.checkpoint,
+                        out_dir / "checkpoint_last_good.ABORTED.bin")
+        exc.result.runlog.export_jsonl(out_dir / "runlog.ABORTED.jsonl")
+        raise
+    checkpoint = result.checkpoint
     out_dir.mkdir(parents=True, exist_ok=True)
-    save_checkpoint(result.checkpoint, out_dir / "checkpoint.bin")
+    save_checkpoint(checkpoint, out_dir / "checkpoint.bin")
     result.runlog.export_jsonl(out_dir / "runlog.jsonl")
-    report = evaluate(result.checkpoint, dataset, pairs="val",
-                      seed=result.checkpoint.seed).report
+    report = evaluate(checkpoint, dataset, pairs="val", seed=seed).report
     with atomic_open(out_dir / "report_val.json") as fh:
         fh.write(report.to_json() + "\n")
+    with atomic_open(out_dir / "config_echo.json") as fh:
+        fh.write(json.dumps({"variant": variant, "seed": seed,
+                             "model": asdict(model_config)},
+                            sort_keys=True, indent=2) + "\n")
+    return checkpoint
 
 
 @cli.command()
 @click.option("--config", "config_path", type=str, default=None)
 @click.option("--data", "data_dir", type=str, required=True)
 @click.option("--out", type=str, default=None)
-@click.option("--seed", type=int, default=None)
+@click.option("--seed", type=click.IntRange(min=0), default=None)
 @click.option("--variant", type=click.Choice(PRIOR_VARIANTS), default=None)
 @click.option("--latent-dim", type=int, default=None)
 @click.option("--n-components", type=int, default=None)
@@ -198,43 +207,12 @@ def _write_run_dir(out_dir: Path, result: TrainResult,
 @click.option("--break-epochs", "dvae_break_epochs", type=int, default=None)
 @click.option("--n-val-cells", type=int, default=None)
 @click.option("--n-test-cells", type=int, default=None)
-def train_cmd(config_path, data_dir, out, seed, variant, latent_dim,
-              n_components, n_guiding_labels, joint_epochs, dspn_epochs,
-              batch_size, dvae_break_every_steps, dvae_break_epochs,
-              n_val_cells, n_test_cells):
+def train_cmd(config_path, data_dir, out, seed, variant, **flags):
     """Train one prior variant end to end and write a run directory."""
-    config = _load_config(config_path)
-    seed = _pick(config, "seed", seed, 0)
-    variant = _pick(config, "variant", variant,
-                    field_defaults(ModelConfig)["prior_variant"],
-                    PRIOR_VARIANTS)
+    config = _load_config(config_path, seed=seed, variant=variant)
     dataset = load_csv(data_dir)
-    out_dir = _out_dir(out, f"train-{variant}-seed{seed}")
-    try:
-        result = _run_training(
-            dataset, config, variant, seed,
-            model_flags={"latent_dim": latent_dim, "n_components": n_components,
-                         "n_guiding_labels": n_guiding_labels},
-            schedule_flags={"joint_epochs": joint_epochs,
-                            "dspn_epochs": dspn_epochs,
-                            "batch_size": batch_size,
-                            "dvae_break_every_steps": dvae_break_every_steps,
-                            "dvae_break_epochs": dvae_break_epochs},
-            split_flags={"n_val_cells": n_val_cells,
-                         "n_test_cells": n_test_cells},
-        )
-    except TrainingAborted as exc:
-        # label the partial artifacts, then surface the numeric failure
-        out_dir.mkdir(parents=True, exist_ok=True)
-        save_checkpoint(exc.result.checkpoint,
-                        out_dir / "checkpoint_last_good.ABORTED.bin")
-        exc.result.runlog.export_jsonl(out_dir / "runlog.ABORTED.jsonl")
-        raise
-    _write_run_dir(out_dir, result, dataset)
-    with atomic_open(out_dir / "config_echo.json") as fh:
-        fh.write(json.dumps({"variant": variant, "seed": seed,
-                             "model": asdict(result.checkpoint.model.config)},
-                            sort_keys=True, indent=2) + "\n")
+    out_dir = _out_dir(out, f"train-{config.variant}-seed{config.seed}")
+    _train_run(out_dir, dataset, config, config.variant, config.seed, flags)
     click.echo(f"run directory: {out_dir}")
 
 
@@ -250,7 +228,7 @@ cli.add_command(train_cmd, name="train")
 @click.option("--component", type=int, default=None)
 @click.option("--n", "n_samples", type=click.IntRange(min=1), default=300)
 @click.option("--out", type=str, default=None)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 def generate(checkpoint_path, component, n_samples, out, seed):
     """Decode latent samples into embedding + profile rows (CSV).
 
@@ -331,7 +309,7 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
 @click.option("--checkpoint", "checkpoint_path", type=str, required=True)
 @click.option("--data", "data_dir", type=str, required=True)
 @click.option("--out", type=str, default=None)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--n-gen", type=click.IntRange(min=1),
               default=inspect.signature(evaluate)
               .parameters["n_gen_per_component"].default)
@@ -369,14 +347,14 @@ def evaluate_cmd(checkpoint_path, data_dir, out, seed, n_gen):
 # experiment grid
 # ---------------------------------------------------------------------------
 
-def _list_flag(text: str, flag: str, kind: type, what: str,
-               choices=()) -> list:
+def _list_flag(text: str, flag: str, kind, what: str, choices=()) -> list:
     """The values of a comma-separated list flag: one or more, distinct,
-    each of type ``kind`` and, given ``choices``, one of them; anything
-    else is a usage error naming ``flag`` and ``what`` it lists."""
+    each converted by ``kind`` (a type or a click type) and, given
+    ``choices``, one of them; anything else is a usage error naming
+    ``flag`` and ``what`` it lists."""
     try:
         values = [kind(s.strip()) for s in text.split(",") if s.strip()]
-    except ValueError:
+    except (ValueError, click.BadParameter):
         values = []
     if (not values or len(set(values)) < len(values)
             or choices and not set(values) <= set(choices)):
@@ -393,18 +371,17 @@ def _list_flag(text: str, flag: str, kind: type, what: str,
 @click.option("--variants", type=str, default=",".join(PRIOR_VARIANTS))
 @click.option("--joint-epochs", type=int, default=None)
 @click.option("--dspn-epochs", type=int, default=None)
-def experiment(config_path, data_dir, out, seeds, variants, joint_epochs,
-               dspn_epochs):
-    """Run the variant x seed grid and aggregate mean +- std per metric."""
-    seed_list = _list_flag(seeds, "--seeds", int, "integers")
+def experiment(config_path, data_dir, out, seeds, variants, **flags):
+    """Run the variant x seed grid and aggregate mean +- std per metric.
+    Each cell is a ``train`` run directory plus ``report_test.json``."""
+    seed_list = _list_flag(seeds, "--seeds", click.IntRange(min=0),
+                           "integers >= 0")
     variant_list = _list_flag(variants, "--variants", str,
                               f"names of {', '.join(PRIOR_VARIANTS)}",
                               PRIOR_VARIANTS)
-    config = _load_config(config_path)
-    split = _configured(SplitSpec, field_defaults(SplitSpec, "seed"), config,
-                        "split", {})
-    if split.n_test_cells < 1:
-        raise DataError(f"{config.where}, section 'split', key "
+    config = _load_config(config_path, "seed", "variant")  # set per cell
+    if _configured(SplitSpec, config, "split", flags, seed=0).n_test_cells < 1:
+        raise DataError(f"{config.source}, section 'split', key "
                         f"'n_test_cells': an experiment reports on test "
                         f"pairs, so it must be >= 1")
     dataset = load_csv(data_dir)
@@ -418,14 +395,10 @@ def experiment(config_path, data_dir, out, seeds, variants, joint_epochs,
         v: {m: [] for m in metric_names} for v in variant_list}
     for variant in variant_list:
         for seed in seed_list:
-            result = _run_training(
-                dataset, config, variant, seed, model_flags={},
-                schedule_flags={"joint_epochs": joint_epochs,
-                                "dspn_epochs": dspn_epochs},
-                split_flags={})
             run_dir = out_dir / f"{variant}-seed{seed}"
-            _write_run_dir(run_dir, result, dataset)
-            report = evaluate(result.checkpoint, dataset, seed=seed).report
+            checkpoint = _train_run(run_dir, dataset, config, variant, seed,
+                                    flags)
+            report = evaluate(checkpoint, dataset, seed=seed).report
             with atomic_open(run_dir / "report_test.json") as fh:
                 fh.write(report.to_json() + "\n")
             for m in metric_names:

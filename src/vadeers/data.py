@@ -222,6 +222,10 @@ class Dataset:
 # k-means (Lloyd's algorithm with k-means++ seeding)
 # ---------------------------------------------------------------------------
 
+KMEANS_MAX_ITERS = 300
+KMEANS_N_INIT = 8
+
+
 def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     d = points[:, None, :] - centroids[None, :, :]
     return np.einsum("nkd,nkd->nk", d, d)
@@ -243,12 +247,12 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     return centroids
 
 
-def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
-           max_iters: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _lloyd(points: np.ndarray, k: int,
+           rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, float]:
     centroids = _kmeans_pp(points, k, rng)
     labels = np.argmin(_sq_dists(points, centroids), axis=1)
     prev_inertia = np.inf
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         for j in range(k):
             member = labels == j
             if member.any():
@@ -271,10 +275,11 @@ def _lloyd(points: np.ndarray, k: int, rng: np.random.Generator,
     return labels, centroids, prev_inertia
 
 
-def kmeans(points, n_clusters: int, seed: int, max_iters: int = 300,
-           n_init: int = 8) -> tuple[np.ndarray, np.ndarray, float]:
-    """Best of ``n_init`` Lloyd runs (k-means++ seeding), by inertia.
-    Deterministic for a given seed."""
+def kmeans(points, n_clusters: int,
+           seed: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """Best of ``KMEANS_N_INIT`` Lloyd runs (k-means++ seeding) of at most
+    ``KMEANS_MAX_ITERS`` steps, by inertia.  Deterministic for a given
+    seed."""
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
     if not (1 <= n_clusters <= n):
@@ -282,10 +287,10 @@ def kmeans(points, n_clusters: int, seed: int, max_iters: int = 300,
             f"need 1 <= n_clusters <= n_points, got {n_clusters} for {n} points"
         )
     best = None
-    seeds = np.random.SeedSequence(seed).spawn(n_init)
+    seeds = np.random.SeedSequence(seed).spawn(KMEANS_N_INIT)
     for ss in seeds:
         rng = np.random.Generator(np.random.PCG64(ss))
-        labels, centroids, inertia = _lloyd(points, n_clusters, rng, max_iters)
+        labels, centroids, inertia = _lloyd(points, n_clusters, rng)
         if best is None or inertia < best[2]:
             best = (labels, centroids, inertia)
     return best

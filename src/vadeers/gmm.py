@@ -32,16 +32,13 @@ UNLABELED = -1  # sentinel in label arrays
 @dataclass(frozen=True)
 class GmmParams:
     """Trainable mixture parameters: finite float64 arrays, unchecked
-    here (a checkpoint's are checked when it is loaded).
-
-    ``constrained=True`` fixes every component covariance to the identity:
-    log_scales are zero and must never receive updates.
-    """
+    here (a checkpoint's are checked when it is loaded).  A
+    ``gmm_constrained`` model's log_scales are zero: its covariances are
+    the identity, and ``VadeersModel.frozen_names`` keeps them there."""
 
     mixture_logits: np.ndarray  # (K,)
     means: np.ndarray           # (K, D)
     log_scales: np.ndarray      # (K, D)
-    constrained: bool = False
 
     @property
     def n_components(self) -> int:
@@ -61,19 +58,14 @@ class GmmParams:
         return np.exp(self.log_scales)
 
 
-def init_gmm(
-    n_components: int,
-    latent_dim: int,
-    rng: np.random.Generator,
-    constrained: bool = False,
-) -> GmmParams:
+def init_gmm(n_components: int, latent_dim: int,
+             rng: np.random.Generator) -> GmmParams:
     """Zero logits and log-scales; means drawn from N(0, 4 I) so components
     start separated relative to unit posterior scales."""
     return GmmParams(
         mixture_logits=np.zeros(n_components),
         means=rng.normal(0.0, 2.0, size=(n_components, latent_dim)),
         log_scales=np.zeros((n_components, latent_dim)),
-        constrained=constrained,
     )
 
 

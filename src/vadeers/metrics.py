@@ -147,20 +147,18 @@ class FidelityReport:
 
 def _match_components(true_cent: dict, gen_cent: dict) -> dict[int, int]:
     """Component -> label matching minimizing total centroid distance;
-    exhaustive over injective assignments (component counts are small)."""
-    comps = sorted(gen_cent)
-    labs = sorted(true_cent)
-    k = min(len(comps), len(labs))
-    best, best_cost = None, np.inf
-    for chosen in itertools.permutations(labs, k):
-        cost = sum(
-            float(np.linalg.norm(gen_cent[c] - true_cent[l]))
-            for c, l in zip(comps, chosen)
-        )
-        if cost < best_cost:
-            best_cost = cost
-            best = dict(zip(comps, chosen))
-    return best or {}
+    exhaustive over the injective assignments of the smaller set into the
+    larger (component counts are small)."""
+    comps, labs = sorted(gen_cent), sorted(true_cent)
+    if len(comps) <= len(labs):
+        options = (dict(zip(comps, chosen))
+                   for chosen in itertools.permutations(labs, len(comps)))
+    else:
+        options = (dict(sorted(zip(chosen, labs)))
+                   for chosen in itertools.permutations(comps, len(labs)))
+    return min(options, key=lambda matching: sum(
+        float(np.linalg.norm(gen_cent[c] - true_cent[lab]))
+        for c, lab in matching.items()))
 
 
 def generation_fidelity(true_rows, true_labels, gen_rows,

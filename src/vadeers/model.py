@@ -283,10 +283,7 @@ class VadeersModel:
         for name, spec in cls(config, {}).dense_layers():
             params[f"{name}.W"], params[f"{name}.b"] = init_layer_params(rng, spec)
         if config.uses_gmm:
-            g = gmm.init_gmm(
-                config.n_components, config.latent_dim, rng,
-                constrained=config.prior_variant == "gmm_constrained",
-            )
+            g = gmm.init_gmm(config.n_components, config.latent_dim, rng)
             params["gmm.logits"] = g.mixture_logits
             params["gmm.means"] = g.means
             params["gmm.log_scales"] = g.log_scales
@@ -315,7 +312,6 @@ class VadeersModel:
             mixture_logits=self.params["gmm.logits"],
             means=self.params["gmm.means"],
             log_scales=self.params["gmm.log_scales"],
-            constrained=self.config.prior_variant == "gmm_constrained",
         )
 
     # ---- forward passes ---------------------------------------------------
@@ -374,7 +370,7 @@ class VadeersModel:
         """Prediction head on [drug latent, cell latent], two (n,
         latent_dim) inputs; returns (n,)."""
         binder = binder or self.binder()
-        x = concat([drug_latent, cell_latent], axis=1)
+        x = concat([drug_latent, cell_latent])
         out = self._forward("dspn", x, binder, mode=mode, rng=rng)
         return reshape(out, (out.shape[0],))
 

@@ -108,11 +108,12 @@ def reshape(a, shape: tuple[int, ...]) -> Tensor:
                   lambda g, needs, outs: (g.reshape(orig),))
 
 
-def concat(tensors: Sequence, axis: int = 1) -> Tensor:
+def concat(tensors: Sequence) -> Tensor:
+    """Column-wise concatenation of 2-D tensors."""
     ts = tuple(wrap(t) for t in tensors)
-    splits = np.cumsum([t.shape[axis] for t in ts])[:-1]
-    return Tensor(np.concatenate([t.data for t in ts], axis=axis), ts,
-                  lambda g, needs, outs: tuple(np.split(g, splits, axis=axis)))
+    splits = np.cumsum([t.shape[1] for t in ts])[:-1]
+    return Tensor(np.concatenate([t.data for t in ts], axis=1), ts,
+                  lambda g, needs, outs: tuple(np.split(g, splits, axis=1)))
 
 
 def take_rows(a, indices) -> Tensor:

@@ -274,6 +274,8 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
 
     The dataset must already carry guiding labels when a GMM variant is
     trained.  Standardization is fitted on the training split inside.
+    The val partition, and the test partition when it has cell lines,
+    must hold at least 2 observed pairs each, since runs report on them.
     Returns the run log and the checkpoint: the trained model with that
     scaler, the dataset's guiding labels, the split's cell lines and
     ``schedule.seed``.
@@ -289,6 +291,12 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             )
     started = time.monotonic()
     split = split_by_cell_line(dataset, split_spec)
+    for name, cells, rows in (("val", split.val_cells, split.val_rows),
+                              ("test", split.test_cells, split.test_rows)):
+        if cells and len(rows) < 2:
+            raise DataError(f"ic50.csv: the {name} partition holds "
+                            f"{len(rows)} observed pair(s) on {len(cells)} "
+                            f"cell line(s); a report on it needs at least 2")
     data_std, scaler = standardize(dataset, set(split.train_cells))
 
     root = np.random.SeedSequence(schedule.seed)

@@ -442,6 +442,26 @@ def covariance_eigvals(points):
     return np.sort(vals)[::-1]
 
 
+def best_component_matching(true_cent, gen_cent):
+    """Component -> label matching of least total centroid distance,
+    by trying every injective assignment of the smaller of the two sets
+    into the larger (counts small: brute force)."""
+    comps, labs = sorted(gen_cent), sorted(true_cent)
+    if len(comps) <= len(labs):
+        options = (dict(zip(comps, chosen))
+                   for chosen in itertools.permutations(labs, len(comps)))
+    else:
+        options = (dict(zip(chosen, labs))
+                   for chosen in itertools.permutations(comps, len(labs)))
+    return min(options, key=lambda m: matching_cost(true_cent, gen_cent, m))
+
+
+def matching_cost(true_cent, gen_cent, matching):
+    """Total centroid distance of a component -> label matching."""
+    return math.fsum(float(np.linalg.norm(gen_cent[c] - true_cent[lab]))
+                     for c, lab in matching.items())
+
+
 def hungarian_agreement(pred, truth, k):
     """Best label-permutation agreement rate (k small: brute force)."""
     pred = np.asarray(pred)

@@ -6,19 +6,20 @@ import json
 import shutil
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 import vadeers.cli
 from vadeers.cli import main
-from vadeers.data import load_csv, load_manifest
+from vadeers.data import SynthSpec, load_csv, load_manifest
 from vadeers.metrics import MetricReport
-from vadeers.model import ModelConfig, VadeersModel
+from vadeers.model import LossWeights, ModelConfig, VadeersModel
 from vadeers.training import (
     CHECKPOINT_MAGIC,
     SplitSpec,
+    TrainSchedule,
     load_checkpoint,
     save_checkpoint,
     split_by_cell_line,
@@ -95,6 +96,21 @@ def test_synth_same_seed_byte_identical(tmp_path, data_dir):
     for name in ("drugs.csv", "profiles.csv", "cells.csv", "ic50.csv",
                  "manifest.json"):
         assert (other / name).read_bytes() == (data_dir / name).read_bytes()
+
+
+def test_synth_scale_flag_over_config_over_desk_default(tmp_path):
+    cfg = tmp_path / "paper.json"
+    cfg.write_text(json.dumps({"scale": "paper"}))
+    small = ("--n-drugs", "10", "--n-profiled", "5", "--n-cells", "8")
+    dims = {}
+    for name, argv in (("default", ()), ("config", ("--config", cfg)),
+                       ("flag", ("--config", cfg, "--scale", "desk"))):
+        assert run("synth", "--out", tmp_path / name, *small, *argv) == 0
+        manifest = load_manifest(tmp_path / name)
+        dims[name] = tuple(manifest[k]
+                           for k in ("smiles_dim", "ip_dim", "bio_dim"))
+    assert dims == {"default": (32, 24, 20), "config": (300, 294, 241),
+                    "flag": (32, 24, 20)}
 
 
 # ---------------------------------------------------------------------------
@@ -512,6 +528,18 @@ def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
     assert "bad.bin" in err and repr(key) in err
 
 
+def test_checkpoint_header_config_not_an_object_exit_2(tmp_path, run_dir,
+                                                        capsys):
+    path = tmp_path / "bad.bin"
+    _rewrite_header(run_dir / "checkpoint.bin", path,
+                    lambda h: h.update(config=3))
+    capsys.readouterr()
+    assert run("generate", "--checkpoint", path, "--n", "5",
+               "--out", tmp_path / "g.csv") == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: header config must be an object\n")
+
+
 def _command_args(command, tmp_path, data_dir):
     """The arguments of ``command`` but --checkpoint and --out; predict
     gets one drug row and one cell row."""
@@ -824,6 +852,44 @@ def test_experiment_grid_aggregates(tmp_path, data_dir, config_file):
     assert (out / "vanilla-seed0" / "report_test.json").exists()
 
 
+def test_experiment_cell_is_a_train_run_directory(tmp_path, data_dir,
+                                                  config_file):
+    grid, solo = tmp_path / "grid", tmp_path / "solo"
+    flags = ("--data", data_dir, "--config", config_file,
+             "--joint-epochs", "1", "--dspn-epochs", "1")
+    assert run("experiment", *flags, "--out", grid, "--seeds", "2",
+               "--variants", "gmm_unconstrained") == 0
+    assert run("train", *flags, "--out", solo, "--seed", "2",
+               "--variant", "gmm_unconstrained") == 0
+    cell = grid / "gmm_unconstrained-seed2"
+    assert sorted(p.name for p in cell.iterdir()) == sorted(
+        [*(p.name for p in solo.iterdir()), "report_test.json"])
+    for name in ("checkpoint.bin", "report_val.json", "config_echo.json"):
+        assert (cell / name).read_bytes() == (solo / name).read_bytes(), name
+    # the first line of a run log holds its wall-clock time
+    cell_log, solo_log = ((d / "runlog.jsonl").read_bytes().split(b"\n", 1)
+                          for d in (cell, solo))
+    assert cell_log[1] == solo_log[1]
+
+
+def test_aborted_experiment_cell_keeps_its_aborted_files(tmp_path, data_dir,
+                                                         config_file, capsys):
+    config = json.loads(config_file.read_text())
+    config["schedule"]["lr_joint"] = 1e12
+    cfg = tmp_path / "diverge.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "grid"
+    capsys.readouterr()
+    assert run("experiment", "--data", data_dir, "--out", out, "--config", cfg,
+               "--seeds", "1", "--variants", "gmm_constrained") == 3
+    assert "numeric failure: joint step 2 diverged" in capsys.readouterr().err
+    cell = out / "gmm_constrained-seed1"
+    assert sorted(p.name for p in cell.iterdir()) == [
+        "checkpoint_last_good.ABORTED.bin", "runlog.ABORTED.jsonl"]
+    assert load_checkpoint(cell / "checkpoint_last_good.ABORTED.bin").seed == 1
+    assert not (out / "summary.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # config precedence / seeds / exit codes
 # ---------------------------------------------------------------------------
@@ -892,12 +958,57 @@ def test_missing_data_dir_exit_2(tmp_path):
 
 @pytest.mark.parametrize("section, key", [
     ("schedule", "seed"), ("schedule", "total_epochs"), ("split", "seed"),
+    ("model", "prior_variant"),
 ])
-def test_run_owned_config_keys_exit_2(tmp_path, data_dir, section, key):
+def test_run_owned_config_keys_exit_2(tmp_path, data_dir, capsys, section,
+                                      key):
+    # a value of the field's type: the key is unknown, not mistyped
     cfg = tmp_path / "owned.json"
-    cfg.write_text(json.dumps({section: {key: 1}}))
+    value = "vanilla" if key == "prior_variant" else 1
+    cfg.write_text(json.dumps({section: {key: value}}))
+    capsys.readouterr()
     assert run("train", "--data", data_dir, "--out", tmp_path / "o",
                "--config", cfg) == 2
+    assert (f"section {section!r}: unknown key {key!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("synth", "--seed=-1"),
+    ("train", "--data", "{unread}", "--seed=-1"),
+    ("generate", "--checkpoint", "{unread}", "--seed=-1"),
+    ("evaluate", "--checkpoint", "{unread}", "--data", "{unread}",
+     "--seed=-1"),
+    ("experiment", "--data", "{unread}", "--seeds=2,-1"),
+], ids=["synth", "train", "generate", "evaluate", "experiment"])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    # the paths do not exist: the seed is refused before anything is read
+    argv = [a.format(unread=tmp_path / "unread") for a in argv]
+    capsys.readouterr()
+    assert run(*argv, "--out", tmp_path / "o") == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert "--seed" in captured.err, captured.err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command, records", [
+    ("synth", (SynthSpec,)),
+    ("train", (ModelConfig, TrainSchedule, SplitSpec, LossWeights)),
+    ("experiment", (ModelConfig, TrainSchedule, SplitSpec, LossWeights)),
+])
+def test_each_record_flag_names_a_field_of_one_record(command, records):
+    # a record flag reaches every record with a field of its name
+    run_keys = {"config_path", "data_dir", "out", "seed", "seeds", "scale",
+                "variant", "variants"}
+    params = [p for p in vadeers.cli.cli.commands[command].params
+              if p.name not in run_keys]
+    assert params
+    for param in params:
+        owners = [cls.__name__ for cls in records
+                  if param.name in {f.name for f in fields(cls)}]
+        assert len(owners) == 1, (param.opts, owners)
 
 
 def test_bad_config_key_exit_2(tmp_path, data_dir):
@@ -970,6 +1081,25 @@ def test_bad_config_key_exit_2(tmp_path, data_dir):
     (None, ("experiment", "--seeds", "1,0,1"), 1, ["--seeds", "'1,0,1' is not"]),
     (None, ("experiment", "--variants", "vanilla, vanilla"), 1,
      ["--variants", "'vanilla, vanilla' is not"]),
+    # every top-level key is checked, by every command that reads the file
+    ({"bogus": 1}, (), 2, ["bad.json: unknown key 'bogus'"]),
+    ({"shedule": {"joint_epochs": 1, "dspn_epochs": 1}}, (), 2,
+     ["bad.json: unknown key 'shedule'"]),
+    ({"seed": -3}, (), 2, ["bad.json, key 'seed': seed must be >= 0"]),
+    ({"seed": -3}, ("synth",), 2, ["bad.json, key 'seed': seed must be >= 0"]),
+    ({"model": 0}, ("synth",), 2,
+     ["bad.json, key 'model': 0 is not of type dict | None"]),
+    ({"variant": "bogus"}, ("synth",), 2, ["bad.json, key 'variant'"]),
+    ({"bogus": 1}, ("experiment",), 2, ["bad.json: unknown key 'bogus'"]),
+    # a flag does not hide a bad value of the file
+    ({"seed": -3}, ("train", "--seed", "1"), 2,
+     ["bad.json, key 'seed': seed must be >= 0"]),
+    ({"variant": "bogus"}, ("train", "--variant", "vanilla"), 2,
+     ["bad.json, key 'variant'"]),
+    # the grid sets each cell's seed and variant
+    ({"seed": 3}, ("experiment",), 2, ["bad.json: unknown key 'seed'"]),
+    ({"variant": "vanilla"}, ("experiment",), 2,
+     ["bad.json: unknown key 'variant'"]),
 ])
 def test_malformed_config_or_seeds_no_traceback(tmp_path, data_dir, capsys,
                                                 config, argv, code, names):
@@ -1086,6 +1216,28 @@ def test_unusable_dataset_exit_2(tmp_path, data_dir, config_file, capsys,
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert captured.err == f"data error: {message.format(data=data)}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("seed, partition, pairs", [
+    (0, "val", 1), (3, "test", 0)])
+def test_held_out_partition_too_small_to_report_on_exit_2(
+        tmp_path, capsys, seed, partition, pairs):
+    # 16 pairs over 20 cell lines: one held-out cell line holds 0 or 1
+    cfg = tmp_path / "thin.json"
+    cfg.write_text(json.dumps({
+        "synth": {"n_drugs": 24, "n_profiled": 12, "n_cells": 20,
+                  "observance": 0.05},
+        "split": {"n_val_cells": 1, "n_test_cells": 1}}))
+    data = tmp_path / "data"
+    assert run("synth", "--out", data, "--seed", "0", "--config", cfg) == 0
+    capsys.readouterr()
+    assert run("train", "--data", data, "--out", tmp_path / "o", "--config",
+               cfg, "--variant", "vanilla", "--seed", seed) == 2
+    assert capsys.readouterr().err == (
+        f"data error: ic50.csv: the {partition} partition holds {pairs} "
+        f"observed pair(s) on 1 cell line(s); a report on it needs at "
+        f"least 2\n")
     assert not (tmp_path / "o").exists()
 
 

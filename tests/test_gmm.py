@@ -24,15 +24,13 @@ from oracles import (
 )
 
 
-def make_params(seed=0, k=3, d=3, constrained=False):
+def make_params(seed=0, k=3, d=3):
     rng = np.random.default_rng(seed)
-    log_scales = np.zeros((k, d)) if constrained else \
-        rng.normal(0.0, 0.3, size=(k, d))
+    log_scales = rng.normal(0.0, 0.3, size=(k, d))
     return gmm.GmmParams(
         mixture_logits=rng.normal(0.0, 0.5, size=k),
         means=rng.normal(0.0, 2.0, size=(k, d)),
         log_scales=log_scales,
-        constrained=constrained,
     )
 
 

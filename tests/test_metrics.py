@@ -11,6 +11,7 @@ import pytest
 from vadeers.exceptions import ContractViolation, UndefinedMetricError
 from vadeers.metrics import (
     MetricReport,
+    _match_components,
     cluster_stats,
     generation_fidelity,
     pca2,
@@ -20,8 +21,10 @@ from vadeers.metrics import (
 )
 
 from oracles import (
+    best_component_matching,
     cluster_stats_two_pass,
     covariance_eigvals,
+    matching_cost,
     silhouette_full_matrix,
     silhouette_loops,
 )
@@ -301,6 +304,37 @@ def test_fidelity_unmatched_cluster_flagged():
     gen_components = labels[labels != 2]
     report = generation_fidelity(rows, labels, gen, gen_components)
     assert 2 not in report.matching.values()
+
+
+@pytest.mark.parametrize("n_comps, n_labels", [
+    (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 6), (7, 7), (2, 3), (3, 5),
+    (3, 2), (5, 3), (7, 4), (6, 1)])
+def test_component_matching_has_least_total_distance(n_comps, n_labels):
+    rng = np.random.default_rng(100 * n_comps + n_labels)
+    for _ in range(3):
+        true_cent = {lab: rng.standard_normal(4) for lab in range(n_labels)}
+        # component ids need not be 0..K-1
+        gen_cent = {3 * c + 1: rng.standard_normal(4) for c in range(n_comps)}
+        got = _match_components(true_cent, gen_cent)
+        want = best_component_matching(true_cent, gen_cent)
+        assert len(got) == min(n_comps, n_labels)
+        assert len(set(got.values())) == len(got)
+        assert set(got) <= set(gen_cent) and set(got.values()) <= set(true_cent)
+        assert abs(matching_cost(true_cent, gen_cent, got)
+                   - matching_cost(true_cent, gen_cent, want)) < 1e-12
+
+
+def test_component_matching_uses_every_component():
+    # more components than labels: each label's nearest component is
+    # among the last ones in sorted order
+    rng = np.random.default_rng(101)
+    true_cent = {lab: 10.0 * rng.standard_normal(6) for lab in range(3)}
+    planted = {4: 2, 6: 0, 5: 1}
+    gen_cent = {c: 10.0 * rng.standard_normal(6) + 100.0 for c in range(4)}
+    gen_cent.update({c: true_cent[lab] + 0.1 * rng.standard_normal(6)
+                     for c, lab in planted.items()})
+    got = _match_components(true_cent, gen_cent)
+    assert got == planted and list(got) == sorted(got)
 
 
 # ---------------------------------------------------------------------------

@@ -120,6 +120,31 @@ def test_split_negative_count_rejected(field):
         SplitSpec(**{field: -1})
 
 
+@pytest.mark.parametrize("partition", ["val", "test"])
+def test_held_out_partition_needs_two_pairs(partition, monkeypatch):
+    # two drugs on every cell line but one held-out line, which has one
+    spec = SplitSpec(n_val_cells=1, n_test_cells=1, seed=0)
+    probe = _cells_only_dataset(8)
+    cells, split = probe.cell_ids, split_by_cell_line(probe, spec)
+    thin = {"val": split.val_cells, "test": split.test_cells}[partition][0]
+    pairs = [(d, c) for c in cells for d in ("D0", "D1")
+             if c != thin or d == "D0"]
+    dataset = Dataset.build(
+        (["D0", "D1"], np.eye(2)), (["D0"], np.ones((1, 3))),
+        (cells, np.arange(16.0).reshape(8, 2)),
+        ([d for d, _ in pairs], [c for _, c in pairs],
+         np.arange(len(pairs), dtype=np.float64)))
+    config = replace(TINY_CONFIG, smiles_dim=2, ip_dim=3, bio_dim=2,
+                     prior_variant="vanilla")
+    monkeypatch.setattr(VadeersModel, "initialize", None)  # nothing trains
+    with pytest.raises(DataError) as exc:
+        train(dataset, config, TrainSchedule(joint_epochs=1, dspn_epochs=1),
+              LossWeights(), spec)
+    assert str(exc.value) == (f"ic50.csv: the {partition} partition holds 1 "
+                              f"observed pair(s) on 1 cell line(s); a report "
+                              f"on it needs at least 2")
+
+
 # ---------------------------------------------------------------------------
 # batch assembly
 # ---------------------------------------------------------------------------
