@@ -9,6 +9,9 @@ wrote, in path order:
   every 50 joint steps, 25 validation and 25 test cell lines;
 * ``evaluate`` and ``predict`` of each trained variant, and ``generate``
   of each with and without ``--component`` (without only, for vanilla);
+* ``train`` of ``gmm_unconstrained`` on the same schedule and split with
+  the non-default loss ``WEIGHTS``: a zero weight, a non-unit prior weight
+  and a sensitivity weight above 1;
 * an ``experiment`` of one variant at two seeds.
 
 A run log's first line records wall-clock time, so ``runlog*.jsonl``
@@ -38,6 +41,8 @@ SEED = "5"
 SPLIT = {"n_val_cells": 25, "n_test_cells": 25}
 SCHEDULE = {"joint_epochs": 2, "dspn_epochs": 2, "dvae_break_every_steps": 50,
             "dvae_break_epochs": 1}
+WEIGHTS = {"smiles_recon": 0.5, "prior": 0.5, "entropy": 0, "cae": 0,
+           "dspn": 3}
 PREDICT_ROWS = 40
 
 
@@ -82,6 +87,12 @@ def session(root: Path) -> None:
             _run("generate", "--checkpoint", ckpt, "--n", "30",
                  "--seed", SEED, "--component", "1",
                  "--out", run / "generated_c1.csv")
+    weighted = root / "config_weighted.json"
+    weighted.write_text(json.dumps({"schedule": SCHEDULE, "split": SPLIT,
+                                    "weights": WEIGHTS}))
+    _run("train", "--data", data, "--out",
+         root / "train-gmm_unconstrained-weighted", "--seed", SEED,
+         "--variant", "gmm_unconstrained", "--config", weighted)
     _run("experiment", "--data", data, "--out", root / "experiment",
          "--config", config, "--variants", "gmm_constrained", "--seeds", "5,6",
          "--joint-epochs", "1", "--dspn-epochs", "1")

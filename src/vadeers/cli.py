@@ -37,6 +37,7 @@ from .data import (
     read_feature_csv,
     record_of,
     save_csv,
+    standardized,
     write_table,
 )
 from .exceptions import (
@@ -291,8 +292,10 @@ def predict(checkpoint_path, drugs_path, cells_path, out):
         )
     if not drug_ids:
         raise DataError(f"{drugs_path}: no data rows")
-    mu = model.drug_latent_means(ckpt.scaler.transform_embedding(emb))
-    lat = model.cell_latents(ckpt.scaler.transform_cell(feats))
+    mu = model.drug_latent_means(standardized(
+        ckpt.scaler.transform_embedding, emb, drugs_path, "e"))
+    lat = model.cell_latents(standardized(
+        ckpt.scaler.transform_cell, feats, cells_path, "f"))
     preds = ckpt.scaler.inverse_ic50(model.predict_sensitivity(mu, lat))
     out_path = Path(out) if out else _out_dir(None, "predictions.csv")
     out_path.parent.mkdir(parents=True, exist_ok=True)

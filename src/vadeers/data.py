@@ -306,9 +306,7 @@ def derive_guiding_labels(dataset: Dataset, n_labels: int = 3,
         raise DataError(
             f"need at least {n_labels} profiled drugs, have {len(rows)}"
         )
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
+    mean, std = _column_stats(rows, "profiles.csv", "k")
     labels, _, _ = kmeans((rows - mean) / std, n_labels, seed=seed)
     occupied = len(set(labels.tolist()))
     if occupied < n_labels:
@@ -325,13 +323,46 @@ def derive_guiding_labels(dataset: Dataset, n_labels: int = 3,
 # standardization
 # ---------------------------------------------------------------------------
 
-def _column_stats(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = rows.mean(axis=0)
-    std = rows.std(axis=0)
+def _finite_stats(name: str, prefix: str, mean, std) -> None:
+    """Raise a DataError naming the CSV file ``name`` and the first value
+    column (``{prefix}{j}``, or ``prefix`` for one statistic) whose mean
+    or std is not finite, which finite values reach only by overflow."""
+    bad = ~(np.isfinite(mean) & np.isfinite(std))
+    if np.any(bad):
+        column = f"{prefix}{np.argmax(bad)}" if np.ndim(mean) else prefix
+        raise DataError(f"{name}: column {column}: the mean or standard "
+                        f"deviation overflows; the values are too large to "
+                        f"standardize")
+
+
+def _column_stats(rows: np.ndarray, name: str,
+                  prefix: str) -> tuple[np.ndarray, np.ndarray]:
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        std = rows.std(axis=0)
+    _finite_stats(name, prefix, mean, std)
     zero = std == 0.0
     if zero.any():
         log.warning("%d zero-variance columns left unscaled", int(zero.sum()))
     return mean, np.where(zero, 1.0, std)
+
+
+def standardized(transform, rows, name: str, prefix: str,
+                 row=lambda r: f"row {r + 1}",
+                 what: str = "value") -> np.ndarray:
+    """``transform(rows)`` of the value rows of the CSV file ``name``,
+    run with numpy's overflow warnings off.  A result that is not finite
+    is a DataError naming the file, the row (``row(r)`` of the 0-based
+    ``r``) and the column (``{prefix}{j}``, or ``prefix`` for 1-D rows)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = transform(rows)
+    finite = np.isfinite(values)
+    if not finite.all():
+        r, j = np.argwhere(~finite)[0][[0, -1]]
+        column = f"{prefix}{j}" if values.ndim == 2 else prefix
+        raise DataError(f"{name}: {row(r)}, column {column}: non-finite "
+                        f"{what} after standardization")
+    return values
 
 
 @dataclass
@@ -389,19 +420,23 @@ class Scaler:
 
 def fit_scaler(dataset: Dataset, train_cell_ids: set[str]) -> Scaler:
     """Fit standardization statistics on the training portion only: all
-    drugs (the split is over cell lines), train cells, train pairs."""
-    emb_mean, emb_std = _column_stats(dataset.embeddings)
-    ip_mean, ip_std = _column_stats(dataset.profiles[dataset.profile_mask])
+    drugs (the split is over cell lines), train cells, train pairs.  A
+    statistic that overflows is a DataError naming the file and column."""
+    emb_mean, emb_std = _column_stats(dataset.embeddings, "drugs.csv", "e")
+    ip_mean, ip_std = _column_stats(dataset.profiles[dataset.profile_mask],
+                                    "profiles.csv", "k")
     is_train = np.array([c in train_cell_ids for c in dataset.cell_ids])
     train_cells = dataset.features[is_train]
     binary = np.all((train_cells == 0.0) | (train_cells == 1.0), axis=0)
-    cell_mean, cell_std = _column_stats(train_cells)
+    cell_mean, cell_std = _column_stats(train_cells, "cells.csv", "f")
     train_vals = dataset.pair_y[is_train[dataset.pair_cell]]
     if train_vals.size == 0:
         raise DataError("ic50.csv: no pairs on the training cell lines to fit "
                         "the scaler on")
-    ic50_mean = float(train_vals.mean())
-    ic50_std = float(train_vals.std())
+    with np.errstate(over="ignore", invalid="ignore"):
+        ic50_mean = float(train_vals.mean())
+        ic50_std = float(train_vals.std())
+    _finite_stats("ic50.csv", "ic50", ic50_mean, ic50_std)
     if ic50_std == 0.0:
         log.warning("zero-variance sensitivity values left unscaled")
         ic50_std = 1.0
@@ -411,21 +446,30 @@ def fit_scaler(dataset: Dataset, train_cell_ids: set[str]) -> Scaler:
 
 def apply_scaler(dataset: Dataset, scaler: "Scaler") -> Dataset:
     """Standardized copy of the dataset using an already-fitted scaler;
-    the transformed sensitivity values must stay finite."""
-    values = scaler.transform_ic50(dataset.pair_y)
-    bad = ~np.isfinite(values)
-    if bad.any():
-        k = int(np.argmax(bad))
-        key = (dataset.drug_ids[dataset.pair_drug[k]],
+    a standardized value that is not finite is a DataError naming the
+    file, the row and the column (for ``profiles.csv``, the row by its
+    drug id)."""
+    drugs = dataset.drug_ids
+
+    def pair(k: int) -> str:
+        key = (drugs[dataset.pair_drug[k]],
                dataset.cell_ids[dataset.pair_cell[k]])
-        raise DataError(f"non-finite sensitivity value for {key}")
+        return f"row {k + 1}, pair {key}"
+
+    values = standardized(scaler.transform_ic50, dataset.pair_y, "ic50.csv",
+                          "ic50", pair, "sensitivity value")
     mask = dataset.profile_mask
+    profiled = np.flatnonzero(mask)
     profiles = np.zeros_like(dataset.profiles)
-    profiles[mask] = scaler.transform_ip(dataset.profiles[mask])
+    profiles[mask] = standardized(
+        scaler.transform_ip, dataset.profiles[mask], "profiles.csv", "k",
+        lambda r: f"the row of drug {drugs[profiled[r]]!r}")
     return replace(dataset,
-                   embeddings=scaler.transform_embedding(dataset.embeddings),
+                   embeddings=standardized(scaler.transform_embedding,
+                                           dataset.embeddings, "drugs.csv", "e"),
                    profiles=profiles,
-                   features=scaler.transform_cell(dataset.features),
+                   features=standardized(scaler.transform_cell,
+                                         dataset.features, "cells.csv", "f"),
                    pair_y=values)
 
 

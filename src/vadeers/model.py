@@ -9,7 +9,7 @@ is differentiable end to end, including through the mixture prior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
 
@@ -109,9 +109,18 @@ class LossWeights:
     dspn: float = 1.0
 
     def __post_init__(self):
-        for name in ("smiles_recon", "ip_recon", "prior", "entropy", "cae", "dspn"):
-            if getattr(self, name) < 0:
-                raise ContractViolation(f"loss weight {name} must be >= 0")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ContractViolation(f"loss weight {f.name} must be >= 0")
+
+    def weigh(self, terms: dict[str, Tensor]) -> tuple[Tensor, dict[str, float]]:
+        """The loss of the unweighted ``terms``, keyed by weight name, as
+        one node, and each term times its signed weight, as a float.  The
+        prior and entropy enter negated: the loss is the negative ELBO."""
+        signed = [float(-getattr(self, k) if k in ("prior", "entropy")
+                        else getattr(self, k)) for k in terms]
+        return (weighted_sum(list(terms.values()), signed),
+                {k: w * float(t.data) for (k, t), w in zip(terms.items(), signed)})
 
 
 @dataclass
@@ -331,10 +340,11 @@ class VadeersModel:
                 f"{self.config.smiles_dim}"
             )
         h = self._forward("dvae.enc", x, binder)
-        mu = dense(h, binder("dvae.enc.mu.W"), binder("dvae.enc.mu.b"))
-        log_sigma = dense(h, binder("dvae.enc.logsig.W"), binder("dvae.enc.logsig.b"))
-        if not (np.all(np.isfinite(mu.data)) and np.all(np.isfinite(log_sigma.data))):
-            raise NumericError("non-finite encoder head output")
+        heads = ("dvae.enc.mu", "dvae.enc.logsig")
+        mu, log_sigma = (dense(h, binder(f"{n}.W"), binder(f"{n}.b")) for n in heads)
+        for n, t in zip(heads, (mu, log_sigma)):
+            if not np.all(np.isfinite(t.data)):
+                raise NumericError(f"non-finite activations after layer {n}")
         if sample:
             z = reparameterize(mu, log_sigma, rng.standard_normal(mu.shape))
         else:
@@ -386,30 +396,23 @@ class VadeersModel:
 
     def dvae_terms(self, enc: EncoderOutput, recon: Tensor, ip_pred: Tensor,
                    ip, ip_mask, labels, x_smiles,
-                   weights: LossWeights, binder: _Binder):
-        """Weighted DVAE loss terms averaged over the batch rows; a row
-        whose ``ip_mask`` is 0 has no profile term.  Returns the total
-        and the breakdown."""
-        prior = tmean(self.prior_log_density_rows(enc.z, labels, binder))
-        terms = {
-            "smiles_recon": (weights.smiles_recon, row_mse(recon, x_smiles)),
-            "ip_recon": (weights.ip_recon, row_mse(ip_pred, ip, ip_mask)),
-            "prior": (-weights.prior, prior),
-            "entropy": (-weights.entropy, entropy_mean(enc.log_sigma)),
+                   binder: _Binder) -> dict[str, Tensor]:
+        """The four unweighted DVAE loss terms, each averaged over the
+        batch rows; a row whose ``ip_mask`` is 0 has no profile term."""
+        return {
+            "smiles_recon": row_mse(recon, x_smiles),
+            "ip_recon": row_mse(ip_pred, ip, ip_mask),
+            "prior": tmean(self.prior_log_density_rows(enc.z, labels, binder)),
+            "entropy": entropy_mean(enc.log_sigma),
         }
-        total = weighted_sum([t for _, t in terms.values()],
-                             [w for w, _ in terms.values()])
-        return total, {name: weighted_sum([t], [w])
-                       for name, (w, t) in terms.items()}
 
     def dvae_loss_batch(self, binder: _Binder, x_smiles, ip, ip_mask, labels,
-                        weights: LossWeights, rng: np.random.Generator):
-        """Mean single-compound DVAE loss over a batch of drugs."""
+                        rng: np.random.Generator):
+        """The DVAE loss terms of a batch of drugs, and its encoding."""
         enc = self.encode_drug(x_smiles, binder, rng=rng, sample=True)
         recon, ip_pred = self.decode_drug(enc.z, binder)
-        total, parts = self.dvae_terms(enc, recon, ip_pred, ip, ip_mask,
-                                       labels, x_smiles, weights, binder)
-        return total, parts, enc
+        return self.dvae_terms(enc, recon, ip_pred, ip, ip_mask, labels,
+                               x_smiles, binder), enc
 
     def cae_loss_batch(self, binder: _Binder, x_bio) -> tuple[Tensor, Tensor]:
         """Deterministic autoencoder reconstruction error; also returns
@@ -418,27 +421,20 @@ class VadeersModel:
         recon = self.cae_decode(latent, binder)
         return latent, row_mse(recon, x_bio)
 
-    def total_loss(self, binder: _Binder, batch: Batch, weights: LossWeights,
-                   rng: np.random.Generator, mode: str = "train"):
-        """Composite loss over one batch of at least one observed pair;
-        returns (loss, breakdown).  The sensitivity term runs over the
-        observed pairs only."""
-        dvae_total, parts, enc = self.dvae_loss_batch(
-            binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
-            weights, rng,
-        )
-        cell_latent, cae_term = self.cae_loss_batch(binder, batch.x_bio)
+    def total_loss(self, binder: _Binder, batch: Batch, rng: np.random.Generator,
+                   mode: str = "train") -> dict[str, Tensor]:
+        """The six unweighted loss terms of one batch of at least one
+        observed pair, the DVAE's four, then ``cae`` and ``dspn``.  The
+        sensitivity term runs over the observed pairs only."""
+        terms, enc = self.dvae_loss_batch(
+            binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels, rng)
+        cell_latent, terms["cae"] = self.cae_loss_batch(binder, batch.x_bio)
         drug_latent = enc.z if self.config.dspn_input == "sample" else enc.mu
         preds = self.dspn_predict(take_rows(drug_latent, batch.pair_drug),
                                   take_rows(cell_latent, batch.pair_cell),
                                   binder, mode=mode, rng=rng)
-        dspn_term = row_mse(preds, batch.y)
-        parts = {**parts,
-                 "cae": weighted_sum([cae_term], [weights.cae]),
-                 "dspn": weighted_sum([dspn_term], [weights.dspn])}
-        total = weighted_sum([dvae_total, cae_term, dspn_term],
-                             [1.0, weights.cae, weights.dspn])
-        return total, parts
+        terms["dspn"] = row_mse(preds, batch.y)
+        return terms
 
     # ---- eval helpers -------------------------------------------------------
 

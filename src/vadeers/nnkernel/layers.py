@@ -70,8 +70,9 @@ def mlp_forward(
     ``layers``, whose dims chain from the width of ``x``; train mode with
     any nonzero dropout needs an rng.  None of this is checked here: the
     model's chains come from a checked config.  Raises
-    :class:`NumericError` naming the layer index if an activation goes
-    non-finite.
+    :class:`NumericError` if an activation goes non-finite, naming the
+    layer by its weight's name less the last part (``dspn.out.W`` names
+    ``dspn.out``), or by its index when the weight has no name.
     """
     h = wrap(x)
     for i, (spec, (w, b)) in enumerate(zip(layers, params)):
@@ -81,5 +82,7 @@ def mlp_forward(
                                 spec.dropout_rate)
         h = dense(h, w, b, spec.activation, mask)
         if not np.all(np.isfinite(h.data)):
-            raise NumericError(f"non-finite activations after layer {i}")
+            name = getattr(w, "name", None)
+            raise NumericError(f"non-finite activations after layer "
+                               f"{name.rsplit('.', 1)[0] if name else i}")
     return h

@@ -26,7 +26,6 @@ from .nnkernel import (
     GradientTape,
     Tensor,
     adam_step,
-    weighted_sum,
 )
 from .nnkernel.losses import row_mse
 from .nnkernel.store import pack
@@ -342,24 +341,27 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
 
     def step(where: str, state: AdamState, lr: float, loss_terms,
              *args) -> dict[str, float]:
-        """One optimizer step.  ``loss_terms(binder, *args)`` returns the
-        named loss terms, the first of them the loss to minimize; a
-        divergence or a non-finite loss aborts the run, naming
-        ``where``; the forward and gradient run with numpy's overflow
-        and invalid-value warnings off, since these checks report a
-        divergence.  Returns the terms as floats."""
+        """One optimizer step on the loss ``weights`` makes of the terms
+        ``loss_terms(binder, *args)``.  A divergence or a non-finite loss
+        aborts the run, naming ``where`` and the layer or the first
+        non-finite weighted term (else ``total``); numpy's overflow and
+        invalid-value warnings are off, since these checks report them.
+        Returns the weighted terms, after the loss as ``total`` if several."""
         tape = GradientTape(model.params)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                terms = loss_terms(model.binder(tape), *args)
+                loss, weighted = weights.weigh(
+                    loss_terms(model.binder(tape), *args))
             except NumericError as exc:
                 raise _abort(f"{where} diverged: {exc}") from None
-            loss = next(iter(terms.values()))
             if not np.isfinite(loss.data):
-                raise _abort(f"{where} loss non-finite")
+                term = next((k for k, v in weighted.items()
+                             if not np.isfinite(v)), "total")
+                raise _abort(f"{where} loss non-finite in term {term}")
             grads = tape.gradient(loss)
         adam_step(model.params, grads, state, lr)
-        return {k: float(v.data) for k, v in terms.items()}
+        return (weighted if len(weighted) == 1
+                else {"total": float(loss.data), **weighted})
 
     def record(phase: int, epoch: int, lr: float, steps: list[dict]):
         """Append an epoch record holding the mean of each loss term."""
@@ -373,15 +375,9 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             **{f"loss_{k}": v / max(len(steps), 1) for k, v in sums.items()},
         })
 
-    def joint_terms(binder, batch: Batch) -> dict[str, Tensor]:
-        loss, parts = model.total_loss(binder, batch, weights, rng_step,
-                                       mode="train")
-        return {"total": loss, **parts}
-
     def break_terms(binder, chunk: np.ndarray) -> dict[str, Tensor]:
-        loss, _, _ = model.dvae_loss_batch(
-            binder, *(rows[chunk] for rows in break_rows), weights, rng_break)
-        return {"total": loss}
+        return model.dvae_loss_batch(
+            binder, *(rows[chunk] for rows in break_rows), rng_break)[0]
 
     def run_break():
         runlog.event("break_start", at_joint_step=joint_step)
@@ -401,7 +397,8 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             batch = build_pair_batch(data_std, rows)
             touch(data_std.pair_cell[rows])
             steps.append(step(f"joint step {joint_step + 1}", adam,
-                              schedule.lr_joint, joint_terms, batch))
+                              schedule.lr_joint, model.total_loss, batch,
+                              rng_step))
             joint_step += 1
             if joint_step % schedule.dvae_break_every_steps == 0:
                 run_break()
@@ -422,8 +419,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
         preds = model.dspn_predict(drug_mu[pd_idx[chunk]],
                                    cell_lat[pc_idx[chunk]], binder,
                                    mode="train", rng=rng_step)
-        return {"dspn": weighted_sum([row_mse(preds, y[chunk])],
-                                     [weights.dspn])}
+        return {"dspn": row_mse(preds, y[chunk])}
 
     dspn_adam = AdamState()  # fresh moments: the lr regime changes
     current_lr = None

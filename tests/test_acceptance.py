@@ -111,10 +111,10 @@ def test_criterion_1_gradient_suite():
         assert ok, detail
 
     def dvae_only(probe, binder, batch):
-        loss, _, _ = probe.dvae_loss_batch(
+        terms, _ = probe.dvae_loss_batch(
             binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
-            weights, np.random.default_rng(1))
-        return loss
+            np.random.default_rng(1))
+        return weights.weigh(terms)[0]
 
     def cae_only(probe, binder, batch):
         _, loss = probe.cae_loss_batch(binder, batch.x_bio)
@@ -129,9 +129,8 @@ def test_criterion_1_gradient_suite():
         return tmean(square(sub(preds, Tensor(batch.y))))
 
     def composite(probe, binder, batch):
-        loss, _ = probe.total_loss(binder, batch, weights,
-                                   np.random.default_rng(2), mode="eval")
-        return loss
+        return weights.weigh(probe.total_loss(
+            binder, batch, np.random.default_rng(2), mode="eval"))[0]
 
     for variant in ("vanilla", "gmm_constrained", "gmm_unconstrained"):
         config = ModelConfig(prior_variant=variant, **TOY)

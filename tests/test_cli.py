@@ -1320,3 +1320,91 @@ def test_aborted_train_saves_a_complete_checkpoint(tmp_path, data_dir,
     lat = model.cell_latents(scaler.transform_cell(cfeat))
     assert np.array_equal(np.array(got), scaler.inverse_ic50(
         model.predict_sensitivity(mu, lat)))
+
+
+# ---------------------------------------------------------------------------
+# values too large to standardize
+# ---------------------------------------------------------------------------
+
+OVERFLOW_TRAIN = ("--joint-epochs", "1", "--dspn-epochs", "1",
+                  "--n-val-cells", "25", "--n-test-cells", "25")
+
+
+@pytest.fixture(scope="module")
+def desk_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("desk") / "synth"
+    assert run("synth", "--scale", "desk", "--seed", "3", "--out", out) == 0
+    return out
+
+
+def _set_column(path, column, value):
+    """Rewrite ``column`` of the CSV file ``path``: 0-based data row ``i``
+    takes ``value(i)``, or keeps its value where that is None."""
+    header, *rows = path.read_text().splitlines()
+    j = header.split(",").index(column)
+    for i, row in enumerate(rows):
+        if value(i) is not None:
+            cells = row.split(",")
+            cells[j] = repr(value(i))
+            rows[i] = ",".join(cells)
+    path.write_text("\n".join([header, *rows]) + "\n")
+
+
+def _exit_2_quietly(capsys, *argv) -> str:
+    """The stderr of a run that exits 2 with no traceback and no numpy
+    warning."""
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    captured = capsys.readouterr()
+    assert code == 2, captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert "RuntimeWarning" not in captured.out + captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return captured.err
+
+
+@pytest.mark.parametrize("name, column, value", [
+    ("drugs.csv", "e0", lambda i: 1.7e308 if i % 7 else -1e300),
+    ("drugs.csv", "e0", lambda i: (-1) ** i * 1.7e308),
+    ("ic50.csv", "ic50", lambda i: 1.7e308 if i % 2 else None),
+    ("profiles.csv", "k0", lambda i: (-1) ** i * 1.7e308),
+], ids=["mean_overflows", "std_overflows", "sensitivity_mean_overflows",
+        "profile_std_overflows"])
+def test_train_on_values_too_large_to_standardize_exit_2(
+        tmp_path, desk_dir, capsys, name, column, value):
+    data = tmp_path / "data"
+    shutil.copytree(desk_dir, data)
+    _set_column(data / name, column, value)
+    out = tmp_path / "run"
+    err = _exit_2_quietly(capsys, "train", "--data", data, "--out", out,
+                          *OVERFLOW_TRAIN)
+    assert err == (f"data error: {name}: column {column}: the mean or "
+                   f"standard deviation overflows; the values are too large "
+                   f"to standardize\n")
+    assert not out.exists()
+
+
+def test_predict_input_that_overflows_when_standardized_exit_2(
+        tmp_path, desk_dir, capsys):
+    # a near-constant training column has a tiny std, and 1e300 over it
+    # overflows
+    data = tmp_path / "data"
+    shutil.copytree(desk_dir, data)
+    _set_column(data / "drugs.csv", "e0", lambda i: 1 + 1e-13 * i)
+    assert run("train", "--data", data, "--out", tmp_path / "run",
+               *OVERFLOW_TRAIN) == 0
+    dataset = load_csv(data)
+    demb = dataset.embeddings[:3].copy()
+    demb[1, 0] = 1e300
+    dpath, cpath = tmp_path / "drugs_in.csv", tmp_path / "cells_in.csv"
+    _write_feature_csv(dpath, "e", dataset.drug_ids[:3], demb)
+    _write_feature_csv(cpath, "f", dataset.cell_ids[:3], dataset.features[:3])
+    out = tmp_path / "preds.csv"
+    err = _exit_2_quietly(capsys, "predict", "--checkpoint",
+                          tmp_path / "run" / "checkpoint.bin", "--drugs",
+                          dpath, "--cells", cpath, "--out", out)
+    assert err == (f"data error: {dpath}: row 2, column e0: non-finite value "
+                   f"after standardization\n")
+    assert not out.exists()

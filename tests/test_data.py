@@ -693,6 +693,41 @@ def test_apply_scaler_non_finite_value_names_pair():
     assert repr(key) in str(err.value)
 
 
+@pytest.mark.parametrize("table, std_field, name, prefix", [
+    ("embeddings", "embedding_std", "drugs.csv", "e"),
+    ("profiles", "ip_std", "profiles.csv", "k"),
+    ("features", "cell_std", "cells.csv", "f"),
+])
+def test_apply_scaler_names_the_value_that_overflows(table, std_field, name,
+                                                     prefix):
+    dataset = generate_synthetic(DESK, seed=13)
+    _, scaler = standardize(dataset, {c.id for c in dataset.cells[:20]})
+    r = int(np.flatnonzero(dataset.profile_mask)[1])
+    j = int(np.flatnonzero(~scaler.cell_binary)[1])
+    values = getattr(dataset, table).copy()
+    values[r, j] = 1e300
+    std = getattr(scaler, std_field).copy()
+    std[j] = 1e-12
+    row = (f"the row of drug {dataset.drug_ids[r]!r}" if table == "profiles"
+           else f"row {r + 1}")
+    with pytest.raises(DataError) as err:
+        apply_scaler(replace(dataset, **{table: values}),
+                     replace(scaler, **{std_field: std}))
+    assert str(err.value) == (f"{name}: {row}, column {prefix}{j}: "
+                              f"non-finite value after standardization")
+
+
+def test_scaler_statistic_that_overflows_names_file_and_column():
+    dataset = generate_synthetic(DESK, seed=13)
+    features = dataset.features.copy()
+    j = int(np.flatnonzero(features.std(axis=0) > 0)[-1])
+    features[::2, j] = 1.7e308
+    with pytest.raises(DataError, match=f"^cells.csv: column f{j}: the mean "
+                                        f"or standard deviation overflows"):
+        standardize(replace(dataset, features=features),
+                    set(dataset.cell_ids))
+
+
 def test_zero_variance_column_warns(caplog):
     ids, cells = [f"D{i}" for i in range(4)], [f"C{j}" for j in range(4)]
     x = np.arange(4.0)

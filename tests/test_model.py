@@ -2,7 +2,9 @@
 network, the entropy term, prior-variant equivalences, and
 finite-difference checks of the full objective for all three variants."""
 
+import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -201,7 +203,8 @@ def _enc_out(mu, log_sigma, z):
 
 
 def dvae_row_terms(x, recon, ip, ip_pred, enc, label, params, weights):
-    """``VadeersModel.dvae_terms`` on a one-row batch, as floats.  ``ip``
+    """``VadeersModel.dvae_terms`` on a one-row batch, weighed by
+    ``weights``, as floats.  ``ip``
     None is a drug without a profile; ``params`` None is the standard
     normal prior."""
     if params is None:
@@ -217,11 +220,11 @@ def dvae_row_terms(x, recon, ip, ip_pred, enc, label, params, weights):
     mask = [0.0 if ip is None else 1.0]
     if ip is None:
         ip = ip_pred = np.zeros(1)
-    total, parts = model.dvae_terms(
+    total, parts = weights.weigh(model.dvae_terms(
         enc, Tensor(np.atleast_2d(recon)), Tensor(np.atleast_2d(ip_pred)),
         np.atleast_2d(ip), mask, [-1 if label is None else label],
-        np.atleast_2d(x), weights, model.binder())
-    return float(total.data), {k: float(v.data) for k, v in parts.items()}
+        np.atleast_2d(x), model.binder()))
+    return float(total.data), parts
 
 
 def test_dvae_loss_perfect_reconstruction_leaves_prior_entropy():
@@ -480,7 +483,8 @@ def test_encoders_reject_malformed_input(encode, x, message):
 def test_non_finite_encoder_head_is_a_numeric_error():
     model = toy_model(seed=36)
     model.params["dvae.enc.logsig.b"] = np.full(TOY.latent_dim, np.inf)
-    with pytest.raises(NumericError, match="non-finite encoder head output"):
+    with pytest.raises(NumericError, match="^non-finite activations after "
+                                           "layer dvae.enc.logsig$"):
         model.drug_latent_means(np.zeros((2, TOY.smiles_dim)))
 
 
@@ -494,8 +498,8 @@ def test_total_loss_weight_masking():
     w = LossWeights(smiles_recon=1.0, ip_recon=0.0, prior=0.0, entropy=0.0,
                     cae=0.0, dspn=0.0)
     rng = np.random.default_rng(29)
-    loss, parts = model.total_loss(model.binder(), batch, w, rng,
-                                   mode="eval")
+    loss, parts = w.weigh(model.total_loss(model.binder(), batch, rng,
+                                           mode="eval"))
     # the same rng stream must be replayed for the reference pass
     rng2 = np.random.default_rng(29)
     enc = model.encode_drug(batch.x_smiles, rng=rng2)
@@ -508,11 +512,31 @@ def test_total_loss_breakdown_sums_to_total():
     for variant in ("vanilla", "gmm_constrained", "gmm_unconstrained"):
         model = toy_model(variant=variant, seed=30)
         batch = toy_batch(seed=31)
-        loss, parts = model.total_loss(
-            model.binder(), batch, LossWeights(),
-            np.random.default_rng(32), mode="eval")
-        assert abs(float(loss.data)
-                   - sum(float(p.data) for p in parts.values())) < 1e-12
+        loss, parts = LossWeights().weigh(model.total_loss(
+            model.binder(), batch, np.random.default_rng(32), mode="eval"))
+        assert abs(float(loss.data) - sum(parts.values())) < 1e-12
+
+
+@pytest.mark.parametrize("order", ["fields", "reversed"])
+def test_loss_weights_weigh_matches_a_signed_oracle(order):
+    # prior and entropy enter negated; a zero weight leaves its term out
+    w = LossWeights(smiles_recon=0.7, ip_recon=0.0, prior=0.5, entropy=2.0,
+                    cae=1.3, dspn=3.0)
+    names = [f.name for f in fields(LossWeights)]
+    if order == "reversed":
+        names.reverse()
+    rng = np.random.default_rng(80)
+    tape, terms = bound_tape({k: rng.normal(size=()) for k in names})
+    loss, weighted = w.weigh(terms)
+    signed = {k: (-1.0 if k in ("prior", "entropy") else 1.0) * getattr(w, k)
+              for k in names}
+    values = {k: float(terms[k].data) for k in names}
+    assert list(weighted) == names
+    assert weighted == {k: signed[k] * values[k] for k in names}
+    assert float(loss.data) == pytest.approx(
+        math.fsum(signed[k] * values[k] for k in names), rel=1e-15)
+    grads = tape.gradient(loss)
+    assert {k: float(grads[k]) for k in names} == signed
 
 
 def test_unobserved_pairs_do_not_change_dspn_term():
@@ -525,10 +549,10 @@ def test_unobserved_pairs_do_not_change_dspn_term():
     batch = toy_batch(seed=37)
     w = LossWeights(smiles_recon=0, ip_recon=0, prior=0, entropy=0, cae=0,
                     dspn=1)
-    loss_a, _ = model.total_loss(model.binder(), batch, w,
-                                 np.random.default_rng(38), mode="eval")
-    loss_b, _ = model.total_loss(model.binder(), batch, w,
-                                 np.random.default_rng(39), mode="eval")
+    loss_a, _ = w.weigh(model.total_loss(model.binder(), batch,
+                                         np.random.default_rng(38), mode="eval"))
+    loss_b, _ = w.weigh(model.total_loss(model.binder(), batch,
+                                         np.random.default_rng(39), mode="eval"))
     assert float(loss_a.data) == float(loss_b.data)
 
 
@@ -543,9 +567,8 @@ def test_total_loss_gradients_all_variants():
             probe = VadeersModel(model.config, arrays)
             tape = GradientTape(probe.params)
             binder = probe.binder(tape)
-            loss, _ = probe.total_loss(
-                binder, batch, LossWeights(),
-                np.random.default_rng(42), mode="eval")
+            loss, _ = LossWeights().weigh(probe.total_loss(
+                binder, batch, np.random.default_rng(42), mode="eval"))
             return loss, tape
 
         loss, tape = run(model.params)
@@ -568,14 +591,14 @@ def test_dspn_input_switch_feeds_sample_instead_of_mean():
                     dspn=1)
     mean_fed = toy_model(seed=51, dspn_input="mean")
     sample_fed = toy_model(seed=51, dspn_input="sample")
-    loss_mean_a, _ = mean_fed.total_loss(
-        mean_fed.binder(), batch, w, np.random.default_rng(1), mode="eval")
-    loss_mean_b, _ = mean_fed.total_loss(
-        mean_fed.binder(), batch, w, np.random.default_rng(2), mode="eval")
-    loss_samp_a, _ = sample_fed.total_loss(
-        sample_fed.binder(), batch, w, np.random.default_rng(1), mode="eval")
-    loss_samp_b, _ = sample_fed.total_loss(
-        sample_fed.binder(), batch, w, np.random.default_rng(2), mode="eval")
+    loss_mean_a, _ = w.weigh(mean_fed.total_loss(
+        mean_fed.binder(), batch, np.random.default_rng(1), mode="eval"))
+    loss_mean_b, _ = w.weigh(mean_fed.total_loss(
+        mean_fed.binder(), batch, np.random.default_rng(2), mode="eval"))
+    loss_samp_a, _ = w.weigh(sample_fed.total_loss(
+        sample_fed.binder(), batch, np.random.default_rng(1), mode="eval"))
+    loss_samp_b, _ = w.weigh(sample_fed.total_loss(
+        sample_fed.binder(), batch, np.random.default_rng(2), mode="eval"))
     # mean-fed predictor ignores the z draw; sample-fed follows it
     assert float(loss_mean_a.data) == float(loss_mean_b.data)
     assert float(loss_samp_a.data) != float(loss_samp_b.data)
@@ -586,8 +609,8 @@ def test_constrained_log_scales_never_registered():
     batch = toy_batch(seed=45)
     tape = GradientTape(model.params)
     binder = model.binder(tape)
-    loss, _ = model.total_loss(binder, batch, LossWeights(),
-                               np.random.default_rng(46))
+    loss, _ = LossWeights().weigh(model.total_loss(
+        binder, batch, np.random.default_rng(46)))
     grads = tape.gradient(loss)
     assert "gmm.log_scales" not in grads
     assert "gmm.means" in grads
@@ -612,13 +635,14 @@ def test_loss_graphs_stay_small():
     model = VadeersModel.initialize(config, np.random.default_rng(70))
     batch = toy_batch(seed=71, n_drugs=8, n_cells=5, config=config)
     binder = model.binder(GradientTape(model.params))
-    loss, _, _ = model.dvae_loss_batch(
+    terms, _ = model.dvae_loss_batch(
         binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
-        LossWeights(), np.random.default_rng(72))
+        np.random.default_rng(72))
+    loss, _ = LossWeights().weigh(terms)
     assert _graph_nodes(loss) <= 45
     binder = model.binder(GradientTape(model.params))
-    loss, _ = model.total_loss(binder, batch, LossWeights(),
-                               np.random.default_rng(73), mode="train")
+    loss, _ = LossWeights().weigh(model.total_loss(
+        binder, batch, np.random.default_rng(73), mode="train"))
     assert _graph_nodes(loss) <= 95
 
 
@@ -692,9 +716,10 @@ def test_reused_gradient_vector_matches_a_fresh_one_bit_for_bit():
             tape = GradientTape(probe.params)
             binder = probe.binder(tape)
             binder("cae.dec.out.b")  # registered, but no path reaches it
-            loss, _, _ = probe.dvae_loss_batch(
+            terms, _ = probe.dvae_loss_batch(
                 binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
-                LossWeights(), np.random.default_rng(62))
+                np.random.default_rng(62))
+            loss, _ = LossWeights().weigh(terms)
             if probe is model:
                 # what the reused vector held must not leak into a slice
                 model.params.gradient_store(model.params).flat[:] = np.nan

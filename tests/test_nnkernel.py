@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vadeers.exceptions import ContractViolation
+from vadeers.exceptions import ContractViolation, NumericError
 from vadeers.nnkernel import (
     AdamState,
     FlatStore,
     GradientTape,
     LayerSpec,
+    Tensor,
     adam_step,
     dense,
     in_row_parts,
@@ -352,6 +353,22 @@ def test_relu_zeroes_negative_preactivations():
     params = [(np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([-5.0, -5.0]))]
     out = mlp_forward(np.ones((3, 2)), layers, params)
     assert np.array_equal(out.data, np.zeros((3, 2)))
+
+
+@pytest.mark.parametrize("named, layer", [(True, "net.out"), (False, "1")],
+                         ids=["named", "unnamed"])
+def test_non_finite_activation_names_its_layer(named, layer):
+    # the second layer overflows; a named weight names it, else its index
+    layers = [LayerSpec(2, 2, "relu"), LayerSpec(2, 1, "identity")]
+    params = [(np.eye(2), np.zeros(2)),
+              (np.full((2, 1), 1e308), np.zeros(1))]
+    if named:
+        params = [(Tensor(w, name=f"net.{i}.W"), Tensor(b, name=f"net.{i}.b"))
+                  for i, (w, b) in zip(("0", "out"), params)]
+    with np.errstate(over="ignore"), pytest.raises(
+            NumericError, match=f"^non-finite activations after layer "
+                                f"{layer}$"):
+        mlp_forward(np.ones((3, 2)), layers, params)
 
 
 def test_eval_equals_train_with_zero_dropout():

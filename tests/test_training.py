@@ -2,7 +2,7 @@
 break/freeze/lr-decay accounting, determinism, divergence handling, and
 checkpoint round-trips."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -269,19 +269,22 @@ def test_no_heldout_cells_touch_gradients():
     assert not result.runlog.cells_touched & test_set
 
 
-@pytest.mark.parametrize("phase, schedule_kw", [
-    ("joint", dict(joint_epochs=4, lr_joint=1e12)),
-    ("break", dict(joint_epochs=4, lr_joint=1e12, dvae_break_every_steps=1)),
-    ("dspn", dict(lr_dspn=1e100)),
+@pytest.mark.parametrize("reason, schedule_kw", [
+    ("joint step 2 diverged: non-finite activations after layer dvae.dec_s.0",
+     dict(joint_epochs=4, lr_joint=1e12)),
+    ("break diverged: non-finite activations after layer dvae.dec_s.0",
+     dict(joint_epochs=4, lr_joint=1e12, dvae_break_every_steps=1)),
+    ("dspn epoch 0 diverged: non-finite activations after layer dspn.out",
+     dict(lr_dspn=1e100)),
 ], ids=["joint", "break", "dspn"])
-def test_divergent_lr_aborts_with_last_good_model(phase, schedule_kw):
+def test_divergent_lr_aborts_with_last_good_model(reason, schedule_kw):
     with pytest.raises(TrainingAborted) as err:
         tiny_train(**schedule_kw)
     aborted = err.value.result
     assert isinstance(aborted.checkpoint.model, VadeersModel)
     reasons = [e["reason"] for e in aborted.runlog.events
                if e["event"] == "aborted"]
-    assert len(reasons) == 1 and reasons[0].startswith(phase), reasons
+    assert reasons == [reason]
     for arr in aborted.checkpoint.model.params.values():
         assert np.all(np.isfinite(arr))
     # the rest of the checkpoint is that of a run of the same seed
@@ -292,17 +295,81 @@ def test_divergent_lr_aborts_with_last_good_model(phase, schedule_kw):
     assert aborted.checkpoint.seed == done.seed == 0
 
 
+def recorded_terms(monkeypatch) -> list[dict[str, float]]:
+    """The unweighted terms of each step, as floats: ``LossWeights.weigh``
+    patched to append those it is given to the returned list."""
+    seen = []
+    weigh = LossWeights.weigh
+
+    def recording(self, terms):
+        seen.append({k: float(t.data) for k, t in terms.items()})
+        return weigh(self, terms)
+
+    monkeypatch.setattr(LossWeights, "weigh", recording)
+    return seen
+
+
+def overflow_train(weights):
+    return train(tiny_dataset(), TINY_CONFIG,
+                 TrainSchedule(joint_epochs=1, dspn_epochs=1, seed=0), weights,
+                 SplitSpec(n_val_cells=3, n_test_cells=3, seed=0))
+
+
 def test_overflowing_loss_aborts_though_activations_stay_finite():
-    # each term is finite at init, and their weighted sum overflows
+    # each term is finite at init; weighted, the first overflows
     weights = LossWeights(smiles_recon=1e308, ip_recon=1e308, cae=1e308,
                           dspn=1e308)
-    with pytest.raises(TrainingAborted,
-                       match="^joint step 1 loss non-finite$") as err:
-        train(tiny_dataset(), TINY_CONFIG,
-              TrainSchedule(joint_epochs=1, dspn_epochs=1, seed=0), weights,
-              SplitSpec(n_val_cells=3, n_test_cells=3, seed=0))
+    reason = "joint step 1 loss non-finite in term smiles_recon"
+    with pytest.raises(TrainingAborted, match=f"^{reason}$") as err:
+        overflow_train(weights)
     assert err.value.result.runlog.events[-1] == {
-        "event": "aborted", "reason": "joint step 1 loss non-finite"}
+        "event": "aborted", "reason": reason}
+
+
+def test_a_loss_that_overflows_only_in_its_sum_names_the_total(monkeypatch):
+    seen = recorded_terms(monkeypatch)
+    overflow_train(LossWeights())
+    first = seen[0]
+    # each weighted term is finite, near 0.9e308, and their sum is not
+    weights = LossWeights(prior=0, entropy=0, **{
+        k: 0.9e308 / first[k]
+        for k in ("smiles_recon", "ip_recon", "cae", "dspn")})
+    with pytest.raises(TrainingAborted,
+                       match="^joint step 1 loss non-finite in term total$"):
+        overflow_train(weights)
+    assert seen[-1] == first
+
+
+def test_epoch_records_log_each_signed_weight_times_its_mean_term(
+        monkeypatch):
+    seen = recorded_terms(monkeypatch)
+    weights = LossWeights(prior=0.5, entropy=0, dspn=3)
+    schedule = TrainSchedule(joint_epochs=2, dspn_epochs=2, batch_size=16,
+                             seed=0)
+    runlog = train(tiny_dataset(), TINY_CONFIG, schedule, weights,
+                   SplitSpec(n_val_cells=3, n_test_cells=3, seed=0)).runlog
+    names = [f.name for f in fields(LossWeights)]
+    joint = [t for t in seen if len(t) == len(names)]
+    dspn = [t for t in seen if list(t) == ["dspn"]]
+    assert len(joint) + len(dspn) == len(seen)
+    sign = {"prior": -1.0, "entropy": -1.0}
+    for record, steps in zip(runlog.epochs, [
+            *np.array_split(joint, schedule.joint_epochs),
+            *np.array_split(dspn, schedule.dspn_epochs)]):
+        terms = names if record["phase"] == 1 else ["dspn"]
+        keys = (["loss_total"] if record["phase"] == 1 else []) + [
+            f"loss_{k}" for k in terms]
+        assert list(record) == ["phase", "phase_epoch", "joint_step", "lr",
+                                *keys]
+        for k in terms:
+            mean = np.mean([t[k] for t in steps])
+            assert record[f"loss_{k}"] == pytest.approx(
+                sign.get(k, 1.0) * getattr(weights, k) * mean, rel=1e-12)
+        if record["phase"] == 1:
+            assert record["loss_total"] == pytest.approx(
+                sum(record[f"loss_{k}"] for k in names), rel=1e-12)
+    assert [r["phase"] for r in runlog.epochs] == [1, 1, 2, 2]
+    assert {r["loss_entropy"] for r in runlog.epochs[:2]} == {0.0}
 
 
 def test_a_frozen_parameter_that_moves_in_phase_2_aborts(monkeypatch):
