@@ -12,7 +12,10 @@ wrote, in path order:
 * ``train`` of ``gmm_unconstrained`` on the same schedule and split with
   the non-default loss ``WEIGHTS``: a zero weight, a non-unit prior weight
   and a sensitivity weight above 1;
-* an ``experiment`` of one variant at two seeds.
+* an ``experiment`` of one variant at two seeds;
+* ``train`` of ``gmm_constrained`` on the same schedule and split with
+  ``lr_joint`` 1e12, which diverges and exits 3, leaving the last good
+  checkpoint and the run log of the aborted run.
 
 A run log's first line records wall-clock time, so ``runlog*.jsonl``
 files are hashed without it.  Two digests taken with the same numpy and
@@ -46,13 +49,13 @@ WEIGHTS = {"smiles_recon": 0.5, "prior": 0.5, "entropy": 0, "cae": 0,
 PREDICT_ROWS = 40
 
 
-def _run(*argv) -> None:
+def _run(*argv, expect: int = 0) -> None:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
         code = vadeers_main([str(a) for a in argv])
-    if code != 0:
+    if code != expect:
         raise SystemExit(f"vadeers {' '.join(map(str, argv))} exited "
-                         f"{code}:\n{out.getvalue()}")
+                         f"{code}, not {expect}:\n{out.getvalue()}")
 
 
 def _head(src: Path, dst: Path, rows: int) -> Path:
@@ -96,6 +99,13 @@ def session(root: Path) -> None:
     _run("experiment", "--data", data, "--out", root / "experiment",
          "--config", config, "--variants", "gmm_constrained", "--seeds", "5,6",
          "--joint-epochs", "1", "--dspn-epochs", "1")
+    diverging = root / "config_diverging.json"
+    diverging.write_text(json.dumps({
+        "schedule": {**SCHEDULE, "lr_joint": 1e12}, "split": SPLIT}))
+    _run("train", "--data", data, "--out",
+         root / "train-gmm_constrained-aborted", "--seed", SEED,
+         "--variant", "gmm_constrained", "--config", diverging, expect=3)
+    diverging.unlink()  # digest the aborted run's artifacts only
 
 
 def digest(root: Path) -> list[str]:

@@ -6,8 +6,8 @@ comparison between true and generated per-cluster profile statistics.
 Conventions: Silhouette uses Euclidean distance on the full vectors
 (PCA is for plotting only); singleton clusters score 0; cluster STDs are
 population STDs.  Latent-space metrics use encoder means, never samples.
-A Silhouette needs two clusters: with fewer, :func:`evaluate` reports it
-as None.
+A Silhouette over fewer than two clusters, and a Pearson over fewer than
+two values or a constant side, are undefined: :func:`evaluate` has None.
 
 Row arrays and their label or value arrays are expected to match in
 length; only the counts that make a metric undefined are checked.
@@ -49,6 +49,14 @@ def pearson(y_true, y_pred) -> float:
     if qa == 0.0 or qb == 0.0:
         raise UndefinedMetricError("pearson undefined for constant input")
     return float((ac @ bc) / np.sqrt(qa * qb))
+
+
+def pearson_or_none(y_true, y_pred) -> float | None:
+    """:func:`pearson`, or None where it is undefined."""
+    try:
+        return pearson(y_true, y_pred)
+    except (ContractViolation, UndefinedMetricError):
+        return None
 
 
 def silhouette(points, labels) -> float:
@@ -165,12 +173,11 @@ def generation_fidelity(true_rows, true_labels, gen_rows,
                         gen_components) -> FidelityReport:
     """Feature-wise RMSE and Pearson between true and generated per-cluster
     centroid and STD vectors, averaged over the clusters matched by
-    nearest centroids.  A Pearson over fewer than 2 features is
-    undefined: it is None, in each cluster and on average."""
+    nearest centroids.  A Pearson over fewer than 2 features or a constant
+    vector is undefined: it is None, in each cluster and on average."""
     true_stats = cluster_stats(true_rows, true_labels)
     gen_stats = cluster_stats(gen_rows, gen_components)
     matching = _match_components(true_stats.centroids, gen_stats.centroids)
-    correlate = pearson if np.shape(true_rows)[1] >= 2 else lambda a, b: None
 
     per_cluster: dict[int, dict[str, float]] = {}
     cent_r, cent_p, std_r, std_p = [], [], [], []
@@ -179,14 +186,14 @@ def generation_fidelity(true_rows, true_labels, gen_rows,
         entry = {
             "label": lab,
             "centroid_rmse": rmse(tc, gc),
-            "centroid_pearson": correlate(tc, gc),
+            "centroid_pearson": pearson_or_none(tc, gc),
         }
         cent_r.append(entry["centroid_rmse"])
         cent_p.append(entry["centroid_pearson"])
         ts, gs = true_stats.stds[lab], gen_stats.stds[comp]
         if ts is not None and gs is not None:
             entry["std_rmse"] = rmse(ts, gs)
-            entry["std_pearson"] = correlate(ts, gs)
+            entry["std_pearson"] = pearson_or_none(ts, gs)
             entry["gen_std_mean"] = float(np.mean(gs))
             entry["true_std_mean"] = float(np.mean(ts))
             std_r.append(entry["std_rmse"])
@@ -213,7 +220,7 @@ def generation_fidelity(true_rows, true_labels, gen_rows,
 @dataclass
 class MetricReport:
     ic50_rmse: float
-    ic50_pearson: float
+    ic50_pearson: float | None
     ip_rmse: float
     silhouette_latent: float | None
     silhouette_generated: float | None
@@ -321,7 +328,7 @@ def evaluate(checkpoint: Checkpoint, dataset: Dataset, *, pairs: str = "test",
     preds = scaler.inverse_ic50(predict_pairs(model, dataset_std, rows, drug_mu))
     truth = dataset.pair_y[rows]
     ic50_rmse = rmse(truth, preds)
-    ic50_pearson = pearson(truth, preds)
+    ic50_pearson = pearson_or_none(truth, preds)
 
     # profile reconstruction on the training data (all profiled drugs)
     profiled = dataset_std.profile_mask

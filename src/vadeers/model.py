@@ -174,32 +174,6 @@ def _chain(prefix: str, in_dim: int, hidden: tuple[int, ...],
                       tuple((f"{n}.W", f"{n}.b") for n in names))
 
 
-class _Binder:
-    """Maps parameter names to tensors for one forward pass: trainable
-    parameters register on the tape, frozen ones become constants."""
-
-    def __init__(self, arrays: FlatStore,
-                 tape: GradientTape | None, frozen: frozenset[str]):
-        self._arrays = arrays
-        self._tape = tape
-        self._frozen = frozen
-        self._cache: dict[str, Tensor] = {}
-
-    def __call__(self, name: str) -> Tensor:
-        t = self._cache.get(name)
-        if t is None:
-            arr = self._arrays[name]
-            if self._tape is not None and name not in self._frozen:
-                t = self._tape.parameter(name, arr)
-            else:
-                t = Tensor(arr, name=name)
-            self._cache[name] = t
-        return t
-
-    def pairs(self, chain: LayerChain):
-        return [(self(w), self(b)) for w, b in chain.params]
-
-
 def entropy_mean(log_sigma) -> Tensor:
     """Batch mean of the analytical entropy of a diagonal Gaussian per
     row, D/2 (1 + ln 2 pi) + sum_d log sigma_d, as one node."""
@@ -256,11 +230,12 @@ class VadeersModel:
                            dropout_rate=c.dspn_dropout, dropout_layers=(0, 1)),
         }
 
-    def _forward(self, chain: str, x, binder: _Binder, mode: str = "eval",
+    def _forward(self, chain: str, x, tape: GradientTape, mode: str = "eval",
                  rng: np.random.Generator | None = None) -> Tensor:
         layers = self.chains[chain]
-        return mlp_forward(x, layers.specs, binder.pairs(layers), mode=mode,
-                           rng=rng)
+        return mlp_forward(x, layers.specs,
+                           [(tape(w), tape(b)) for w, b in layers.params],
+                           mode=mode, rng=rng)
 
     def _enc_trunk_out(self) -> int:
         c = self.config
@@ -306,8 +281,9 @@ class VadeersModel:
             return frozenset({"gmm.log_scales"})
         return frozenset()
 
-    def binder(self, tape: GradientTape | None = None) -> _Binder:
-        return _Binder(self.params, tape, self.frozen_names())
+    def tape(self) -> GradientTape:
+        """A tape over ``params`` that keeps the frozen names constant."""
+        return GradientTape(self.params, self.frozen_names())
 
     def group_names(self, group: str) -> list[str]:
         """Parameter names of one subnetwork: dvae, cae, dspn, or gmm."""
@@ -325,13 +301,13 @@ class VadeersModel:
 
     # ---- forward passes ---------------------------------------------------
 
-    def encode_drug(self, x, binder: _Binder | None = None,
+    def encode_drug(self, x, tape: GradientTape | None = None,
                     rng: np.random.Generator | None = None,
                     sample: bool = True) -> EncoderOutput:
         """Two-headed encoder; z via reparameterization with one draw
         from ``rng`` when ``sample`` is true.  ``x`` is checked: it is
         finite, 2-D and ``smiles_dim`` wide."""
-        binder = binder or self.binder()
+        tape = tape or self.tape()
         x = wrap(x)
         as_matrix(x.data, "drug input")
         if x.shape[1] != self.config.smiles_dim:
@@ -339,9 +315,9 @@ class VadeersModel:
                 f"drug input width {x.shape[1]} != smiles_dim "
                 f"{self.config.smiles_dim}"
             )
-        h = self._forward("dvae.enc", x, binder)
+        h = self._forward("dvae.enc", x, tape)
         heads = ("dvae.enc.mu", "dvae.enc.logsig")
-        mu, log_sigma = (dense(h, binder(f"{n}.W"), binder(f"{n}.b")) for n in heads)
+        mu, log_sigma = (dense(h, tape(f"{n}.W"), tape(f"{n}.b")) for n in heads)
         for n, t in zip(heads, (mu, log_sigma)):
             if not np.all(np.isfinite(t.data)):
                 raise NumericError(f"non-finite activations after layer {n}")
@@ -351,88 +327,88 @@ class VadeersModel:
             z = mu
         return EncoderOutput(mu=mu, log_sigma=log_sigma, z=z)
 
-    def decode_drug(self, z, binder: _Binder | None = None) -> tuple[Tensor, Tensor]:
+    def decode_drug(self, z, tape: GradientTape | None = None) -> tuple[Tensor, Tensor]:
         """Two independent decoders on the same z: reconstruction of the
         drug embedding and prediction of the inhibition profile.  Output
         layers are linear."""
-        binder = binder or self.binder()
+        tape = tape or self.tape()
         z = wrap(z)
-        return (self._forward("dvae.dec_s", z, binder),
-                self._forward("dvae.dec_i", z, binder))
+        return (self._forward("dvae.dec_s", z, tape),
+                self._forward("dvae.dec_i", z, tape))
 
-    def cae_encode(self, x, binder: _Binder | None = None) -> Tensor:
-        binder = binder or self.binder()
+    def cae_encode(self, x, tape: GradientTape | None = None) -> Tensor:
+        tape = tape or self.tape()
         x = wrap(x)
         as_matrix(x.data, "cell input")
         if x.shape[1] != self.config.bio_dim:
             raise ContractViolation(
                 f"cell input width {x.shape[1]} != bio_dim {self.config.bio_dim}"
             )
-        return self._forward("cae.enc", x, binder)
+        return self._forward("cae.enc", x, tape)
 
-    def cae_decode(self, latent, binder: _Binder | None = None) -> Tensor:
-        binder = binder or self.binder()
-        return self._forward("cae.dec", latent, binder)
+    def cae_decode(self, latent, tape: GradientTape | None = None) -> Tensor:
+        tape = tape or self.tape()
+        return self._forward("cae.dec", latent, tape)
 
     def dspn_predict(self, drug_latent, cell_latent,
-                     binder: _Binder | None = None, mode: str = "eval",
+                     tape: GradientTape | None = None, mode: str = "eval",
                      rng: np.random.Generator | None = None) -> Tensor:
         """Prediction head on [drug latent, cell latent], two (n,
         latent_dim) inputs; returns (n,)."""
-        binder = binder or self.binder()
+        tape = tape or self.tape()
         x = concat([drug_latent, cell_latent])
-        out = self._forward("dspn", x, binder, mode=mode, rng=rng)
+        out = self._forward("dspn", x, tape, mode=mode, rng=rng)
         return reshape(out, (out.shape[0],))
 
     # ---- losses ------------------------------------------------------------
 
-    def prior_log_density_rows(self, z, labels, binder: _Binder) -> Tensor:
+    def prior_log_density_rows(self, z, labels, tape: GradientTape) -> Tensor:
         if not self.config.uses_gmm:
             return gmm.standard_normal_log_density_rows(z)
         return gmm.semi_supervised_log_prior_rows(
             z, labels,
-            binder("gmm.logits"), binder("gmm.means"), binder("gmm.log_scales"),
+            tape("gmm.logits"), tape("gmm.means"), tape("gmm.log_scales"),
         )
 
     def dvae_terms(self, enc: EncoderOutput, recon: Tensor, ip_pred: Tensor,
                    ip, ip_mask, labels, x_smiles,
-                   binder: _Binder) -> dict[str, Tensor]:
+                   tape: GradientTape) -> dict[str, Tensor]:
         """The four unweighted DVAE loss terms, each averaged over the
         batch rows; a row whose ``ip_mask`` is 0 has no profile term."""
         return {
             "smiles_recon": row_mse(recon, x_smiles),
             "ip_recon": row_mse(ip_pred, ip, ip_mask),
-            "prior": tmean(self.prior_log_density_rows(enc.z, labels, binder)),
+            "prior": tmean(self.prior_log_density_rows(enc.z, labels, tape)),
             "entropy": entropy_mean(enc.log_sigma),
         }
 
-    def dvae_loss_batch(self, binder: _Binder, x_smiles, ip, ip_mask, labels,
+    def dvae_loss_batch(self, tape: GradientTape, x_smiles, ip, ip_mask, labels,
                         rng: np.random.Generator):
         """The DVAE loss terms of a batch of drugs, and its encoding."""
-        enc = self.encode_drug(x_smiles, binder, rng=rng, sample=True)
-        recon, ip_pred = self.decode_drug(enc.z, binder)
+        enc = self.encode_drug(x_smiles, tape, rng=rng, sample=True)
+        recon, ip_pred = self.decode_drug(enc.z, tape)
         return self.dvae_terms(enc, recon, ip_pred, ip, ip_mask, labels,
-                               x_smiles, binder), enc
+                               x_smiles, tape), enc
 
-    def cae_loss_batch(self, binder: _Binder, x_bio) -> tuple[Tensor, Tensor]:
+    def cae_loss_batch(self, tape: GradientTape, x_bio) -> tuple[Tensor, Tensor]:
         """Deterministic autoencoder reconstruction error; also returns
         the latent codes."""
-        latent = self.cae_encode(x_bio, binder)
-        recon = self.cae_decode(latent, binder)
+        latent = self.cae_encode(x_bio, tape)
+        recon = self.cae_decode(latent, tape)
         return latent, row_mse(recon, x_bio)
 
-    def total_loss(self, binder: _Binder, batch: Batch, rng: np.random.Generator,
+    def total_loss(self, tape: GradientTape, batch: Batch, rng: np.random.Generator,
                    mode: str = "train") -> dict[str, Tensor]:
         """The six unweighted loss terms of one batch of at least one
         observed pair, the DVAE's four, then ``cae`` and ``dspn``.  The
         sensitivity term runs over the observed pairs only."""
         terms, enc = self.dvae_loss_batch(
-            binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels, rng)
-        cell_latent, terms["cae"] = self.cae_loss_batch(binder, batch.x_bio)
+            tape, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels, rng)
+        cell_latent, terms["cae"] = self.cae_loss_batch(tape, batch.x_bio)
         drug_latent = enc.z if self.config.dspn_input == "sample" else enc.mu
         preds = self.dspn_predict(take_rows(drug_latent, batch.pair_drug),
                                   take_rows(cell_latent, batch.pair_cell),
-                                  binder, mode=mode, rng=rng)
+                                  tape, mode=mode, rng=rng)
         terms["dspn"] = row_mse(preds, batch.y)
         return terms
 

@@ -222,31 +222,32 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 class GradientTape:
-    """Registry of trainable parameters for one differentiable computation.
+    """The parameter leaves of one differentiable computation.
 
     Operations need no explicit recording: the op graph lives in the
     tensors themselves, and the tape contributes the set of parameters to
     differentiate with respect to.  Not thread-safe; use one tape per
     thread.
 
-    A tape is bound to a :class:`FlatStore`: it registers only that
-    store's own arrays, and :meth:`gradient` lays the gradients out in
+    A tape is bound to a :class:`FlatStore`: it hands out leaves of that
+    store's arrays only, and :meth:`gradient` lays the gradients out in
     its layout.
     """
 
-    def __init__(self, store: FlatStore):
+    def __init__(self, store: FlatStore, frozen: frozenset[str] = frozenset()):
         self._store = store
+        self._frozen = frozen
+        self._leaves: dict[str, Tensor] = {}
         self._params: dict[str, Tensor] = {}
 
-    def parameter(self, name: str, value) -> Tensor:
-        """Create and register a trainable leaf tensor; register each
-        name once."""
-        if self._store.get(name) is not value:
-            raise ContractViolation(
-                f"parameter {name!r} is not an array of the tape's store"
-            )
-        t = Tensor(value, name=name)
-        self._params[name] = t
+    def __call__(self, name: str) -> Tensor:
+        """The leaf of the store's array ``name``, made on the first call;
+        registered for differentiation unless ``name`` is frozen."""
+        t = self._leaves.get(name)
+        if t is None:
+            t = self._leaves[name] = Tensor(self._store[name], name=name)
+            if name not in self._frozen:
+                self._params[name] = t
         return t
 
     def gradient(self, loss: Tensor) -> FlatStore:

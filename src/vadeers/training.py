@@ -20,13 +20,7 @@ from .data import (Dataset, Scaler, atomic_open, field_defaults, json_fits,
                    json_object, record_of, standardize)
 from .exceptions import CheckpointError, ContractViolation, DataError, NumericError
 from .model import Batch, LossWeights, ModelConfig, VadeersModel
-from .nnkernel import (
-    AdamState,
-    FlatStore,
-    GradientTape,
-    Tensor,
-    adam_step,
-)
+from .nnkernel import AdamState, FlatStore, Tensor, adam_step
 from .nnkernel.losses import row_mse
 from .nnkernel.store import pack
 
@@ -342,16 +336,15 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     def step(where: str, state: AdamState, lr: float, loss_terms,
              *args) -> dict[str, float]:
         """One optimizer step on the loss ``weights`` makes of the terms
-        ``loss_terms(binder, *args)``.  A divergence or a non-finite loss
+        ``loss_terms(tape, *args)``.  A divergence or a non-finite loss
         aborts the run, naming ``where`` and the layer or the first
         non-finite weighted term (else ``total``); numpy's overflow and
         invalid-value warnings are off, since these checks report them.
         Returns the weighted terms, after the loss as ``total`` if several."""
-        tape = GradientTape(model.params)
+        tape = model.tape()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
-                loss, weighted = weights.weigh(
-                    loss_terms(model.binder(tape), *args))
+                loss, weighted = weights.weigh(loss_terms(tape, *args))
             except NumericError as exc:
                 raise _abort(f"{where} diverged: {exc}") from None
             if not np.isfinite(loss.data):
@@ -375,9 +368,9 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             **{f"loss_{k}": v / max(len(steps), 1) for k, v in sums.items()},
         })
 
-    def break_terms(binder, chunk: np.ndarray) -> dict[str, Tensor]:
+    def break_terms(tape, chunk: np.ndarray) -> dict[str, Tensor]:
         return model.dvae_loss_batch(
-            binder, *(rows[chunk] for rows in break_rows), rng_break)[0]
+            tape, *(rows[chunk] for rows in break_rows), rng_break)[0]
 
     def run_break():
         runlog.event("break_start", at_joint_step=joint_step)
@@ -415,9 +408,9 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     pd_idx, pc_idx, y = (a[train_rows] for a in (
         data_std.pair_drug, data_std.pair_cell, data_std.pair_y))
 
-    def dspn_terms(binder, chunk: np.ndarray) -> dict[str, Tensor]:
+    def dspn_terms(tape, chunk: np.ndarray) -> dict[str, Tensor]:
         preds = model.dspn_predict(drug_mu[pd_idx[chunk]],
-                                   cell_lat[pc_idx[chunk]], binder,
+                                   cell_lat[pc_idx[chunk]], tape,
                                    mode="train", rng=rng_step)
         return {"dspn": row_mse(preds, y[chunk])}
 
@@ -447,6 +440,12 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
 # ---------------------------------------------------------------------------
 # checkpoints
 # ---------------------------------------------------------------------------
+
+# every field of a checkpoint header
+HEADER_FIELDS = frozenset({"format_version", "config", "prior_variant",
+                           "scaler", "guiding_labels", "split_cells", "seed",
+                           "arrays", "payload_sha256"})
+
 
 def save_checkpoint(checkpoint: Checkpoint, path):
     """Deterministic container: magic, JSON header (sorted keys), raw
@@ -561,7 +560,7 @@ def _header_records(path: Path, header: dict, config: ModelConfig):
     """The guiding labels (drug id -> int in ``[0, n_guiding_labels)``),
     split cells (``train``, ``val`` and ``test`` lists of ids) and seed
     of a checkpoint header."""
-    labels, split = header.get("guiding_labels"), header.get("split_cells")
+    labels, split = header["guiding_labels"], header["split_cells"]
     if not json_fits(labels, dict[str, int] | None):
         raise CheckpointError(
             f"{path}: header field 'guiding_labels' must map drug ids to ints")
@@ -575,7 +574,12 @@ def _header_records(path: Path, header: dict, config: ModelConfig):
         raise CheckpointError(
             f"{path}: header field 'split_cells' must hold train, val and "
             f"test lists of cell ids")
-    seed = header.get("seed")
+    shared = sorted(set(split["train"]) & set(split["val"] + split["test"])
+                    | set(split["val"]) & set(split["test"]))
+    if shared:
+        raise CheckpointError(f"{path}: header field 'split_cells' lists "
+                              f"cell line {shared[0]!r} in two partitions")
+    seed = header["seed"]
     if not json_fits(seed, int | None):
         raise CheckpointError(f"{path}: header field 'seed' must be an int "
                               f"or null, got {seed!r}")
@@ -618,9 +622,18 @@ def load_checkpoint(path) -> Checkpoint:
     header = json_object(raw[offset: offset + size], f"{path}: header",
                          CheckpointError, CHECKPOINT_VERSION)
     offset += size
-    config = _header_config(path, header.get("config"))
+    # files written before the hash existed lack only payload_sha256
+    odd = sorted((set(header) ^ HEADER_FIELDS) - {"payload_sha256"})
+    if odd:
+        what = "unknown" if odd[0] in header else "missing"
+        raise CheckpointError(f"{path}: header has {what} field {odd[0]!r}")
+    config = _header_config(path, header["config"])
+    if header["prior_variant"] != config.prior_variant:
+        raise CheckpointError(
+            f"{path}: header field 'prior_variant' {header['prior_variant']!r}"
+            f" is not its config's {config.prior_variant!r}")
     expected = VadeersModel(config, {}).param_shapes()
-    layout = pack(_header_arrays(path, header.get("arrays"), expected))
+    layout = pack(_header_arrays(path, header["arrays"], expected))
     have = (len(raw) - offset) // 8
     for name, (_, stop, _) in layout.items():
         if stop > have:
@@ -628,7 +641,6 @@ def load_checkpoint(path) -> Checkpoint:
     size = max((stop for _, stop, _ in layout.values()), default=0)
     if offset + 8 * size != len(raw):
         raise CheckpointError(f"{path}: trailing bytes after arrays")
-    # files written before the field existed carry no hash and still load
     want = header.get("payload_sha256")
     if (want is not None
             and hashlib.sha256(memoryview(raw)[offset:]).hexdigest() != want):
@@ -643,5 +655,5 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: array 'gmm.log_scales' of a "
                               f"gmm_constrained model is not all zero")
     labels, split, seed = _header_records(path, header, config)
-    return Checkpoint(model, _header_scaler(path, header.get("scaler"), config),
+    return Checkpoint(model, _header_scaler(path, header["scaler"], config),
                       labels, split, seed)

@@ -106,7 +106,7 @@ def bound_tape(arrays):
     parameter tensor it registers for each name."""
     store = FlatStore.from_arrays(arrays)
     tape = GradientTape(store)
-    return tape, {name: tape.parameter(name, store[name]) for name in arrays}
+    return tape, {name: tape(name) for name in arrays}
 
 
 def _unbroadcast(grad, shape):

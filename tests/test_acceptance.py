@@ -27,7 +27,7 @@ from vadeers.model import (
     ModelConfig,
     VadeersModel,
 )
-from vadeers.nnkernel import GradientTape, Tensor, take_rows, tmean
+from vadeers.nnkernel import Tensor, take_rows, tmean
 from vadeers.training import check_schedule_conformance
 
 from oracles import (
@@ -94,8 +94,8 @@ def test_criterion_1_gradient_suite():
 
         def run(arrays):
             probe = VadeersModel(model.config, arrays)
-            tape = GradientTape(probe.params)
-            return loss_builder(probe, probe.binder(tape), batch), tape
+            tape = probe.tape()
+            return loss_builder(probe, tape, batch), tape
 
         loss, tape = run(model.params)
         grads = tape.gradient(loss)
@@ -110,27 +110,27 @@ def test_criterion_1_gradient_suite():
                                np.random.default_rng(0), n_coords=n_coords)
         assert ok, detail
 
-    def dvae_only(probe, binder, batch):
+    def dvae_only(probe, tape, batch):
         terms, _ = probe.dvae_loss_batch(
-            binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
+            tape, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
             np.random.default_rng(1))
         return weights.weigh(terms)[0]
 
-    def cae_only(probe, binder, batch):
-        _, loss = probe.cae_loss_batch(binder, batch.x_bio)
+    def cae_only(probe, tape, batch):
+        _, loss = probe.cae_loss_batch(tape, batch.x_bio)
         return loss
 
-    def dspn_only(probe, binder, batch):
-        enc = probe.encode_drug(batch.x_smiles, binder, sample=False)
-        cell_latent = probe.cae_encode(batch.x_bio, binder)
+    def dspn_only(probe, tape, batch):
+        enc = probe.encode_drug(batch.x_smiles, tape, sample=False)
+        cell_latent = probe.cae_encode(batch.x_bio, tape)
         preds = probe.dspn_predict(
             take_rows(enc.mu, batch.pair_drug),
-            take_rows(cell_latent, batch.pair_cell), binder)
+            take_rows(cell_latent, batch.pair_cell), tape)
         return tmean(square(sub(preds, Tensor(batch.y))))
 
-    def composite(probe, binder, batch):
+    def composite(probe, tape, batch):
         return weights.weigh(probe.total_loss(
-            binder, batch, np.random.default_rng(2), mode="eval"))[0]
+            tape, batch, np.random.default_rng(2), mode="eval"))[0]
 
     for variant in ("vanilla", "gmm_constrained", "gmm_unconstrained"):
         config = ModelConfig(prior_variant=variant, **TOY)

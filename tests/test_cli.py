@@ -508,6 +508,13 @@ def _rewrite_header(src, dst, mutate):
     (lambda h: h["arrays"][0].pop("shape"), "arrays"),
     (lambda h: h.update(scaler=[1.0]), "scaler"),
     (lambda h: h["scaler"].update(ic50_mean=float("nan")), "ic50_mean"),
+    (lambda h: h.update(bogus=1), "bogus"),
+    (lambda h: h.update(prior_variant="vanilla"), "prior_variant"),
+    (lambda h: h.pop("prior_variant"), "prior_variant"),
+    (lambda h: h["split_cells"]["test"].append(h["split_cells"]["val"][0]),
+     "split_cells"),
+    (lambda h: h["split_cells"]["train"].append(h["split_cells"]["val"][1]),
+     "split_cells"),
 ], ids=["unknown_key", "missing_key", "scaler_missing_field",
         "scaler_unknown_field", "scaler_std_width", "scaler_mean_width",
         "scaler_zero_std", "scaler_string_number", "scaler_int_binary",
@@ -516,7 +523,9 @@ def _rewrite_header(src, dst, mutate):
         "config_float_latent_dim", "config_float_n_components",
         "config_float_dspn_dims", "config_zero_latent_dim", "seed_string",
         "seed_float", "seed_bool", "config_prior_variant", "array_no_shape",
-        "scaler_not_an_object", "scaler_nan"])
+        "scaler_not_an_object", "scaler_nan", "header_unknown_key",
+        "header_prior_variant_mismatch", "header_prior_variant_missing",
+        "split_val_cell_in_test", "split_val_cell_in_train"])
 def test_checkpoint_config_key_defect_exit_2(tmp_path, run_dir, capsys,
                                              mutate, key):
     path = tmp_path / "bad.bin"
@@ -1408,3 +1417,19 @@ def test_predict_input_that_overflows_when_standardized_exit_2(
     assert err == (f"data error: {dpath}: row 2, column e0: non-finite value "
                    f"after standardization\n")
     assert not out.exists()
+
+
+def test_train_on_constant_sensitivities_reports_null_pearson(
+        tmp_path, desk_dir):
+    # the val Pearson of a constant target is undefined, not an error
+    data = tmp_path / "data"
+    shutil.copytree(desk_dir, data)
+    _set_column(data / "ic50.csv", "ic50", lambda i: 1.5)
+    out = tmp_path / "run"
+    assert run("train", "--data", data, "--out", out, "--variant", "vanilla",
+               *OVERFLOW_TRAIN) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint.bin", "config_echo.json", "report_val.json",
+        "runlog.jsonl"]
+    report = json.loads((out / "report_val.json").read_text())
+    assert report["ic50_pearson"] is None

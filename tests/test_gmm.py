@@ -367,10 +367,8 @@ def _prior_and_grads(prior_rows, arrays, labels, upstream, frozen):
     log-scales."""
     store = FlatStore.from_arrays(arrays)
     tape = GradientTape(store)
-    z, logits, means = (tape.parameter(name, store[name])
-                        for name in ("z", "logits", "means"))
-    log_scales = (store["log_scales"] if frozen
-                  else tape.parameter("log_scales", store["log_scales"]))
+    z, logits, means = (tape(name) for name in ("z", "logits", "means"))
+    log_scales = store["log_scales"] if frozen else tape("log_scales")
     rows = prior_rows(z, labels, logits, means, log_scales)
     return rows.data, dict(tape.gradient(tsum(mul(rows, upstream))))
 

@@ -296,6 +296,23 @@ def test_fidelity_nearest_centroid_matching_unscrambles_components():
     assert report.centroid_rmse < 0.2
 
 
+def test_fidelity_constant_generated_cluster_has_no_pearson():
+    # a generated cluster of one repeated constant row has a constant
+    # centroid and zero STDs: both of its Pearsons are undefined
+    rng = np.random.default_rng(14)
+    labels = np.repeat(np.arange(3), 10)
+    rows = 20.0 * labels[:, None] + rng.standard_normal((30, 6))
+    gen = rows.copy()
+    gen[labels == 0] = 0.5
+    report = generation_fidelity(rows, labels, gen, labels)
+    assert report.matching == {0: 0, 1: 1, 2: 2}
+    assert report.per_cluster[0]["centroid_pearson"] is None
+    assert report.per_cluster[0]["std_pearson"] is None
+    assert report.per_cluster[1]["centroid_pearson"] == 1.0
+    assert report.centroid_pearson is None and report.std_pearson is None
+    assert report.centroid_rmse > 0.0
+
+
 def test_fidelity_unmatched_cluster_flagged():
     rng = np.random.default_rng(13)
     rows = rng.standard_normal((20, 4))

@@ -23,7 +23,6 @@ from vadeers.model import (
 )
 from vadeers.nnkernel import (
     AdamState,
-    GradientTape,
     Tensor,
     adam_step,
     tmean,
@@ -223,7 +222,7 @@ def dvae_row_terms(x, recon, ip, ip_pred, enc, label, params, weights):
     total, parts = weights.weigh(model.dvae_terms(
         enc, Tensor(np.atleast_2d(recon)), Tensor(np.atleast_2d(ip_pred)),
         np.atleast_2d(ip), mask, [-1 if label is None else label],
-        np.atleast_2d(x), model.binder()))
+        np.atleast_2d(x), model.tape()))
     return float(total.data), parts
 
 
@@ -323,7 +322,7 @@ def test_cae_zero_weights_loss_is_mean_square():
         if name.startswith("cae."):
             model.params[name] = np.zeros_like(model.params[name])
     x = np.random.default_rng(19).standard_normal((4, TOY.bio_dim))
-    latent, loss = model.cae_loss_batch(model.binder(), x)
+    latent, loss = model.cae_loss_batch(model.tape(), x)
     assert np.array_equal(latent.data, np.zeros((4, TOY.latent_dim)))
     assert abs(float(loss.data) - np.mean(x**2)) < 1e-12
 
@@ -331,7 +330,7 @@ def test_cae_zero_weights_loss_is_mean_square():
 def test_cae_loss_nonnegative():
     model = toy_model(seed=20)
     x = np.random.default_rng(21).standard_normal((6, TOY.bio_dim))
-    _, loss = model.cae_loss_batch(model.binder(), x)
+    _, loss = model.cae_loss_batch(model.tape(), x)
     assert float(loss.data) >= 0.0
 
 
@@ -346,12 +345,12 @@ def test_cae_identity_capable_config_overfits():
     x = np.random.default_rng(23).standard_normal((10, 5))
     state = AdamState()
     for _ in range(400):
-        tape = GradientTape(model.params)
-        _, loss = model.cae_loss_batch(model.binder(tape), x)
+        tape = model.tape()
+        _, loss = model.cae_loss_batch(tape, x)
         grads = tape.gradient(loss)
         assert all(k.startswith("cae.") for k in grads)
         adam_step(model.params, grads, state, lr=0.02)
-    _, final = model.cae_loss_batch(model.binder(), x)
+    _, final = model.cae_loss_batch(model.tape(), x)
     assert float(final.data) < 1e-3
 
 
@@ -498,7 +497,7 @@ def test_total_loss_weight_masking():
     w = LossWeights(smiles_recon=1.0, ip_recon=0.0, prior=0.0, entropy=0.0,
                     cae=0.0, dspn=0.0)
     rng = np.random.default_rng(29)
-    loss, parts = w.weigh(model.total_loss(model.binder(), batch, rng,
+    loss, parts = w.weigh(model.total_loss(model.tape(), batch, rng,
                                            mode="eval"))
     # the same rng stream must be replayed for the reference pass
     rng2 = np.random.default_rng(29)
@@ -513,7 +512,7 @@ def test_total_loss_breakdown_sums_to_total():
         model = toy_model(variant=variant, seed=30)
         batch = toy_batch(seed=31)
         loss, parts = LossWeights().weigh(model.total_loss(
-            model.binder(), batch, np.random.default_rng(32), mode="eval"))
+            model.tape(), batch, np.random.default_rng(32), mode="eval"))
         assert abs(float(loss.data) - sum(parts.values())) < 1e-12
 
 
@@ -549,9 +548,9 @@ def test_unobserved_pairs_do_not_change_dspn_term():
     batch = toy_batch(seed=37)
     w = LossWeights(smiles_recon=0, ip_recon=0, prior=0, entropy=0, cae=0,
                     dspn=1)
-    loss_a, _ = w.weigh(model.total_loss(model.binder(), batch,
+    loss_a, _ = w.weigh(model.total_loss(model.tape(), batch,
                                          np.random.default_rng(38), mode="eval"))
-    loss_b, _ = w.weigh(model.total_loss(model.binder(), batch,
+    loss_b, _ = w.weigh(model.total_loss(model.tape(), batch,
                                          np.random.default_rng(39), mode="eval"))
     assert float(loss_a.data) == float(loss_b.data)
 
@@ -565,10 +564,9 @@ def test_total_loss_gradients_all_variants():
 
         def run(arrays):
             probe = VadeersModel(model.config, arrays)
-            tape = GradientTape(probe.params)
-            binder = probe.binder(tape)
+            tape = probe.tape()
             loss, _ = LossWeights().weigh(probe.total_loss(
-                binder, batch, np.random.default_rng(42), mode="eval"))
+                tape, batch, np.random.default_rng(42), mode="eval"))
             return loss, tape
 
         loss, tape = run(model.params)
@@ -592,13 +590,13 @@ def test_dspn_input_switch_feeds_sample_instead_of_mean():
     mean_fed = toy_model(seed=51, dspn_input="mean")
     sample_fed = toy_model(seed=51, dspn_input="sample")
     loss_mean_a, _ = w.weigh(mean_fed.total_loss(
-        mean_fed.binder(), batch, np.random.default_rng(1), mode="eval"))
+        mean_fed.tape(), batch, np.random.default_rng(1), mode="eval"))
     loss_mean_b, _ = w.weigh(mean_fed.total_loss(
-        mean_fed.binder(), batch, np.random.default_rng(2), mode="eval"))
+        mean_fed.tape(), batch, np.random.default_rng(2), mode="eval"))
     loss_samp_a, _ = w.weigh(sample_fed.total_loss(
-        sample_fed.binder(), batch, np.random.default_rng(1), mode="eval"))
+        sample_fed.tape(), batch, np.random.default_rng(1), mode="eval"))
     loss_samp_b, _ = w.weigh(sample_fed.total_loss(
-        sample_fed.binder(), batch, np.random.default_rng(2), mode="eval"))
+        sample_fed.tape(), batch, np.random.default_rng(2), mode="eval"))
     # mean-fed predictor ignores the z draw; sample-fed follows it
     assert float(loss_mean_a.data) == float(loss_mean_b.data)
     assert float(loss_samp_a.data) != float(loss_samp_b.data)
@@ -607,10 +605,9 @@ def test_dspn_input_switch_feeds_sample_instead_of_mean():
 def test_constrained_log_scales_never_registered():
     model = toy_model(variant="gmm_constrained", seed=44)
     batch = toy_batch(seed=45)
-    tape = GradientTape(model.params)
-    binder = model.binder(tape)
+    tape = model.tape()
     loss, _ = LossWeights().weigh(model.total_loss(
-        binder, batch, np.random.default_rng(46)))
+        tape, batch, np.random.default_rng(46)))
     grads = tape.gradient(loss)
     assert "gmm.log_scales" not in grads
     assert "gmm.means" in grads
@@ -634,15 +631,15 @@ def test_loss_graphs_stay_small():
                          prior_variant="gmm_unconstrained")
     model = VadeersModel.initialize(config, np.random.default_rng(70))
     batch = toy_batch(seed=71, n_drugs=8, n_cells=5, config=config)
-    binder = model.binder(GradientTape(model.params))
+    tape = model.tape()
     terms, _ = model.dvae_loss_batch(
-        binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
+        tape, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
         np.random.default_rng(72))
     loss, _ = LossWeights().weigh(terms)
     assert _graph_nodes(loss) <= 45
-    binder = model.binder(GradientTape(model.params))
+    tape = model.tape()
     loss, _ = LossWeights().weigh(model.total_loss(
-        binder, batch, np.random.default_rng(73), mode="train"))
+        tape, batch, np.random.default_rng(73), mode="train"))
     assert _graph_nodes(loss) <= 95
 
 
@@ -713,11 +710,10 @@ def test_reused_gradient_vector_matches_a_fresh_one_bit_for_bit():
         model = toy_model(variant=variant, seed=61)
         grads = []
         for probe in (model, model.copy()):
-            tape = GradientTape(probe.params)
-            binder = probe.binder(tape)
-            binder("cae.dec.out.b")  # registered, but no path reaches it
+            tape = probe.tape()
+            tape("cae.dec.out.b")  # registered, but no path reaches it
             terms, _ = probe.dvae_loss_batch(
-                binder, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
+                tape, batch.x_smiles, batch.ip, batch.ip_mask, batch.labels,
                 np.random.default_rng(62))
             loss, _ = LossWeights().weigh(terms)
             if probe is model:

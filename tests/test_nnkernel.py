@@ -538,13 +538,24 @@ def test_grad_disconnected_loss_raises():
         tape.gradient(loss)
 
 
-def test_tape_registers_only_its_store_arrays():
-    store = FlatStore.from_arrays({"w": np.ones(2)})
+def test_tape_hands_out_one_leaf_per_store_array():
+    store = FlatStore.from_arrays({"w": np.ones(2), "b": np.zeros(1)})
     tape = GradientTape(store)
-    with pytest.raises(ContractViolation):
-        tape.parameter("w", store["w"].copy())
-    with pytest.raises(ContractViolation):
-        tape.parameter("v", np.ones(2))
+    leaf = tape("w")
+    assert tape("w") is leaf
+    assert leaf.data is store["w"]
+    assert leaf.name == "w"
+
+
+def test_tape_frozen_leaf_gets_no_gradient_slot():
+    store = FlatStore.from_arrays({"w": np.ones(2), "s": np.full(2, 3.0)})
+    frozen = GradientTape(store, frozenset({"s"}))
+    grads = frozen.gradient(tsum(mul(frozen("w"), frozen("s"))))
+    assert list(grads) == ["w"]
+    assert np.array_equal(grads["w"], [3.0, 3.0])
+    free = GradientTape(store)
+    grads = free.gradient(tsum(mul(free("w"), free("s"))))
+    assert np.array_equal(grads["s"], [1.0, 1.0])
 
 
 def _mlp_loss(params_arrays, x, y, layers):
