@@ -7,7 +7,9 @@ Every command but predict, which draws no random numbers, takes --seed
 (experiment: --seeds), and equal invocations are bit-reproducible.
 The default output root is $VADEERS_RUN_ROOT (falling back to the
 current directory).  Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric
-failure.
+failure.  Every command runs its BLAS products on one thread, whatever
+``OPENBLAS_NUM_THREADS`` says, so its bytes never depend on the
+environment.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .exceptions import (
 )
 from .metrics import evaluate, pca2
 from .model import LossWeights, ModelConfig, PRIOR_VARIANTS
+from .nnkernel.parts import use_one_blas_thread
 from .training import (
     Checkpoint,
     SplitSpec,
@@ -438,6 +441,7 @@ def experiment(config_path, data_dir, out, seeds, variants, **flags):
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
+    use_one_blas_thread()
     try:
         cli.main(args=argv, standalone_mode=False)
         return 0

@@ -9,7 +9,9 @@ exactly the classical mixture density.
 
 Every density goes through one graph node, the semi-supervised prior of
 a batch of rows with a hand-written backward, so the same code path
-serves evaluation and gradient-based training.
+serves evaluation and gradient-based training.  The nodes compute in
+float64 on float32 inputs too, since their rows feed the loss, and
+return each input's gradient in its dtype.
 
 The functions here expect well-formed arrays and in-range component
 indices and sample counts; they check only the guiding labels, since
@@ -123,7 +125,8 @@ def semi_supervised_log_prior_rows(
             f"guiding label {bad[0]} out of range for {k} components"
         )
     scaled, inv_scales, comp, log_pi, log_mix = _mixture_scores(
-        z.data, logits.data, means.data, log_scales.data)
+        *(t.data.astype(np.float64, copy=False)
+          for t in (z, logits, means, log_scales)))
     unlabeled = labels == UNLABELED
     rows = np.flatnonzero(~unlabeled)
     out = log_mix
@@ -142,7 +145,7 @@ def semi_supervised_log_prior_rows(
             t = scaled * inv_scales
             t *= w[:, :, None]
             if needs[0]:
-                dz = -np.sum(t, axis=1)
+                dz = (-np.sum(t, axis=1)).astype(z.data.dtype, copy=False)
             if needs[2]:
                 dmu = np.sum(t, axis=0, out=outs[2])
         if needs[1]:
@@ -152,7 +155,8 @@ def semi_supervised_log_prior_rows(
         if needs[3]:
             sq = scaled * scaled
             sq -= 1.0
-            dls = np.einsum("nk,nkd->kd", w, sq, out=outs[3])
+            dls = np.einsum("nk,nkd->kd", w, sq, out=outs[3],
+                            casting="same_kind")
         return dz, dlogits, dmu, dls
 
     return Tensor(out, (z, logits, means, log_scales), backward)
@@ -161,8 +165,10 @@ def semi_supervised_log_prior_rows(
 def standard_normal_log_density_rows(z) -> Tensor:
     """Row-wise log N(z | 0, I), the vanilla-VAE prior, as one node."""
     z = wrap(z)
-    out = -0.5 * np.sum(z.data * z.data, axis=1) - 0.5 * z.shape[1] * LOG_2PI
-    return Tensor(out, (z,), lambda g, needs, outs: (-g[:, None] * z.data,))
+    wide = z.data.astype(np.float64, copy=False)
+    out = -0.5 * np.sum(wide * wide, axis=1) - 0.5 * z.shape[1] * LOG_2PI
+    return Tensor(out, (z,), lambda g, needs, outs: (
+        (-g[:, None] * wide).astype(z.data.dtype, copy=False),))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ network (DSPN) consuming the concatenation of the drug latent mean and
 the cell latent.
 
 All forward passes are built from the nnkernel ops, so every loss here
-is differentiable end to end, including through the mixture prior.
+is differentiable end to end, including through the mixture prior.  A
+model computes in its ``dtype``: float64 as built from arrays, float32 as
+trained and loaded, against its float64 parameters as the master copy.
 """
 
 from __future__ import annotations
@@ -179,9 +181,9 @@ def entropy_mean(log_sigma) -> Tensor:
     row, D/2 (1 + ln 2 pi) + sum_d log sigma_d, as one node."""
     log_sigma = wrap(log_sigma)
     n, d = log_sigma.shape
-    rows = np.sum(log_sigma.data, axis=1) + d * ENTROPY_CONST
-    return Tensor(rows.mean(), (log_sigma,),
-                  lambda g, needs, outs: (np.full((n, d), g / n),))
+    rows = np.sum(log_sigma.data, axis=1, dtype=np.float64) + d * ENTROPY_CONST
+    return Tensor(rows.mean(), (log_sigma,), lambda g, needs, outs: (
+        np.full((n, d), g / n, dtype=log_sigma.data.dtype),))
 
 
 class VadeersModel:
@@ -191,10 +193,21 @@ class VadeersModel:
     one float64 vector ``flat``, in the order of the checkpoint payload,
     which is sorted-name order for every model built here or saved by
     :func:`~vadeers.training.save_checkpoint`.  Assigning a plain mapping
-    to ``params`` copies it into a new store, in sorted-name order."""
+    to ``params`` copies it into a new store, in sorted-name order.
 
-    def __init__(self, config: ModelConfig, params):
+    Forward and backward passes compute in ``dtype``.  At float64 they read
+    ``params`` itself.  At float32, which :func:`~vadeers.training.train`
+    and :func:`~vadeers.training.load_checkpoint` choose, they read
+    ``working``, a float32 copy of ``params`` made when ``params`` is
+    assigned; ``params`` stays the float64 master that Adam updates and
+    checkpoints hold (mixed precision as in Micikevicius et al. 2018,
+    arXiv:1710.03740).  :func:`~vadeers.nnkernel.optim.adam_step`
+    refreshes the copy over what it updates; writing into ``params``
+    otherwise leaves the copy as it was."""
+
+    def __init__(self, config: ModelConfig, params, dtype=np.float64):
         self.config = config
+        self.dtype = np.dtype(dtype)
         self.params = params
 
     @property
@@ -205,6 +218,16 @@ class VadeersModel:
     def params(self, arrays) -> None:
         self._params = (arrays if isinstance(arrays, FlatStore)
                         else FlatStore.from_arrays(arrays))
+        self._working = self._params
+        if self.dtype != self._params.flat.dtype:
+            with np.errstate(over="ignore"):  # the layer checks report it
+                flat = self._params.flat.astype(self.dtype)
+            self._working = FlatStore(self._params.layout, flat)
+
+    @property
+    def working(self) -> FlatStore:
+        """The store the passes read: ``params`` in ``dtype``."""
+        return self._working
 
     @property
     def flat(self) -> np.ndarray:
@@ -262,7 +285,8 @@ class VadeersModel:
         return shapes
 
     @classmethod
-    def initialize(cls, config: ModelConfig, rng: np.random.Generator) -> "VadeersModel":
+    def initialize(cls, config: ModelConfig, rng: np.random.Generator,
+                   dtype=np.float64) -> "VadeersModel":
         params: dict[str, np.ndarray] = {}
         for name, spec in cls(config, {}).dense_layers():
             params[f"{name}.W"], params[f"{name}.b"] = init_layer_params(rng, spec)
@@ -271,10 +295,10 @@ class VadeersModel:
             params["gmm.logits"] = g.mixture_logits
             params["gmm.means"] = g.means
             params["gmm.log_scales"] = g.log_scales
-        return cls(config, params)
+        return cls(config, params, dtype)
 
     def copy(self) -> "VadeersModel":
-        return VadeersModel(self.config, self.params.copy())
+        return VadeersModel(self.config, self.params.copy(), self.dtype)
 
     def frozen_names(self) -> frozenset[str]:
         if self.config.prior_variant == "gmm_constrained":
@@ -282,8 +306,14 @@ class VadeersModel:
         return frozenset()
 
     def tape(self) -> GradientTape:
-        """A tape over ``params`` that keeps the frozen names constant."""
-        return GradientTape(self.params, self.frozen_names())
+        """A tape over ``working`` that keeps the frozen names constant."""
+        return GradientTape(self._working, self.frozen_names())
+
+    def _input(self, x) -> Tensor:
+        """``x`` itself if it is a Tensor, else a constant leaf of it in
+        ``dtype``."""
+        return x if isinstance(x, Tensor) else Tensor(
+            np.asarray(x, dtype=self.dtype))
 
     def group_names(self, group: str) -> list[str]:
         """Parameter names of one subnetwork: dvae, cae, dspn, or gmm."""
@@ -308,7 +338,7 @@ class VadeersModel:
         from ``rng`` when ``sample`` is true.  ``x`` is checked: it is
         finite, 2-D and ``smiles_dim`` wide."""
         tape = tape or self.tape()
-        x = wrap(x)
+        x = self._input(x)
         as_matrix(x.data, "drug input")
         if x.shape[1] != self.config.smiles_dim:
             raise ContractViolation(
@@ -332,13 +362,13 @@ class VadeersModel:
         drug embedding and prediction of the inhibition profile.  Output
         layers are linear."""
         tape = tape or self.tape()
-        z = wrap(z)
+        z = self._input(z)
         return (self._forward("dvae.dec_s", z, tape),
                 self._forward("dvae.dec_i", z, tape))
 
     def cae_encode(self, x, tape: GradientTape | None = None) -> Tensor:
         tape = tape or self.tape()
-        x = wrap(x)
+        x = self._input(x)
         as_matrix(x.data, "cell input")
         if x.shape[1] != self.config.bio_dim:
             raise ContractViolation(
@@ -348,7 +378,7 @@ class VadeersModel:
 
     def cae_decode(self, latent, tape: GradientTape | None = None) -> Tensor:
         tape = tape or self.tape()
-        return self._forward("cae.dec", latent, tape)
+        return self._forward("cae.dec", self._input(latent), tape)
 
     def dspn_predict(self, drug_latent, cell_latent,
                      tape: GradientTape | None = None, mode: str = "eval",
@@ -356,7 +386,7 @@ class VadeersModel:
         """Prediction head on [drug latent, cell latent], two (n,
         latent_dim) inputs; returns (n,)."""
         tape = tape or self.tape()
-        x = concat([drug_latent, cell_latent])
+        x = concat([self._input(drug_latent), self._input(cell_latent)])
         out = self._forward("dspn", x, tape, mode=mode, rng=rng)
         return reshape(out, (out.shape[0],))
 
@@ -415,10 +445,11 @@ class VadeersModel:
     # ---- eval helpers -------------------------------------------------------
 
     def drug_latent_means(self, x_smiles) -> np.ndarray:
-        """Encoder means, no sampling (deterministic)."""
+        """Encoder means, no sampling (deterministic), in ``dtype``."""
         return self.encode_drug(x_smiles, sample=False).mu.data
 
     def cell_latents(self, x_bio) -> np.ndarray:
+        """Cell latent codes, in ``dtype``."""
         return self.cae_encode(x_bio).data
 
     def predict_sensitivity(self, drug_latent, cell_latent) -> np.ndarray:
@@ -434,9 +465,10 @@ class VadeersModel:
         in one graph, at one BLAS thread.  There, on two CPUs, the parts
         run on the caller and one worker thread
         (:func:`~vadeers.nnkernel.parts.in_row_parts`); the parts, and
-        so the bits, are the same on one CPU."""
-        drug_latent = np.asarray(drug_latent, dtype=np.float64)
-        cell_latent = np.asarray(cell_latent, dtype=np.float64)
+        so the bits, are the same on one CPU.  The latents are scored in
+        ``dtype``, and the scores returned as float64."""
+        drug_latent = np.asarray(drug_latent, dtype=self.dtype)
+        cell_latent = np.asarray(cell_latent, dtype=self.dtype)
         if drug_latent.shape != cell_latent.shape:
             raise ContractViolation(f"latent shapes differ: {drug_latent.shape} "
                                     f"vs {cell_latent.shape}")

@@ -1,4 +1,5 @@
-"""Reverse-mode automatic differentiation over float64 numpy arrays.
+"""Reverse-mode automatic differentiation over float32 or float64 numpy
+arrays.
 
 The graph is built dynamically: every operation computes its value
 eagerly and returns a new immutable :class:`Tensor` that remembers its
@@ -11,7 +12,13 @@ layer (affine map, activation and dropout mask) is one node,
 :func:`reparameterize`, and a weighted sum of scalar loss terms,
 :func:`weighted_sum`.
 
-Everything is 64-bit; the gradient-check tolerances used by the test
+An op computes in its operands' dtype, and returns each parent's
+gradient in that parent's dtype.  The reductions to a scalar loss,
+:func:`tmean` and :func:`weighted_sum` here (and the loss nodes of
+:mod:`~vadeers.nnkernel.losses`, the mixture prior and the entropy term),
+accumulate in float64 whatever their input, so a float32 graph has a
+float64 loss while its layers run in float32.  A graph of float64 leaves
+computes in float64 throughout: the gradient-check tolerances of the test
 suite are not attainable in single precision.
 
 Ops do not check their operands: shapes must match and gather indices
@@ -35,9 +42,10 @@ Array = np.ndarray
 class Tensor:
     """A node in the computation graph.
 
-    ``data`` is a float64 ndarray and must not be mutated while a graph
-    that holds it is in use; forward evaluation is therefore safe from
-    multiple threads, while a graph/backward pass is single-threaded.
+    ``data`` is a float32 or float64 ndarray (anything else is cast to
+    float64) and must not be mutated while a graph that holds it is in
+    use; forward evaluation is therefore safe from multiple threads,
+    while a graph/backward pass is single-threaded.
     :func:`~vadeers.nnkernel.parts.in_row_parts` uses this to run eval
     forwards of row parts on the caller and on one worker thread that all
     callers share.
@@ -66,7 +74,9 @@ class Tensor:
                            tuple[Array | None, ...]] | None = None,
         name: str | None = None,
     ):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = (data if data.dtype == np.float32
+                     else data.astype(np.float64, copy=False))
         self.parents = parents
         self.name = name
         self._backward = backward
@@ -90,15 +100,18 @@ def wrap(x) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+    """Mean over ``axis`` (all of ``a`` when None), accumulated in
+    float64."""
     a = wrap(a)
     shape = a.shape
     count = a.data.size if axis is None else shape[axis]
 
     def backward(g, needs, outs):
         gg = g if axis is None or keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, shape).copy(),)
+        return (np.broadcast_to(gg / count, shape).astype(a.data.dtype),)
 
-    return Tensor(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return Tensor(a.data.mean(axis=axis, keepdims=keepdims, dtype=np.float64),
+                  (a,), backward)
 
 
 def reshape(a, shape: tuple[int, ...]) -> Tensor:
@@ -140,7 +153,8 @@ def dense(x, weights, bias, activation: str = "identity",
     backward pass recovers the relu gate (subgradient 0 at 0) from that
     output: where the mask is nonzero the output is positive exactly
     where the pre-activation is, and where it is zero the gradient is
-    zero either way."""
+    zero either way.  The mask and the incoming gradient are cast to the
+    output's dtype, so a float32 layer runs its backward in float32."""
     x, weights, bias = wrap(x), wrap(weights), wrap(bias)
     relu = activation == "relu"
     out = x.data @ weights.data
@@ -148,12 +162,14 @@ def dense(x, weights, bias, activation: str = "identity",
     if relu:
         np.maximum(out, 0.0, out=out)
     if mask is not None:
+        mask = mask.astype(out.dtype, copy=False)
         out *= mask
 
     # the closure holds the output array, not the node: a node reachable
     # from its own backward would be a reference cycle, and the whole
     # graph below it would wait for the cycle collector
     def backward(g, needs, outs):
+        g = g.astype(out.dtype, copy=False)
         if mask is not None:
             g = g * mask
             if relu:
@@ -169,8 +185,9 @@ def dense(x, weights, bias, activation: str = "identity",
 
 def reparameterize(mu, log_sigma, eps: Array) -> Tensor:
     """``mu + exp(log_sigma) * eps`` as one node; ``eps`` is constant
-    noise of the same shape."""
+    noise of the same shape, cast to ``mu``'s dtype."""
     mu, log_sigma = wrap(mu), wrap(log_sigma)
+    eps = eps.astype(mu.data.dtype, copy=False)
     sigma = np.exp(log_sigma.data)
     out = mu.data + sigma * eps
 
@@ -185,14 +202,15 @@ def reparameterize(mu, log_sigma, eps: Array) -> Tensor:
 
 
 def weighted_sum(terms: Sequence, weights: Sequence[float]) -> Tensor:
-    """``sum_i weights[i] * terms[i]`` of scalar tensors as one node; the
-    weights are constants."""
+    """``sum_i weights[i] * terms[i]`` of scalar tensors as one node,
+    accumulated in float64; the weights are constants."""
     ts = tuple(wrap(t) for t in terms)
     ws = tuple(float(w) for w in weights)
     return Tensor(
-        sum(w * t.data for w, t in zip(ws, ts)), ts,
-        lambda g, needs, outs: tuple(g * w if need else None
-                                     for w, need in zip(ws, needs)),
+        sum(w * t.data.astype(np.float64) for w, t in zip(ws, ts)), ts,
+        lambda g, needs, outs: tuple(
+            (g * w).astype(t.data.dtype) if need else None
+            for w, t, need in zip(ws, ts, needs)),
     )
 
 

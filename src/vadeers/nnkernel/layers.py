@@ -1,9 +1,10 @@
 """Dense layers: affine maps, relu/identity activations, inverted dropout,
 each layer one :func:`~vadeers.nnkernel.autodiff.dense` graph node.
 
-Matrices are plain 2-D float64 numpy arrays (rows = samples); vectors are
-1-D arrays.  Anything fancier (convolutions, other activations) is out of
-scope for this kernel.
+Matrices are plain 2-D float32 or float64 numpy arrays (rows = samples);
+vectors are 1-D arrays.  A layer computes in the dtype of its input and
+parameters, which the caller keeps equal.  Anything fancier
+(convolutions, other activations) is out of scope for this kernel.
 """
 
 from __future__ import annotations
@@ -17,8 +18,11 @@ from .autodiff import Tensor, dense, wrap
 
 
 def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D float64 array."""
-    arr = np.asarray(x, dtype=np.float64)
+    """Validate and return a finite 2-D array: a float32 one as it is,
+    anything else as float64."""
+    arr = np.asarray(x)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
     if arr.ndim != 2:
         raise ContractViolation(f"{name} must be 2-D, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -42,11 +42,12 @@ class AdamState:
 
 
 def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
-              lr: float) -> None:
+              lr: float, copy: FlatStore | None = None) -> None:
     """One Adam update with bias correction.
 
-    ``grads`` is a :meth:`~FlatStore.gradient_store` of ``params``, and
-    only the parameters it shows are touched; where a present
+    ``grads`` is a :meth:`~FlatStore.gradient_store` of ``params`` or of
+    ``copy``, a working copy of ``params`` in another dtype over the same
+    layout, and only the parameters it shows are touched; where a present
     gradient is zero the moments still decay but the value is unchanged.
     The parameter arrays of ``params`` and the moments and step count of
     ``state`` are updated in place, between graphs: a graph whose tensors
@@ -56,10 +57,16 @@ def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
     ``p - lr * m_hat / (sqrt(v_hat) + eps)`` runs in its order on work
     buffers, once per run of adjacent names and block of ``ADAM_BLOCK``
     elements; every operation is elementwise, so the results are
-    bit-identical to the out-of-place form.
+    bit-identical to the out-of-place form.  The moments are those of the
+    parameters' dtype, and the gradient is read into it: float32
+    gradients, being below 3.5e38, square to below 1.2e77, so a finite
+    float32 gradient never overflows float64 moments.  Each block of
+    ``copy`` is refreshed from its updated parameters while they are in
+    cache.
     """
     if not (isinstance(params, FlatStore) and isinstance(grads, FlatStore)
-            and grads.layout is params.layout):
+            and grads.layout is params.layout
+            and (copy is None or copy.layout is params.layout)):
         raise ContractViolation(
             "adam_step needs a FlatStore and a gradient store of its layout"
         )
@@ -78,14 +85,20 @@ def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
     t = state.step_index + 1
     size = min(ADAM_BLOCK, max((b - a for a, b, _ in runs), default=0))
     work = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    # a gradient of another dtype is read into one in the moments' dtype
+    read = None if grads.flat.dtype == params.flat.dtype else np.empty(size)
     for lo, hi, _ in runs:
         p_run, g_run = params.flat[lo:hi], grads.flat[lo:hi]
+        c_run = None if copy is None else copy.flat[lo:hi]
         m_run = state.m[lo - state.start: hi - state.start]
         v_run = state.v[lo - state.start: hi - state.start]
         for start in range(0, p_run.size, ADAM_BLOCK):
             block = slice(start, start + ADAM_BLOCK)
             p, g, m, v = p_run[block], g_run[block], m_run[block], v_run[block]
             step, root, moved = (buf[:p.size] for buf in work)
+            if read is not None:
+                read[:p.size] = g
+                g = read[:p.size]
             m *= BETA1
             np.multiply(g, 1.0 - BETA1, out=step)
             m += step
@@ -102,5 +115,7 @@ def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
             # a zero gradient decays the moments but leaves the value alone
             np.not_equal(g, 0.0, out=moved)
             np.subtract(p, step, out=p, where=moved)
+            if c_run is not None:
+                c_run[block] = p
 
     state.step_index = t

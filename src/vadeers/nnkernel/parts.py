@@ -52,21 +52,51 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-@functools.cache
-def _blas_threads() -> int | None:
-    """Threads the OpenBLAS of a numpy wheel runs a product on, read once;
-    None for a BLAS that cannot be asked, where parts never use the
-    worker."""
+def _openblas(verb: str):
+    """``openblas_<verb>_num_threads`` of the OpenBLAS of a numpy wheel,
+    under whichever of its symbol names the library has, or None."""
     libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
     for lib in sorted(libdir.glob("*openblas*")):
         handle = ctypes.CDLL(str(lib))
-        for sym in ("scipy_openblas_get_num_threads64_",
-                    "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        for sym in (f"scipy_openblas_{verb}_num_threads64_",
+                    f"openblas_{verb}_num_threads64_",
+                    f"openblas_{verb}_num_threads"):
             fn = getattr(handle, sym, None)
             if fn is not None:
-                fn.restype, fn.argtypes = ctypes.c_int, []
-                return int(fn())
+                return fn
     return None
+
+
+@functools.cache
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS of a numpy wheel runs a product on, read once
+    and again after :func:`use_one_blas_thread`; None for a BLAS that
+    cannot be asked, where parts never use the worker."""
+    fn = _openblas("get")
+    if fn is None:
+        return None
+    fn.restype, fn.argtypes = ctypes.c_int, []
+    return int(fn())
+
+
+@functools.cache
+def _blas_thread_setter() -> Callable[[int], None] | None:
+    """The thread-count setter of the OpenBLAS of a numpy wheel, or None."""
+    fn = _openblas("set")
+    if fn is not None:
+        fn.restype, fn.argtypes = None, [ctypes.c_int]
+    return fn
+
+
+def use_one_blas_thread() -> None:
+    """Run every BLAS product on one thread, where the OpenBLAS of a numpy
+    wheel can be told so; elsewhere nothing changes.  This overrides
+    ``OPENBLAS_NUM_THREADS``.  With one BLAS thread, row parts use the
+    worker on a two-CPU host, and training is no slower."""
+    set_threads = _blas_thread_setter()
+    if set_threads is not None:
+        set_threads(1)
+        _blas_threads.cache_clear()
 
 
 def in_row_parts(fn: Callable[[slice], None], n: int, part_rows: int) -> None:

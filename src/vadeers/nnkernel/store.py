@@ -1,11 +1,12 @@
-"""Named float64 arrays kept as views of one contiguous vector.
+"""Named arrays kept as views of one contiguous vector.
 
 A :class:`FlatStore` lays its arrays end to end in ``flat``; every name
 owns one slice, reshaped to its shape.  The model's parameters and the
 gradients of a tape bound to them share one layout, and the Adam moments
 of an optimizer state cover one stretch of it, so a run of adjacent names
 is one slice of each vector and a whole-model copy, checkpoint or update
-pass is one array operation.
+pass is one array operation.  A float32 working copy of a float64 store
+is a store of the same layout over a float32 vector.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ def pack(shapes: Iterable[tuple[str, tuple[int, ...]]]) -> Layout:
 
 class FlatStore(Mapping):
     """Name -> array mapping whose values are views of ``flat``, a
-    float64 vector as long as the layout.
+    vector as long as the layout, float64 unless given.
 
     Assigning to a name copies the value into its view, so every holder
     of a view, and of ``flat``, sees the change; an unknown name or a
@@ -70,11 +71,12 @@ class FlatStore(Mapping):
 
     def gradient_store(self, names: Iterable[str]) -> "FlatStore":
         """A store of this layout showing ``names``, over the one work
-        vector this store lends to each call in turn: what an earlier
-        result holds is overwritten.  A vector allocated anew at every
-        optimizer step cost page faults that reuse avoids."""
+        vector, of this store's dtype, that it lends to each call in
+        turn: what an earlier result holds is overwritten.  A vector
+        allocated anew at every optimizer step cost page faults that
+        reuse avoids."""
         if self._grad is None:
-            self._grad = np.empty(self.flat.size)
+            self._grad = np.empty(self.flat.size, dtype=self.flat.dtype)
         return FlatStore(self.layout, self._grad, names)
 
     def copy(self) -> "FlatStore":
@@ -99,7 +101,7 @@ class FlatStore(Mapping):
         view = self._views.get(name)
         if view is None:
             raise ContractViolation(f"unknown parameter {name!r}")
-        value = np.asarray(value, dtype=np.float64)
+        value = np.asarray(value, dtype=self.flat.dtype)
         if value.shape != view.shape:
             raise ContractViolation(
                 f"parameter {name!r} has shape {view.shape}, got {value.shape}"

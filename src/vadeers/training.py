@@ -2,6 +2,9 @@
 DSPN-only phase with frozen DVAE/CAE and a decayed learning rate; plus
 the cell-line-held-out split, run logging, and checkpoint round-trips.
 
+Trained and loaded models compute in ``WORKING_DTYPE`` against their
+float64 parameters, which Adam updates and checkpoints hold.
+
 Step accounting: the break counter counts joint-phase optimizer steps
 only; the steps taken inside a break do not advance it.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,9 @@ from .nnkernel.store import pack
 
 CHECKPOINT_MAGIC = b"VADEERS\x01"
 CHECKPOINT_VERSION = 1
+
+# the dtype of a trained or loaded model's forward and backward passes
+WORKING_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -271,7 +277,8 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     must hold at least 2 observed pairs each, since runs report on them.
     Returns the run log and the checkpoint: the trained model with that
     scaler, the dataset's guiding labels, the split's cell lines and
-    ``schedule.seed``.
+    ``schedule.seed``.  The model trains in ``WORKING_DTYPE``, on the
+    standardized tables cast to it once.
     """
     if config.uses_gmm:
         labels = dataset.labels[dataset.labels >= 0]
@@ -291,6 +298,9 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
                             f"{len(rows)} observed pair(s) on {len(cells)} "
                             f"cell line(s); a report on it needs at least 2")
     data_std, scaler = standardize(dataset, set(split.train_cells))
+    data_std = replace(data_std, **{
+        name: getattr(data_std, name).astype(WORKING_DTYPE)
+        for name in ("embeddings", "profiles", "features", "pair_y")})
 
     root = np.random.SeedSequence(schedule.seed)
     init_ss, order_ss, step_ss, break_ss = root.spawn(4)
@@ -299,7 +309,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     rng_step = np.random.Generator(np.random.PCG64(step_ss))
     rng_break = np.random.Generator(np.random.PCG64(break_ss))
 
-    model = VadeersModel.initialize(config, rng_init)
+    model = VadeersModel.initialize(config, rng_init, WORKING_DTYPE)
     runlog = RunLog(seed=schedule.seed)
     frozen_groups = ("dvae", "cae", "gmm") if config.uses_gmm else ("dvae", "cae")
     runlog.event("init", hash=_params_hash(model, frozen_groups))
@@ -330,17 +340,21 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     def _abort(message: str) -> TrainingAborted:
         runlog.event("aborted", reason=message)
         restored = VadeersModel(model.config,
-                                FlatStore(model.params.layout, last_good))
+                                FlatStore(model.params.layout, last_good),
+                                model.dtype)
         return TrainingAborted(message, _result(restored))
 
     def step(where: str, state: AdamState, lr: float, loss_terms,
              *args) -> dict[str, float]:
         """One optimizer step on the loss ``weights`` makes of the terms
-        ``loss_terms(tape, *args)``.  A divergence or a non-finite loss
-        aborts the run, naming ``where`` and the layer or the first
-        non-finite weighted term (else ``total``); numpy's overflow and
-        invalid-value warnings are off, since these checks report them.
-        Returns the weighted terms, after the loss as ``total`` if several."""
+        ``loss_terms(tape, *args)``.  A divergence, a non-finite loss or
+        a non-finite gradient aborts the run, naming ``where`` and the
+        layer, the first non-finite weighted term (else ``total``) or the
+        first parameter whose gradient is not finite; numpy's overflow
+        and invalid-value warnings are off, since these checks report
+        them.  A finite float32 gradient cannot overflow Adam's float64
+        moments (see :func:`adam_step`), so they are not checked.  Returns the
+        weighted terms, after the loss as ``total`` if several."""
         tape = model.tape()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             try:
@@ -352,7 +366,16 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
                              if not np.isfinite(v)), "total")
                 raise _abort(f"{where} loss non-finite in term {term}")
             grads = tape.gradient(loss)
-        adam_step(model.params, grads, state, lr)
+            # the runs only: the rest of the gradient vector is not written
+            for lo, hi, names in grads.runs():
+                if not np.isfinite(grads.flat[lo:hi]).all():
+                    name = next(n for n in names
+                                if not np.isfinite(grads[n]).all())
+                    raise _abort(f"{where} gradient non-finite in parameter "
+                                 f"{name}")
+            # a parameter past float32's range is inf in the working copy,
+            # and the next forward's layer check names it
+            adam_step(model.params, grads, state, lr, model.working)
         return (weighted if len(weighted) == 1
                 else {"total": float(loss.data), **weighted})
 
@@ -646,7 +669,8 @@ def load_checkpoint(path) -> Checkpoint:
             and hashlib.sha256(memoryview(raw)[offset:]).hexdigest() != want):
         raise CheckpointError(f"{path}: payload does not match its payload_sha256")
     flat = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
-    model = VadeersModel(config, FlatStore(layout, flat.astype(np.float64)))
+    model = VadeersModel(config, FlatStore(layout, flat.astype(np.float64)),
+                         WORKING_DTYPE)
     if not np.isfinite(flat).all():
         bad = next(n for n, a in model.params.items() if not np.isfinite(a).all())
         raise CheckpointError(f"{path}: array {bad!r} has a non-finite value")

@@ -4,6 +4,8 @@ The expensive pieces are session-scoped: one desk-scale synthetic dataset
 with three trained prior variants (used by the acceptance suite and a few
 protocol tests), and one small run under the stock default schedule
 (150+50 epochs, breaks every 1000 steps) for the conformance checks.
+
+The session runs BLAS on one thread, as every CLI command does.
 """
 
 import sys
@@ -21,6 +23,7 @@ from vadeers.data import (
 )
 from vadeers.metrics import MetricReport, evaluate
 from vadeers.model import LossWeights, ModelConfig
+from vadeers.nnkernel.parts import use_one_blas_thread
 from vadeers.training import SplitSpec, TrainResult, TrainSchedule, train
 
 DESK_SEED = 7
@@ -30,6 +33,13 @@ DESK_SPEC = SynthSpec(smiles_dim=32, ip_dim=24, bio_dim=20)
 DESK_SCHEDULE = dict(joint_epochs=20, dspn_epochs=10, seed=DESK_SEED)
 
 VARIANTS = ("vanilla", "gmm_constrained", "gmm_unconstrained")
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """One BLAS thread for the whole session, whatever the environment
+    says, so that a local run computes as CI and the CLI do."""
+    use_one_blas_thread()
 
 
 @dataclass

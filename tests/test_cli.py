@@ -3,7 +3,10 @@ precedence across the three layers, seed reproducibility, and the exit
 code contract (0 ok, 1 usage, 2 data error)."""
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 import warnings
 from dataclasses import asdict, fields
@@ -1433,3 +1436,50 @@ def test_train_on_constant_sensitivities_reports_null_pearson(
         "runlog.jsonl"]
     report = json.loads((out / "report_val.json").read_text())
     assert report["ic50_pearson"] is None
+
+
+def test_non_finite_gradient_aborts_naming_the_parameter(tmp_path, desk_dir,
+                                                         capsys):
+    # every loss is finite, but a float32 gradient of the 1e300-weighted
+    # sensitivity term is not; training must not go on with frozen or NaN
+    # parameters
+    cfg = tmp_path / "heavy.json"
+    cfg.write_text(json.dumps({"weights": {"dspn": 1e300},
+                               "schedule": {"joint_epochs": 2,
+                                            "dspn_epochs": 1}}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("train", "--data", desk_dir, "--out", out,
+                   "--config", cfg, "--variant", "gmm_constrained",
+                   "--seed", "5", "--n-val-cells", "25",
+                   "--n-test-cells", "25")
+    captured = capsys.readouterr()
+    assert code == 3, captured.err
+    assert captured.err == ("numeric failure: joint step 1 gradient "
+                            "non-finite in parameter cae.enc.0.W\n")
+    assert "RuntimeWarning" not in captured.out + captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "checkpoint_last_good.ABORTED.bin", "runlog.ABORTED.jsonl"]
+    events = [json.loads(line) for line in
+              (out / "runlog.ABORTED.jsonl").read_text().splitlines()]
+    assert events[-1]["reason"] == ("joint step 1 gradient non-finite in "
+                                    "parameter cae.enc.0.W")
+
+
+def test_the_cli_sets_one_blas_thread_and_importing_vadeers_sets_none():
+    # in a fresh process, where the environment asks for two threads
+    code = ("from vadeers.nnkernel import parts\n"
+            "import vadeers.cli\n"
+            "before = parts._blas_threads()\n"
+            "vadeers.cli.main(['synth', '--help'])\n"
+            "print('threads', before, parts._blas_threads())\n")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True,
+                          env={**os.environ, "OPENBLAS_NUM_THREADS": "2"})
+    before, after = done.stdout.splitlines()[-1].split()[1:]
+    if before != "2":
+        pytest.skip(f"OpenBLAS started with {before} threads, not 2")
+    assert after == "1"

@@ -1,22 +1,26 @@
 """Bounded fuzz of the CLI's JSON records: a checkpoint, a dataset
 manifest and a config file, each mutated by Hypothesis and run through
-``vadeers.cli.main`` in process.
+``vadeers.cli.main`` in process; and a differential check of the two CSV
+readers on generated text.
 
 Whatever the mutation, the command exits 0, 1, 2 or 3, prints no
-traceback, and an exit-2 message names the file that was read.  The
-examples are derandomized so that a run is repeatable; raise
-``max_examples`` in ``FUZZ`` to search longer."""
+traceback, and an exit-2 message names the file that was read.  Where
+the plain-text reader accepts a text, the csv-module reader gives the
+same table.  The examples are derandomized so that a run is repeatable;
+raise ``max_examples`` in ``FUZZ`` to search longer."""
 
 import contextlib
 import io
 import json
 import shutil
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vadeers import data as vdata
 from vadeers.cli import main
 from vadeers.data import write_table
 from vadeers.training import CHECKPOINT_MAGIC
@@ -204,3 +208,55 @@ def test_config(work, data, value):
     path.write_bytes(raw)
     _check(*run("train", "--data", work / "data", "--config", path,
                 "--out", work / "out" / "config"), path)
+
+
+# ---------------------------------------------------------------------------
+# the two CSV readers
+# ---------------------------------------------------------------------------
+
+# spellings that float() or np.loadtxt may read differently, or not at all
+FLOAT_SPELLINGS = ["1e5", "+.5", "-0", " 1", "1 ", "nan", "-nan", "inf",
+                   "-Infinity", "1E-3", "1_0", ".", "", "1e400", "0x10",
+                   "\u0661", "\xa01", "1\t", "+-1", "2.50"]
+# ids of one text are all plain or all drawn from the csv metacharacters
+IDS = st.sampled_from([st.text(alphabet="ab1 ", max_size=4),
+                       st.text(alphabet='ab1 ,"\r', max_size=4)])
+FIELD = st.sampled_from(FLOAT_SPELLINGS) | st.floats().map(repr)
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, n_ids, n_cols, chunk): CSV text of ``n_cols`` header fields
+    and rows of ``n_ids`` ids and floats, each field as drawn, so that an
+    id holding a quote or a comma stays raw; rows end in ``\r\n`` or
+    ``\n``; ``chunk`` is a read size that puts chunk edges anywhere."""
+    n_ids = draw(st.integers(1, 2))
+    n_cols = n_ids + draw(st.integers(0, 3))
+    id_text = draw(IDS)
+    lines = [",".join(f"h{k}" for k in range(n_cols))]
+    for _ in range(draw(st.integers(0, 6))):
+        ids = [draw(id_text) for _ in range(n_ids)]
+        lines.append(",".join(ids + [draw(FIELD)
+                                     for _ in range(n_cols - n_ids)]))
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text, n_ids, n_cols, draw(st.integers(1, len(text) + 1))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(case=csv_texts())
+def test_plain_reader_agrees_with_the_csv_module(case):
+    text, n_ids, n_cols, chunk = case
+    with mock.patch.object(vdata, "READ_CHUNK_BYTES", chunk):
+        plain = vdata._parse_plain(io.StringIO(text, newline=""), n_ids,
+                                   n_cols)
+    if plain is None:
+        return
+    header, ids, values = vdata._parse_csv_module(
+        "t.csv", io.StringIO(text, newline=""), n_ids, n_cols)
+    assert plain[0] == header
+    assert plain[1] == ids
+    assert plain[2].shape == values.shape
+    assert plain[2].tobytes() == values.tobytes()

@@ -387,9 +387,6 @@ B = PREDICT_BLOCK_ROWS
 # the edges of the parts, and of 512-row blocks
 BLOCK_EDGE_ROWS = [1, 2, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 1,
                    511, 512, 513, 1023, 1024, 1025, 1537]
-ONE_BLAS_THREAD = parts._blas_threads() == 1
-
-
 @pytest.mark.parametrize("n", BLOCK_EDGE_ROWS)
 def test_predict_sensitivity_matches_one_shot(n):
     model = toy_model(seed=30)
@@ -398,16 +395,20 @@ def test_predict_sensitivity_matches_one_shot(n):
     c = rng.standard_normal((n, 3))
     scored = model.predict_sensitivity(d, c)
     whole = model.dspn_predict(d, c).data
-    if ONE_BLAS_THREAD:
+    if parts._blas_threads() == 1:
         assert np.array_equal(scored, whole)
     else:
         np.testing.assert_allclose(scored, whole, rtol=1e-12)
 
 
-@pytest.mark.skipif(not ONE_BLAS_THREAD,
-                    reason="parts keep the bits at one BLAS thread")
-def test_predict_sensitivity_parts_give_one_graphs_bytes(monkeypatch):
-    model = VadeersModel.initialize(ModelConfig(), np.random.default_rng(35))
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_predict_sensitivity_parts_give_one_graphs_bytes(monkeypatch, dtype):
+    # the count is read when the test runs: conftest.py sets one BLAS
+    # thread for the session, after the test modules are imported
+    if parts._blas_threads() != 1:
+        pytest.skip("parts keep the bits at one BLAS thread")
+    model = VadeersModel.initialize(ModelConfig(), np.random.default_rng(35),
+                                    dtype)
     rng = np.random.default_rng(36)
     width = model.config.latent_dim
     for n in [1, 239, 240, 479, 480, 500, 719, 720, 2_000, 12_345]:

@@ -2,7 +2,6 @@
 expectation, gradient finite-difference checks, Adam behavior and
 determinism."""
 
-import ctypes
 import gc
 import os
 import signal
@@ -10,7 +9,6 @@ import sys
 import threading
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,25 +86,11 @@ PART = 144
 SPLIT_IN, SPLIT_OUT = 512, 230
 
 
-def _openblas_set_threads():
-    """The thread-count setter of the OpenBLAS of a numpy wheel, or None."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for sym in ("scipy_openblas_set_num_threads64_",
-                    "openblas_set_num_threads64_", "openblas_set_num_threads"):
-            fn = getattr(handle, sym, None)
-            if fn is not None:
-                fn.restype, fn.argtypes = None, [ctypes.c_int]
-                return fn
-    return None
-
-
 @pytest.fixture
 def two_cores(monkeypatch):
     """Two CPUs whatever the host has, BLAS on one thread, and no worker
     yet; the worker made in the test is shut down after it."""
-    set_threads = _openblas_set_threads()
+    set_threads = parts._blas_thread_setter()
     threads = parts._blas_threads.__wrapped__()
     if set_threads is None or threads is None:
         pytest.skip("needs the OpenBLAS of a numpy wheel")
@@ -790,6 +774,36 @@ def test_adam_runs_of_a_flat_store_match_out_of_place_oracle(monkeypatch):
     assert not np.any(np.concatenate(_moments(state, params, "b")))
     assert state.layout is params.layout and state.start == 0
     assert state.m.size == state.v.size == 28
+
+
+def test_adam_reads_float32_gradients_and_refreshes_the_working_copy(
+        monkeypatch):
+    from vadeers.nnkernel import optim
+
+    # float32 gradients of a float32 working copy move the float64
+    # parameters as the oracle does given the same values in float64, and
+    # every block of the copy is refreshed from its updated parameters
+    monkeypatch.setattr(optim, "ADAM_BLOCK", 4)
+    rng = np.random.default_rng(16)
+    params = FlatStore.from_arrays({
+        "a": rng.standard_normal((3, 3)), "b": rng.standard_normal(4),
+        "c": rng.standard_normal(5)})
+    copy = FlatStore(params.layout, params.flat.astype(np.float32))
+    ref = {n: params[n].copy() for n in params}
+    m, v = {}, {}
+    state = AdamState()
+    for t in range(1, 5):
+        grads = copy.gradient_store(["a", "c"])
+        assert grads.flat.dtype == np.float32
+        for name in ("a", "c"):
+            grads[name] = rng.standard_normal(params[name].shape)
+        grads["c"][t] = 0.0
+        wide = {n: grads[n].astype(np.float64) for n in grads}
+        ref, m, v = adam_out_of_place(ref, wide, m, v, t, lr=0.01)
+        adam_step(params, grads, state, lr=0.01, copy=copy)
+        for name in params:
+            assert params[name].tobytes() == ref[name].tobytes()
+        assert copy.flat.tobytes() == params.flat.astype(np.float32).tobytes()
 
 
 def test_adam_rejects_a_run_outside_its_stretch_or_another_layout():

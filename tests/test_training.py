@@ -274,7 +274,7 @@ def test_no_heldout_cells_touch_gradients():
      dict(joint_epochs=4, lr_joint=1e12)),
     ("break diverged: non-finite activations after layer dvae.dec_s.0",
      dict(joint_epochs=4, lr_joint=1e12, dvae_break_every_steps=1)),
-    ("dspn epoch 0 diverged: non-finite activations after layer dspn.out",
+    ("dspn epoch 0 diverged: non-finite activations after layer dspn.0",
      dict(lr_dspn=1e100)),
 ], ids=["joint", "break", "dspn"])
 def test_divergent_lr_aborts_with_last_good_model(reason, schedule_kw):
@@ -375,8 +375,8 @@ def test_epoch_records_log_each_signed_weight_times_its_mean_term(
 def test_a_frozen_parameter_that_moves_in_phase_2_aborts(monkeypatch):
     step = vadeers.training.adam_step
 
-    def leaky(params, grads, state, lr):
-        step(params, grads, state, lr)
+    def leaky(params, grads, state, lr, copy):
+        step(params, grads, state, lr, copy)
         if "dvae.enc.0.W" not in grads:  # a phase-2 step trains the DSPN only
             params["dvae.enc.0.b"] += 1.0
 
@@ -384,6 +384,29 @@ def test_a_frozen_parameter_that_moves_in_phase_2_aborts(monkeypatch):
     with pytest.raises(TrainingAborted,
                        match="frozen parameters changed during phase 2"):
         tiny_train()
+
+
+def test_the_working_copy_follows_every_adam_step(monkeypatch):
+    # the float32 copy that the passes read equals the float64 master
+    # after every step of every phase, break steps included
+    step = vadeers.training.adam_step
+    steps = []
+
+    def checking(params, grads, state, lr, copy):
+        step(params, grads, state, lr, copy)
+        assert grads.flat.dtype == copy.flat.dtype == np.float32
+        assert params.flat.dtype == np.float64
+        for lo, hi, _ in grads.runs():
+            assert np.array_equal(copy.flat[lo:hi],
+                                  params.flat[lo:hi].astype(np.float32))
+        assert copy.flat.tobytes() == params.flat.astype(np.float32).tobytes()
+        steps.append("dvae.enc.0.W" in grads)
+
+    monkeypatch.setattr(vadeers.training, "adam_step", checking)
+    result = tiny_train()
+    assert result.checkpoint.model.dtype == np.float32
+    breaks = [e for e in result.runlog.events if e["event"] == "break_start"]
+    assert breaks and True in steps and False in steps
 
 
 def test_gmm_variant_requires_labels():
