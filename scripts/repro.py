@@ -25,11 +25,12 @@ says.
 
 ``python scripts/repro.py envelope > SEEDNOISE.json`` trains the three
 prior variants of the acceptance fixture in ``tests/conftest.py`` (its
-data seed, split, schedule and evaluation seed) at each of ``--seeds``
-schedule seeds, and writes the spread of every metric that acceptance
-criteria 3-6 threshold: its value at each seed, its min, median and
-max, and the smallest margin to the threshold, with the SHA-256 of the
-``src`` tree whose arithmetic it measured.  A change that alters
+data seed, split, schedule and evaluation seed) at schedule seeds 0-9,
+and writes the spread of every metric that acceptance criteria 3-6
+threshold, as ``tests/conftest.py`` computes and bounds it: its value at
+each seed, its min, median and max, and the smallest margin to the
+threshold, with the SHA-256 of the ``src`` tree whose arithmetic it
+measured.  A change that alters
 floating-point order compares its seed-7 metrics with this envelope.
 
 Both modes use the ``vadeers`` package of the ``src`` directory beside
@@ -46,7 +47,6 @@ import json
 import statistics
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,16 +55,11 @@ sys.path.insert(0, str(ROOT / "tests"))
 
 import numpy as np  # noqa: E402
 
-from conftest import (DESK_SCHEDULE, DESK_SEED, DESK_SPEC,  # noqa: E402
-                      VARIANTS)
-from vadeers import gmm  # noqa: E402
+from conftest import (DESK_SCHEDULE, DESK_SEED, THRESHOLDS,  # noqa: E402
+                      acceptance_metrics, make_desk_data, train_desk_variants)
 from vadeers.cli import main as vadeers_main  # noqa: E402
-from vadeers.data import (derive_guiding_labels,  # noqa: E402
-                          generate_synthetic_with_truth)
-from vadeers.metrics import evaluate, generation_fidelity  # noqa: E402
-from vadeers.model import LossWeights, ModelConfig, PRIOR_VARIANTS  # noqa: E402
+from vadeers.model import PRIOR_VARIANTS  # noqa: E402
 from vadeers.nnkernel.parts import use_one_blas_thread  # noqa: E402
-from vadeers.training import SplitSpec, TrainSchedule, train  # noqa: E402
 
 SEED = "5"
 SPLIT = {"n_val_cells": 25, "n_test_cells": 25}
@@ -147,26 +142,7 @@ def digest(root: Path) -> list[str]:
     return lines
 
 
-# metric -> (criterion, relation, threshold) of acceptance criteria 3-6;
-# a gap is the first-named variant's value less the second's
-THRESHOLDS = {
-    "train_seconds.max": (3, "<=", 120.0),
-    "silhouette_latent.gmm_constrained": (3, ">", 0.2),
-    "silhouette_latent.gmm_unconstrained": (3, ">", 0.2),
-    "silhouette_latent.gap.gmm_constrained-vanilla": (3, ">", 0.0),
-    "silhouette_generated.gmm_constrained": (4, ">", 0.15),
-    "silhouette_generated.gmm_unconstrained": (4, ">", 0.15),
-    "silhouette_generated.gap.gmm_constrained-gmm_unconstrained": (4, ">", 0.0),
-    "generated_accuracy.gmm_constrained": (4, ">", 0.9),
-    "generated_accuracy.gmm_unconstrained": (4, ">", 0.9),
-    "centroid_pearson.gmm_unconstrained": (5, ">", 0.9),
-    "gen_std_mean.gap.gmm_unconstrained-gmm_constrained": (5, ">", 0.0),
-    "ic50_pearson.vanilla": (6, ">", 0.8),
-    "ic50_pearson.gmm_constrained": (6, ">", 0.8),
-    "ic50_pearson.gmm_unconstrained": (6, ">", 0.8),
-    "ic50_pearson.spread": (6, "<", 0.03),
-}
-SEEDS = "0,1,2,3,4,5,6,7,8,9"
+SEEDS = tuple(range(10))
 
 
 def src_sha256() -> str:
@@ -178,81 +154,18 @@ def src_sha256() -> str:
     return h.hexdigest()
 
 
-def generated_accuracy(checkpoint, dataset) -> float:
-    """Criterion 4's share of generated profiles, 300 per component at
-    seed 100, whose nearest true cluster centroid is their component's
-    matched label."""
-    model, labels = checkpoint.model, checkpoint.guiding_labels
-    params = model.gmm_params()
-    rng = np.random.default_rng(100)
-    z = np.concatenate([gmm.sample_component(k, params, 300, rng)
-                        for k in range(params.n_components)])
-    comps = np.repeat(np.arange(params.n_components), 300)
-    gen = checkpoint.scaler.inverse_ip(model.decode_drug(z)[1].data)
-    ids = sorted(labels)
-    idx = dataset.drug_index()
-    true_rows = dataset.profiles[[idx[i] for i in ids]]
-    true_labs = np.array([labels[i] for i in ids])
-    order = np.unique(true_labs)
-    cents = np.stack([true_rows[true_labs == lab].mean(axis=0) for lab in order])
-    nearest = order[np.argmin(
-        np.linalg.norm(gen[:, None, :] - cents[None], axis=2), axis=1)]
-    matching = generation_fidelity(true_rows, true_labs, gen, comps).matching
-    return float(np.mean(nearest == np.array([matching[c] for c in comps])))
-
-
-def seed_metrics(dataset, seed: int) -> dict[str, float]:
-    """Every thresholded metric, and the vanilla latent silhouette, of the
-    three variants trained at schedule seed ``seed``."""
-    reports, seconds, accuracy = {}, [], {}
-    for variant in VARIANTS:
-        config = ModelConfig(smiles_dim=DESK_SPEC.smiles_dim,
-                             ip_dim=DESK_SPEC.ip_dim, bio_dim=DESK_SPEC.bio_dim,
-                             latent_dim=10, prior_variant=variant)
-        started = time.monotonic()
-        result = train(dataset, config,
-                       TrainSchedule(**{**DESK_SCHEDULE, "seed": seed}),
-                       LossWeights(),
-                       SplitSpec(n_val_cells=25, n_test_cells=25,
-                                 seed=DESK_SEED))
-        seconds.append(time.monotonic() - started)
-        reports[variant] = evaluate(result.checkpoint, dataset,
-                                    seed=DESK_SEED).report
-        if variant != "vanilla":
-            accuracy[variant] = generated_accuracy(result.checkpoint, dataset)
-    con, unc = reports["gmm_constrained"], reports["gmm_unconstrained"]
-    pearsons = {v: r.ic50_pearson for v, r in reports.items()}
-    out = {"train_seconds.max": max(seconds)}
-    for v, r in reports.items():
-        out[f"silhouette_latent.{v}"] = r.silhouette_latent
-    out["silhouette_latent.gap.gmm_constrained-vanilla"] = (
-        con.silhouette_latent - reports["vanilla"].silhouette_latent)
-    for v in ("gmm_constrained", "gmm_unconstrained"):
-        out[f"silhouette_generated.{v}"] = reports[v].silhouette_generated
-    out["silhouette_generated.gap.gmm_constrained-gmm_unconstrained"] = (
-        con.silhouette_generated - unc.silhouette_generated)
-    for v, a in accuracy.items():
-        out[f"generated_accuracy.{v}"] = a
-    out["centroid_pearson.gmm_unconstrained"] = unc.centroid_pearson
-    out["gen_std_mean.gap.gmm_unconstrained-gmm_constrained"] = (
-        unc.gen_std_mean - con.gen_std_mean)
-    for v, p in pearsons.items():
-        out[f"ic50_pearson.{v}"] = p
-    out["ic50_pearson.spread"] = max(pearsons.values()) - min(pearsons.values())
-    return out
-
-
-def envelope(seeds: list[int]) -> dict:
-    """The seed-noise envelope of the acceptance fixture over ``seeds``,
+def envelope() -> dict:
+    """The seed-noise envelope of the acceptance fixture over ``SEEDS``,
     trained at one BLAS thread as the test session trains it."""
     use_one_blas_thread()
-    dataset, _ = generate_synthetic_with_truth(DESK_SPEC, seed=DESK_SEED)
-    dataset = derive_guiding_labels(dataset, n_labels=3, seed=DESK_SEED)
-    per_seed = {seed: seed_metrics(dataset, seed) for seed in seeds}
+    dataset, _ = make_desk_data()
+    per_seed = {seed: acceptance_metrics(train_desk_variants(dataset, seed),
+                                         dataset)
+                for seed in SEEDS}
     metrics = {}
-    for name in per_seed[seeds[0]]:
-        values = [per_seed[s][name] for s in seeds]
-        entry = {"values": dict(zip(map(str, seeds), values)),
+    for name in per_seed[SEEDS[0]]:
+        values = [per_seed[s][name] for s in SEEDS]
+        entry = {"values": dict(zip(map(str, SEEDS), values)),
                  "min": min(values), "median": statistics.median(values),
                  "max": max(values)}
         if name in THRESHOLDS:
@@ -265,19 +178,15 @@ def envelope(seeds: list[int]) -> dict:
         metrics[name] = entry
     return {"src_sha256": src_sha256(), "data_seed": DESK_SEED,
             "schedule": {k: v for k, v in DESK_SCHEDULE.items() if k != "seed"},
-            "seeds": seeds, "numpy": np.__version__, "metrics": metrics}
+            "seeds": list(SEEDS), "numpy": np.__version__, "metrics": metrics}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("mode", choices=["digest", "envelope"])
-    parser.add_argument("--seeds", default=SEEDS,
-                        help="envelope: comma-separated schedule seeds "
-                             f"(default {SEEDS})")
     args = parser.parse_args(argv)
     if args.mode == "envelope":
-        seeds = [int(s) for s in args.seeds.split(",")]
-        print(json.dumps(envelope(seeds), indent=2, sort_keys=True))
+        print(json.dumps(envelope(), indent=2, sort_keys=True))
         return 0
     with tempfile.TemporaryDirectory(prefix="vadeers-repro-") as tmp:
         session(Path(tmp))

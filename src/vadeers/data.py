@@ -347,16 +347,21 @@ def _column_stats(rows: np.ndarray, name: str,
     return mean, np.where(zero, 1.0, std)
 
 
+# the dtype of a trained or loaded model's forward and backward passes
+WORKING_DTYPE = np.float32
+
+
 def standardized(transform, rows, name: str, prefix: str,
                  row=lambda r: f"row {r + 1}",
                  what: str = "value") -> np.ndarray:
     """``transform(rows)`` of the value rows of the CSV file ``name``,
     run with numpy's overflow warnings off.  A result that is not finite
-    is a DataError naming the file, the row (``row(r)`` of the 0-based
-    ``r``) and the column (``{prefix}{j}``, or ``prefix`` for 1-D rows)."""
+    in ``WORKING_DTYPE``, which trained models read it in, is a DataError
+    naming the file, the row (``row(r)`` of the 0-based ``r``) and the
+    column (``{prefix}{j}``, or ``prefix`` for 1-D rows)."""
     with np.errstate(over="ignore", invalid="ignore"):
         values = transform(rows)
-    finite = np.isfinite(values)
+        finite = np.isfinite(values.astype(WORKING_DTYPE))
     if not finite.all():
         r, j = np.argwhere(~finite)[0][[0, -1]]
         column = f"{prefix}{j}" if values.ndim == 2 else prefix

@@ -198,12 +198,14 @@ class VadeersModel:
     Forward and backward passes compute in ``dtype``.  At float64 they read
     ``params`` itself.  At float32, which :func:`~vadeers.training.train`
     and :func:`~vadeers.training.load_checkpoint` choose, they read
-    ``working``, a float32 copy of ``params`` made when ``params`` is
-    assigned; ``params`` stays the float64 master that Adam updates and
-    checkpoints hold (mixed precision as in Micikevicius et al. 2018,
-    arXiv:1710.03740).  :func:`~vadeers.nnkernel.optim.adam_step`
-    refreshes the copy over what it updates; writing into ``params``
-    otherwise leaves the copy as it was."""
+    ``working``, a float32 copy of the float64 master made when ``params``
+    is assigned (mixed precision as in Micikevicius et al. 2018,
+    arXiv:1710.03740).  Only the optimizer writes into the master,
+    through ``master``, and :func:`~vadeers.nnkernel.optim.adam_step`
+    refreshes the copy over what it updates; ``params`` and ``flat`` are
+    then read-only views of it, so a write into them raises instead of
+    leaving the copy stale.  Assign a new mapping to ``params`` to change
+    parameters."""
 
     def __init__(self, config: ModelConfig, params, dtype=np.float64):
         self.config = config
@@ -216,13 +218,21 @@ class VadeersModel:
 
     @params.setter
     def params(self, arrays) -> None:
-        self._params = (arrays if isinstance(arrays, FlatStore)
-                        else FlatStore.from_arrays(arrays))
-        self._working = self._params
-        if self.dtype != self._params.flat.dtype:
+        master = (arrays if isinstance(arrays, FlatStore)
+                  else FlatStore.from_arrays(arrays))
+        self._master = self._params = self._working = master
+        if self.dtype != master.flat.dtype:
             with np.errstate(over="ignore"):  # the layer checks report it
-                flat = self._params.flat.astype(self.dtype)
-            self._working = FlatStore(self._params.layout, flat)
+                flat = master.flat.astype(self.dtype)
+            self._working = FlatStore(master.layout, flat)
+            shown = master.flat.view()
+            shown.flags.writeable = False
+            self._params = FlatStore(master.layout, shown, master)
+
+    @property
+    def master(self) -> FlatStore:
+        """The writable store under ``params``, for the optimizer alone."""
+        return self._master
 
     @property
     def working(self) -> FlatStore:

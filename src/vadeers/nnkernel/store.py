@@ -38,11 +38,11 @@ class FlatStore(Mapping):
     vector as long as the layout, float64 unless given.
 
     Assigning to a name copies the value into its view, so every holder
-    of a view, and of ``flat``, sees the change; an unknown name or a
-    value of another shape raises :class:`ContractViolation`.  Stores
-    made by :meth:`gradient_store` share their layout object with the store
-    they came from, which is how :func:`~vadeers.nnkernel.optim.adam_step`
-    knows two stores line up.  A store may show only some of its
+    of a view, and of ``flat``, sees the change; an unknown name, a value
+    of another shape, or a store over a read-only ``flat`` raises
+    :class:`ContractViolation`.  Stores made by :meth:`gradient_store`
+    share their layout object with the store they came from, which is how
+    :func:`~vadeers.nnkernel.optim.adam_step` knows two stores line up.  A store may show only some of its
     layout's names: the rest of ``flat`` is then unused.
     """
 
@@ -101,6 +101,8 @@ class FlatStore(Mapping):
         view = self._views.get(name)
         if view is None:
             raise ContractViolation(f"unknown parameter {name!r}")
+        if not view.flags.writeable:
+            raise ContractViolation(f"parameter {name!r} is read-only")
         value = np.asarray(value, dtype=self.flat.dtype)
         if value.shape != view.shape:
             raise ContractViolation(

@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import (Dataset, Scaler, atomic_open, field_defaults, json_fits,
-                   json_object, record_of, standardize)
+from .data import (WORKING_DTYPE, Dataset, Scaler, atomic_open, field_defaults,
+                   json_fits, json_object, record_of, standardize)
 from .exceptions import CheckpointError, ContractViolation, DataError, NumericError
 from .model import Batch, LossWeights, ModelConfig, VadeersModel
 from .nnkernel import AdamState, FlatStore, Tensor, adam_step
@@ -29,9 +29,6 @@ from .nnkernel.store import pack
 
 CHECKPOINT_MAGIC = b"VADEERS\x01"
 CHECKPOINT_VERSION = 1
-
-# the dtype of a trained or loaded model's forward and backward passes
-WORKING_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -375,7 +372,7 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
                                  f"{name}")
             # a parameter past float32's range is inf in the working copy,
             # and the next forward's layer check names it
-            adam_step(model.params, grads, state, lr, model.working)
+            adam_step(model.master, grads, state, lr, model.working)
         return (weighted if len(weighted) == 1
                 else {"total": float(loss.data), **weighted})
 

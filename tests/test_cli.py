@@ -618,7 +618,9 @@ def test_checkpoint_bad_parameter_value_exit_2(tmp_path, run_dir, data_dir,
                                                capsys, command, name, value,
                                                problem):
     ckpt = load_checkpoint(run_dir / "checkpoint.bin")
-    ckpt.model.params[name].flat[0] = value
+    edited = ckpt.model.params[name].copy()
+    edited.flat[0] = value
+    ckpt.model.params = {**ckpt.model.params, name: edited}
     path = tmp_path / "bad.bin"
     save_checkpoint(ckpt, path)
     args = _command_args(command, tmp_path, data_dir)
@@ -1400,25 +1402,48 @@ def test_train_on_values_too_large_to_standardize_exit_2(
 
 def test_predict_input_that_overflows_when_standardized_exit_2(
         tmp_path, desk_dir, capsys):
-    # a near-constant training column has a tiny std, and 1e300 over it
-    # overflows
+    # a near-constant training column has a tiny std: 1e300 over it
+    # overflows, and 1e30 over it is past float32's range, which the model
+    # reads its input in
     data = tmp_path / "data"
     shutil.copytree(desk_dir, data)
     _set_column(data / "drugs.csv", "e0", lambda i: 1 + 1e-13 * i)
     assert run("train", "--data", data, "--out", tmp_path / "run",
                *OVERFLOW_TRAIN) == 0
     dataset = load_csv(data)
-    demb = dataset.embeddings[:3].copy()
-    demb[1, 0] = 1e300
-    dpath, cpath = tmp_path / "drugs_in.csv", tmp_path / "cells_in.csv"
-    _write_feature_csv(dpath, "e", dataset.drug_ids[:3], demb)
+    cpath = tmp_path / "cells_in.csv"
     _write_feature_csv(cpath, "f", dataset.cell_ids[:3], dataset.features[:3])
-    out = tmp_path / "preds.csv"
-    err = _exit_2_quietly(capsys, "predict", "--checkpoint",
-                          tmp_path / "run" / "checkpoint.bin", "--drugs",
-                          dpath, "--cells", cpath, "--out", out)
-    assert err == (f"data error: {dpath}: row 2, column e0: non-finite value "
-                   f"after standardization\n")
+    for value in (1e300, 1e30):
+        demb = dataset.embeddings[:3].copy()
+        demb[1, 0] = value
+        dpath = tmp_path / "drugs_in.csv"
+        _write_feature_csv(dpath, "e", dataset.drug_ids[:3], demb)
+        out = tmp_path / "preds.csv"
+        err = _exit_2_quietly(capsys, "predict", "--checkpoint",
+                              tmp_path / "run" / "checkpoint.bin", "--drugs",
+                              dpath, "--cells", cpath, "--out", out)
+        assert err == (f"data error: {dpath}: row 2, column e0: non-finite "
+                       f"value after standardization\n"), value
+        assert not out.exists()
+
+
+def test_train_on_a_held_out_value_past_float32_when_standardized_exit_2(
+        tmp_path, desk_dir, capsys):
+    # the training cells leave f0 near-constant, so a held-out cell's 1e30
+    # standardizes to about 1e41: finite in float64, past float32's range
+    data = tmp_path / "data"
+    shutil.copytree(desk_dir, data)
+    dataset = load_csv(data)
+    split = split_by_cell_line(dataset, SplitSpec(
+        n_val_cells=25, n_test_cells=25, seed=0))
+    r = list(dataset.cell_ids).index(split.val_cells[0])
+    _set_column(data / "cells.csv", "f0",
+                lambda i: 1e30 if i == r else 1 + 1e-13 * i)
+    out = tmp_path / "run"
+    err = _exit_2_quietly(capsys, "train", "--data", data, "--out", out,
+                          *OVERFLOW_TRAIN)
+    assert err == (f"data error: cells.csv: row {r + 1}, column f0: "
+                   f"non-finite value after standardization\n")
     assert not out.exists()
 
 

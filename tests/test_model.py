@@ -694,6 +694,31 @@ def test_param_assignment_copies_into_the_view():
         model.params["dspn.nope"] = np.zeros(1)
 
 
+def test_a_float32_model_changes_its_parameters_only_by_assignment():
+    # its passes read a float32 copy of the master, so the master's views
+    # are read-only, and assigning a new mapping refreshes the copy
+    master = toy_model()
+    model = VadeersModel(master.config, master.params.copy(), np.float32)
+    batch = toy_batch(seed=80)
+    mu = model.drug_latent_means(batch.x_smiles)[batch.pair_drug]
+    lat = model.cell_latents(batch.x_bio)[batch.pair_cell]
+    before = model.predict_sensitivity(mu, lat)
+    with pytest.raises(ValueError, match="read-only"):
+        model.params["dspn.out.b"][0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.flat[0] = 1.0
+    with pytest.raises(ContractViolation, match="'dspn.out.b' is read-only"):
+        model.params["dspn.out.b"] = np.array([1.0])
+    model.params = {**model.params,
+                    "dspn.out.b": model.params["dspn.out.b"] + 1.0}
+    assert model.working.flat.tobytes() == \
+        model.flat.astype(np.float32).tobytes()
+    assert np.allclose(model.predict_sensitivity(mu, lat), before + 1.0,
+                       rtol=0, atol=1e-5)
+    model.master["dspn.out.b"] = np.array([0.0])  # the optimizer's handle
+    assert model.params["dspn.out.b"][0] == 0.0
+
+
 def test_model_copy_shares_no_memory():
     model = toy_model()
     clone = model.copy()

@@ -509,7 +509,8 @@ def test_checkpoint_write_failure_keeps_previous_file(tmp_path, monkeypatch):
     payload_bytes = 8 * ckpt.model.flat.size
     partial = _disk_full(monkeypatch, path,
                          lambda data: len(data) == payload_bytes)
-    ckpt.model.params["dspn.0.b"] += 1.0
+    params = ckpt.model.params
+    ckpt.model.params = {**params, "dspn.0.b": params["dspn.0.b"] + 1.0}
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(ckpt, path)
     monkeypatch.undo()
