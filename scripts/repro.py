@@ -29,8 +29,8 @@ data seed, split, schedule and evaluation seed) at schedule seeds 0-9,
 and writes the spread of every metric that acceptance criteria 3-6
 threshold, as ``tests/conftest.py`` computes and bounds it: its value at
 each seed, its min, median and max, and the smallest margin to the
-threshold, with the SHA-256 of the ``src`` tree whose arithmetic it
-measured.  A change that alters
+threshold, with the SHA-256 of the ``src/vadeers`` tree whose arithmetic
+it measured, as the benchmark records it.  A change that alters
 floating-point order compares its seed-7 metrics with this envelope.
 
 Both modes use the ``vadeers`` package of the ``src`` directory beside
@@ -52,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import numpy as np  # noqa: E402
 
@@ -60,6 +61,10 @@ from conftest import (DESK_SCHEDULE, DESK_SEED, THRESHOLDS,  # noqa: E402
 from vadeers.cli import main as vadeers_main  # noqa: E402
 from vadeers.model import PRIOR_VARIANTS  # noqa: E402
 from vadeers.nnkernel.parts import use_one_blas_thread  # noqa: E402
+
+# the benchmark's hash of the source tree, so that an envelope and a
+# benchmark run of one tree record one value
+from run import _src_sha256  # noqa: E402
 
 SEED = "5"
 SPLIT = {"n_val_cells": 25, "n_test_cells": 25}
@@ -145,15 +150,6 @@ def digest(root: Path) -> list[str]:
 SEEDS = tuple(range(10))
 
 
-def src_sha256() -> str:
-    """SHA-256 over the path and bytes of every module under ``src``."""
-    h = hashlib.sha256()
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        h.update(path.relative_to(ROOT).as_posix().encode() + b"\0")
-        h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 def envelope() -> dict:
     """The seed-noise envelope of the acceptance fixture over ``SEEDS``,
     trained at one BLAS thread as the test session trains it."""
@@ -176,7 +172,8 @@ def envelope() -> dict:
             entry.update(criterion=criterion, threshold=f"{relation} {bound}",
                          margin=margin)
         metrics[name] = entry
-    return {"src_sha256": src_sha256(), "data_seed": DESK_SEED,
+    return {"src_sha256": _src_sha256(ROOT / "src" / "vadeers"),
+            "data_seed": DESK_SEED,
             "schedule": {k: v for k, v in DESK_SCHEDULE.items() if k != "seed"},
             "seeds": list(SEEDS), "numpy": np.__version__, "metrics": metrics}
 

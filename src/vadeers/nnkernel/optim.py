@@ -10,10 +10,11 @@ from ..exceptions import ContractViolation
 from .store import FlatStore, Layout
 
 # Elements per pass of the update sequence, so that a block's parameter,
-# gradient, moment and work slices stay in cache between its 15 ufuncs.
-# A joint-step update at desk dims (a run of 237,355 elements, 2-core
-# Xeon VM) took 1.26 ms in blocks of 32,768, 1.37 ms in blocks of 8,192,
-# 1.54 ms in blocks of 131,072 and 1.64 ms in one pass.
+# gradient, moment and work slices stay in cache between its ufuncs.  A
+# joint-step update at desk dims (a run of 237,355 elements, 2-core Xeon
+# VM, one thread) took 1.26 ms in blocks of 32,768, 1.37 ms in blocks of
+# 8,192, 1.54 ms in blocks of 131,072 and 1.64 ms in one pass, with the
+# masked store of the zero-gradient rule that has since gone.
 ADAM_BLOCK = 32_768
 
 # moment decay rates and the denominator's stabilizer
@@ -52,13 +53,17 @@ def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
     The parameter arrays of ``params`` and the moments and step count of
     ``state`` are updated in place, between graphs: a graph whose tensors
     share those parameter arrays must not be used after the step.  Every
-    run of ``grads`` must lie in the stretch ``state`` is bound to.  Each
-    operation of the out-of-place form
-    ``p - lr * m_hat / (sqrt(v_hat) + eps)`` runs in its order on work
-    buffers, once per run of adjacent names and block of ``ADAM_BLOCK``
-    elements; every operation is elementwise, so the results are
-    bit-identical to the out-of-place form.  The moments are those of the
-    parameters' dtype, and the gradient is read into it: float32
+    run of ``grads`` must lie in the stretch ``state`` is bound to.
+
+    Each operation of the out-of-place form
+    ``where(g == 0, p, p - lr * m_hat / (sqrt(v_hat) + eps))`` runs in its
+    order on work buffers, once per block of at most ``ADAM_BLOCK``
+    elements of a run of adjacent names.  The zero-gradient rule has no
+    masked store: every bit of the step is cleared where the gradient is
+    zero, leaving ``+0.0``, and ``p - (+0.0)`` is ``p`` for every ``p``,
+    ``-0.0`` included.  Every operation is elementwise, so the results
+    are bit-identical to the out-of-place form.  The moments are those of
+    the parameters' dtype, and the gradient is read into it: float32
     gradients, being below 3.5e38, square to below 1.2e77, so a finite
     float32 gradient never overflows float64 moments.  Each block of
     ``copy`` is refreshed from its updated parameters while they are in
@@ -84,7 +89,7 @@ def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
         )
     t = state.step_index + 1
     size = min(ADAM_BLOCK, max((b - a for a, b, _ in runs), default=0))
-    work = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+    work = np.empty(size), np.empty(size)
     # a gradient of another dtype is read into one in the moments' dtype
     read = None if grads.flat.dtype == params.flat.dtype else np.empty(size)
     for lo, hi, _ in runs:
@@ -95,7 +100,7 @@ def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
         for start in range(0, p_run.size, ADAM_BLOCK):
             block = slice(start, start + ADAM_BLOCK)
             p, g, m, v = p_run[block], g_run[block], m_run[block], v_run[block]
-            step, root, moved = (buf[:p.size] for buf in work)
+            step, root = (buf[:p.size] for buf in work)
             if read is not None:
                 read[:p.size] = g
                 g = read[:p.size]
@@ -112,9 +117,15 @@ def adam_step(params: FlatStore, grads: FlatStore, state: AdamState,
             root += EPS
             step *= lr
             step /= root
-            # a zero gradient decays the moments but leaves the value alone
-            np.not_equal(g, 0.0, out=moved)
-            np.subtract(p, step, out=p, where=moved)
+            # a zero gradient decays the moments but leaves the value
+            # alone: all bits of ``keep`` are set where the gradient is
+            # not zero, and the step's other bits are cleared to +0.0
+            keep = root.view(np.uint64)
+            np.not_equal(g, 0.0, out=keep)
+            np.negative(keep, out=keep)
+            bits = step.view(np.uint64)
+            np.bitwise_and(bits, keep, out=bits)
+            p -= step
             if c_run is not None:
                 c_run[block] = p
 

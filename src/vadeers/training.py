@@ -346,8 +346,9 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
         """One optimizer step on the loss ``weights`` makes of the terms
         ``loss_terms(tape, *args)``.  A divergence, a non-finite loss or
         a non-finite gradient aborts the run, naming ``where`` and the
-        layer, the first non-finite weighted term (else ``total``) or the
-        first parameter whose gradient is not finite; numpy's overflow
+        first non-finite parameter of the working copy (else the layer),
+        the first non-finite weighted term (else ``total``) or the first
+        parameter whose gradient is not finite; numpy's overflow
         and invalid-value warnings are off, since these checks report
         them.  A finite float32 gradient cannot overflow Adam's float64
         moments (see :func:`adam_step`), so they are not checked.  Returns the
@@ -357,7 +358,12 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             try:
                 loss, weighted = weights.weigh(loss_terms(tape, *args))
             except NumericError as exc:
-                raise _abort(f"{where} diverged: {exc}") from None
+                # a parameter past float32's range is inf in the working
+                # copy alone; it is named, not the first layer to read it
+                bad = next((n for n in model.working
+                            if not np.isfinite(model.working[n]).all()), None)
+                cause = exc if bad is None else f"non-finite parameter {bad}"
+                raise _abort(f"{where} diverged: {cause}") from None
             if not np.isfinite(loss.data):
                 term = next((k for k, v in weighted.items()
                              if not np.isfinite(v)), "total")
@@ -370,8 +376,6 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
                                 if not np.isfinite(grads[n]).all())
                     raise _abort(f"{where} gradient non-finite in parameter "
                                  f"{name}")
-            # a parameter past float32's range is inf in the working copy,
-            # and the next forward's layer check names it
             adam_step(model.master, grads, state, lr, model.working)
         return (weighted if len(weighted) == 1
                 else {"total": float(loss.data), **weighted})

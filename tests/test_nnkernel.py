@@ -678,12 +678,19 @@ def _moments(state, params, name):
 
 
 def test_adam_zero_grads_leave_params_decay_moments():
-    params = FlatStore.from_arrays({"p": np.array([1.0, -2.0])})
-    state = AdamState(layout=params.layout, m=np.array([0.5, 0.5]),
-                      v=np.array([0.25, 0.25]), step_index=3)
-    adam_step(params, _grads(params, {"p": np.zeros(2)}), state, lr=0.1)
-    assert np.array_equal(params["p"], [1.0, -2.0])
-    assert np.allclose(state.m, 0.9 * 0.5)
+    # the moments would move each parameter by a huge step, the last by
+    # one that overflows to inf; with a zero gradient none moves, and
+    # -0.0 keeps its sign
+    params = FlatStore.from_arrays({"p": np.array([1.0, -2.0, -0.0, 0.0, 2.0])})
+    before = params.flat.tobytes()
+    m = np.array([0.5, 0.5, -0.5, -0.5, -1e10])
+    state = AdamState(layout=params.layout, m=m.copy(), v=np.full(5, 0.25),
+                      step_index=3)
+    with np.errstate(over="ignore"):
+        adam_step(params, _grads(params, {"p": np.zeros(5)}), state,
+                  lr=1e300)
+    assert params.flat.tobytes() == before
+    assert np.allclose(state.m, 0.9 * m)
     assert np.allclose(state.v, 0.999 * 0.25)
     assert state.step_index == 4
 
@@ -757,8 +764,10 @@ def test_adam_runs_of_a_flat_store_match_out_of_place_oracle(monkeypatch):
             == [(11, ["a1", "a2"]), (13, ["c", "d"])]
         for name in active:
             grads[name] = rng.standard_normal(params[name].shape)
+        # dead ReLU units zero whole rows and columns; single zeros too
         grads["a1"][1] = 0.0
-        grads["c"][t % 2, t - 1] = 0.0
+        grads["c"][:, t - 1] = 0.0
+        grads["c"][t % 2, t % 5] = 0.0
         if t == 3:
             grads["d"] = np.zeros(3)
         ref, m, v = adam_out_of_place(ref, dict(grads), m, v, t, lr=0.01)

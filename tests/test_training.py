@@ -274,7 +274,7 @@ def test_no_heldout_cells_touch_gradients():
      dict(joint_epochs=4, lr_joint=1e12)),
     ("break diverged: non-finite activations after layer dvae.dec_s.0",
      dict(joint_epochs=4, lr_joint=1e12, dvae_break_every_steps=1)),
-    ("dspn epoch 0 diverged: non-finite activations after layer dspn.0",
+    ("dspn epoch 0 diverged: non-finite parameter dspn.0.W",
      dict(lr_dspn=1e100)),
 ], ids=["joint", "break", "dspn"])
 def test_divergent_lr_aborts_with_last_good_model(reason, schedule_kw):
