@@ -322,6 +322,12 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
     adam = AdamState()
     break_adam = AdamState()
     joint_step = 0
+    # Adam squares a gradient in its dtype, the working one: beyond this
+    # bound the square overflows
+    grad_bound = np.sqrt(np.finfo(WORKING_DTYPE).max)
+
+    def in_range(g: np.ndarray) -> bool:
+        return -grad_bound <= g.min() and g.max() <= grad_bound  # nan: False
 
     def touch(cell_rows: np.ndarray):
         runlog.cells_touched.update(cell_ids[np.unique(cell_rows)].tolist())
@@ -345,13 +351,16 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
              *args) -> dict[str, float]:
         """One optimizer step on the loss ``weights`` makes of the terms
         ``loss_terms(tape, *args)``.  A divergence, a non-finite loss or
-        a non-finite gradient aborts the run, naming ``where`` and the
+        a gradient out of range aborts the run, naming ``where`` and the
         first non-finite parameter of the working copy (else the layer),
         the first non-finite weighted term (else ``total``) or the first
-        parameter whose gradient is not finite; numpy's overflow
+        parameter whose gradient is out of range; numpy's overflow
         and invalid-value warnings are off, since these checks report
-        them.  A finite float32 gradient cannot overflow Adam's float64
-        moments (see :func:`adam_step`), so they are not checked.  Returns the
+        them.  Adam's moments are in the gradients' dtype, so a finite
+        gradient beyond the square root of that dtype's largest value
+        (1.8e19 in float32) would overflow the second moment to inf and
+        stop its parameter silently (see :func:`adam_step`); such a
+        gradient is out of range, as is a non-finite one.  Returns the
         weighted terms, after the loss as ``total`` if several."""
         tape = model.tape()
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -371,10 +380,11 @@ def train(dataset: Dataset, config: ModelConfig, schedule: TrainSchedule,
             grads = tape.gradient(loss)
             # the runs only: the rest of the gradient vector is not written
             for lo, hi, names in grads.runs():
-                if not np.isfinite(grads.flat[lo:hi]).all():
-                    name = next(n for n in names
-                                if not np.isfinite(grads[n]).all())
-                    raise _abort(f"{where} gradient non-finite in parameter "
+                if not in_range(grads.flat[lo:hi]):
+                    name = next(n for n in names if not in_range(grads[n]))
+                    what = ("non-finite" if not np.isfinite(grads[name]).all()
+                            else f"beyond {grad_bound:.3g} in magnitude")
+                    raise _abort(f"{where} gradient {what} in parameter "
                                  f"{name}")
             adam_step(model.master, grads, state, lr, model.working)
         return (weighted if len(weighted) == 1

@@ -330,16 +330,43 @@ def assert_close(got, want, rel):
 # ---------------------------------------------------------------------------
 
 def adam_out_of_place(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
-                      eps=1e-8):
-    """One Adam step as fresh arrays, in the library's expression order;
-    returns (params, m, v) as new dicts, inputs untouched."""
+                      eps=1e-8, flush_every=16):
+    """One Adam step as fresh arrays, in the efficient form of Kingma & Ba
+    (2015, §2) that the library computes: in each gradient's dtype, with
+    every scalar cast to it, ``alpha_t * m / (sqrt(v) + eps_t)`` as the
+    step, and every ``flush_every``-th step zeroing each moment that would
+    decay below the dtype's smallest normal number before the next.
+    Returns (params, m, v) as new dicts, inputs untouched."""
+    params, m, v = dict(params), dict(m), dict(v)
+    for name, g in grads.items():
+        f = g.dtype.type
+        p = params[name]
+        mm = m.get(name, np.zeros_like(g))
+        vv = v.get(name, np.zeros_like(g))
+        alpha = f(lr * math.sqrt(1.0 - beta2**t) / (1.0 - beta1**t))
+        eps_t = f(eps * math.sqrt(1.0 - beta2**t))
+        mm = f(beta1) * mm + f(1.0 - beta1) * g
+        vv = f(beta2) * vv + f(1.0 - beta2) * (g * g)
+        if t % flush_every == 0:
+            tiny = float(np.finfo(g.dtype).tiny)
+            mm = np.where(np.abs(mm) >= f(tiny / beta1**flush_every), mm, f(0.0))
+            vv = np.where(np.abs(vv) >= f(tiny / beta2**flush_every), vv, f(0.0))
+        step = alpha * mm / (np.sqrt(vv) + eps_t)
+        params[name] = np.where(g == 0.0, p, p - step)
+        m[name], v[name] = mm, vv
+    return params, m, v
+
+
+def adam_textbook(params, grads, m, v, t, lr, beta1=0.9, beta2=0.999,
+                  eps=1e-8):
+    """One Adam step in float64 as Kingma & Ba's Algorithm 1 writes it,
+    with bias-corrected moments and the zero-gradient rule; returns
+    (params, m, v) as new dicts, inputs untouched."""
     params, m, v = dict(params), dict(m), dict(v)
     for name, g in grads.items():
         p = params[name]
-        mm = m.get(name, np.zeros_like(p))
-        vv = v.get(name, np.zeros_like(p))
-        mm = beta1 * mm + (1.0 - beta1) * g
-        vv = beta2 * vv + (1.0 - beta2) * (g * g)
+        mm = beta1 * m.get(name, 0.0) + (1.0 - beta1) * g
+        vv = beta2 * v.get(name, 0.0) + (1.0 - beta2) * (g * g)
         m_hat = mm / (1.0 - beta1**t)
         v_hat = vv / (1.0 - beta2**t)
         stepped = p - lr * m_hat / (np.sqrt(v_hat) + eps)

@@ -1494,6 +1494,37 @@ def test_non_finite_gradient_aborts_naming_the_parameter(tmp_path, desk_dir,
                                     "parameter cae.enc.0.W")
 
 
+def test_gradient_beyond_the_moment_range_aborts_naming_the_parameter(
+        tmp_path, desk_dir, capsys):
+    # every gradient of the 1e30-weighted sensitivity term is finite, but
+    # some square past float32's range: Adam's float32 second moment would
+    # be inf and its parameter would stop silently, so the run aborts
+    cfg = tmp_path / "heavy.json"
+    cfg.write_text(json.dumps({"weights": {"dspn": 1e30},
+                               "schedule": {"joint_epochs": 2,
+                                            "dspn_epochs": 1}}))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("train", "--data", desk_dir, "--out", out,
+                   "--config", cfg, "--variant", "gmm_constrained",
+                   "--seed", "5", "--n-val-cells", "25",
+                   "--n-test-cells", "25")
+    captured = capsys.readouterr()
+    reason = ("joint step 1 gradient beyond 1.84e+19 in magnitude in "
+              "parameter cae.enc.0.W")
+    assert code == 3, captured.err
+    assert captured.err == f"numeric failure: {reason}\n"
+    for text in ("RuntimeWarning", "Traceback"):
+        assert text not in captured.out + captured.err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    events = [json.loads(line) for line in
+              (out / "runlog.ABORTED.jsonl").read_text().splitlines()]
+    assert events[-1] == {"record": "event", "event": "aborted",
+                          "reason": reason}
+
+
 def test_the_cli_sets_one_blas_thread_and_importing_vadeers_sets_none():
     # in a fresh process, where the environment asks for two threads
     code = ("from vadeers.nnkernel import parts\n"

@@ -38,6 +38,7 @@ from vadeers.nnkernel.losses import row_mse
 import oracles
 from oracles import (
     adam_out_of_place,
+    adam_textbook,
     add,
     assert_close,
     bound_tape,
@@ -789,9 +790,11 @@ def test_adam_reads_float32_gradients_and_refreshes_the_working_copy(
         monkeypatch):
     from vadeers.nnkernel import optim
 
-    # float32 gradients of a float32 working copy move the float64
-    # parameters as the oracle does given the same values in float64, and
-    # every block of the copy is refreshed from its updated parameters
+    # float32 gradients of a float32 working copy give float32 moments and
+    # move the float64 parameters as the oracle does in float32, and every
+    # block of the copy is refreshed from its updated parameters; the
+    # squares of gradients below 1e-19 make subnormal second moments, which
+    # the 16th step zeroes
     monkeypatch.setattr(optim, "ADAM_BLOCK", 4)
     rng = np.random.default_rng(16)
     params = FlatStore.from_arrays({
@@ -801,18 +804,75 @@ def test_adam_reads_float32_gradients_and_refreshes_the_working_copy(
     ref = {n: params[n].copy() for n in params}
     m, v = {}, {}
     state = AdamState()
-    for t in range(1, 5):
+    for t in range(1, 21):
         grads = copy.gradient_store(["a", "c"])
         assert grads.flat.dtype == np.float32
         for name in ("a", "c"):
             grads[name] = rng.standard_normal(params[name].shape)
-        grads["c"][t] = 0.0
-        wide = {n: grads[n].astype(np.float64) for n in grads}
-        ref, m, v = adam_out_of_place(ref, wide, m, v, t, lr=0.01)
+        grads["c"][t % 5] = 0.0
+        grads["a"][0] = 3e-20 * rng.standard_normal(3)
+        ref, m, v = adam_out_of_place(ref, dict(grads), m, v, t, lr=0.01)
+        assert m["a"].dtype == v["a"].dtype == np.float32
         adam_step(params, grads, state, lr=0.01, copy=copy)
+        assert state.m.dtype == state.v.dtype == np.float32
+        assert params.flat.dtype == np.float64
         for name in params:
             assert params[name].tobytes() == ref[name].tobytes()
+        for name in grads:
+            got_m, got_v = _moments(state, params, name)
+            assert got_m.tobytes() == m[name].tobytes()
+            assert got_v.tobytes() == v[name].tobytes()
         assert copy.flat.tobytes() == params.flat.astype(np.float32).tobytes()
+        v_small = _moments(state, params, "a")[1][0]
+        if t == 15:
+            assert np.all(v_small > 0.0)
+            assert np.all(v_small < np.finfo(np.float32).tiny)
+        if t == 16:
+            assert not np.any(v_small)
+
+
+def test_adam_efficient_form_stays_near_the_textbook_form():
+    # 50 float64 steps of the efficient form stay within 1e-13 of the
+    # textbook form (the two differ by 2.2e-16 here), over gradients from
+    # 1e-9, where the stabilizer dominates the step, to 1; a stabilizer
+    # not rescaled by sqrt(1 - beta2**t), or one bias correction folded
+    # into alpha_t wrongly, leaves that bound
+    rng = np.random.default_rng(17)
+    scale = np.logspace(-9, 0, 40)
+    params = FlatStore.from_arrays({"p": rng.standard_normal(40)})
+    ref = {"p": params["p"].copy()}
+    m, v = {}, {}
+    state = AdamState()
+    for t in range(1, 51):
+        g = scale * rng.standard_normal(40)
+        g[t % 40] = 0.0
+        ref, m, v = adam_textbook(ref, {"p": g}, m, v, t, lr=0.01)
+        adam_step(params, _grads(params, {"p": g}), state, lr=0.01)
+        assert np.max(np.abs(params["p"] - ref["p"])) <= 1e-13
+        assert np.max(np.abs(state.m - m["p"])) <= 1e-15 * np.abs(m["p"]).max()
+        assert np.max(np.abs(state.v - v["p"])) <= 1e-15 * np.abs(v["p"]).max()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_flushes_subnormal_moments_without_moving_parameters(dtype):
+    # moments decaying under a zero gradient would stay subnormal for good,
+    # where x * beta rounds back to x; at most 16 steps later they are
+    # +0.0, and the parameters keep their bytes
+    tiny = np.finfo(dtype).tiny
+    params = FlatStore.from_arrays({"p": np.array([1.0, -0.0, 0.0, 3.0])})
+    copy = FlatStore(params.layout, params.flat.astype(dtype))
+    before = params.flat.tobytes()
+    sub = np.array([tiny / 3, -tiny / 5, tiny / 2**10, -tiny * 2**-20],
+                   dtype=dtype)
+    state = AdamState(layout=params.layout, m=sub.copy(),
+                      v=np.abs(sub[::-1]), step_index=5)
+    for _ in range(16):
+        adam_step(params, _grads(copy, {"p": np.zeros(4)}), state,
+                  lr=0.01, copy=copy)
+        assert params.flat.tobytes() == before
+    assert state.step_index == 21
+    assert state.m.dtype == state.v.dtype == dtype
+    assert state.m.tobytes() == state.v.tobytes() == bytes(4 * sub.itemsize)
 
 
 def test_adam_rejects_a_run_outside_its_stretch_or_another_layout():
@@ -830,6 +890,11 @@ def test_adam_rejects_a_run_outside_its_stretch_or_another_layout():
     other = FlatStore.from_arrays({n: np.zeros(3) for n in "abc"})
     with pytest.raises(ContractViolation, match="stretch"):
         adam_step(other, _grads(other, {"b": np.ones(3)}), state, lr=0.1)
+    # float64 moments take no float32 gradients
+    narrow = FlatStore(params.layout, params.flat.astype(np.float32))
+    with pytest.raises(ContractViolation, match="float32 gradients for "
+                                               "float64 moments"):
+        adam_step(params, _grads(narrow, {"b": np.ones(3)}), state, lr=0.1)
     assert params.flat.tobytes() == before.tobytes()
     assert state.step_index == 1
 
