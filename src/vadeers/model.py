@@ -18,15 +18,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gmm
-from .exceptions import ContractViolation, NumericError
+from .exceptions import ContractViolation
 from .nnkernel import (
     FlatStore,
     GradientTape,
     LayerSpec,
     Tensor,
-    as_matrix,
     concat,
-    dense,
     in_row_parts,
     init_layer_params,
     mlp_forward,
@@ -40,6 +38,9 @@ from .nnkernel import (
 from .nnkernel.losses import row_mse
 
 PRIOR_VARIANTS = ("vanilla", "gmm_constrained", "gmm_unconstrained")
+
+# The mixture's parameter arrays, in the field order of gmm.GmmParams.
+_GMM_ARRAYS = ("gmm.logits", "gmm.means", "gmm.log_scales")
 
 ENTROPY_CONST = 0.5 * (1.0 + gmm.LOG_2PI)  # per-dimension Gaussian entropy at sigma=1
 
@@ -176,6 +177,12 @@ def _chain(prefix: str, in_dim: int, hidden: tuple[int, ...],
                       tuple((f"{n}.W", f"{n}.b") for n in names))
 
 
+def _head(name: str, in_dim: int, out_dim: int) -> LayerChain:
+    """A chain of one linear layer, named ``name`` (not ``name.out``)."""
+    return LayerChain((name,), (LayerSpec(in_dim, out_dim, "identity"),),
+                      ((f"{name}.W", f"{name}.b"),))
+
+
 def entropy_mean(log_sigma) -> Tensor:
     """Batch mean of the analytical entropy of a diagonal Gaussian per
     row, D/2 (1 + ln 2 pi) + sum_d log sigma_d, as one node."""
@@ -248,8 +255,10 @@ class VadeersModel:
     @cached_property
     def chains(self) -> dict[str, LayerChain]:
         """Every layer chain by name, in initialization order; built and
-        checked once, since the config is frozen."""
+        checked once, since the config is frozen.  The drug encoder's two
+        Gaussian heads are one-layer chains on its trunk, and come last."""
         c = self.config
+        trunk_out = (c.smiles_dim, *c.dvae_encoder_dims)[-1]
         return {
             "dvae.enc": _chain("dvae.enc", c.smiles_dim, c.dvae_encoder_dims),
             "dvae.dec_s": _chain("dvae.dec_s", c.latent_dim, c.decoder_dims,
@@ -261,6 +270,8 @@ class VadeersModel:
             "cae.dec": _chain("cae.dec", c.latent_dim, c.decoder_dims, c.bio_dim),
             "dspn": _chain("dspn", 2 * c.latent_dim, c.dspn_dims, 1,
                            dropout_rate=c.dspn_dropout, dropout_layers=(0, 1)),
+            "dvae.enc.mu": _head("dvae.enc.mu", trunk_out, c.latent_dim),
+            "dvae.enc.logsig": _head("dvae.enc.logsig", trunk_out, c.latent_dim),
         }
 
     def _forward(self, chain: str, x, tape: GradientTape, mode: str = "eval",
@@ -270,16 +281,10 @@ class VadeersModel:
                            [(tape(w), tape(b)) for w, b in layers.params],
                            mode=mode, rng=rng)
 
-    def _enc_trunk_out(self) -> int:
-        c = self.config
-        return c.dvae_encoder_dims[-1] if c.dvae_encoder_dims else c.smiles_dim
-
     def dense_layers(self) -> list[tuple[str, LayerSpec]]:
         """Every dense layer, in initialization order."""
-        head = LayerSpec(self._enc_trunk_out(), self.config.latent_dim, "identity")
-        return [*(layer for chain in self.chains.values()
-                  for layer in zip(chain.names, chain.specs)),
-                ("dvae.enc.mu", head), ("dvae.enc.logsig", head)]
+        return [layer for chain in self.chains.values()
+                for layer in zip(chain.names, chain.specs)]
 
     def param_shapes(self) -> dict[str, tuple[int, ...]]:
         """Name -> shape of every parameter the config implies."""
@@ -289,9 +294,7 @@ class VadeersModel:
             shapes[f"{name}.b"] = (spec.out_dim,)
         if self.config.uses_gmm:
             k, d = self.config.n_components, self.config.latent_dim
-            shapes["gmm.logits"] = (k,)
-            shapes["gmm.means"] = (k, d)
-            shapes["gmm.log_scales"] = (k, d)
+            shapes.update(zip(_GMM_ARRAYS, ((k,), (k, d), (k, d))))
         return shapes
 
     @classmethod
@@ -302,9 +305,7 @@ class VadeersModel:
             params[f"{name}.W"], params[f"{name}.b"] = init_layer_params(rng, spec)
         if config.uses_gmm:
             g = gmm.init_gmm(config.n_components, config.latent_dim, rng)
-            params["gmm.logits"] = g.mixture_logits
-            params["gmm.means"] = g.means
-            params["gmm.log_scales"] = g.log_scales
+            params.update(zip(_GMM_ARRAYS, (getattr(g, f.name) for f in fields(g))))
         return cls(config, params, dtype)
 
     def copy(self) -> "VadeersModel":
@@ -312,7 +313,7 @@ class VadeersModel:
 
     def frozen_names(self) -> frozenset[str]:
         if self.config.prior_variant == "gmm_constrained":
-            return frozenset({"gmm.log_scales"})
+            return frozenset(_GMM_ARRAYS[-1:])  # the log-scales
         return frozenset()
 
     def tape(self) -> GradientTape:
@@ -321,9 +322,26 @@ class VadeersModel:
 
     def _input(self, x) -> Tensor:
         """``x`` itself if it is a Tensor, else a constant leaf of it in
-        ``dtype``."""
-        return x if isinstance(x, Tensor) else Tensor(
-            np.asarray(x, dtype=self.dtype))
+        ``dtype``; a value beyond its range becomes inf, which the input
+        and layer checks report."""
+        if isinstance(x, Tensor):
+            return x
+        with np.errstate(over="ignore"):
+            return Tensor(np.asarray(x, dtype=self.dtype))
+
+    def _checked_input(self, x, what: str, dim: str) -> Tensor:
+        """``self._input(x)``, checked to be 2-D, finite, and as wide as
+        the config's ``dim``."""
+        x = self._input(x)
+        if x.data.ndim != 2:
+            raise ContractViolation(f"{what} input must be 2-D, got shape {x.shape}")
+        if not np.all(np.isfinite(x.data)):
+            raise ContractViolation(f"{what} input contains non-finite entries")
+        want = getattr(self.config, dim)
+        if x.shape[1] != want:
+            raise ContractViolation(
+                f"{what} input width {x.shape[1]} != {dim} {want}")
+        return x
 
     def group_names(self, group: str) -> list[str]:
         """Parameter names of one subnetwork: dvae, cae, dspn, or gmm."""
@@ -333,11 +351,7 @@ class VadeersModel:
     def gmm_params(self) -> gmm.GmmParams | None:
         if not self.config.uses_gmm:
             return None
-        return gmm.GmmParams(
-            mixture_logits=self.params["gmm.logits"],
-            means=self.params["gmm.means"],
-            log_scales=self.params["gmm.log_scales"],
-        )
+        return gmm.GmmParams(*(self.params[n] for n in _GMM_ARRAYS))
 
     # ---- forward passes ---------------------------------------------------
 
@@ -348,19 +362,10 @@ class VadeersModel:
         from ``rng`` when ``sample`` is true.  ``x`` is checked: it is
         finite, 2-D and ``smiles_dim`` wide."""
         tape = tape or self.tape()
-        x = self._input(x)
-        as_matrix(x.data, "drug input")
-        if x.shape[1] != self.config.smiles_dim:
-            raise ContractViolation(
-                f"drug input width {x.shape[1]} != smiles_dim "
-                f"{self.config.smiles_dim}"
-            )
-        h = self._forward("dvae.enc", x, tape)
-        heads = ("dvae.enc.mu", "dvae.enc.logsig")
-        mu, log_sigma = (dense(h, tape(f"{n}.W"), tape(f"{n}.b")) for n in heads)
-        for n, t in zip(heads, (mu, log_sigma)):
-            if not np.all(np.isfinite(t.data)):
-                raise NumericError(f"non-finite activations after layer {n}")
+        h = self._forward("dvae.enc", self._checked_input(x, "drug", "smiles_dim"),
+                          tape)
+        mu = self._forward("dvae.enc.mu", h, tape)
+        log_sigma = self._forward("dvae.enc.logsig", h, tape)
         if sample:
             z = reparameterize(mu, log_sigma, rng.standard_normal(mu.shape))
         else:
@@ -378,13 +383,8 @@ class VadeersModel:
 
     def cae_encode(self, x, tape: GradientTape | None = None) -> Tensor:
         tape = tape or self.tape()
-        x = self._input(x)
-        as_matrix(x.data, "cell input")
-        if x.shape[1] != self.config.bio_dim:
-            raise ContractViolation(
-                f"cell input width {x.shape[1]} != bio_dim {self.config.bio_dim}"
-            )
-        return self._forward("cae.enc", x, tape)
+        return self._forward("cae.enc", self._checked_input(x, "cell", "bio_dim"),
+                             tape)
 
     def cae_decode(self, latent, tape: GradientTape | None = None) -> Tensor:
         tape = tape or self.tape()
@@ -406,9 +406,7 @@ class VadeersModel:
         if not self.config.uses_gmm:
             return gmm.standard_normal_log_density_rows(z)
         return gmm.semi_supervised_log_prior_rows(
-            z, labels,
-            tape("gmm.logits"), tape("gmm.means"), tape("gmm.log_scales"),
-        )
+            z, labels, *(tape(n) for n in _GMM_ARRAYS))
 
     def dvae_terms(self, enc: EncoderOutput, recon: Tensor, ip_pred: Tensor,
                    ip, ip_mask, labels, x_smiles,

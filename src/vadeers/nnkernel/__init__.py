@@ -14,7 +14,7 @@ from .autodiff import (
     weighted_sum,
     wrap,
 )
-from .layers import LayerSpec, as_matrix, init_layer_params, mlp_forward
+from .layers import LayerSpec, init_layer_params, mlp_forward
 from .optim import AdamState, adam_step
 from .parts import in_row_parts
 from .store import FlatStore
@@ -26,7 +26,6 @@ __all__ = [
     "LayerSpec",
     "Tensor",
     "adam_step",
-    "as_matrix",
     "concat",
     "dense",
     "in_row_parts",

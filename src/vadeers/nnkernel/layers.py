@@ -13,21 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exceptions import ContractViolation, NumericError
+from ..exceptions import NumericError
 from .autodiff import Tensor, dense, wrap
-
-
-def as_matrix(x, name: str = "matrix") -> np.ndarray:
-    """Validate and return a finite 2-D array: a float32 one as it is,
-    anything else as float64."""
-    arr = np.asarray(x)
-    if arr.dtype != np.float32:
-        arr = arr.astype(np.float64, copy=False)
-    if arr.ndim != 2:
-        raise ContractViolation(f"{name} must be 2-D, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ContractViolation(f"{name} contains non-finite entries")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -76,17 +63,19 @@ def mlp_forward(
     model's chains come from a checked config.  Raises
     :class:`NumericError` if an activation goes non-finite, naming the
     layer by its weight's name less the last part (``dspn.out.W`` names
-    ``dspn.out``), or by its index when the weight has no name.
+    ``dspn.out``), or by its index when the weight has no name.  That is
+    the report of an overflow, so numpy warns of none.
     """
     h = wrap(x)
-    for i, (spec, (w, b)) in enumerate(zip(layers, params)):
-        mask = None
-        if mode == "train" and spec.dropout_rate > 0.0:
-            mask = dropout_mask(rng, (h.shape[0], spec.out_dim),
-                                spec.dropout_rate)
-        h = dense(h, w, b, spec.activation, mask)
-        if not np.all(np.isfinite(h.data)):
-            name = getattr(w, "name", None)
-            raise NumericError(f"non-finite activations after layer "
-                               f"{name.rsplit('.', 1)[0] if name else i}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (spec, (w, b)) in enumerate(zip(layers, params)):
+            mask = None
+            if mode == "train" and spec.dropout_rate > 0.0:
+                mask = dropout_mask(rng, (h.shape[0], spec.out_dim),
+                                    spec.dropout_rate)
+            h = dense(h, w, b, spec.activation, mask)
+            if not np.all(np.isfinite(h.data)):
+                name = getattr(w, "name", None)
+                raise NumericError(f"non-finite activations after layer "
+                                   f"{name.rsplit('.', 1)[0] if name else i}")
     return h

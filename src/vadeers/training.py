@@ -682,13 +682,15 @@ def load_checkpoint(path) -> Checkpoint:
     flat = np.frombuffer(raw, dtype="<f8", count=size, offset=offset)
     model = VadeersModel(config, FlatStore(layout, flat.astype(np.float64)),
                          WORKING_DTYPE)
-    if not np.isfinite(flat).all():
-        bad = next(n for n, a in model.params.items() if not np.isfinite(a).all())
-        raise CheckpointError(f"{path}: array {bad!r} has a non-finite value")
-    if (config.prior_variant == "gmm_constrained"
-            and model.params["gmm.log_scales"].any()):
-        raise CheckpointError(f"{path}: array 'gmm.log_scales' of a "
-                              f"gmm_constrained model is not all zero")
+    for store, problem in ((model.params, "a non-finite value"),
+                           (model.working, "a value beyond float32's range")):
+        bad = next((n for n, a in store.items() if not np.isfinite(a).all()), None)
+        if bad is not None:
+            raise CheckpointError(f"{path}: array {bad!r} has {problem}")
+    for name in sorted(model.frozen_names()):
+        if model.params[name].any():
+            raise CheckpointError(f"{path}: array {name!r} of a "
+                                  f"{config.prior_variant} model is not all zero")
     labels, split, seed = _header_records(path, header, config)
     return Checkpoint(model, _header_scaler(path, header["scaler"], config),
                       labels, split, seed)

@@ -9,7 +9,7 @@ import subprocess
 import sys
 import time
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -612,7 +612,10 @@ def test_checkpoint_header_bytes_defect_exit_2(tmp_path, run_dir, data_dir,
     ("dspn.0.W", np.nan, "has a non-finite value"),
     ("gmm.logits", np.inf, "has a non-finite value"),
     ("gmm.log_scales", 0.5, "of a gmm_constrained model is not all zero"),
-], ids=["nan_weight", "inf_logit", "constrained_log_scale"])
+    ("dvae.dec_s.0.W", 1e39, "has a value beyond float32's range"),
+    ("gmm.means", -1e39, "has a value beyond float32's range"),
+], ids=["nan_weight", "inf_logit", "constrained_log_scale",
+        "float32_overflow_weight", "float32_overflow_mean"])
 @pytest.mark.parametrize("command", ["generate", "evaluate", "predict"])
 def test_checkpoint_bad_parameter_value_exit_2(tmp_path, run_dir, data_dir,
                                                capsys, command, name, value,
@@ -1297,6 +1300,31 @@ def test_divergent_train_exit_3_without_numpy_warnings(tmp_path, data_dir,
     assert "numeric failure: joint step 2 diverged" in err, err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("component", [[], ["--component", "0"]],
+                         ids=["mixture", "component"])
+def test_overflowing_generate_exit_3_without_numpy_warnings(
+        tmp_path, run_dir, capsys, component):
+    # log-scales of 88 are finite in float32, the draws they scale are not
+    ckpt = load_checkpoint(run_dir / "checkpoint.bin")
+    params = dict(ckpt.model.params)
+    params["gmm.log_scales"] = np.full_like(params["gmm.log_scales"], 88.0)
+    config = replace(ckpt.model.config, prior_variant="gmm_unconstrained")
+    path = tmp_path / "wide.bin"
+    save_checkpoint(replace(ckpt, model=VadeersModel(config, params)), path)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run("generate", "--checkpoint", path, *component, "--n", "20",
+                   "--out", tmp_path / "g.csv")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numeric failure: non-finite activations after layer " \
+           "dvae.dec_s.0" in err, err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (tmp_path / "g.csv").exists()
 
 
 def test_aborted_train_saves_a_complete_checkpoint(tmp_path, data_dir,

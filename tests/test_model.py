@@ -4,6 +4,7 @@ finite-difference checks of the full objective for all three variants."""
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import fields
 
 import numpy as np
@@ -14,6 +15,7 @@ from vadeers import gmm
 from vadeers.exceptions import ContractViolation, NumericError
 from vadeers.model import (
     PREDICT_BLOCK_ROWS,
+    PRIOR_VARIANTS,
     Batch,
     EncoderOutput,
     LossWeights,
@@ -486,6 +488,34 @@ def test_non_finite_encoder_head_is_a_numeric_error():
     with pytest.raises(NumericError, match="^non-finite activations after "
                                            "layer dvae.enc.logsig$"):
         model.drug_latent_means(np.zeros((2, TOY.smiles_dim)))
+
+
+@pytest.mark.parametrize("variant", PRIOR_VARIANTS)
+def test_every_parameter_is_a_layer_of_one_chain_or_a_mixture_array(variant):
+    # so every dense layer is run, checked and named by mlp_forward
+    model = toy_model(variant=variant)
+    owners = Counter(n for chain in model.chains.values()
+                     for pair in chain.params for n in pair)
+    assert set(owners.values()) == {1}
+    mixture = {"gmm.logits", "gmm.means", "gmm.log_scales"}
+    assert set(model.param_shapes()) == (
+        set(owners) | (mixture if model.config.uses_gmm else set()))
+
+
+def test_configs_without_hidden_layers_keep_their_out_layer_names():
+    # checkpoints of such configs store these names
+    model = toy_model(dvae_encoder_dims=(), decoder_dims=(), dspn_dims=())
+    s, i, b, d = TOY.smiles_dim, TOY.ip_dim, TOY.bio_dim, TOY.latent_dim
+    layers = {"dvae.enc.mu": (s, d), "dvae.enc.logsig": (s, d),
+              "dvae.dec_s.out": (d, s), "dvae.dec_i.out": (d, i),
+              "cae.enc.out": (b, d), "cae.dec.out": (d, b),
+              "dspn.out": (2 * d, 1)}
+    k = TOY.n_components
+    assert model.param_shapes() == {
+        **{f"{n}.{p}": shape if p == "W" else shape[1:]
+           for n, shape in layers.items() for p in "Wb"},
+        "gmm.logits": (k,), "gmm.means": (k, d), "gmm.log_scales": (k, d)}
+    assert sorted(model.params) == sorted(model.param_shapes())
 
 
 # ---------------------------------------------------------------------------
